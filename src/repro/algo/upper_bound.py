@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, Optional
 
-import networkx as nx
-
 from .. import obs
 from .._types import NodeId, NodeType, agent_node
 from ..core.instance import MaxMinInstance
@@ -144,6 +142,8 @@ def smooth_upper_bounds(
     contains no bounded agent at all yields ``math.inf`` — the neutral
     element, mirroring an agent whose ``t_u`` is not locally known.
     """
+    import networkx as nx
+
     graph = instance.communication_graph()
     radius = 4 * r + 2
     smoothed: Dict[NodeId, float] = {}

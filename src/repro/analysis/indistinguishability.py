@@ -27,8 +27,6 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .._types import GraphNode, NodeId, agent_node
 from ..core.instance import MaxMinInstance
@@ -147,6 +145,9 @@ def best_local_ratio_bound(
     method: str = "highs",
 ) -> IndistinguishabilityResult:
     """Solve the joint view-class LP described in the module docstring."""
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     instances = list(instances)
     if not instances:
         raise SolverError("need at least one instance")

@@ -25,9 +25,7 @@ measured in the benchmarks).
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .._types import (
     CoefficientMap,
@@ -39,6 +37,9 @@ from .._types import (
     objective_node,
 )
 from ..exceptions import InvalidInstanceError
+
+if TYPE_CHECKING:  # pragma: no cover - networkx loads only where a graph is built
+    import networkx as nx
 
 __all__ = ["MaxMinInstance", "DegreeStatistics"]
 
@@ -628,6 +629,8 @@ class MaxMinInstance:
         """
         if self._graph_cache is not None:
             return self._graph_cache
+        import networkx as nx
+
         g = nx.Graph(name=self.name)
         for v in self._agents:
             g.add_node(agent_node(v), kind=NodeType.AGENT)
@@ -674,6 +677,8 @@ class MaxMinInstance:
         """True if the communication graph is connected (or empty)."""
         if self.num_nodes == 0:
             return True
+        import networkx as nx
+
         return nx.is_connected(self.communication_graph())
 
     def connected_components(self) -> List["MaxMinInstance"]:
@@ -685,6 +690,8 @@ class MaxMinInstance:
         """
         if self.num_nodes == 0:
             return []
+        import networkx as nx
+
         g = self.communication_graph()
         components = []
         for idx, nodes in enumerate(nx.connected_components(g)):

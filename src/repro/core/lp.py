@@ -9,7 +9,8 @@ The max-min LP
 is an ordinary linear program in the variables ``(x, ω)``.  This module
 reduces it to the standard form expected by :func:`scipy.optimize.linprog`
 (HiGHS backend) using sparse matrices, and wraps the result in library
-objects.
+objects.  scipy is imported inside the functions that call it, so importing
+this module (which every CLI command does) does not load it.
 
 The constraint matrix is assembled straight from the instance's compiled CSR
 view (:meth:`MaxMinInstance.compiled`): the COO triplets of ``A_ub`` are the
@@ -37,9 +38,6 @@ import math
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
-from scipy.optimize import linprog
 
 from .. import obs
 from .._types import NodeId
@@ -106,6 +104,9 @@ def _assembly_triplets(
 
 def _solve_clean(instance: MaxMinInstance, method: str) -> LPResult:
     """Solve a non-degenerate instance (every node has positive degree)."""
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     n = instance.num_agents
     n_con = instance.num_constraints
     n_obj = instance.num_objectives
@@ -155,6 +156,9 @@ def _component_labels(instance: MaxMinInstance) -> Tuple[int, np.ndarray]:
     block-diagonal solve (they pick each covering row's ``ω_j`` column; the
     agent columns need no labelling because the blocks share no rows).
     """
+    from scipy import sparse
+    from scipy.sparse import csgraph
+
     comp = instance.compiled()
     n = comp.num_agents
     n_con = comp.num_constraints
@@ -190,6 +194,9 @@ def _solve_components(
     agents take 0) and are excluded from the minimum — they never trigger an
     LP solve of their own.
     """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     n = instance.num_agents
     n_con = instance.num_constraints
     n_obj = instance.num_objectives

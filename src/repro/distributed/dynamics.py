@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, Union
 
-import networkx as nx
 import numpy as np
 
 from .. import obs
@@ -229,6 +228,8 @@ def measure_change_impact(
     distances: Dict[NodeId, int] = {}
     max_distance = 0
     if changed:
+        import networkx as nx
+
         # Multi-source BFS from every change site.
         lengths = nx.multi_source_dijkstra_path_length(graph, [s for s in sites if s in graph])
         for v in changed:

@@ -20,13 +20,15 @@ shortest simple paths per customer with :mod:`networkx`.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..core.builder import InstanceBuilder
 from ..core.instance import MaxMinInstance
+
+if TYPE_CHECKING:  # pragma: no cover - networkx loads when a workload is generated
+    import networkx as nx
 
 __all__ = ["BandwidthWorkload", "bandwidth_allocation_instance"]
 
@@ -60,6 +62,8 @@ class BandwidthWorkload:
 
 def _random_network(rng: np.random.Generator, num_nodes: int, extra_edges: int) -> "nx.Graph":
     """A connected ring plus random chords, with random link capacities."""
+    import networkx as nx
+
     graph = nx.cycle_graph(num_nodes)
     added = 0
     attempts = 0
@@ -85,6 +89,8 @@ def bandwidth_allocation_instance(
     name: Optional[str] = None,
 ) -> BandwidthWorkload:
     """Generate a fair bandwidth allocation workload (see module docstring)."""
+    import networkx as nx
+
     if num_nodes < 3:
         raise ValueError("need at least three network nodes")
     if num_customers < 1:

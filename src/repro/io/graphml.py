@@ -9,14 +9,15 @@ inverse direction re-builds an instance from a graph whose nodes carry a
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Union
-
-import networkx as nx
+from typing import TYPE_CHECKING, Union
 
 from .._types import NodeType
 from ..core.builder import InstanceBuilder
 from ..core.instance import MaxMinInstance
 from ..exceptions import SerializationError
+
+if TYPE_CHECKING:  # pragma: no cover - networkx loads on first GraphML call
+    import networkx as nx
 
 __all__ = ["to_networkx", "from_networkx", "save_graphml", "load_graphml"]
 
@@ -28,6 +29,8 @@ def to_networkx(instance: MaxMinInstance, stringify: bool = True) -> "nx.Graph":
     ``"I:<id>"``, ``"K:<id>"`` strings so that GraphML serialisation works
     for arbitrary id types.
     """
+    import networkx as nx
+
     graph = instance.communication_graph()
     if not stringify:
         # communication_graph() returns the instance's cached graph; hand out
@@ -76,6 +79,8 @@ def from_networkx(graph: "nx.Graph", name: str = "from-graphml") -> MaxMinInstan
 
 def save_graphml(instance: MaxMinInstance, path: Union[str, Path]) -> Path:
     """Write the communication graph as GraphML."""
+    import networkx as nx
+
     path = Path(path)
     nx.write_graphml(to_networkx(instance), path)
     return path
@@ -83,4 +88,6 @@ def save_graphml(instance: MaxMinInstance, path: Union[str, Path]) -> Path:
 
 def load_graphml(path: Union[str, Path], name: str = "from-graphml") -> MaxMinInstance:
     """Load an instance from a GraphML file written by :func:`save_graphml`."""
+    import networkx as nx
+
     return from_networkx(nx.read_graphml(Path(path)), name=name)

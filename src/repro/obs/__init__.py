@@ -2,7 +2,7 @@
 
 The observability substrate for every solve path: the §5 kernels, the §4
 transform pipeline, the exact LP, the preprocess peeler, the distributed
-runtime and the batch engine all report through this module.  Three design
+runtime and the batch engine all report through this module.  Four design
 constraints shape it:
 
 * **Near-zero overhead when off.**  Tracing is opt-in via
@@ -10,9 +10,13 @@ constraints shape it:
   context manager and :func:`count`/:func:`gauge` return after one global
   flag test.  A tier-1 test guards the disabled-path overhead against a
   reference solve.
-* **No dependencies.**  Pure stdlib (``time``, ``itertools``); importable
+* **No dependencies.**  Pure stdlib (``time``, ``threading``); importable
   from worker processes and from the benchmarks without dragging in numpy
   or scipy.
+* **Thread-safe.**  Each thread nests spans on its own stack, so a span
+  opened on a server worker thread never adopts another thread's open
+  span as its parent; span ids, counters and gauges update under one
+  lock, so concurrent ``count()`` calls lose no increments.
 * **Mergeable across processes.**  A worker's buffer is exported with
   :func:`snapshot` (plain JSON-compatible dicts), shipped back over the
   process-pool pickle channel and folded into the parent's collector with
@@ -30,6 +34,8 @@ structure.
 from __future__ import annotations
 
 import json
+import os
+import threading
 import time
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -81,22 +87,28 @@ _NULL_SPAN = _NullSpan()
 
 
 class _Span:
-    """One live span: clocks started at ``__enter__``, closed at ``__exit__``."""
+    """One live span: clocks started at ``__enter__``, closed at ``__exit__``.
 
-    __slots__ = ("_collector", "_record")
+    The record's keys are fixed at creation (only values change later), so
+    a :func:`snapshot` taken on another thread can copy it at any time.
+    """
+
+    __slots__ = ("_collector", "_record", "_cpu0")
 
     def __init__(self, collector: "Collector", record: Dict[str, object]) -> None:
         self._collector = collector
         self._record = record
+        self._cpu0 = 0.0
 
     def __enter__(self) -> "_Span":
         collector = self._collector
         record = self._record
-        record["parent"] = collector._stack[-1] if collector._stack else None
+        stack = collector.open_spans.ids
+        record["parent"] = stack[-1] if stack else None
         collector.spans.append(record)
-        collector._stack.append(record["id"])
+        stack.append(record["id"])
         record["start_s"] = time.perf_counter() - collector.origin
-        record["_cpu0"] = time.process_time()
+        self._cpu0 = time.process_time()
         return self
 
     def __exit__(self, *exc) -> bool:
@@ -104,8 +116,8 @@ class _Span:
         record["wall_s"] = (
             time.perf_counter() - self._collector.origin - record["start_s"]
         )
-        record["cpu_s"] = time.process_time() - record.pop("_cpu0")
-        stack = self._collector._stack
+        record["cpu_s"] = time.process_time() - self._cpu0
+        stack = self._collector.open_spans.ids
         # Tolerate exception-driven unwinding of inner spans.
         while stack and stack[-1] != record["id"]:
             stack.pop()
@@ -118,20 +130,44 @@ class _Span:
         self._record["attrs"].update(attrs)
 
 
+class _OpenSpans(threading.local):
+    """Ids of the spans open on the current thread, innermost last."""
+
+    def __init__(self) -> None:
+        self.ids: List[int] = []
+
+
 class Collector:
-    """The per-process trace buffer: spans in start order, counters, gauges."""
+    """The per-process trace buffer: spans in start order, counters, gauges.
+
+    Each thread nests its spans on its own stack (``open_spans``); ``lock``
+    guards span id allocation and every counter and gauge update.
+    """
 
     def __init__(self) -> None:
         self.origin = time.perf_counter()
         self.spans: List[Dict[str, object]] = []
         self.counters: Dict[str, float] = {}
         self.gauges: Dict[str, float] = {}
-        self._stack: List[int] = []
+        self.lock = threading.Lock()
+        self.open_spans = _OpenSpans()
         self._next_id = 0
+
+    def tables(self) -> Tuple[Dict[str, float], Dict[str, float]]:
+        """Consistent copies of the counters and the gauges."""
+        with self.lock:
+            return dict(self.counters), dict(self.gauges)
+
+    def allocate_ids(self, n: int) -> int:
+        """Reserve ``n`` consecutive span ids; returns the first."""
+        with self.lock:
+            first = self._next_id
+            self._next_id += n
+        return first
 
     def new_span(self, name: str, attrs: Dict[str, object]) -> _Span:
         record: Dict[str, object] = {
-            "id": self._next_id,
+            "id": self.allocate_ids(1),
             "parent": None,
             "name": name,
             "start_s": 0.0,
@@ -140,12 +176,21 @@ class Collector:
             "attrs": attrs,
             "proc": 0,
         }
-        self._next_id += 1
         return _Span(self, record)
 
 
 _enabled = False
 _collector = Collector()
+
+
+def _reinit_lock_after_fork() -> None:
+    # A thread of the parent may have held the lock at fork time; the child
+    # has no such thread, so it starts with a fresh lock (as ``logging`` does).
+    _collector.lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reinit_lock_after_fork)
 
 
 def configure(*, enabled: bool) -> None:
@@ -188,26 +233,30 @@ def count(name: str, value: float = 1) -> None:
     """Add ``value`` to the named counter (no-op while disabled)."""
     if not _enabled:
         return
-    counters = _collector.counters
-    counters[name] = counters.get(name, 0) + value
+    collector = _collector
+    with collector.lock:
+        counters = collector.counters
+        counters[name] = counters.get(name, 0) + value
 
 
 def gauge(name: str, value: float) -> None:
     """Record the latest value of a named gauge (no-op while disabled)."""
     if not _enabled:
         return
-    _collector.gauges[name] = value
+    collector = _collector
+    with collector.lock:
+        collector.gauges[name] = value
 
 
 def counters_mark() -> Dict[str, float]:
     """A snapshot of the current counter values, for later diffing."""
-    return dict(_collector.counters)
+    return _collector.tables()[0]
 
 
 def counters_since(mark: Dict[str, float]) -> Dict[str, float]:
     """Counter deltas accumulated since ``mark`` (zero deltas omitted)."""
     out: Dict[str, float] = {}
-    for name, value in _collector.counters.items():
+    for name, value in counters_mark().items():
         delta = value - mark.get(name, 0)
         if delta:
             out[name] = delta
@@ -221,13 +270,12 @@ def snapshot(reset_after: bool = False) -> Dict[str, object]:
     a process boundary.  Open spans (still on the stack) are exported as-is
     with their current partial timings.
     """
+    collector = _collector
+    counters, gauges = collector.tables()
     payload = {
-        "spans": [
-            {k: v for k, v in record.items() if not k.startswith("_")}
-            for record in _collector.spans
-        ],
-        "counters": dict(_collector.counters),
-        "gauges": dict(_collector.gauges),
+        "spans": [dict(record) for record in list(collector.spans)],
+        "counters": counters,
+        "gauges": gauges,
     }
     if reset_after:
         reset()
@@ -238,22 +286,25 @@ def merge_snapshot(payload: Dict[str, object], proc: Optional[int] = None) -> No
     """Fold a worker's :func:`snapshot` into this process's collector.
 
     Span ids are remapped to fresh local ids; the worker's root spans are
-    attached under the innermost span currently open here (so a parent-side
-    ``engine.run_batch`` span adopts the workers' trees).  Counters add,
-    gauges overwrite — merging in a fixed order therefore yields a
-    deterministic result.  ``proc`` labels the merged spans' virtual
+    attached under the innermost span open on the calling thread (so a
+    parent-side ``engine.run_batch`` span adopts the workers' trees).
+    Counters add, gauges overwrite — merging in a fixed order therefore
+    yields a deterministic result.  ``proc`` labels the merged spans' virtual
     process lane (Chrome-trace ``tid``).
     """
     if not _enabled:
         return
     collector = _collector
-    attach_parent = collector._stack[-1] if collector._stack else None
+    stack = collector.open_spans.ids
+    attach_parent = stack[-1] if stack else None
+    records = list(payload.get("spans", ()))
+    next_id = collector.allocate_ids(len(records))
     id_map: Dict[int, int] = {}
-    for record in payload.get("spans", ()):
+    for record in records:
         new = dict(record)
-        id_map[int(record["id"])] = collector._next_id
-        new["id"] = collector._next_id
-        collector._next_id += 1
+        id_map[int(record["id"])] = next_id
+        new["id"] = next_id
+        next_id += 1
         old_parent = record.get("parent")
         if old_parent is None:
             new["parent"] = attach_parent
@@ -262,10 +313,11 @@ def merge_snapshot(payload: Dict[str, object], proc: Optional[int] = None) -> No
         if proc is not None:
             new["proc"] = proc
         collector.spans.append(new)
-    for name, value in payload.get("counters", {}).items():
-        collector.counters[name] = collector.counters.get(name, 0) + value
-    for name, value in payload.get("gauges", {}).items():
-        collector.gauges[name] = value
+    with collector.lock:
+        for name, value in payload.get("counters", {}).items():
+            collector.counters[name] = collector.counters.get(name, 0) + value
+        for name, value in payload.get("gauges", {}).items():
+            collector.gauges[name] = value
 
 
 # ----------------------------------------------------------------------
@@ -410,7 +462,7 @@ def _aggregate_paths(
 
 def format_span_tree() -> str:
     """The collected spans as an indented tree, aggregated per call path."""
-    rows = _aggregate_paths(_collector.spans)
+    rows = _aggregate_paths(list(_collector.spans))
     if not rows:
         return "(no spans recorded)"
     lines = [f"{'span':<46} {'calls':>6} {'wall':>10} {'cpu':>10}"]
@@ -422,8 +474,7 @@ def format_span_tree() -> str:
 
 def format_counter_table() -> str:
     """The counters (and gauges) as an aligned two-column table."""
-    counters = _collector.counters
-    gauges = _collector.gauges
+    counters, gauges = _collector.tables()
     if not counters and not gauges:
         return "(no counters recorded)"
     lines = []

@@ -234,16 +234,18 @@ class TestCsrNativeLP:
         assert split.optimum == pytest.approx(joint.optimum, rel=1e-9)
 
     def test_split_components_single_linprog_call(self, monkeypatch):
-        import repro.core.lp as lp_mod
+        import scipy.optimize
 
         calls = []
-        real_linprog = lp_mod.linprog
+        real_linprog = scipy.optimize.linprog
 
         def counting_linprog(*args, **kwargs):
             calls.append(1)
             return real_linprog(*args, **kwargs)
 
-        monkeypatch.setattr(lp_mod, "linprog", counting_linprog)
+        # repro.core.lp imports linprog when it calls it, so patching the
+        # scipy attribute reaches that call.
+        monkeypatch.setattr(scipy.optimize, "linprog", counting_linprog)
         builder = InstanceBuilder()
         for j in range(4):
             builder.add_constraint_term(f"i{j}", f"a{j}", 1.0 + j)

@@ -10,6 +10,8 @@ bisection kernels.
 from __future__ import annotations
 
 import json
+import sys
+import threading
 import time
 
 import pytest
@@ -183,6 +185,96 @@ def test_merge_snapshot_remaps_ids_and_sums_counters():
     assert len({record["id"] for record in snap["spans"]}) == 3
     assert snap["counters"] == {"a": 7, "b": 1}
     assert snap["gauges"] == {"g": 2.0}
+
+
+# ----------------------------------------------------------------------
+# Threads
+# ----------------------------------------------------------------------
+
+
+def _run_threads(*targets) -> None:
+    threads = [threading.Thread(target=target) for target in targets]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+
+
+def test_spans_nest_under_their_own_thread():
+    """A opens outer, B opens outer, then A opens inner: inner's parent is A's outer."""
+    obs.configure(enabled=True)
+    a_outer, b_outer, a_inner = threading.Event(), threading.Event(), threading.Event()
+
+    def thread_a():
+        with obs.span("outer", thread="A"):
+            a_outer.set()
+            assert b_outer.wait(10)
+            with obs.span("inner", thread="A"):
+                pass
+            a_inner.set()
+
+    def thread_b():
+        assert a_outer.wait(10)
+        with obs.span("outer", thread="B"):
+            b_outer.set()
+            assert a_inner.wait(10)
+
+    _run_threads(thread_a, thread_b)
+    payload = obs.trace_payload()
+    obs.validate_trace(payload)
+    by_key = {(r["name"], r["attrs"]["thread"]): r for r in payload["spans"]}
+    assert by_key[("outer", "A")]["parent"] is None
+    assert by_key[("outer", "B")]["parent"] is None
+    assert by_key[("inner", "A")]["parent"] == by_key[("outer", "A")]["id"]
+
+
+def test_concurrent_spans_keep_parents_and_unique_ids():
+    obs.configure(enabled=True)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+
+    def worker(tag):
+        def run():
+            for _ in range(500):
+                with obs.span("outer", thread=tag):
+                    with obs.span("inner", thread=tag):
+                        pass
+
+        return run
+
+    try:
+        _run_threads(*(worker(t) for t in range(4)))
+    finally:
+        sys.setswitchinterval(old)
+    payload = obs.trace_payload()
+    obs.validate_trace(payload)  # rejects duplicate ids
+    by_id = {r["id"]: r for r in payload["spans"]}
+    assert len(by_id) == 4 * 500 * 2
+    for record in payload["spans"]:
+        if record["name"] == "outer":
+            assert record["parent"] is None
+        else:
+            parent = by_id[record["parent"]]
+            assert parent["name"] == "outer"
+            assert parent["attrs"]["thread"] == record["attrs"]["thread"]
+
+
+def test_counts_are_not_lost_under_threads():
+    obs.configure(enabled=True)
+    calls = 100_000
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+
+    def worker():
+        for _ in range(calls):
+            obs.count("hits")
+
+    try:
+        _run_threads(*([worker] * 4))
+    finally:
+        sys.setswitchinterval(old)
+    assert obs.snapshot()["counters"]["hits"] == 4 * calls
 
 
 # ----------------------------------------------------------------------

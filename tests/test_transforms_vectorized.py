@@ -10,7 +10,11 @@ The contract that lets ``backend="vectorized"`` be the default for
 * the composed ratio factor and the per-stage metadata agree;
 * back-mapped solutions agree within 1e-12 (the array back-map composes the
   §4.3/§4.6 scales in one product instead of two chained operations, which
-  costs at most a few ulp).
+  costs at most a few ulp);
+* the output, built straight from the stage arrays through the trusted
+  ``MaxMinInstance.from_arrays``, is indistinguishable from the same
+  instance declared through ``MaxMinInstance(...)`` — and the array checks
+  that replace ``__init__``'s validation reject corrupted stage output.
 
 Checked across every generator family and over hypothesis-generated
 instances that are built from scratch (not via the library's generators, to
@@ -24,13 +28,16 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import repro.transforms.vectorized as vec_mod
+from repro import obs
 from repro.algo.general_solver import LocalMaxMinSolver
 from repro.algo.local_solver import SpecialFormLocalSolver
 from repro.core.builder import InstanceBuilder
+from repro.core.instance import MaxMinInstance
 from repro.core.lp import solve_maxmin_lp
 from repro.core.preprocess import preprocess
 from repro.core.solution import Solution
-from repro.exceptions import DegenerateInstanceError
+from repro.exceptions import DegenerateInstanceError, InvalidInstanceError
 from repro.generators import (
     cycle_instance,
     objective_ring_instance,
@@ -115,6 +122,44 @@ def _both_pipelines(clean):
     return ref, vec
 
 
+#: Every array of a compiled view (the 12 CSR arrays plus the capacities).
+COMPILED_ARRAYS = tuple(
+    f"{family}_{part}"
+    for family in ("con", "obj", "cagents", "oagents")
+    for part in ("indptr", "indices", "coeff")
+) + ("capacity",)
+
+
+def _assert_matches_declared(transformed):
+    """The output equals the same instance declared through ``__init__``.
+
+    Same digest and ``hash``, bitwise-equal compiled arrays (values and
+    dtypes) and equal adjacency tuples.
+    """
+    declared = MaxMinInstance(
+        agents=transformed.agents,
+        constraints=transformed.constraints,
+        objectives=transformed.objectives,
+        a=transformed.a_coefficients,
+        c=transformed.c_coefficients,
+        name=transformed.name,
+    )
+    assert instance_digest(transformed) == instance_digest(declared)
+    assert hash(transformed) == hash(declared)
+    got, want = transformed.compiled(), declared.compiled()
+    for attr in COMPILED_ARRAYS:
+        g, w = getattr(got, attr), getattr(want, attr)
+        assert g.dtype == w.dtype, attr
+        assert g.shape == w.shape and g.tobytes() == w.tobytes(), attr
+    for v in declared.agents:
+        assert transformed.constraints_of_agent(v) == declared.constraints_of_agent(v)
+        assert transformed.objectives_of_agent(v) == declared.objectives_of_agent(v)
+    for i in declared.constraints:
+        assert transformed.agents_of_constraint(i) == declared.agents_of_constraint(i)
+    for k in declared.objectives:
+        assert transformed.agents_of_objective(k) == declared.agents_of_objective(k)
+
+
 class TestDigestIdentity:
     @pytest.mark.parametrize("case_id,clean", CASES, ids=CASE_IDS)
     def test_instances_digest_identical(self, case_id, clean):
@@ -127,6 +172,10 @@ class TestDigestIdentity:
         assert vec.ratio_factor == ref.ratio_factor
         assert vec.metadata["stages"] == ref.metadata["stages"]
         assert vec.metadata["stage_ratio_factors"] == ref.metadata["stage_ratio_factors"]
+
+    @pytest.mark.parametrize("case_id,clean", CASES, ids=CASE_IDS)
+    def test_output_matches_declared_instance(self, case_id, clean):
+        _assert_matches_declared(to_special_form(clean, backend="vectorized").transformed)
 
     @pytest.mark.parametrize("case_id,clean", CASES, ids=CASE_IDS)
     def test_back_mapped_solutions_agree(self, case_id, clean):
@@ -166,6 +215,7 @@ class TestHypothesisEquivalence:
         assert instance_digest(instance_to_json(vec.transformed)) == instance_digest(
             instance_to_json(ref.transformed)
         )
+        _assert_matches_declared(vec.transformed)
         lp = solve_maxmin_lp(ref.transformed)
         mapped_ref = ref.map_back(lp.solution)
         mapped_vec = vec.map_back(
@@ -173,6 +223,92 @@ class TestHypothesisEquivalence:
         )
         for v in clean.agents:
             assert mapped_vec[v] == pytest.approx(mapped_ref[v], abs=BACKMAP_TOL)
+
+
+def _set(field, pos, value):
+    """A corruption writing ``value`` at ``pos`` of a copy of a stage array."""
+
+    def corrupt(st):
+        arr = getattr(st, field).copy()
+        arr[pos] = value
+        setattr(st, field, arr)
+
+    return corrupt
+
+
+def _duplicate_edge(field):
+    """A corruption making row 0 list its first agent twice."""
+
+    def corrupt(st):
+        arr = getattr(st, field).copy()
+        arr[1] = arr[0]
+        setattr(st, field, arr)
+
+    return corrupt
+
+
+def _duplicate_id(field):
+    def corrupt(st):
+        ids = list(getattr(st, field))
+        ids[1] = ids[0]
+        setattr(st, field, ids)
+
+    return corrupt
+
+
+class TestArrayConstruction:
+    """The output is built from the stage arrays and checked as arrays."""
+
+    @pytest.fixture
+    def clean(self):
+        clean = preprocess(build_general_instance()).instance
+        clean.compiled()
+        return clean
+
+    def test_output_is_never_lowered_through_dicts(self, clean):
+        obs.configure(enabled=True)
+        try:
+            mark = obs.counters_mark()
+            result = vectorized_to_special_form(clean)
+            delta = obs.counters_since(mark)
+        finally:
+            obs.configure(enabled=False)
+            obs.reset()
+        assert result.transformed is not clean
+        assert delta.get("compile.builds", 0) == 0
+        assert delta.get("compile.from_arrays") == 1
+
+    @pytest.mark.parametrize(
+        "corrupt,match",
+        [
+            (_set("con_coeff", 0, 0.0), "must be positive and finite"),
+            (_set("con_coeff", 3, -1.0), "must be positive and finite"),
+            (_set("obj_coeff", 0, np.nan), "must be positive and finite"),
+            (_set("con_coeff", 2, np.inf), "must be positive and finite"),
+            (_set("con_agents", 0, 10**6), "unknown agent position"),
+            (_set("obj_agents", 1, -1), "unknown agent position"),
+            (_duplicate_edge("con_agents"), "duplicate constraint coefficient"),
+            (_duplicate_edge("obj_agents"), "duplicate objective coefficient"),
+            (_duplicate_id("agents"), "duplicate agent identifiers"),
+            (_duplicate_id("constraints"), "duplicate constraint identifiers"),
+            (_duplicate_id("objectives"), "duplicate objective identifiers"),
+        ],
+        ids=[
+            "zero", "negative", "nan", "inf", "agent-past-end", "agent-negative",
+            "duplicate-constraint-edge", "duplicate-objective-edge",
+            "duplicate-agent-id", "duplicate-constraint-id", "duplicate-objective-id",
+        ],
+    )
+    def test_corrupted_stage_output_is_rejected(self, clean, monkeypatch, corrupt, match):
+        real = vec_mod._stage_normalise_coefficients
+
+        def corrupted_stage(st):
+            real(st)
+            corrupt(st)
+
+        monkeypatch.setattr(vec_mod, "_stage_normalise_coefficients", corrupted_stage)
+        with pytest.raises(InvalidInstanceError, match=match):
+            vectorized_to_special_form(clean)
 
 
 class TestCompiledTransformResult:
