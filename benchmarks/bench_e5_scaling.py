@@ -6,10 +6,11 @@ messages are constant, so total work scales linearly.  This benchmark runs
 the actual message-passing protocol on growing cycles and sensor networks
 and reports rounds, messages and messages per node.
 
-The protocol runs on the vectorized message plane by default (see
-``bench_safe_e5.py`` for the backend speedup trajectory); the measurements
-are backend-independent — the dict-based oracle produces identical per-round
-message statistics, which one row here re-checks explicitly.
+The protocol runs on the vectorized message plane (see ``bench_safe_e5.py``
+for its speedup over the per-node oracle); the measurements do not depend
+on the runtime — the dict-based oracle (``measure_bytes=True``) produces
+identical per-round message statistics, which one row here re-checks
+explicitly.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from repro.generators import sensor_network_instance
 from _harness import emit_table
 
 
-def _cycle_rows(R: int = 3, backend: str = "vectorized"):
-    solver = DistributedLocalSolver(R=R, backend=backend)
+def _cycle_rows(R: int = 3, measure_bytes: bool = False):
+    solver = DistributedLocalSolver(R=R, measure_bytes=measure_bytes)
     rows = []
     for segments in (8, 16, 32, 64):
         instance = cycle_instance(segments, coefficient_range=(0.5, 2.0), seed=segments)
@@ -101,8 +102,8 @@ def test_e5_scaling(benchmark):
     assert max(per_node) <= min(per_node) * 1.05
     assert all(row["feasible"] for row in rows)
 
-    # Backend independence: the dict-based oracle reports the same statistics.
-    oracle_rows = _cycle_rows(backend="reference")
+    # Runtime independence: the dict-based oracle reports the same statistics.
+    oracle_rows = _cycle_rows(measure_bytes=True)
     assert [(r["rounds"], r["messages"]) for r in oracle_rows] == [
         (r["rounds"], r["messages"]) for r in cycle_rows
     ]

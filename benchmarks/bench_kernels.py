@@ -1,8 +1,8 @@
-"""Microbenchmark: reference vs vectorized solver backend across an n grid.
+"""Microbenchmark: the per-node oracle vs the vectorized kernels across an n grid.
 
 For each (family × n × R) configuration the script solves the same
-special-form instance with ``SpecialFormLocalSolver`` under both backends,
-records wall times, the speedup, the output agreement and the tree
+special-form instance with :func:`repro.oracle.special_form_solve` and with
+``SpecialFormLocalSolver``, records wall times, the speedup, the output agreement and the tree
 deduplication factor, and asserts the acceptance bar (≥ ``--min-speedup``
 at ``n ≥ --speedup-floor-n``) unless running in ``--smoke`` mode.
 
@@ -18,8 +18,8 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_kernels.py            # full grid
     PYTHONPATH=src python benchmarks/bench_kernels.py --smoke    # CI smoke
 
-The CI smoke step runs a tiny size so both backends stay exercised on every
-push without paying the reference solver's full-grid cost.
+The CI smoke step runs a tiny size so the kernels are checked against the
+oracle on every push without paying the oracle's full-grid cost.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ BENCH_DIR = Path(__file__).resolve().parent
 if str(BENCH_DIR) not in sys.path:  # allow `import _harness` when run as a script
     sys.path.insert(0, str(BENCH_DIR))
 
+from repro import oracle
 from repro.algo.kernels import build_batched_trees
 from repro.algo.local_solver import SpecialFormLocalSolver
 from _harness import obs_counter_rollup, write_bench_payload
@@ -81,7 +82,7 @@ def _solver_code_digest() -> str:
     import repro.core.compiled as compiled_mod
 
     h = hashlib.sha256()
-    for mod in (kernels_mod, compiled_mod, solver_mod, upper_mod, recursion_mod):
+    for mod in (kernels_mod, compiled_mod, solver_mod, upper_mod, recursion_mod, oracle):
         h.update(Path(mod.__file__).read_bytes())
     return h.hexdigest()
 
@@ -105,18 +106,18 @@ def config_key(family: str, n: int, R: int, seed: int) -> str:
 
 
 def measure(family: str, n: int, R: int, seed: int) -> Dict[str, object]:
-    """Time both backends on one fresh instance and return the flat record."""
+    """Time the oracle and the kernels on one fresh instance; the flat record."""
     instance = make_instance(family, n, seed)
 
     start = time.perf_counter()
-    ref = SpecialFormLocalSolver(R=R, backend="reference").solve(instance)
+    ref = oracle.special_form_solve(instance, R)
     t_reference = time.perf_counter() - start
 
     # The vectorized timing deliberately includes building the compiled CSR
     # view (the instance has not been compiled yet at this point): that is
     # the cost a cold solve pays.
     start = time.perf_counter()
-    vec = SpecialFormLocalSolver(R=R, backend="vectorized").solve(instance)
+    vec = SpecialFormLocalSolver(R=R).solve(instance)
     t_vectorized = time.perf_counter() - start
 
     max_diff = max(abs(ref.solution[v] - vec.solution[v]) for v in instance.agents)
@@ -125,7 +126,7 @@ def measure(family: str, n: int, R: int, seed: int) -> Dict[str, object]:
 
     # Untimed traced re-solve: the timed passes above stay tracing-free.
     _, counters = obs_counter_rollup(
-        lambda: SpecialFormLocalSolver(R=R, backend="vectorized").solve(instance)
+        lambda: SpecialFormLocalSolver(R=R).solve(instance)
     )
 
     return {
@@ -207,7 +208,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "trees",
                 "distinct_trees",
             ],
-            title="bench_kernels: reference vs vectorized backend",
+            title="bench_kernels: oracle vs vectorized kernels",
         )
     )
 

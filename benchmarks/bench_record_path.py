@@ -3,16 +3,16 @@
 Five measurements, one per record-path hot spot this PR compiled:
 
 * **preprocess-fixed-point** — the degenerate-structure fixed point of
-  ``repro.core.preprocess`` under ``backend="reference"`` (per-node scans)
-  vs ``backend="vectorized"`` (CSR degree-peeling) on a degeneracy-rich
+  :func:`repro.oracle.preprocess` (per-node scans) vs
+  ``repro.core.preprocess`` (CSR degree-peeling) on a degeneracy-rich
   random instance; removed sets and flags are asserted identical.  This is
   the ≥ 10× acceptance row.
 * **preprocess** — the same comparison end to end (fixed point *plus* the
-  shared cleaned-instance materialisation, which both backends pay
-  identically), reported for honesty about the full-call speedup.
+  cleaned-instance materialisation), reported for honesty about the
+  full-call speedup.
 * **evaluate** — one sweep-record evaluation (``utility()`` + feasibility
   verdict, exactly what ``analysis.ratios.evaluate_solution`` does per
-  record) under the dict oracle vs the array backend; results asserted
+  record) under the oracle's dict evaluation vs the CSR evaluation; results asserted
   bitwise identical.  Also a ≥ 10× acceptance row.
 * **transform-cache** — an R-sweep over one instance with the §4 pipeline
   spy-counted: the pipeline must run exactly once (cold), warm solves reuse
@@ -53,12 +53,13 @@ if str(BENCH_DIR) not in sys.path:  # allow `import _harness` when run as a scri
     sys.path.insert(0, str(BENCH_DIR))
 
 from _harness import obs_counter_rollup, write_bench_payload
+from repro import oracle
 from repro.algo.general_solver import LocalMaxMinSolver
 from repro.algo.kernels import batched_upper_bounds
 from repro.analysis.reporting import format_table
 from repro.core.compiled import stack_compiled
 from repro.core.instance import MaxMinInstance
-from repro.core.preprocess import _reference_fixed_point, _vectorized_fixed_point, preprocess
+from repro.core.preprocess import _vectorized_fixed_point, preprocess
 from repro.core.solution import Solution
 from repro.engine.batch import ratio_sweep_batch, run_batch
 from repro.engine.cache import ResultCache
@@ -86,6 +87,7 @@ def _code_digest() -> str:
         "repro.algo.kernels",
         "repro.transforms.pipeline",
         "repro.engine.registry",
+        "repro.oracle",
     ):
         h.update(Path(importlib.import_module(name).__file__).read_bytes())
     return h.hexdigest()
@@ -152,10 +154,10 @@ def measure_preprocess(n: int, seed: int, repeats: int = 3) -> List[Dict[str, ob
     instance = degeneracy_rich_instance(n, seed)
     instance.compiled()  # the CSR view is shared downstream; warm it
 
-    t_fp_ref = _best_of(repeats, lambda: _reference_fixed_point(instance))
+    t_fp_ref = _best_of(repeats, lambda: oracle._fixed_point(instance))
     t_fp_vec = _best_of(repeats, lambda: _vectorized_fixed_point(instance))
 
-    ref_fp = _reference_fixed_point(instance)
+    ref_fp = oracle._fixed_point(instance)
     vec_fp = _vectorized_fixed_point(instance)
     sets_identical = (
         set(ref_fp.forced_zero) == set(vec_fp.forced_zero)
@@ -165,12 +167,12 @@ def measure_preprocess(n: int, seed: int, repeats: int = 3) -> List[Dict[str, ob
         and ref_fp.optimum_is_zero == vec_fp.optimum_is_zero
     )
 
-    def _end_to_end(backend: str) -> None:
+    def _uncached() -> None:
         instance._preprocess_cache = None  # bypass the per-instance memo
-        preprocess(instance, backend=backend)
+        preprocess(instance)
 
-    t_ref = _best_of(repeats, lambda: _end_to_end("reference"))
-    t_vec = _best_of(repeats, lambda: _end_to_end("vectorized"))
+    t_ref = _best_of(repeats, lambda: oracle.preprocess(instance))
+    t_vec = _best_of(repeats, _uncached)
     instance._preprocess_cache = None
 
     return [
@@ -212,8 +214,8 @@ def measure_evaluate(n: int, seed: int, repeats: int = 3) -> Dict[str, object]:
     def eval_dict() -> float:
         sol = Solution(instance, values, label="probe")
         start = time.perf_counter()
-        out["util_dict"] = sol.utility(backend="dict")
-        out["feas_dict"] = sol.is_feasible(backend="dict")
+        out["util_dict"] = oracle.utility(sol)
+        out["feas_dict"] = oracle.check_feasibility(sol).feasible
         return time.perf_counter() - start
 
     def eval_array() -> float:

@@ -1,11 +1,11 @@
-"""Microbenchmark: safe baseline + distributed runtime, reference vs vectorized.
+"""Microbenchmark: safe baseline + distributed runtime, per-node oracle vs vectorized.
 
 Covers the two hot paths PR 3 ported onto the CSR layer — the prior-work
 safe baseline (centralized and as the 2-round protocol) and the synchronous
 runtime driving the E5 local protocol.  For each (family × n) configuration
-the script times both backends of
+the script times the per-node oracle and the production path of
 
-* ``safe_solution`` (the compiled view is warmed first: in every sweep that
+* ``safe_solution`` against :func:`repro.oracle.safe_solution` (the compiled view is warmed first: in every sweep that
   also runs the §5 solver — the default — the lowering is already paid, so
   the warm number is the cost the sweep actually sees),
 * ``DistributedSafeSolver`` (plane construction included — a protocol run
@@ -13,7 +13,10 @@ the script times both backends of
 * ``DistributedLocalSolver`` at R=2 (the E5 scaling protocol), also
   reporting the per-round cost of the runtime itself,
 
-checks that the backends agree (outputs and total message counts), and
+where the oracle of the two protocols is their per-node agents on the dict
+runtime (the path ``measure_bytes=True`` takes, driven here without byte
+accounting so only the runtime is timed).  It checks that both sides agree
+(outputs and total message counts), and
 asserts the acceptance bar (runtime speedup ≥ ``--min-speedup`` at
 ``n ≥ --speedup-floor-n``) unless running in ``--smoke`` mode.
 
@@ -44,10 +47,20 @@ BENCH_DIR = Path(__file__).resolve().parent
 if str(BENCH_DIR) not in sys.path:  # allow `import _harness` when run as a script
     sys.path.insert(0, str(BENCH_DIR))
 
+from repro import oracle
 from repro.algo.safe_algorithm import safe_solution
 from _harness import obs_counter_rollup, write_bench_payload
 from repro.analysis.reporting import format_table
-from repro.distributed import DistributedLocalSolver, DistributedSafeSolver
+from repro.core.solution import Solution
+from repro.distributed import (
+    DistributedLocalSolver,
+    DistributedSafeSolver,
+    PhaseSchedule,
+    SynchronousRuntime,
+    build_network,
+    maxmin_node_factory,
+)
+from repro.distributed.safe_agents import SAFE_ALGORITHM_ROUNDS, _safe_node_factory
 from repro.engine.cache import ResultCache
 from repro.engine.registry import solver_version
 from repro.generators import cycle_instance, regular_special_form_instance
@@ -90,6 +103,7 @@ def _code_digest() -> str:
 
     h = hashlib.sha256()
     for mod in (
+        oracle,
         safe_mod,
         kernels_mod,
         compiled_mod,
@@ -125,36 +139,45 @@ def config_key(family: str, n: int, R: int, seed: int) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _dict_runtime(instance, factory, rounds: int):
+    """Run per-node protocol agents on the dict runtime; ``(solution, run)``."""
+    result = SynchronousRuntime(build_network(instance)).run(factory, rounds=rounds)
+    return Solution(instance, result.outputs, require_complete=True), result
+
+
 def measure(family: str, n: int, R: int, seed: int) -> Dict[str, object]:
-    """Time both backends of all three paths on one fresh instance."""
+    """Time the oracle and the production side of all three paths on one instance."""
     instance = make_instance(family, n, seed)
     instance.compiled()  # warm the CSR view: shared with the §5 solver in sweeps
 
     start = time.perf_counter()
-    safe_ref = safe_solution(instance, backend="reference")
+    safe_ref = oracle.safe_solution(instance)
     t_safe_ref = time.perf_counter() - start
     start = time.perf_counter()
-    safe_vec = safe_solution(instance, backend="vectorized")
+    safe_vec = safe_solution(instance)
     t_safe_vec = time.perf_counter() - start
     safe_diff = max(abs(safe_ref[v] - safe_vec[v]) for v in instance.agents)
 
     start = time.perf_counter()
-    dsafe_ref, drun_ref = DistributedSafeSolver(backend="reference").solve(instance)
+    dsafe_ref, drun_ref = _dict_runtime(instance, _safe_node_factory, SAFE_ALGORITHM_ROUNDS)
     t_dsafe_ref = time.perf_counter() - start
     start = time.perf_counter()
-    dsafe_vec, drun_vec = DistributedSafeSolver(backend="vectorized").solve(instance)
+    dsafe_vec, drun_vec = DistributedSafeSolver().solve(instance)
     t_dsafe_vec = time.perf_counter() - start
     if drun_ref.total_messages != drun_vec.total_messages:
-        raise AssertionError("safe protocol backends disagree on message counts")
+        raise AssertionError("safe protocol runtimes disagree on message counts")
 
+    schedule = PhaseSchedule(R)
     start = time.perf_counter()
-    local_ref, run_ref = DistributedLocalSolver(R=R, backend="reference").solve(instance)
+    local_ref, run_ref = _dict_runtime(
+        instance, maxmin_node_factory(schedule), schedule.total_rounds
+    )
     t_run_ref = time.perf_counter() - start
     start = time.perf_counter()
-    local_vec, run_vec = DistributedLocalSolver(R=R, backend="vectorized").solve(instance)
+    local_vec, run_vec = DistributedLocalSolver(R=R).solve(instance)
     t_run_vec = time.perf_counter() - start
     if run_ref.total_messages != run_vec.total_messages:
-        raise AssertionError("local protocol backends disagree on message counts")
+        raise AssertionError("local protocol runtimes disagree on message counts")
     runtime_diff = max(abs(local_ref[v] - local_vec[v]) for v in instance.agents)
 
     return {
@@ -180,7 +203,7 @@ def measure(family: str, n: int, R: int, seed: int) -> Dict[str, object]:
         # Untimed traced re-run of the vectorized protocol: rounds, message
         # and byte counters for the configuration timed above.
         "obs": obs_counter_rollup(
-            lambda: DistributedLocalSolver(R=R, backend="vectorized").solve(instance)
+            lambda: DistributedLocalSolver(R=R).solve(instance)
         )[1],
     }
 
@@ -249,7 +272,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "runtime_speedup",
                 "per_round_vectorized_ms",
             ],
-            title="bench_safe_e5: reference vs vectorized (safe baseline + runtime)",
+            title="bench_safe_e5: oracle vs vectorized (safe baseline + runtime)",
         )
     )
 
@@ -282,7 +305,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"\nwrote {len(rows)} rows to {output}")
 
     if correctness:
-        print(f"FAIL: {len(correctness)} configuration(s) exceed the backend-agreement tolerance")
+        print(f"FAIL: {len(correctness)} configuration(s) exceed the oracle-agreement tolerance")
         return 1
     if failures:
         print(

@@ -106,12 +106,10 @@ async def _measure_inprocess(
             ]
 
         # Correctness first: coalesced responses must be bitwise-equal to the
-        # solo ladder *and* to a direct vectorized solve (PR 4's guarantee).
+        # solo ladder *and* to a direct solve (the batcher's bitwise contract).
         solo = await _barrage_inprocess(server, bodies(False, include_values=True))
         coal = await _barrage_inprocess(server, bodies(True, include_values=True))
-        direct = [
-            LocalMaxMinSolver(R=R, backend="vectorized").solve(inst) for inst in instances
-        ]
+        direct = [LocalMaxMinSolver(R=R).solve(inst) for inst in instances]
         equal = all(
             c["result"] == s["result"]
             and c["result"]["utility"] == d.utility()

@@ -2,8 +2,8 @@
 
 Three measurements, one per remaining general-path hot spot:
 
-* **pipeline** — ``to_special_form`` under ``backend="reference"`` (per-stage
-  object rewrites) vs ``backend="vectorized"`` (CSR index arithmetic) on
+* **pipeline** — :func:`repro.oracle.to_special_form` (per-stage object
+  rewrites) vs ``to_special_form`` (CSR index arithmetic) on
   cleaned random general instances; the vectorized output is asserted
   digest-identical and the back-mapped LP solution asserted within 1e-12.
 * **lp-assembly** — the historical per-edge Python COO loop (re-created here
@@ -45,6 +45,7 @@ if str(BENCH_DIR) not in sys.path:  # allow `import _harness` when run as a scri
     sys.path.insert(0, str(BENCH_DIR))
 
 from _harness import obs_counter_rollup, write_bench_payload
+from repro import oracle
 from repro.analysis.reporting import format_table
 from repro.core.preprocess import preprocess
 from repro.core.lp import solve_maxmin_lp
@@ -75,7 +76,7 @@ def _code_digest() -> str:
     import repro.transforms.pipeline as pipeline_mod
 
     h = hashlib.sha256()
-    for mod in (vectorized_mod, pipeline_mod, compiled_mod, lp_mod, batch_mod, registry_mod):
+    for mod in (vectorized_mod, pipeline_mod, compiled_mod, lp_mod, batch_mod, registry_mod, oracle):
         h.update(Path(mod.__file__).read_bytes())
     return h.hexdigest()
 
@@ -106,15 +107,15 @@ def clean_general_instance(n: int, seed: int):
 
 
 def measure_pipeline(n: int, seed: int) -> Dict[str, object]:
-    """Reference vs vectorized §4 pipeline on one cleaned general instance."""
+    """Oracle vs vectorized §4 pipeline on one cleaned general instance."""
     clean = clean_general_instance(n, seed)
 
     start = time.perf_counter()
-    vec = to_special_form(clean, backend="vectorized")
+    vec = to_special_form(clean)
     t_vectorized = time.perf_counter() - start
 
     start = time.perf_counter()
-    ref = to_special_form(clean, backend="reference")
+    ref = oracle.to_special_form(clean)
     t_reference = time.perf_counter() - start
 
     digest_ok = instance_digest(instance_to_json(vec.transformed)) == instance_digest(
@@ -147,7 +148,7 @@ def measure_pipeline(n: int, seed: int) -> Dict[str, object]:
         # Untimed traced pipeline run on a fresh instance (the one above has
         # the transform cached) for the counters of a cold transform.
         "obs": obs_counter_rollup(
-            lambda: to_special_form(clean_general_instance(n, seed), backend="vectorized")
+            lambda: to_special_form(clean_general_instance(n, seed))
         )[1],
     }
 

@@ -1,8 +1,9 @@
 """Serve chaos smoke: a concurrent barrage against a deliberately faulty server.
 
 The CI guard for the serving layer.  One in-process server runs with an
-injected :class:`~repro.faults.FaultPlan` (transient errors on the
-vectorized backend plus a hang on the reference rung) and a tight deadline,
+injected :class:`~repro.faults.FaultPlan` (transient errors on the §5 rung
+of ``R=2`` solves, a hang on the §5 rung of ``R=3`` solves) and a tight
+deadline,
 and a ≥64-request concurrent barrage — solves, ratios, utilities, info,
 plus malformed and unknown-digest requests — is fired at it.  The
 resilience contract asserted here:
@@ -10,8 +11,9 @@ resilience contract asserted here:
 * **every** client gets an answer: exact, ``degraded: true`` with a reason,
   or a structured error from the closed vocabulary — no socket errors, no
   hangs past the client timeout;
-* at least one response is degraded (the fault plan must actually fire, a
-  chaos harness that stops injecting is itself a bug);
+* at least one response is degraded, and both the transient and the hang
+  fired (``faults.transient`` / ``faults.hangs`` on ``/metrics``): a chaos
+  harness that stops injecting is itself a bug;
 * the server is still healthy and ready afterwards, with breaker and
   counter state visible on ``/metrics``.
 
@@ -26,6 +28,7 @@ import json
 import sys
 from typing import List, Tuple
 
+from repro import obs
 from repro.faults import FaultPlan, hang, transient
 from repro.generators import random_special_form_instance
 from repro.serve import ServeConfig, ServerHandle, chaos_barrage, classify_response
@@ -42,8 +45,8 @@ def main() -> int:
     plan = FaultPlan(
         seed=11,
         job_faults=(
-            transient(algorithm="local", params=(("backend", "vectorized"),)),
-            hang(0.4, algorithm="local", attempts=(1,)),
+            transient(algorithm="local", params=(("R", 2),)),
+            hang(0.4, algorithm="local", params=(("R", 3),)),
         ),
     )
     config = ServeConfig(
@@ -55,6 +58,7 @@ def main() -> int:
         faults=plan,
     )
     print(f"injecting: {plan.describe()}")
+    obs.configure(enabled=True)  # the fault counters surface on /metrics
 
     failures: List[str] = []
     with ServerHandle(config) as handle:
@@ -114,6 +118,11 @@ def main() -> int:
                 json.dumps({k: v for k, v in counters.items() if k.startswith("serve.")}),
             )
             print("breakers:", json.dumps(metrics.get("breakers", {})))
+            fired = metrics.get("resilience", {})
+            print("faults fired:", json.dumps(fired))
+            for name in ("faults.transient", "faults.hangs"):
+                if fired.get(name, 0) <= 0:
+                    failures.append(f"{name} never fired; the fault plan missed the §5 rung")
 
     if failures:
         for failure in failures:

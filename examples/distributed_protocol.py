@@ -5,8 +5,7 @@ The paper's model (§1.2): synchronous rounds, port numbering, no node
 identifiers.  This script takes a general workload, applies the §4
 transformations, runs the distributed §5 protocol on the simulator, maps the
 solution back, and compares the result (and its cost in rounds/messages)
-against the centralized reference implementation and the 2-round safe
-protocol.
+against the centralized solver and the 2-round safe protocol.
 
 Run with:  python examples/distributed_protocol.py
 """

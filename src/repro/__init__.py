@@ -18,6 +18,8 @@ Public API highlights
   distributed realisation of the algorithm.
 * :mod:`repro.generators` — workload generators (random, regular, cycles,
   grids, sensor networks, bandwidth allocation, lower-bound gadgets).
+* :mod:`repro.oracle` — per-node reference implementations that the
+  equivalence tests pin the production paths to (not imported here).
 """
 
 from .core import (

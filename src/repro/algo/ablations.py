@@ -43,7 +43,6 @@ from ..core.instance import MaxMinInstance
 from ..core.lp import solve_maxmin_lp
 from ..core.solution import Solution
 from ..core.validation import require_special_form
-from .local_solver import SpecialFormLocalSolver
 from .upper_bound import compute_upper_bounds, smooth_upper_bounds
 
 __all__ = ["ABLATION_VARIANTS", "solve_ablation", "ablation_report"]
@@ -62,14 +61,17 @@ def solve_ablation(
     """Run one ablation variant on a special-form instance.
 
     ``variant`` must be one of :data:`ABLATION_VARIANTS`; ``"full"`` returns
-    exactly the output of :class:`SpecialFormLocalSolver`.
+    the output of :func:`repro.oracle.special_form_solve`, which the variants
+    modify one ingredient at a time.
     """
+    from ..oracle import g_recursion
+
     if variant not in ABLATION_VARIANTS:
         raise ValueError(f"unknown ablation variant {variant!r}; expected one of {ABLATION_VARIANTS}")
+    if R < 2:
+        raise ValueError(f"shifting parameter R must be at least 2, got {R}")
     require_special_form(instance)
-
-    solver = SpecialFormLocalSolver(R=R, tu_method=tu_method)
-    r = solver.r
+    r = R - 2
 
     upper_bounds = compute_upper_bounds(instance, r, method=tu_method)
     if variant == "no_smoothing":
@@ -77,7 +79,7 @@ def solve_ablation(
     else:
         bounds = smooth_upper_bounds(instance, upper_bounds, r)
 
-    g = solver.compute_g_recursion(instance, bounds)
+    g = g_recursion(instance, bounds, r)
 
     if variant == "down_only":
         values = {

@@ -135,15 +135,8 @@ class LocalMaxMinSolver:
         Shifting parameter (≥ 2).  The guarantee is
         ``ΔI (1 − 1/ΔK)(1 + 1/(R − 1))`` and the local horizon grows as
         ``Θ(R)``.
-    tu_method, tu_tol, backend:
-        Passed through to :class:`SpecialFormLocalSolver` (``backend`` picks
-        the compiled vectorized kernels — the default — or the per-node
-        reference implementation).
-    transform_backend:
-        Backend for the §4 transformation pipeline: ``"auto"`` (default)
-        follows ``backend``, ``"vectorized"`` forces the compiled array
-        pipeline (digest-identical instances, array-encoded back-map),
-        ``"reference"`` forces the per-stage object pipeline.
+    tu_method, tu_tol:
+        Passed through to :class:`SpecialFormLocalSolver`.
     """
 
     def __init__(
@@ -152,22 +145,9 @@ class LocalMaxMinSolver:
         *,
         tu_method: str = "recursion",
         tu_tol: float = 1e-10,
-        backend: str = "vectorized",
-        transform_backend: str = "auto",
     ) -> None:
-        if transform_backend not in ("auto", "vectorized", "reference"):
-            raise ValueError(
-                f"unknown transform_backend {transform_backend!r} "
-                "(expected 'auto', 'vectorized' or 'reference')"
-            )
         self.R = R
-        self.transform_backend = transform_backend
-        self.inner = SpecialFormLocalSolver(R, tu_method=tu_method, tu_tol=tu_tol, backend=backend)
-
-    def _resolved_transform_backend(self) -> str:
-        if self.transform_backend == "auto":
-            return self.inner.backend
-        return self.transform_backend
+        self.inner = SpecialFormLocalSolver(R, tu_method=tu_method, tu_tol=tu_tol)
 
     @property
     def name(self) -> str:
@@ -243,12 +223,8 @@ class LocalMaxMinSolver:
             transform = None
             special_instance = clean
         else:
-            with obs.span(
-                "transform.to_special_form",
-                backend=self._resolved_transform_backend(),
-                agents=clean.num_agents,
-            ):
-                transform = to_special_form(clean, backend=self._resolved_transform_backend())
+            with obs.span("transform.to_special_form", agents=clean.num_agents):
+                transform = to_special_form(clean)
             special_instance = transform.transformed
         return _PreparedSolve(instance, pre, transform, special_instance, None)
 
@@ -297,8 +273,8 @@ class LocalMaxMinSolver:
         kernels); the surviving special-form instances are then solved in a
         single :meth:`SpecialFormLocalSolver.solve_batch` call, so a whole
         sweep pays the kernel-launch overhead once.  Results are identical
-        to calling :meth:`solve` per instance (bitwise, for the vectorized
-        backend) and are returned in input order.
+        to calling :meth:`solve` per instance (bitwise) and are returned in
+        input order.
         """
         with obs.span("solve.general_batch", R=self.R) as sp:
             preps = [self._prepare(instance) for instance in instances]

@@ -1,12 +1,11 @@
-"""Vectorized kernels for the §5 special-form pipeline.
+"""Vectorized kernels for the §5 special-form pipeline — its one production path.
 
-The reference implementation (:mod:`repro.algo.upper_bound`,
-:mod:`repro.algo.local_solver`) walks per-node object graphs: one alternating
-tree per agent, a ~200-step bisection through a dict-based recursion per
-tree, one networkx BFS per agent for the smoothing step and per-node dict
-lookups in the ``g±`` recursion.  These kernels compute the same quantities
-over the int-indexed CSR arrays of a
-:class:`~repro.core.compiled.CompiledInstance`:
+The per-node oracle (:func:`repro.oracle.special_form_solve`, built on
+:mod:`repro.algo.upper_bound`) walks object graphs: one alternating tree per
+agent, a ~200-step bisection through a dict-based recursion per tree, one
+networkx BFS per agent for the smoothing step and per-node dict lookups in
+the ``g±`` recursion.  These kernels compute the same quantities over the
+int-indexed CSR arrays of a :class:`~repro.core.compiled.CompiledInstance`:
 
 * :func:`build_batched_trees` constructs *all* alternating trees ``A_u``
   simultaneously as flat per-level arrays (the frontier expansion is a
@@ -25,9 +24,9 @@ over the int-indexed CSR arrays of a
   Eq. 18 as whole-vector operations.
 
 Floating-point parity: every segmented reduction runs in the same canonical
-adjacency order as the reference implementation's Python loops, so the two
-backends agree to within bisection tolerance (the equivalence property tests
-in ``tests/test_kernels.py`` pin this at 1e-9).
+adjacency order as the oracle's Python loops, so the two agree to within
+bisection tolerance (the equivalence property tests in
+``tests/test_kernels.py`` pin this at 1e-9).
 """
 
 from __future__ import annotations

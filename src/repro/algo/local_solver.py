@@ -20,16 +20,18 @@ Given a special-form instance (``|V_i| = 2``, ``|V_k| ≥ 2``, ``|K_v| = 1``,
 The output is feasible (Lemma 11) and within a factor
 ``2 (1 − 1/ΔK) (1 + 1/(R−1))`` of the optimum (Lemma 12 + §6.3).
 
-Everything here is the *centralized reference* implementation: it computes
-the same quantities a distributed execution would, directly on the instance.
-The message-passing realisation lives in :mod:`repro.distributed.agents` and
-is tested to produce bit-identical outputs.
+Everything here runs centrally over the compiled CSR kernels of
+:mod:`repro.algo.kernels`: it computes the same quantities a distributed
+execution would, directly on the instance.  The message-passing realisation
+lives in :mod:`repro.distributed.agents` and is tested to produce
+bit-identical outputs; the per-node transcription of the paper's formulas is
+:func:`repro.oracle.special_form_solve`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .. import obs
 from .._types import NodeId
@@ -37,7 +39,7 @@ from ..core.instance import MaxMinInstance
 from ..core.solution import Solution
 from ..core.validation import require_special_form
 from ..exceptions import InvalidInstanceError
-from .upper_bound import DEFAULT_BISECTION_TOL, compute_upper_bounds, smooth_upper_bounds
+from .upper_bound import DEFAULT_BISECTION_TOL
 
 __all__ = [
     "GRecursionValues",
@@ -98,7 +100,7 @@ class SpecialFormSolveResult:
     guaranteed_ratio:
         ``2 (1 − 1/ΔK)(1 + 1/(R−1))`` for this instance's ``ΔK``.
 
-    Results built by :meth:`from_kernel_arrays` (the vectorized backend)
+    Results built by :meth:`from_kernel_arrays` (every solver result)
     keep the kernel output arrays and materialise the ``upper_bounds`` /
     ``smoothed_bounds`` / ``g`` dicts only on first attribute access: the
     engine's record path reads nothing but ``solution``, so a sweep never
@@ -210,7 +212,7 @@ class SpecialFormSolveResult:
 
 
 class SpecialFormLocalSolver:
-    """Centralized reference implementation of the §5 local algorithm.
+    """The §5 local algorithm over the compiled CSR kernels.
 
     Parameters
     ----------
@@ -222,13 +224,10 @@ class SpecialFormLocalSolver:
         ``"recursion"`` (binary search, default) or ``"lp"`` (exact tree LP).
     tu_tol:
         Bisection tolerance when ``tu_method="recursion"``.
-    backend:
-        ``"vectorized"`` (default) routes the whole pipeline through the
-        compiled CSR kernels of :mod:`repro.algo.kernels`; ``"reference"``
-        keeps the original per-node object traversal.  Both produce the same
-        result to within bisection tolerance (pinned at 1e-9 by the
-        equivalence property tests); the reference backend is retained as
-        the readable oracle.
+
+    The per-node oracle :func:`repro.oracle.special_form_solve` computes the
+    same result to within bisection tolerance (pinned at 1e-9 by
+    ``tests/test_kernels.py``).
     """
 
     def __init__(
@@ -237,96 +236,26 @@ class SpecialFormLocalSolver:
         *,
         tu_method: str = "recursion",
         tu_tol: float = DEFAULT_BISECTION_TOL,
-        backend: str = "vectorized",
     ) -> None:
         if R < 2:
             raise ValueError(f"shifting parameter R must be at least 2, got {R}")
         if tu_method not in ("recursion", "lp"):
             raise ValueError(f"unknown tu_method {tu_method!r}")
-        if backend not in ("vectorized", "reference"):
-            raise ValueError(f"unknown backend {backend!r} (expected 'vectorized' or 'reference')")
         self.R = R
         self.r = R - 2
         self.tu_method = tu_method
         self.tu_tol = tu_tol
-        self.backend = backend
 
     # ------------------------------------------------------------------
-    def compute_g_recursion(
-        self, instance: MaxMinInstance, smoothed_bounds: Dict[NodeId, float]
-    ) -> GRecursionValues:
-        """Evaluate Eqs. 12–14 for all agents and all depths ``d = 0 … r``."""
-        r = self.r
-        agents = instance.agents
+    def _run_kernels(self, comp, batch: int = 1):
+        """The §5 sequence — trees, smoothing, ``g±``, Eq. 18 — over ``comp``.
 
-        g_plus: List[Dict[NodeId, float]] = [dict() for _ in range(r + 1)]
-        g_minus: List[Dict[NodeId, float]] = [dict() for _ in range(r + 1)]
-
-        # Eq. 12 — depth 0 upper values are the individual capacities.
-        for v in agents:
-            g_plus[0][v] = instance.agent_capacity(v)
-
-        for d in range(r + 1):
-            if d >= 1:
-                # Eq. 14 — g⁺ at depth d needs g⁻ of the constraint partners at d−1.
-                for v in agents:
-                    best = math.inf
-                    for i in instance.constraints_of_agent(v):
-                        partner = instance.other_agent(i, v)
-                        candidate = (
-                            1.0 - instance.a(i, partner) * g_minus[d - 1][partner]
-                        ) / instance.a(i, v)
-                        if candidate < best:
-                            best = candidate
-                    g_plus[d][v] = best
-            # Eq. 13 — g⁻ at depth d needs g⁺ of the objective siblings at d.
-            for v in agents:
-                sibling_total = sum(g_plus[d][w] for w in instance.objective_siblings(v))
-                g_minus[d][v] = max(0.0, smoothed_bounds[v] - sibling_total)
-
-        return GRecursionValues(g_plus, g_minus)
-
-    def output_vector(self, instance: MaxMinInstance, g: GRecursionValues) -> Solution:
-        """Eq. 18: ``x_v = (1/2R) Σ_d (g⁺_{v,d} + g⁻_{v,d})``."""
-        factor = 1.0 / (2.0 * self.R)
-        values = {
-            v: factor * sum(g.plus(v, d) + g.minus(v, d) for d in range(self.r + 1))
-            for v in instance.agents
-        }
-        return Solution(instance, values, label=f"local-R{self.R}")
-
-    # ------------------------------------------------------------------
-    def solve(self, instance: MaxMinInstance) -> SpecialFormSolveResult:
-        """Run the full §5 algorithm on a special-form instance."""
-        require_special_form(instance)
-        if self.backend == "vectorized":
-            return self._solve_vectorized(instance)
-
-        with obs.span(
-            "solve.special_form", backend="reference", agents=instance.num_agents
-        ):
-            with obs.span("kernels.upper_bounds"):
-                upper_bounds = compute_upper_bounds(
-                    instance, self.r, method=self.tu_method, tol=self.tu_tol
-                )
-            with obs.span("kernels.smooth"):
-                smoothed = smooth_upper_bounds(instance, upper_bounds, self.r)
-            with obs.span("kernels.g_recursion"):
-                g = self.compute_g_recursion(instance, smoothed)
-            with obs.span("kernels.output"):
-                solution = self.output_vector(instance, g)
-
-        return SpecialFormSolveResult(
-            solution=solution,
-            upper_bounds=upper_bounds,
-            smoothed_bounds=smoothed,
-            g=g,
-            R=self.R,
-            guaranteed_ratio=special_form_ratio(instance.delta_K, self.R),
-        )
-
-    def _solve_vectorized(self, instance: MaxMinInstance) -> SpecialFormSolveResult:
-        """The same pipeline over the compiled CSR kernels (see :mod:`.kernels`)."""
+        ``comp`` is a :class:`~repro.core.compiled.CompiledInstance` or a
+        :class:`~repro.core.compiled.CompiledBatch` of ``batch`` instances;
+        returns the ``(t, s, g_plus, g_minus, x)`` kernel arrays.  The kernels are looked
+        up at call time, so wrappers installed on :mod:`repro.algo.kernels`
+        see every solve.
+        """
         from .kernels import (
             batched_upper_bounds,
             g_recursion_kernel,
@@ -334,11 +263,8 @@ class SpecialFormLocalSolver:
             smooth_bounds_kernel,
         )
 
-        comp = instance.compiled()
         r = self.r
-        with obs.span(
-            "solve.special_form", backend="vectorized", agents=comp.num_agents
-        ):
+        with obs.span("solve.special_form", agents=comp.num_agents, batch=batch):
             with obs.span("kernels.upper_bounds"):
                 t = batched_upper_bounds(comp, r, method=self.tu_method, tol=self.tu_tol)
             with obs.span("kernels.smooth"):
@@ -347,9 +273,9 @@ class SpecialFormLocalSolver:
                 g_plus, g_minus = g_recursion_kernel(comp, s, r)
             with obs.span("kernels.output"):
                 x = output_kernel(g_plus, g_minus, self.R)
-        return self._package_vectorized(instance, t, s, g_plus, g_minus, x)
+        return t, s, g_plus, g_minus, x
 
-    def _package_vectorized(
+    def _package(
         self,
         instance: MaxMinInstance,
         t,
@@ -375,6 +301,10 @@ class SpecialFormLocalSolver:
             special_form_ratio(instance.delta_K, self.R),
         )
 
+    def solve(self, instance: MaxMinInstance) -> SpecialFormSolveResult:
+        """Run the full §5 algorithm on a special-form instance."""
+        return self.solve_batch([instance])[0]
+
     def solve_batch(self, instances) -> List[SpecialFormSolveResult]:
         """Solve many special-form instances in **one** kernel dispatch.
 
@@ -386,63 +316,38 @@ class SpecialFormLocalSolver:
         deduplication spans the batch, so structurally identical trees of
         *different* instances share one bisection.  Every kernel reduces over
         per-agent segments that never cross block boundaries, so each
-        instance's outputs are bitwise identical to a solo
-        ``backend="vectorized"`` solve.
+        instance's outputs are bitwise identical to a solo solve.
 
-        The ``reference`` backend and the ``tu_method="lp"`` path (which
-        needs a live instance per tree) fall back to per-instance solves.
+        A batch of one runs on the instance's own compiled view.  The
+        ``tu_method="lp"`` path needs a live instance per tree, so it solves
+        several instances one by one.
         """
         instances = list(instances)
-        if not instances:
-            return []
-        if self.backend == "reference" or self.tu_method == "lp" or len(instances) == 1:
-            return [self.solve(instance) for instance in instances]
-
-        from ..core.compiled import stack_compiled
-        from .kernels import (
-            batched_upper_bounds,
-            g_recursion_kernel,
-            output_kernel,
-            smooth_bounds_kernel,
-        )
-
         for instance in instances:
             require_special_form(instance)
-        stacked = stack_compiled([instance.compiled() for instance in instances])
-        r = self.r
-        with obs.span(
-            "solve.special_form",
-            backend="vectorized",
-            agents=stacked.num_agents,
-            batch=len(instances),
-        ):
-            with obs.span("kernels.upper_bounds"):
-                t = batched_upper_bounds(stacked, r, method=self.tu_method, tol=self.tu_tol)
-            with obs.span("kernels.smooth"):
-                s = smooth_bounds_kernel(stacked, t, r)
-            with obs.span("kernels.g_recursion"):
-                g_plus, g_minus = g_recursion_kernel(stacked, s, r)
-            with obs.span("kernels.output"):
-                x = output_kernel(g_plus, g_minus, self.R)
+        if len(instances) > 1 and self.tu_method == "recursion":
+            from ..core.compiled import stack_compiled
+
+            stacked = stack_compiled([instance.compiled() for instance in instances])
+            t, s, g_plus, g_minus, x = self._run_kernels(stacked, batch=len(instances))
+            return [
+                self._package(instance, t[sl], s[sl], g_plus[:, sl], g_minus[:, sl], x[sl])
+                for instance, sl in zip(instances, stacked.agent_slices())
+            ]
         return [
-            self._package_vectorized(
-                instance, t[sl], s[sl], g_plus[:, sl], g_minus[:, sl], x[sl]
-            )
-            for instance, sl in zip(instances, stacked.agent_slices())
+            self._package(instance, *self._run_kernels(instance.compiled()))
+            for instance in instances
         ]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"SpecialFormLocalSolver(R={self.R}, tu_method={self.tu_method!r}, "
-            f"backend={self.backend!r})"
-        )
+        return f"SpecialFormLocalSolver(R={self.R}, tu_method={self.tu_method!r})"
 
 
 class IncrementalSolveState:
     """Retained kernel arrays of one instance, re-solvable per delta.
 
-    Holds the full §5 pipeline outputs (``t``, ``s``, ``g±``, ``x``) of the
-    vectorized backend and, given a
+    Holds the full §5 pipeline outputs (``t``, ``s``, ``g±``, ``x``) and,
+    given a
     :class:`~repro.core.compiled.DeltaResult`, re-runs each stage only on
     the dirty r-ball and splices the results back in:
 
@@ -461,7 +366,7 @@ class IncrementalSolveState:
     :func:`~repro.distributed.dynamics.local_horizon_radius`, the paper's
     §1.3 locality bound that :func:`measure_change_impact` checks
     empirically.  The spliced state is bitwise identical to a from-scratch
-    vectorized solve of the edited instance (pinned by
+    solve of the edited instance (pinned by
     ``tests/test_incremental.py``); per-tick cost is O(changed · r-ball)
     instead of O(n).
     """
@@ -469,31 +374,11 @@ class IncrementalSolveState:
     __slots__ = ("solver", "instance", "comp", "t", "s", "g_plus", "g_minus", "x", "last_recompute")
 
     def __init__(self, solver: SpecialFormLocalSolver, instance: MaxMinInstance) -> None:
-        if solver.backend != "vectorized":
-            raise ValueError("IncrementalSolveState requires the vectorized backend")
-        from .kernels import (
-            batched_upper_bounds,
-            g_recursion_kernel,
-            output_kernel,
-            smooth_bounds_kernel,
-        )
-
         require_special_form(instance)
         self.solver = solver
         self.instance = instance
         self.comp = instance.compiled()
-        r = solver.r
-        with obs.span("solve.special_form", backend="vectorized", agents=self.comp.num_agents):
-            with obs.span("kernels.upper_bounds"):
-                self.t = batched_upper_bounds(
-                    self.comp, r, method=solver.tu_method, tol=solver.tu_tol
-                )
-            with obs.span("kernels.smooth"):
-                self.s = smooth_bounds_kernel(self.comp, self.t, r)
-            with obs.span("kernels.g_recursion"):
-                self.g_plus, self.g_minus = g_recursion_kernel(self.comp, self.s, r)
-            with obs.span("kernels.output"):
-                self.x = output_kernel(self.g_plus, self.g_minus, solver.R)
+        self.t, self.s, self.g_plus, self.g_minus, self.x = solver._run_kernels(self.comp)
         self.last_recompute = None
 
     # ------------------------------------------------------------------
@@ -503,7 +388,7 @@ class IncrementalSolveState:
 
     def result(self) -> SpecialFormSolveResult:
         """Package the current state (copies — the state keeps mutating)."""
-        return self.solver._package_vectorized(
+        return self.solver._package(
             self.instance,
             self.t.copy(),
             self.s.copy(),

@@ -18,22 +18,16 @@ round suffices (each agent only needs the degrees and coefficients of its
 own constraints).  The paper's contribution is beating this ``ΔI`` factor
 down to ``ΔI (1 − 1/ΔK) + ε``; experiment E4 measures the gap.
 
-Like the §5 solver, the baseline has two backends: ``"vectorized"``
-(default) evaluates the safe share as one segmented min over the compiled
-CSR arrays (:class:`~repro.core.compiled.CompiledInstance`), ``"reference"``
-keeps the per-node dict traversal as the readable oracle.  Both compute
-``1/(λ_i a_iv)`` edge by edge and take the same min, so they agree exactly
-(not merely to tolerance).
+The safe share is evaluated as one segmented min over the compiled CSR
+arrays (:class:`~repro.core.compiled.CompiledInstance`).  The per-node loop
+:func:`repro.oracle.safe_solution` computes ``1/(λ_i a_iv)`` edge by edge
+and takes the same min, so the two agree exactly (not merely to tolerance).
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict
-
 import numpy as np
 
-from .._types import NodeId
 from ..core.instance import MaxMinInstance
 from ..core.preprocess import preprocess
 from ..core.solution import Solution
@@ -42,14 +36,11 @@ from .certificates import Certificate
 
 __all__ = ["SafeAlgorithm", "safe_solution"]
 
-_BACKENDS = ("vectorized", "reference")
-
 
 def safe_solution(
     instance: MaxMinInstance,
     variant: str = "degree",
     delta_I: int = 0,
-    backend: str = "vectorized",
 ) -> Solution:
     """Compute the safe-algorithm solution of a non-degenerate instance.
 
@@ -67,66 +58,44 @@ def safe_solution(
         instance's own maximum constraint degree).  Passing it with any
         other variant raises :class:`ValueError` — it would otherwise be
         silently ignored.
-    backend:
-        ``"vectorized"`` (one segment-min over the compiled CSR arrays,
-        default) or ``"reference"`` (per-node dict traversal, the oracle).
     """
+    divisor_global = _check_variant(instance, variant, delta_I)
+    comp = instance.compiled()
+    if variant == "degree":
+        divisors = comp.constraint_degrees[comp.con_indices].astype(np.float64)
+    else:
+        divisors = float(divisor_global)
+    x = comp.agent_constraint_min(1.0 / (divisors * comp.con_coeff))
+    unconstrained = np.isinf(x)
+    if unconstrained.any():
+        v = comp.agents[int(np.argmax(unconstrained))]
+        raise InvalidInstanceError(
+            f"agent {v!r} has no constraints; preprocess the instance before the safe algorithm"
+        )
+    return Solution.from_agent_array(instance, x, label=f"safe-{variant}")
+
+
+def _check_variant(instance: MaxMinInstance, variant: str, delta_I: int) -> int:
+    """Validate the variant arguments; returns the ``"delta"`` divisor (or 0)."""
     if variant not in ("degree", "delta"):
         raise ValueError(f"unknown safe-algorithm variant {variant!r}")
-    if backend not in _BACKENDS:
-        raise ValueError(f"unknown backend {backend!r} (expected 'vectorized' or 'reference')")
     if delta_I and variant != "delta":
         raise ValueError(
             f"delta_I={delta_I} is only meaningful with variant='delta' "
             f"(got variant={variant!r}); it would be silently ignored"
         )
     if variant == "delta":
-        divisor_global = delta_I if delta_I > 0 else max(instance.delta_I, 1)
-
-    if backend == "vectorized":
-        comp = instance.compiled()
-        if variant == "degree":
-            divisors = comp.constraint_degrees[comp.con_indices].astype(np.float64)
-        else:
-            divisors = float(divisor_global)
-        x = comp.agent_constraint_min(1.0 / (divisors * comp.con_coeff))
-        unconstrained = np.isinf(x)
-        if unconstrained.any():
-            v = comp.agents[int(np.argmax(unconstrained))]
-            raise InvalidInstanceError(
-                f"agent {v!r} has no constraints; preprocess the instance before the safe algorithm"
-            )
-        return Solution.from_agent_array(instance, x, label=f"safe-{variant}")
-
-    values: Dict[NodeId, float] = {}
-    for v in instance.agents:
-        best = math.inf
-        for i in instance.constraints_of_agent(v):
-            if variant == "degree":
-                divisor = len(instance.agents_of_constraint(i))
-            else:
-                divisor = divisor_global
-            candidate = 1.0 / (divisor * instance.a(i, v))
-            if candidate < best:
-                best = candidate
-        if math.isinf(best):
-            raise InvalidInstanceError(
-                f"agent {v!r} has no constraints; preprocess the instance before the safe algorithm"
-            )
-        values[v] = best
-    return Solution(instance, values, label=f"safe-{variant}")
+        return delta_I if delta_I > 0 else max(instance.delta_I, 1)
+    return 0
 
 
 class SafeAlgorithm:
     """Object-style wrapper around :func:`safe_solution` with certificates."""
 
-    def __init__(self, variant: str = "degree", *, backend: str = "vectorized") -> None:
+    def __init__(self, variant: str = "degree") -> None:
         if variant not in ("degree", "delta"):
             raise ValueError(f"unknown safe-algorithm variant {variant!r}")
-        if backend not in _BACKENDS:
-            raise ValueError(f"unknown backend {backend!r} (expected 'vectorized' or 'reference')")
         self.variant = variant
-        self.backend = backend
 
     @property
     def name(self) -> str:
@@ -141,7 +110,7 @@ class SafeAlgorithm:
         pre = preprocess(instance)
         if pre.optimum_is_zero or pre.instance.num_agents == 0:
             return pre.zero_solution(label=self.name)
-        inner = safe_solution(pre.instance, variant=self.variant, backend=self.backend)
+        inner = safe_solution(pre.instance, variant=self.variant)
         if pre.changed:
             return pre.lift(inner, label=self.name)
         return Solution(instance, inner.as_dict(), label=self.name)
@@ -153,9 +122,9 @@ class SafeAlgorithm:
             guaranteed_ratio=self.guaranteed_ratio(instance),
             delta_I=instance.delta_I,
             delta_K=instance.delta_K,
-            parameters={"variant": self.variant, "backend": self.backend},
+            parameters={"variant": self.variant},
         )
         return solution, certificate
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SafeAlgorithm(variant={self.variant!r}, backend={self.backend!r})"
+        return f"SafeAlgorithm(variant={self.variant!r})"

@@ -52,8 +52,8 @@ def evaluate_solution(
 ) -> Dict[str, object]:
     """One flat record: feasibility, utility, measured ratio, guarantee.
 
-    Evaluation runs on the solution's array backend: one CSR constraint-load
-    pass for the feasibility verdict and one objective pass for the utility,
+    Evaluation runs over the compiled arrays: one CSR constraint-load pass
+    for the feasibility verdict and one objective pass for the utility,
     both over the solution's cached dense value vector — each edge of the
     instance is touched exactly once per record.
     """
@@ -84,8 +84,6 @@ def evaluate_local_algorithm(
     *,
     R: int,
     tu_method: str = "recursion",
-    backend: str = "vectorized",
-    transform_backend: str = "auto",
     optimum: Optional[float] = None,
 ) -> Dict[str, object]:
     """Run the local algorithm once and return its ``local-R{R}`` record.
@@ -93,9 +91,7 @@ def evaluate_local_algorithm(
     Shared by :func:`compare_algorithms` and the batch engine
     (:mod:`repro.engine.registry`) so their records cannot drift apart.
     """
-    result = LocalMaxMinSolver(
-        R=R, tu_method=tu_method, backend=backend, transform_backend=transform_backend
-    ).solve(instance)
+    result = LocalMaxMinSolver(R=R, tu_method=tu_method).solve(instance)
     return local_solve_record(instance, result, R=R, optimum=optimum)
 
 
@@ -124,11 +120,10 @@ def local_solve_record(
 def evaluate_safe_algorithm(
     instance: MaxMinInstance,
     *,
-    backend: str = "vectorized",
     optimum: Optional[float] = None,
 ) -> Dict[str, object]:
     """Run the safe baseline once and return its record."""
-    safe = SafeAlgorithm(backend=backend)
+    safe = SafeAlgorithm()
     solution, certificate = safe.solve_with_certificate(instance)
     return evaluate_solution(
         instance,
@@ -159,9 +154,6 @@ def compare_algorithms(
     include_safe: bool = True,
     include_optimum_row: bool = False,
     tu_method: str = "recursion",
-    backend: str = "vectorized",
-    safe_backend: str = "vectorized",
-    transform_backend: str = "auto",
 ) -> List[Dict[str, object]]:
     """Run the local algorithm (for each R) and the safe baseline on one instance."""
     lp = solve_maxmin_lp(instance)
@@ -169,20 +161,11 @@ def compare_algorithms(
 
     for R in R_values:
         records.append(
-            evaluate_local_algorithm(
-                instance,
-                R=R,
-                tu_method=tu_method,
-                backend=backend,
-                transform_backend=transform_backend,
-                optimum=lp.optimum,
-            )
+            evaluate_local_algorithm(instance, R=R, tu_method=tu_method, optimum=lp.optimum)
         )
 
     if include_safe:
-        records.append(
-            evaluate_safe_algorithm(instance, backend=safe_backend, optimum=lp.optimum)
-        )
+        records.append(evaluate_safe_algorithm(instance, optimum=lp.optimum))
 
     if include_optimum_row:
         records.append(evaluate_lp_optimum(instance, lp=lp))

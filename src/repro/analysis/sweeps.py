@@ -35,9 +35,6 @@ def run_ratio_sweep(
     R_values: Sequence[int] = (2, 3, 4),
     include_safe: bool = True,
     tu_method: str = "recursion",
-    backend: str = "vectorized",
-    safe_backend: str = "vectorized",
-    transform_backend: str = "auto",
     extra_fields: Optional[Mapping[str, Callable[[MaxMinInstance], object]]] = None,
     jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
@@ -61,14 +58,6 @@ def run_ratio_sweep(
         Also run the safe baseline.
     tu_method:
         ``"recursion"`` or ``"lp"`` for the per-agent bound computation.
-    backend:
-        ``"vectorized"`` (compiled CSR kernels, default) or ``"reference"``
-        (per-node object traversal) for the local solver.
-    safe_backend:
-        Same knob for the safe baseline (CSR segment-min vs per-node dicts).
-    transform_backend:
-        Backend for the §4 transformation pipeline on the general path:
-        ``"auto"`` (follow ``backend``), ``"vectorized"`` or ``"reference"``.
     extra_fields:
         Optional ``column -> f(instance)`` callables whose values are added
         to every record of that instance (e.g. a family label or a size
@@ -105,9 +94,6 @@ def run_ratio_sweep(
         R_values=R_values,
         include_safe=include_safe,
         tu_method=tu_method,
-        backend=backend,
-        safe_backend=safe_backend,
-        transform_backend=transform_backend,
         extra_fields=extra_fields,
         jobs=jobs,
         cache_dir=cache_dir,
@@ -128,9 +114,6 @@ def run_ratio_sweep_batch(
     R_values: Sequence[int] = (2, 3, 4),
     include_safe: bool = True,
     tu_method: str = "recursion",
-    backend: str = "vectorized",
-    safe_backend: str = "vectorized",
-    transform_backend: str = "auto",
     extra_fields: Optional[Mapping[str, Callable[[MaxMinInstance], object]]] = None,
     jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
@@ -157,9 +140,6 @@ def run_ratio_sweep_batch(
         R_values=R_values,
         include_safe=include_safe,
         tu_method=tu_method,
-        backend=backend,
-        safe_backend=safe_backend,
-        transform_backend=transform_backend,
     )
     result = run_batch(
         batch,

@@ -122,27 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve an instance JSON with the local algorithm")
     solve.add_argument("input", help="instance JSON path")
     solve.add_argument("-R", type=int, default=3, help="shifting parameter (>= 2)")
-    solve.add_argument(
-        "--backend",
-        choices=["vectorized", "reference"],
-        default="vectorized",
-        help="local-solver backend (compiled CSR kernels vs per-node reference)",
-    )
-    solve.add_argument(
-        "--transform-backend",
-        choices=["auto", "vectorized", "reference"],
-        default="auto",
-        dest="transform_backend",
-        help="§4 transformation pipeline backend (auto follows --backend)",
-    )
     solve.add_argument("--output", help="write the solution to this JSON path")
     solve.add_argument("--with-safe", action="store_true", help="also run the safe baseline")
-    solve.add_argument(
-        "--safe-backend",
-        choices=["vectorized", "reference"],
-        default="vectorized",
-        help="safe-baseline backend (CSR segment-min vs per-node dicts)",
-    )
     solve.add_argument("--with-optimum", action="store_true", help="also solve the exact LP")
     solve.add_argument(
         "--dist",
@@ -231,25 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["recursion", "lp"],
         default="recursion",
         help="per-agent bound computation method",
-    )
-    sweep.add_argument(
-        "--backend",
-        choices=["vectorized", "reference"],
-        default="vectorized",
-        help="local-solver backend (compiled CSR kernels vs per-node reference)",
-    )
-    sweep.add_argument(
-        "--safe-backend",
-        choices=["vectorized", "reference"],
-        default="vectorized",
-        help="safe-baseline backend (CSR segment-min vs per-node dicts)",
-    )
-    sweep.add_argument(
-        "--transform-backend",
-        choices=["auto", "vectorized", "reference"],
-        default="auto",
-        dest="transform_backend",
-        help="§4 transformation pipeline backend (auto follows --backend)",
     )
     sweep.add_argument(
         "--dispatch",
@@ -434,9 +396,6 @@ def _sweep(args: argparse.Namespace) -> int:
         R_values=tuple(args.r_values),
         include_safe=not args.no_safe,
         tu_method=args.tu_method,
-        backend=args.backend,
-        safe_backend=args.safe_backend,
-        transform_backend=args.transform_backend,
         extra_fields={
             "family": lambda inst: args.family,
             "size": lambda inst: sizes_by_id[id(inst)],
@@ -480,7 +439,7 @@ def _sweep(args: argparse.Namespace) -> int:
     )
     recovery = {
         name: batch_result.metrics[name]
-        for name in ("retries", "timeouts", "redispatches", "downgrades")
+        for name in ("retries", "timeouts", "redispatches")
         if batch_result.metrics.get(name)
     }
     if recovery:
@@ -573,9 +532,7 @@ def _solve(args: argparse.Namespace) -> int:
     instance = _load_instance_friendly(args.input)
     if args.dist:
         return _solve_dist(args, instance)
-    solver = LocalMaxMinSolver(
-        R=args.R, backend=args.backend, transform_backend=args.transform_backend
-    )
+    solver = LocalMaxMinSolver(R=args.R)
     result = solver.solve(instance)
     rows = [
         {
@@ -586,7 +543,7 @@ def _solve(args: argparse.Namespace) -> int:
         }
     ]
     if args.with_safe:
-        safe = SafeAlgorithm(backend=args.safe_backend)
+        safe = SafeAlgorithm()
         solution, certificate = safe.solve_with_certificate(instance)
         rows.append(
             {

@@ -205,7 +205,7 @@ class MaxMinInstance:
 
         self._graph_cache: Optional["nx.Graph"] = None
         self._compiled_cache = None
-        # §4 pipeline results cached per (backend, verify) key, exactly like
+        # §4 pipeline results cached per ``verify`` flag, exactly like
         # the compiled view: the instance is immutable, so a cached
         # TransformResult can never go stale.  Populated by
         # :func:`repro.transforms.pipeline.to_special_form`; an R-sweep that
@@ -213,11 +213,11 @@ class MaxMinInstance:
         # back-reference to this instance — a plain reference cycle, handled
         # by the cycle collector just like ``_compiled_cache``.)
         self._transform_cache: Optional[dict] = None
-        # Preprocessing outcomes cached per backend (same rationale): a sweep
-        # revisiting this instance cleans it once, and the *same* cleaned
-        # instance object is reused — which is what keeps the cleaned
+        # The preprocessing outcome, cached in one slot (same rationale): a
+        # sweep revisiting this instance cleans it once, and the *same*
+        # cleaned instance object is reused — which is what keeps the cleaned
         # instance's own compiled/transform caches warm across R values.
-        self._preprocess_cache: Optional[dict] = None
+        self._preprocess_cache = None
 
         self._agent_set = frozenset(self._agents)
         self._constraint_set = frozenset(self._constraints)

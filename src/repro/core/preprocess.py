@@ -31,26 +31,24 @@ Notes on the individual cases
 * Removal can cascade (an agent whose only objective was removed becomes
   non-contributing), so the cleanup iterates to a fixed point.
 
-Backends
---------
-:func:`preprocess` takes ``backend="vectorized"`` (default) or
-``backend="reference"``.  The vectorized backend runs the fixed point as
-iterative degree-peeling over the compiled CSR arrays
-(:meth:`MaxMinInstance.compiled`): per-node *live-degree* counters, one
-:func:`numpy.flatnonzero` scan per phase and frontier updates via
-``np.bincount`` over the gathered adjacency rows of just-removed nodes.  Both
-backends produce identical removed sets, flags and lift behaviour (pinned by
-``tests/test_record_path.py``); the reference backend is the readable
-per-node oracle.  When nothing is removed, both backends return the original
-instance object itself as the cleaned instance, so downstream per-instance
-caches (``compiled()``, the §4 transform cache) stay warm across repeated
-solves.
+Implementation
+--------------
+:func:`preprocess` runs the fixed point as iterative degree-peeling over the
+compiled CSR arrays (:meth:`MaxMinInstance.compiled`): per-node
+*live-degree* counters, one :func:`numpy.flatnonzero` scan per phase and
+frontier updates via ``np.bincount`` over the gathered adjacency rows of
+just-removed nodes.  The per-node oracle :func:`repro.oracle.preprocess`
+produces identical removed sets, flags and lift behaviour (pinned by
+``tests/test_record_path.py``).  When nothing is removed, the original
+instance object itself is returned as the cleaned instance, so downstream
+per-instance caches (``compiled()``, the §4 transform cache) stay warm
+across repeated solves.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -190,7 +188,7 @@ class PreprocessResult:
 
 
 class _FixedPoint:
-    """Outcome of one backend's degenerate-structure fixed point.
+    """Outcome of a degenerate-structure fixed point (CSR or per-node oracle).
 
     ``agents`` / ``constraints`` / ``objectives`` are the *surviving* nodes
     in canonical (declaration) order — ready to feed
@@ -235,98 +233,6 @@ class _FixedPoint:
         self.alive_masks = alive_masks
 
 
-def _reference_fixed_point(instance: MaxMinInstance) -> _FixedPoint:
-    """The original per-node fixed point (readable oracle)."""
-    agents: Set[NodeId] = set(instance.agents)
-    constraints: Set[NodeId] = set(instance.constraints)
-    objectives: Set[NodeId] = set(instance.objectives)
-
-    forced_zero: List[NodeId] = []
-    unconstrained: List[NodeId] = []
-    forced_zero_set: Set[NodeId] = set()
-    unconstrained_set: Set[NodeId] = set()
-    removed_constraints: List[NodeId] = []
-    removed_objectives: List[NodeId] = []
-    optimum_is_zero = False
-
-    # Isolated objectives in the *original* instance force the optimum to 0.
-    for k in instance.objectives:
-        if not instance.agents_of_objective(k):
-            optimum_is_zero = True
-
-    peel_rounds = 0
-    changed = True
-    while changed:
-        changed = False
-        peel_rounds += 1
-
-        # Constraints with no surviving agents are trivially satisfied.
-        for i in list(constraints):
-            members = [v for v in instance.agents_of_constraint(i) if v in agents]
-            if not members:
-                constraints.discard(i)
-                removed_constraints.append(i)
-                changed = True
-
-        # Unconstrained agents: every objective containing one never binds.
-        for v in list(agents):
-            live_constraints = [i for i in instance.constraints_of_agent(v) if i in constraints]
-            if not live_constraints:
-                agents.discard(v)
-                unconstrained.append(v)
-                unconstrained_set.add(v)
-                for k in instance.objectives_of_agent(v):
-                    if k in objectives:
-                        objectives.discard(k)
-                        removed_objectives.append(k)
-                changed = True
-
-        # Objectives that lost all their agents (but had some originally)
-        # would force the optimum to 0 — unless they were removed above
-        # because an unconstrained agent can satisfy them.
-        for k in list(objectives):
-            members = [v for v in instance.agents_of_objective(k) if v in agents]
-            originally_empty = not instance.agents_of_objective(k)
-            if not members:
-                objectives.discard(k)
-                removed_objectives.append(k)
-                if not originally_empty:
-                    # All its agents were forced to zero: the objective value
-                    # is stuck at 0, hence the optimum is 0.
-                    survivors_were_zeroed = any(
-                        v in forced_zero_set for v in instance.agents_of_objective(k)
-                    )
-                    unconstrained_members = any(
-                        v in unconstrained_set for v in instance.agents_of_objective(k)
-                    )
-                    if survivors_were_zeroed and not unconstrained_members:
-                        optimum_is_zero = True
-                if originally_empty:
-                    optimum_is_zero = True
-                changed = True
-
-        # Non-contributing agents: no surviving objective.
-        for v in list(agents):
-            live_objectives = [k for k in instance.objectives_of_agent(v) if k in objectives]
-            if not live_objectives:
-                agents.discard(v)
-                forced_zero.append(v)
-                forced_zero_set.add(v)
-                changed = True
-
-    obs.count("preprocess.peel_rounds", peel_rounds)
-    return _FixedPoint(
-        [v for v in instance.agents if v in agents],
-        [i for i in instance.constraints if i in constraints],
-        [k for k in instance.objectives if k in objectives],
-        forced_zero,
-        unconstrained,
-        removed_constraints,
-        removed_objectives,
-        optimum_is_zero,
-    )
-
-
 def _row_members(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Concatenated adjacency rows (``indices`` entries) of the given rows."""
     counts = np.diff(indptr)[rows]
@@ -336,7 +242,7 @@ def _row_members(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> n
 def _vectorized_fixed_point(instance: MaxMinInstance) -> _FixedPoint:
     """Iterative degree-peeling over the compiled CSR arrays.
 
-    Mirrors the reference fixed point phase for phase: per-node *live degree*
+    Mirrors the per-node oracle phase for phase: per-node *live degree*
     counters start at the compiled degrees; each phase selects the depleted
     nodes with one ``flatnonzero`` scan and pushes the removals to the
     neighbouring counters with ``np.bincount`` over the gathered adjacency
@@ -499,34 +405,29 @@ def _materialize_cleaned(instance: MaxMinInstance, fp: _FixedPoint, name: str) -
     )
 
 
-def preprocess(instance: MaxMinInstance, *, backend: str = "vectorized") -> PreprocessResult:
+def preprocess(instance: MaxMinInstance) -> PreprocessResult:
     """Remove degenerate structure from an instance (see module docstring).
 
-    ``backend="vectorized"`` (default) runs the fixed point as degree-peeling
-    over the compiled CSR arrays; ``backend="reference"`` keeps the per-node
-    oracle.  Both produce identical removed sets, flags and lift behaviour.
-
-    The result is cached on the (immutable) instance per backend, like
+    The result is cached on the (immutable) instance, like
     :meth:`MaxMinInstance.compiled`: repeated solves of one instance clean it
     once and share the same cleaned-instance object, keeping its compiled
     view and §4 transform cache warm across an R-sweep.  Treat the result as
     read-only.
     """
     cached = instance._preprocess_cache
-    if cached is not None and backend in cached:
+    if cached is not None:
         obs.count("preprocess.cache_hits")
-        return cached[backend]
+        return cached
     obs.count("preprocess.runs")
-    with obs.span("solve.preprocess", agents=instance.num_agents, backend=backend):
-        if backend == "vectorized":
-            fp = _vectorized_fixed_point(instance)
-        elif backend == "reference":
-            fp = _reference_fixed_point(instance)
-        else:
-            raise ValueError(
-                f"unknown preprocess backend {backend!r} (expected 'vectorized' or 'reference')"
-            )
+    with obs.span("solve.preprocess", agents=instance.num_agents):
+        fp = _vectorized_fixed_point(instance)
+    result = _result_from_fixed_point(instance, fp)
+    instance._preprocess_cache = result
+    return result
 
+
+def _result_from_fixed_point(instance: MaxMinInstance, fp: _FixedPoint) -> PreprocessResult:
+    """Flags, the cleaned instance and the :class:`PreprocessResult` of ``fp``."""
     optimum_is_zero = fp.optimum_is_zero
     optimum_is_unbounded = not optimum_is_zero and not fp.objectives and bool(instance.objectives)
     if not instance.objectives:
@@ -554,7 +455,7 @@ def preprocess(instance: MaxMinInstance, *, backend: str = "vectorized") -> Prep
         # caches (compiled view, §4 transform results) survive preprocessing.
         cleaned = instance
 
-    result = PreprocessResult(
+    return PreprocessResult(
         original=instance,
         instance=cleaned,
         forced_zero_agents=tuple(fp.forced_zero),
@@ -564,7 +465,3 @@ def preprocess(instance: MaxMinInstance, *, backend: str = "vectorized") -> Prep
         optimum_is_zero=optimum_is_zero,
         optimum_is_unbounded=optimum_is_unbounded,
     )
-    if instance._preprocess_cache is None:
-        instance._preprocess_cache = {}
-    instance._preprocess_cache[backend] = result
-    return result

@@ -5,23 +5,22 @@ Its *utility* is ``ω(x) = min_k Σ_{v ∈ V_k} c_kv x_v``; it is *feasible* whe
 ``Σ_{v ∈ V_i} a_iv x_v ≤ 1`` for every constraint ``i`` (up to a tolerance,
 since the algorithms work in floating point).
 
-Evaluation backends
--------------------
+Evaluation
+----------
 The whole-solution evaluators (:meth:`Solution.utility`,
 :meth:`Solution.objective_values`, :meth:`Solution.check_feasibility`,
-:meth:`Solution.bottleneck_objectives`) take ``backend="array"`` (default) or
-``backend="dict"``.  The array backend caches a dense value vector aligned
+:meth:`Solution.bottleneck_objectives`) cache a dense value vector aligned
 with the instance's canonical agent order (free when the solution was built
-by :meth:`Solution.from_agent_array`, one gather otherwise) and evaluates
+by :meth:`Solution.from_agent_array`, one gather otherwise) and evaluate
 every constraint / objective in one CSR pass over the compiled instance
 (:meth:`~repro.core.compiled.CompiledInstance.constraint_loads` /
 ``objective_values``).  Loads and utilities are *bitwise* identical to the
-dict backend — the CSR accumulation adds in the same canonical adjacency
-order as the reference loops — which the equivalence tests in
-``tests/test_record_path.py`` pin.  The load and objective vectors are cached
-on the solution, so e.g. ``utility()`` followed by ``bottleneck_objectives()``
-or repeated feasibility checks evaluate each edge exactly once.  The dict
-backend is the readable per-node oracle.
+per-node dict evaluation of :mod:`repro.oracle` — the CSR accumulation adds
+in the same canonical adjacency order as the oracle's loops — which the
+equivalence tests in ``tests/test_record_path.py`` pin.  The load and
+objective vectors are cached on the solution, so e.g. ``utility()`` followed
+by ``bottleneck_objectives()`` or repeated feasibility checks evaluate each
+edge exactly once.
 """
 
 from __future__ import annotations
@@ -35,11 +34,6 @@ from .. import obs
 from .._types import DEFAULT_FEASIBILITY_TOL, NodeId, ValueMap
 from ..exceptions import InfeasibleSolutionError, InvalidInstanceError
 from .instance import MaxMinInstance
-
-
-def _require_backend(backend: str) -> None:
-    if backend not in ("array", "dict"):
-        raise ValueError(f"unknown evaluation backend {backend!r} (expected 'array' or 'dict')")
 
 __all__ = ["Solution", "FeasibilityReport"]
 
@@ -150,15 +144,14 @@ class Solution:
     def from_agent_array(
         cls, instance: MaxMinInstance, values: Iterable[float], label: str = "solution"
     ) -> "Solution":
-        """Trusted fast path for compiled backends.
+        """Trusted fast path for the compiled (CSR) paths.
 
         ``values`` must hold one value per agent in the instance's canonical
         agent order (e.g. an output vector of the CSR kernels).  Skips the
         per-item membership validation of the regular constructor —
         alignment is guaranteed by construction on the compiled paths — but
         still verifies the length.  The vector is kept as the solution's
-        dense evaluation cache, so array-backend evaluation starts without a
-        gather.
+        dense evaluation cache, so evaluation starts without a gather.
         """
         if not isinstance(values, np.ndarray):
             values = list(values)
@@ -241,90 +234,58 @@ class Solution:
         inst = self.instance
         return sum(inst.c(k, v) * self._values[v] for v in inst.agents_of_objective(k))
 
-    def objective_values(self, *, backend: str = "array") -> Dict[NodeId, float]:
+    def objective_values(self) -> Dict[NodeId, float]:
         """All objective values keyed by objective id."""
-        _require_backend(backend)
-        if backend == "array":
-            return dict(zip(self.instance.objectives, self.objective_value_array().tolist()))
-        return {k: self.objective_value(k) for k in self.instance.objectives}
+        return dict(zip(self.instance.objectives, self.objective_value_array().tolist()))
 
-    def utility(self, *, backend: str = "array") -> float:
+    def utility(self) -> float:
         """``ω(x) = min_k ω_k(x)``; ``inf`` when the instance has no objective."""
-        _require_backend(backend)
         if not self.instance.objectives:
             return math.inf
-        if backend == "array":
-            return float(self.objective_value_array().min())
-        return min(self.objective_value(k) for k in self.instance.objectives)
+        return float(self.objective_value_array().min())
 
-    def bottleneck_objectives(
-        self, tol: float = 1e-9, *, backend: str = "array"
-    ) -> Tuple[NodeId, ...]:
+    def bottleneck_objectives(self, tol: float = 1e-9) -> Tuple[NodeId, ...]:
         """The objectives attaining the minimum utility (within ``tol``).
 
-        Shares the cached objective-value pass with :meth:`utility` on the
-        array backend, so calling both evaluates each objective edge once.
+        Shares the cached objective-value pass with :meth:`utility`, so
+        calling both evaluates each objective edge once.
         """
-        _require_backend(backend)
         if not self.instance.objectives:
             return ()
-        if backend == "array":
-            vals_arr = self.objective_value_array()
-            best_val = vals_arr.min()
-            hits = np.flatnonzero(vals_arr <= best_val + tol)
-            objectives = self.instance.objectives
-            return tuple(objectives[int(j)] for j in hits)
-        vals = self.objective_values(backend="dict")
-        best = min(vals.values())
-        return tuple(k for k, val in vals.items() if val <= best + tol)
+        vals_arr = self.objective_value_array()
+        best_val = vals_arr.min()
+        hits = np.flatnonzero(vals_arr <= best_val + tol)
+        objectives = self.instance.objectives
+        return tuple(objectives[int(j)] for j in hits)
 
-    def check_feasibility(
-        self, tol: float = DEFAULT_FEASIBILITY_TOL, *, backend: str = "array"
-    ) -> FeasibilityReport:
+    def check_feasibility(self, tol: float = DEFAULT_FEASIBILITY_TOL) -> FeasibilityReport:
         """Check non-negativity and every packing constraint.
 
-        The array backend reuses the cached load vector, so repeated checks
-        (or a check following :meth:`constraint_loads`) cost one CSR pass in
-        total.  Violated constraints are reported in canonical constraint
-        order on both backends; negative agents come out in canonical agent
-        order on the array backend (value-dict insertion order on the dict
-        backend).
+        Reuses the cached load vector, so repeated checks (or a check
+        following :meth:`constraint_loads`) cost one CSR pass in total.
+        Violated constraints are reported in canonical constraint order,
+        negative agents in canonical agent order.
         """
-        _require_backend(backend)
-        if backend == "array":
-            loads = self.constraint_loads()
-            dense = self.value_array()
-            viol_idx = np.flatnonzero(loads > 1.0 + tol)
-            constraints = self.instance.constraints
-            violated = tuple(
-                (constraints[int(j)], float(loads[j])) for j in viol_idx
-            )
-            max_violation = float((loads[viol_idx] - 1.0).max()) if len(viol_idx) else 0.0
-            neg_idx = np.flatnonzero(dense < -tol)
-            agents = self.instance.agents
-            negative = tuple((agents[int(j)], float(dense[j])) for j in neg_idx)
-        else:
-            violated_list = []
-            max_violation = 0.0
-            for i in self.instance.constraints:
-                load = self.constraint_load(i)
-                if load > 1.0 + tol:
-                    violated_list.append((i, load))
-                    max_violation = max(max_violation, load - 1.0)
-            violated = tuple(violated_list)
-            negative = tuple((v, x) for v, x in self._values.items() if x < -tol)
-        feasible = not violated and not negative
+        loads = self.constraint_loads()
+        dense = self.value_array()
+        viol_idx = np.flatnonzero(loads > 1.0 + tol)
+        constraints = self.instance.constraints
+        violated = tuple((constraints[int(j)], float(loads[j])) for j in viol_idx)
+        max_violation = float((loads[viol_idx] - 1.0).max()) if len(viol_idx) else 0.0
+        neg_idx = np.flatnonzero(dense < -tol)
+        agents = self.instance.agents
+        negative = tuple((agents[int(j)], float(dense[j])) for j in neg_idx)
         return FeasibilityReport(
-            feasible=feasible,
+            feasible=not violated and not negative,
             max_violation=max_violation,
             violated_constraints=violated,
             negative_agents=negative,
             tol=tol,
         )
 
-    def is_feasible(self, tol: float = DEFAULT_FEASIBILITY_TOL, *, backend: str = "array") -> bool:
+    def is_feasible(self, tol: float = DEFAULT_FEASIBILITY_TOL) -> bool:
         """Shorthand for ``check_feasibility(tol).feasible``."""
-        return self.check_feasibility(tol, backend=backend).feasible
+        return self.check_feasibility(tol).feasible
 
     def require_feasible(self, tol: float = DEFAULT_FEASIBILITY_TOL) -> "Solution":
         """Raise :class:`InfeasibleSolutionError` unless feasible; returns self."""

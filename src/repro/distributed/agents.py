@@ -523,11 +523,11 @@ class DistributedLocalSolver:
     library; use :class:`repro.algo.LocalMaxMinSolver` for arbitrary
     instances (or transform first and map the solution back yourself).
 
-    ``backend="vectorized"`` (default) drives :class:`VectorizedMaxMinProtocol`
-    over the int-indexed message plane; ``"reference"`` walks the per-node
-    dicts and is kept as the fidelity oracle.  Byte accounting needs real
-    message objects, so ``measure_bytes=True`` always takes the reference
-    path.
+    The protocol runs as :class:`VectorizedMaxMinProtocol` over the
+    int-indexed message plane.  Byte accounting needs real message objects,
+    so ``measure_bytes=True`` runs the per-node agents of this module on the
+    dict runtime instead — the same messages, and the fidelity oracle the
+    plane is tested against.
     """
 
     def __init__(
@@ -535,14 +535,10 @@ class DistributedLocalSolver:
         R: int = 3,
         *,
         tu_tol: float = 1e-10,
-        backend: str = "vectorized",
         measure_bytes: bool = False,
     ) -> None:
-        if backend not in ("vectorized", "reference"):
-            raise ValueError(f"unknown backend {backend!r} (expected 'vectorized' or 'reference')")
         self.schedule = PhaseSchedule(R)
         self.tu_tol = tu_tol
-        self.backend = backend
         self.measure_bytes = measure_bytes
 
     @property
@@ -557,7 +553,7 @@ class DistributedLocalSolver:
     def solve(self, instance: MaxMinInstance) -> Tuple[Solution, RunResult]:
         """Execute the protocol and return the solution plus run statistics."""
         require_special_form(instance)
-        if self.backend == "vectorized" and not self.measure_bytes:
+        if not self.measure_bytes:
             runtime = SynchronousRuntime(plane=MessagePlane(instance))
             result = runtime.run_vectorized(
                 VectorizedMaxMinProtocol(self.schedule, tu_tol=self.tu_tol),
@@ -575,7 +571,4 @@ class DistributedLocalSolver:
         return solution, result
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"DistributedLocalSolver(R={self.R}, rounds={self.local_horizon}, "
-            f"backend={self.backend!r})"
-        )
+        return f"DistributedLocalSolver(R={self.R}, rounds={self.local_horizon})"

@@ -19,7 +19,7 @@ Two execution paths share the accounting:
   for the whole network, delivery as a single gather through the plane's
   ``reverse`` permutation.  Per-round message statistics are computed from
   the same sent-slot sets the dict path would produce, so E5-style
-  measurements are backend-independent.
+  measurements are the same on either path.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ class SynchronousRuntime:
         message faults drop delivery slots on *both* execution paths: the
         vectorized path filters the sent-slot array, the dict path maps each
         ``(node, port)`` send to its plane slot so the same plan drops the
-        same messages on either backend (the chaos-equivalence contract of
+        same messages on either path (the chaos-equivalence contract of
         ``tests/test_resilient.py``).  Dropped messages count as *sent* —
         the sender paid for them — but never arrive, modelling a failed
         link for robustness experiments.
@@ -358,7 +358,7 @@ class SynchronousRuntime:
         if self.measure_bytes:
             raise SimulationError(
                 "byte accounting requires real message objects; use the dict-based "
-                "run() (reference backend) when measure_bytes=True"
+                "run() when measure_bytes=True"
             )
         plane = self.plane
         with obs.span("runtime.run_vectorized", slots=plane.num_slots, rounds=rounds):

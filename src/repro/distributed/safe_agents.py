@@ -9,10 +9,10 @@ Two synchronous rounds therefore suffice — the protocol is mostly useful as
 the baseline for the round/message accounting of experiment E5 and as the
 simplest possible example of a protocol on the runtime.
 
-Both runtime backends are implemented: the per-node classes below run on the
-dict-based oracle, and :class:`VectorizedSafeProtocol` runs the identical
-exchange on the int-indexed message plane (degrees go out as one
-``np.repeat``, the safe share comes back as one segment-min).
+:class:`VectorizedSafeProtocol` runs the exchange on the int-indexed
+message plane (degrees go out as one ``np.repeat``, the safe share comes
+back as one segment-min).  The per-node classes below run the identical
+exchange on the dict runtime, which byte accounting needs.
 """
 
 from __future__ import annotations
@@ -142,19 +142,12 @@ def _safe_node_factory(network: CommunicationNetwork, graph_node) -> ProtocolNod
 class DistributedSafeSolver:
     """Run the safe algorithm as a 2-round message-passing protocol.
 
-    Parameters
-    ----------
-    backend:
-        ``"vectorized"`` (default) drives the protocol over the int-indexed
-        message plane; ``"reference"`` walks the per-node dicts.  Byte
-        accounting needs real message objects, so ``measure_bytes=True``
-        always takes the reference path.
+    The protocol runs over the int-indexed message plane.  Byte accounting
+    needs real message objects, so ``measure_bytes=True`` runs the per-node
+    classes on the dict runtime instead.
     """
 
-    def __init__(self, *, backend: str = "vectorized", measure_bytes: bool = False) -> None:
-        if backend not in ("vectorized", "reference"):
-            raise ValueError(f"unknown backend {backend!r} (expected 'vectorized' or 'reference')")
-        self.backend = backend
+    def __init__(self, *, measure_bytes: bool = False) -> None:
         self.measure_bytes = measure_bytes
 
     @property
@@ -163,7 +156,7 @@ class DistributedSafeSolver:
 
     def solve(self, instance: MaxMinInstance) -> Tuple[Solution, RunResult]:
         require_nondegenerate(instance)
-        if self.backend == "vectorized" and not self.measure_bytes:
+        if not self.measure_bytes:
             runtime = SynchronousRuntime(plane=MessagePlane(instance))
             result = runtime.run_vectorized(VectorizedSafeProtocol(), rounds=SAFE_ALGORITHM_ROUNDS)
         else:
@@ -175,4 +168,4 @@ class DistributedSafeSolver:
         return solution, result
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"DistributedSafeSolver(backend={self.backend!r})"
+        return f"DistributedSafeSolver(measure_bytes={self.measure_bytes!r})"

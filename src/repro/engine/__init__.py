@@ -19,7 +19,7 @@ tabulated afterwards.  This package turns that shape into infrastructure:
   :func:`repro.analysis.sweeps.run_ratio_sweep`, the ``maxmin-lp sweep`` CLI
   and the benchmarks delegate to.
 * :mod:`repro.engine.resilience` — :class:`RetryPolicy` (retries, backoff,
-  deadlines, backend downgrade) and :class:`BatchJournal` (the append-only
+  deadlines) and :class:`BatchJournal` (the append-only
   checkpoint behind ``run_batch(resume_from=...)``).  Fault *injection* —
   the chaos-testing counterpart — lives in :mod:`repro.faults`.
 """

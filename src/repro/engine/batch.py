@@ -33,7 +33,7 @@ class BatchResult:
 
     ``metrics`` is the per-batch rollup: job/executed/cached counts, the
     batch wall time, recovery totals (``retries`` / ``timeouts`` /
-    ``redispatches`` / ``downgrades`` / ``failed`` — present when nonzero),
+    ``redispatches`` / ``failed`` — present when nonzero),
     and — when tracing was enabled for the run — the summed counter deltas
     of every executed job under ``"counters"`` (the same payload the
     individual :attr:`JobResult.metrics` carry, merged).
@@ -201,9 +201,9 @@ def run_batch(
         def checkpoint(position: int, records: List[Record], metrics) -> None:
             """Persist one finished job the moment its result lands in the
             parent — a later crash of the batch loses nothing before this
-            point.  Failures and backend-downgraded results are skipped:
-            the journal and cache hold only clean, canonical records."""
-            if metrics is not None and (metrics.get("error") or metrics.get("downgraded")):
+            point.  Failures are skipped: the journal and cache hold only
+            clean, canonical records."""
+            if metrics is not None and metrics.get("error"):
                 return
             index = pending[position][0]
             if journal_obj is not None:
@@ -291,8 +291,6 @@ def run_batch(
             value = int(metrics.get(name, 0) or 0)  # type: ignore[union-attr, arg-type]
             if value:
                 recovery[name] = recovery.get(name, 0) + value
-        if metrics.get("downgraded"):
-            recovery["downgrades"] = recovery.get("downgrades", 0) + 1
         if metrics.get("error") is not None:
             recovery["failed"] = recovery.get("failed", 0) + 1
     rollup.update(recovery)
@@ -315,9 +313,6 @@ def ratio_sweep_batch(
     include_safe: bool = True,
     include_optimum: bool = False,
     tu_method: str = "recursion",
-    backend: str = "vectorized",
-    safe_backend: str = "vectorized",
-    transform_backend: str = "auto",
 ) -> BatchSpec:
     """Build the batch equivalent of :func:`repro.analysis.sweeps.run_ratio_sweep`.
 
@@ -335,9 +330,6 @@ def ratio_sweep_batch(
                 include_safe=include_safe,
                 include_optimum=include_optimum,
                 tu_method=tu_method,
-                backend=backend,
-                safe_backend=safe_backend,
-                transform_backend=transform_backend,
             ),
             owner=index,
         )

@@ -161,18 +161,12 @@ def make_jobs_for_instance(
     include_safe: bool = True,
     include_optimum: bool = False,
     tu_method: str = "recursion",
-    backend: str = "vectorized",
-    safe_backend: str = "vectorized",
-    transform_backend: str = "auto",
 ) -> List[JobSpec]:
     """The standard job slate for one instance, in canonical record order.
 
     The order matches :func:`repro.analysis.ratios.compare_algorithms`: the
     local algorithm for each ``R`` (ascending over ``R_values`` as given),
-    then the safe baseline, then the exact LP row.  ``backend`` and
-    ``transform_backend`` are part of the job parameters (and hence the
-    cache key): results produced by different backend combinations are
-    addressed separately.
+    then the safe baseline, then the exact LP row.
     """
     text = instance_to_json(instance)
     digest = instance_digest(text)
@@ -183,25 +177,11 @@ def make_jobs_for_instance(
                 instance_json=text,
                 instance_digest=digest,
                 algorithm="local",
-                params=_canonical_params(
-                    {
-                        "R": int(R),
-                        "tu_method": tu_method,
-                        "backend": backend,
-                        "transform_backend": transform_backend,
-                    }
-                ),
+                params=_canonical_params({"R": int(R), "tu_method": tu_method}),
             )
         )
     if include_safe:
-        jobs.append(
-            JobSpec(
-                instance_json=text,
-                instance_digest=digest,
-                algorithm="safe",
-                params=_canonical_params({"backend": safe_backend}),
-            )
-        )
+        jobs.append(JobSpec(instance_json=text, instance_digest=digest, algorithm="safe"))
     if include_optimum:
         jobs.append(JobSpec(instance_json=text, instance_digest=digest, algorithm="lp-optimum"))
     return jobs

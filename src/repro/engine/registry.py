@@ -17,7 +17,7 @@ not, an instance's jobs report bit-identical ``optimum`` fields.
 
 The memo also scopes the *instance-attached* caches: the compiled CSR view
 and the §4 transform results (``to_special_form``) live on the
-:class:`MaxMinInstance` object itself, keyed per ``(backend, verify)``.
+:class:`MaxMinInstance` object itself, keyed per ``verify`` flag.
 Because the memo hands out exactly one instance object per instance-JSON
 string — and the cache key starts from the JSON's content digest — sibling
 jobs of one instance (an R-sweep, say) reuse one pipeline run, while jobs of
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import time
 import traceback
-from dataclasses import replace
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -63,14 +62,15 @@ __all__ = [
 
 #: Version tag per registered algorithm.  Bump when an algorithm's *output*
 #: changes; cached results from older versions are then recomputed.
-#: ``local`` is at "3": the §4 transformation pipeline's compiled backend
-#: became the default and the ``transform_backend`` job parameter joined the
-#: cache key (transformed instances are digest-identical, but back-mapped
-#: solutions agree only to 1e-12, so version-"2" entries are stale by the
-#: letter of the contract).  ``safe`` is at "2" since it gained the
-#: ``backend`` job parameter.  ``lp-optimum`` is at "2": the exact LP now
-#: assembles its matrix from compiled COO triplets and solves disconnected
-#: instances block-diagonally (same optima within solver tolerance, but not
+#: ``local`` is at "3": the §4 transformation pipeline switched to its
+#: compiled array form (transformed instances are digest-identical, but
+#: back-mapped solutions agree only to 1e-12, so version-"2" entries are
+#: stale by the letter of the contract).  ``safe`` is at "2".  Removing the
+#: ``backend`` / ``transform_backend`` job parameters changed every job's
+#: parameters, hence every cache key, without changing any output — so no
+#: version moved.  ``lp-optimum`` is at "2": the exact LP now assembles its
+#: matrix from compiled COO triplets and solves disconnected instances
+#: block-diagonally (same optima within solver tolerance, but not
 #: bit-identical vertex solutions).
 SOLVER_VERSIONS: Dict[str, str] = {
     "local": "3",
@@ -106,22 +106,10 @@ def execute_job(spec: JobSpec) -> List[Record]:
     if spec.algorithm == "local":
         R = int(params.get("R", 3))
         tu_method = str(params.get("tu_method", "recursion"))
-        backend = str(params.get("backend", "vectorized"))
-        transform_backend = str(params.get("transform_backend", "auto"))
-        return [
-            evaluate_local_algorithm(
-                instance,
-                R=R,
-                tu_method=tu_method,
-                backend=backend,
-                transform_backend=transform_backend,
-                optimum=lp.optimum,
-            )
-        ]
+        return [evaluate_local_algorithm(instance, R=R, tu_method=tu_method, optimum=lp.optimum)]
 
     if spec.algorithm == "safe":
-        backend = str(params.get("backend", "vectorized"))
-        return [evaluate_safe_algorithm(instance, backend=backend, optimum=lp.optimum)]
+        return [evaluate_safe_algorithm(instance, optimum=lp.optimum)]
 
     if spec.algorithm == "lp-optimum":
         return [evaluate_lp_optimum(instance, lp=lp)]
@@ -168,23 +156,6 @@ def _structured_error(exc: BaseException, spec: JobSpec) -> Dict[str, object]:
     }
 
 
-def _degraded_spec(spec: JobSpec) -> Optional[JobSpec]:
-    """The reference-backend fallback of a vectorized job, if one exists.
-
-    Only jobs actually running a compiled backend have a downgrade target;
-    the returned spec forces every backend knob to ``"reference"``.
-    """
-    params = spec.param_dict()
-    changed = False
-    for key in ("backend", "transform_backend"):
-        if key in params and str(params[key]) in ("vectorized", "auto"):
-            params[key] = "reference"
-            changed = True
-    if not changed:
-        return None
-    return replace(spec, params=tuple(sorted(params.items())))
-
-
 def execute_job_resilient(
     spec: JobSpec,
     *,
@@ -202,11 +173,9 @@ def execute_job_resilient(
     that one bad job can never take down its siblings.
 
     Retry accounting: ``metrics["attempts"]`` counts every try,
-    ``metrics["retries"]``/``metrics["timeouts"]`` the recoveries, and a
-    successful reference-backend fallback sets ``metrics["downgraded"]``.
-    Every solve still dispatches through the module-global
-    :func:`execute_job`, so monkeypatched spies intercept retried and
-    downgraded attempts alike.
+    ``metrics["retries"]``/``metrics["timeouts"]`` the recoveries.  Every
+    solve still dispatches through the module-global :func:`execute_job`,
+    so monkeypatched spies intercept retried attempts too.
     """
     policy = spec.retry
     timeout_s = spec.timeout_s if spec.timeout_s is not None else (
@@ -255,39 +224,6 @@ def execute_job_resilient(
             if delay > 0:
                 time.sleep(delay)
 
-    # Every in-place attempt failed.  Graceful degradation: one try on the
-    # reference backend, recorded as a downgrade (and never cached — the
-    # caller checks metrics["downgraded"]).
-    if policy is not None and policy.degrade_backend:
-        degraded = _degraded_spec(spec)
-        if degraded is not None:
-            def degraded_attempt() -> Tuple[List[Record], Dict[str, object]]:
-                if injector is not None:
-                    # The downgraded solve is still a solve: faults that match
-                    # its (reference-backend) coordinates fire here too, so a
-                    # genuinely-poisoned job cannot hide behind the fallback.
-                    injector.on_job_attempt(
-                        degraded.algorithm,
-                        degraded.instance_digest,
-                        degraded.param_dict(),
-                        attempts_allowed,
-                        dispatch_attempt,
-                    )
-                return execute_job_detailed(degraded)
-
-            try:
-                records, metrics = call_with_timeout(degraded_attempt, timeout_s)
-            except Exception as exc:  # noqa: BLE001 - keep the original error too
-                error = exc
-            else:
-                obs.count("engine.downgrades")
-                metrics["attempts"] = attempts_allowed + 1
-                metrics["retries"] = retries
-                if timeouts:
-                    metrics["timeouts"] = timeouts
-                metrics["downgraded"] = True
-                return records, metrics
-
     obs.count("engine.job_failures")
     assert error is not None  # the loop ran at least once
     failure_metrics: Dict[str, object] = {
@@ -310,7 +246,7 @@ def execute_jobs_batched(specs: Sequence[JobSpec]) -> List[List[Record]]:
     group's special-form instances are concatenated into one compiled batch
     and the §5 kernels run **once** for the whole group, instead of once per
     job.  Outputs are identical to :func:`execute_job` (the batched kernels
-    are bitwise-equal to solo vectorized solves); other algorithms fall
+    are bitwise-equal to solo solves); other algorithms fall
     through to :func:`execute_job` individually.  Runs in-process — batching
     replaces process fan-out, it does not compose with it.
     """
@@ -340,12 +276,7 @@ def execute_jobs_batched(specs: Sequence[JobSpec]) -> List[List[Record]]:
         pairs = [shared[specs[index].instance_json] for index in indices]
         p = dict(params)
         R = int(p.get("R", 3))
-        solver = LocalMaxMinSolver(
-            R=R,
-            tu_method=str(p.get("tu_method", "recursion")),
-            backend=str(p.get("backend", "vectorized")),
-            transform_backend=str(p.get("transform_backend", "auto")),
-        )
+        solver = LocalMaxMinSolver(R=R, tu_method=str(p.get("tu_method", "recursion")))
         results = solver.solve_many([instance for instance, _ in pairs])
         for index, result, (instance, lp) in zip(indices, results, pairs):
             outputs[index] = [

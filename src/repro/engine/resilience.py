@@ -74,13 +74,6 @@ class RetryPolicy:
     timeout_s:
         Per-attempt deadline (``None`` = no deadline).  A job-level
         ``JobSpec.timeout_s`` takes precedence over the policy's.
-    degrade_backend:
-        After every retry has failed, try the job **once** more on the
-        reference backend (``backend="reference"``) if it was running a
-        vectorized one.  The downgrade is recorded in the job's metrics and
-        the ``engine.downgrades`` counter; downgraded records are *not*
-        written to the result cache (the vectorized and reference backends
-        agree only to tolerance on the general path).
     """
 
     max_retries: int = 2
@@ -88,7 +81,6 @@ class RetryPolicy:
     backoff_factor: float = 2.0
     jitter: float = 0.1
     timeout_s: Optional[float] = None
-    degrade_backend: bool = True
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:

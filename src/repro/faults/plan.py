@@ -60,7 +60,7 @@ class JobFault:
     algorithm / digest_prefix / params:
         Job matchers: registry algorithm name (``None`` = any), instance
         digest prefix (``""`` = any) and a required subset of the job's
-        parameter pairs, e.g. ``(("backend", "vectorized"),)``.
+        parameter pairs, e.g. ``(("R", 3),)``.
     attempts:
         Which attempt numbers fire.  ``"crash"`` faults are matched against
         the *dispatch* attempt (how often the engine has shipped the job to

@@ -11,11 +11,11 @@ robustness as the first-class design:
   or the server default) propagated into the solver via
   :func:`repro.engine.resilience.call_with_timeout`; a blown deadline is a
   structured ``deadline_exceeded`` response, never a hang.
-* **Degradation ladder** — vectorized → reference → §1.3 safe baseline,
-  guarded by per-backend circuit breakers.  The safe baseline is a
-  constant-round *feasible* approximation, so a request that cannot finish
-  a full §5/§4 solve inside its deadline still gets a provably feasible
-  allocation, tagged ``degraded: true`` with the reason.
+* **Degradation ladder** — the §4/§5 local solve, then the §1.3 safe
+  baseline, with one circuit breaker guarding the local rung.  The safe
+  baseline is a constant-round *feasible* approximation, so a request that
+  cannot finish a full §5/§4 solve inside its deadline still gets a
+  provably feasible allocation, tagged ``degraded: true`` with the reason.
 * **Micro-batching** — concurrent small solve requests arriving within a
   short window coalesce into one multi-instance kernel pass
   (:meth:`LocalMaxMinSolver.solve_many`), bitwise-equal to solo solves.

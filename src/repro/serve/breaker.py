@@ -1,9 +1,9 @@
-"""Per-backend circuit breakers for the degradation ladder.
+"""The circuit breaker of the degradation ladder.
 
-A breaker guards one solver backend (``"vectorized"``, ``"reference"``).
-After ``failure_threshold`` *consecutive* failures it opens: the ladder
-skips that rung outright for ``cooldown_s`` (the response is degraded with
-reason ``breaker_open:<backend>`` instead of paying the failure again).
+A breaker guards one ladder rung (the server's guards the ``"local"`` §5
+rung).  After ``failure_threshold`` *consecutive* failures it opens: the
+ladder skips that rung outright for ``cooldown_s`` (the response is degraded
+with reason ``breaker_open:<rung>`` instead of paying the failure again).
 After the cooldown one trial request is let through (half-open); success
 closes the breaker, failure re-opens it for another cooldown.
 
@@ -61,7 +61,7 @@ class CircuitBreaker:
             return "open"
 
     def allow(self) -> bool:
-        """Whether the ladder may try this backend now.
+        """Whether the ladder may try the guarded rung now.
 
         While open, returns ``False`` until the cooldown elapses; then lets
         exactly one trial through at a time (half-open) until an outcome is

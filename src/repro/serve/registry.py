@@ -3,8 +3,8 @@
 The server keeps :class:`~repro.core.instance.MaxMinInstance` objects
 resident between requests.  That is where the per-instance caches earned in
 the compilation campaign live — the compiled CSR view, the §4 transform
-results and the preprocess fixed point all attach to the *instance object*
-(keyed per backend), so a resident instance answers its second solve without
+results and the preprocess fixed point all attach to the *instance object*,
+so a resident instance answers its second solve without
 re-running any of them.  The registry is therefore the hot tier; the
 engine's on-disk :class:`~repro.engine.cache.ResultCache` is the persistent
 tier that survives eviction and restarts.

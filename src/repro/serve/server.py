@@ -18,17 +18,18 @@ Request lifecycle::
   each ladder rung runs under :func:`repro.engine.resilience.call_with_timeout`
   with the *remaining* budget, so a wedged rung costs its deadline, never a
   client-visible hang.
-* **Ladder** (``algorithm: "local"``): vectorized → reference → §1.3 safe
-  baseline.  The first two rungs are gated by per-backend circuit breakers;
-  the final safe rung is never gated and always receives at least
-  ``safe_grace_s`` of budget — it is the constant-round, provably feasible
-  answer of last resort.  Any rung past the first tags the response
-  ``degraded: true`` with a machine-readable reason trail.  With
+* **Ladder** (``algorithm: "local"``): the §4/§5 local solve, then the
+  §1.3 safe baseline.  One circuit breaker gates the local rung, solo and
+  coalesced alike; the safe rung is never gated and always receives at
+  least ``safe_grace_s`` of budget — it is the constant-round, provably
+  feasible answer of last resort.  An answer from the safe rung of a
+  ``local`` request is tagged ``degraded: true`` with a machine-readable
+  reason trail.  A ``safe`` request runs the safe rung alone.  With
   ``degrade: false`` the ladder is rung 0 only and a blown deadline is a
   structured ``deadline_exceeded``.
 * **Micro-batching**: concurrent ``local`` solves sharing one parameter set
   coalesce through :class:`~repro.serve.batcher.MicroBatcher` into a single
-  ``solve_many`` kernel pass (bitwise-equal to solo vectorized solves); a
+  ``solve_many`` kernel pass (bitwise-equal to solo solves); a
   failed flush falls back to the solo ladder per request.
 * **Caching**: non-degraded solve results are stored in the engine's
   checksummed :class:`~repro.engine.cache.ResultCache` (the persistent tier
@@ -90,8 +91,9 @@ _HTTP_REASONS = {
     504: "Gateway Timeout",
 }
 
-#: Bump when the wire shape of cached solve records changes.
-_SERVE_CACHE_SCHEMA = 1
+#: Bump when the wire shape of cached solve records changes.  At 2 the
+#: records lost their ``backend`` field.
+_SERVE_CACHE_SCHEMA = 2
 
 
 @dataclass
@@ -127,14 +129,11 @@ class AllocationServer:
         self.cache: Optional[ResultCache] = (
             ResultCache(Path(self.config.cache_dir)) if self.config.cache_dir else None
         )
-        self.breakers: Dict[str, CircuitBreaker] = {
-            backend: CircuitBreaker(
-                backend,
-                failure_threshold=self.config.breaker_failure_threshold,
-                cooldown_s=self.config.breaker_cooldown_s,
-            )
-            for backend in ("vectorized", "reference")
-        }
+        self.breaker = CircuitBreaker(
+            "local",
+            failure_threshold=self.config.breaker_failure_threshold,
+            cooldown_s=self.config.breaker_cooldown_s,
+        )
         self._injector = (
             self.config.faults.injector() if self.config.faults is not None else None
         )
@@ -344,7 +343,7 @@ class AllocationServer:
             "inflight": self._inflight,
             "counters": {k: self.counters[k] for k in sorted(self.counters)},
             "resilience": resilience,
-            "breakers": {name: b.snapshot() for name, b in self.breakers.items()},
+            "breakers": {self.breaker.name: self.breaker.snapshot()},
             "registry": {
                 "resident": resident,
                 "capacity": capacity,
@@ -475,7 +474,7 @@ class AllocationServer:
             self._batcher is not None
             and params["algorithm"] == "local"
             and params["coalesce"]
-            and self.breakers["vectorized"].allow()
+            and self.breaker.allow()
         ):
             try:
                 result, meta = await self._batcher.submit(
@@ -503,46 +502,38 @@ class AllocationServer:
         Returns ``(result, meta)``; raises :class:`ServeError` with
         ``deadline_exceeded`` or ``internal`` when every rung fails.
         """
-        algorithm = params["algorithm"]
         R, tu_method = params["R"], params["tu_method"]
         include_values = params["include_values"]
-        if algorithm == "local":
-            rungs = [("local", "vectorized"), ("local", "reference"), ("safe", "reference")]
-        else:
-            rungs = [("safe", "vectorized"), ("safe", "reference")]
+        rungs = ["local", "safe"] if params["algorithm"] == "local" else ["safe"]
         if not params["degrade"]:
             rungs = rungs[:1]
         reasons: List[str] = []
         saw_timeout = False
-        for idx, (alg, backend) in enumerate(rungs):
-            final_safe = params["degrade"] and idx == len(rungs) - 1 and alg == "safe"
+        for idx, rung in enumerate(rungs):
+            gated = rung == "local"
             remaining = deadline - time.monotonic()
-            if final_safe:
+            if rung == "safe" and params["degrade"]:
                 # The safe rung is constant-round: always give it at least
                 # the grace budget so a degraded answer stays possible.
                 budget = max(remaining, self.config.safe_grace_s)
             elif remaining <= 0:
                 saw_timeout = True
-                reasons.append(f"deadline:{backend}")
+                reasons.append(f"deadline:{rung}")
                 continue
             else:
                 budget = remaining
-            breaker = self.breakers[backend]
-            if not final_safe and not breaker.allow():
-                reasons.append(f"breaker_open:{backend}")
+            if gated and not self.breaker.allow():
+                reasons.append(f"breaker_open:{rung}")
                 continue
 
-            def attempt(alg: str = alg, backend: str = backend, idx: int = idx):
+            def attempt(rung: str = rung, idx: int = idx):
                 self._inject(
-                    alg,
-                    entry.digest,
-                    {"op": "solve", "backend": backend, "R": R, "tu_method": tu_method},
-                    idx,
+                    rung, entry.digest, {"op": "solve", "R": R, "tu_method": tu_method}, idx
                 )
-                if alg == "local":
-                    solver = LocalMaxMinSolver(R=R, tu_method=tu_method, backend=backend)
+                if rung == "local":
+                    solver = LocalMaxMinSolver(R=R, tu_method=tu_method)
                     return self._package_local(solver.solve(entry.instance), include_values), solver.name
-                safe = SafeAlgorithm(backend=backend)
+                safe = SafeAlgorithm()
                 solution, cert = safe.solve_with_certificate(entry.instance)
                 return self._package_safe(solution, cert, include_values), safe.name
 
@@ -550,21 +541,20 @@ class AllocationServer:
                 result, label = call_with_timeout(attempt, budget)
             except JobTimeoutError:
                 saw_timeout = True
-                reasons.append(f"timeout:{backend}")
-                if not final_safe:
-                    breaker.record_failure()
+                reasons.append(f"timeout:{rung}")
+                if gated:
+                    self.breaker.record_failure()
                 continue
             except Exception as exc:  # noqa: BLE001 - any rung failure degrades
-                reasons.append(f"error:{backend}:{type(exc).__name__}")
-                if not final_safe:
-                    breaker.record_failure()
+                reasons.append(f"error:{rung}:{type(exc).__name__}")
+                if gated:
+                    self.breaker.record_failure()
                 continue
-            if not final_safe:
-                breaker.record_success()
+            if gated:
+                self.breaker.record_success()
             degraded = idx > 0
             meta = {
                 "algorithm": label,
-                "backend": backend,
                 "degraded": degraded,
                 "degraded_reason": "; ".join(reasons) if degraded else None,
                 "coalesced": False,
@@ -594,23 +584,19 @@ class AllocationServer:
             def attempt():
                 for e in entries:
                     self._inject(
-                        "local",
-                        e.digest,
-                        {"op": "solve_batch", "backend": "vectorized", "R": R, "tu_method": tu_method},
-                        0,
+                        "local", e.digest, {"op": "solve_batch", "R": R, "tu_method": tu_method}, 0
                     )
-                solver = LocalMaxMinSolver(R=R, tu_method=tu_method, backend="vectorized")
+                solver = LocalMaxMinSolver(R=R, tu_method=tu_method)
                 return solver.solve_many([e.instance for e in entries])
 
             return call_with_timeout(attempt, remaining)
 
-        breaker = self.breakers["vectorized"]
         try:
             results = await self._in_executor(run)
         except Exception:
-            breaker.record_failure()
+            self.breaker.record_failure()
             raise
-        breaker.record_success()
+        self.breaker.record_success()
         n = len(items)
         if n > 1:
             self._count("serve.coalesced_batches")
@@ -620,7 +606,6 @@ class AllocationServer:
             result = self._package_local(res, include_values)
             meta = {
                 "algorithm": f"local-R{R}",
-                "backend": "vectorized",
                 "degraded": False,
                 "degraded_reason": None,
                 "coalesced": n > 1,
@@ -771,7 +756,7 @@ class AllocationServer:
     ) -> None:
         record = {
             "result": result,
-            "meta": {"algorithm": meta["algorithm"], "backend": meta["backend"]},
+            "meta": {"algorithm": meta["algorithm"]},
         }
         try:
             await self._in_executor(lambda: self.cache.put(key, [record]))

@@ -20,7 +20,6 @@ from typing import List, Optional, Sequence
 
 from .. import obs
 from ..core.instance import MaxMinInstance
-from ..core.validation import require_nondegenerate, require_special_form
 from .augment_singleton_constraints import AugmentSingletonConstraints
 from .augment_singleton_objectives import AugmentSingletonObjectives
 from .base import Transform, TransformResult, compose
@@ -62,9 +61,14 @@ def to_special_form(
     *,
     verify: bool = True,
     name: Optional[str] = None,
-    backend: str = "vectorized",
 ) -> TransformResult:
     """Convert a non-degenerate instance to the §5 special form.
+
+    The composed transformation is computed as index arithmetic over the
+    compiled CSR arrays — digest-identical output, one array-encoded
+    back-map (see :mod:`repro.transforms.vectorized`).  The per-stage oracle
+    :func:`repro.oracle.to_special_form` applies the five object-graph
+    transformations of :func:`canonical_transforms` one by one instead.
 
     Parameters
     ----------
@@ -77,50 +81,28 @@ def to_special_form(
         form; this is cheap and catches programming errors early.
     name:
         Optional name for the composed :class:`TransformResult`.
-    backend:
-        ``"vectorized"`` (default) computes the composed transformation as
-        index arithmetic over the compiled CSR arrays — digest-identical
-        output, one array-encoded back-map (see
-        :mod:`repro.transforms.vectorized`); ``"reference"`` applies the five
-        object-graph transformations one by one and composes their closures
-        (the readable oracle the equivalence property tests pin the compiled
-        path against).
 
     Results for the default ``name`` are cached on the (immutable) instance
-    per ``(backend, verify)`` key, exactly like
+    per ``verify`` flag, exactly like
     :meth:`~repro.core.instance.MaxMinInstance.compiled`: a sweep that
     revisits the same instance across R values runs the §4 pipeline once.
     The cache lives on the instance object itself, so it can never leak
     across instances (the engine's per-process memo hands out one instance
     object per content digest — see :mod:`repro.engine.registry`).
     """
-    if backend not in ("vectorized", "reference"):
-        raise ValueError(
-            f"unknown transform backend {backend!r} (expected 'vectorized' or 'reference')"
-        )
-
-    cache_key = (backend, bool(verify))
+    verify = bool(verify)
     if name is None:
         cached = instance._transform_cache
-        if cached is not None and cache_key in cached:
+        if cached is not None and verify in cached:
             obs.count("transform.cache_hits")
-            return cached[cache_key]
+            return cached[verify]
 
     obs.count("transform.runs")
-    if backend == "vectorized":
-        from .vectorized import vectorized_to_special_form
+    from .vectorized import vectorized_to_special_form
 
-        result = vectorized_to_special_form(instance, verify=verify, name=name)
-    else:
-        require_nondegenerate(instance)
-        result = apply_chain(
-            instance, canonical_transforms(), name=name or "to-special-form (§4)"
-        )
-        if verify:
-            require_special_form(result.transformed)
-
+    result = vectorized_to_special_form(instance, verify=verify, name=name)
     if name is None:
         if instance._transform_cache is None:
             instance._transform_cache = {}
-        instance._transform_cache[cache_key] = result
+        instance._transform_cache[verify] = result
     return result

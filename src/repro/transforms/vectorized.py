@@ -1,7 +1,7 @@
 """Compiled (array-native) implementation of the §4 transformation pipeline.
 
-The reference pipeline (:mod:`repro.transforms.pipeline`) applies the five
-§4 transformations as object-graph rewrites: each stage materialises a fresh
+The per-stage oracle (:func:`repro.oracle.to_special_form`) applies the
+five §4 transformations as object-graph rewrites: each stage materialises a fresh
 :class:`~repro.core.instance.MaxMinInstance`, scans coefficient dicts per
 node (some of those scans are quadratic — §4.4 and §4.5 walk the whole
 coefficient map once per touched constraint) and chains one Python
@@ -829,7 +829,6 @@ def vectorized_to_special_form(
     metadata: Dict[str, object] = {
         "stages": list(st.stage_names),
         "stage_ratio_factors": list(st.stage_factors),
-        "backend": "vectorized",
         "stage_metadata": list(st.stage_metadata),
     }
     return CompiledTransformResult(

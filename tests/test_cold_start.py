@@ -2,9 +2,11 @@
 
 Both packages cost more than the whole ``import repro.cli`` without them, so
 they are imported inside the functions that use them (the exact LP,
-connectivity, GraphML, the bandwidth generator, the reference smoothing).
+connectivity, GraphML, the bandwidth generator, the oracle's smoothing).
+The per-node oracles of :mod:`repro.oracle` are test and benchmark code, so
+the same probes check that nothing on the solve or serve path imports them.
 Each case runs in a fresh interpreter, because this test process has long
-since imported both.
+since imported all three.
 """
 
 from __future__ import annotations
@@ -22,11 +24,13 @@ from repro.io.serialization import save_instance
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: Runs BODY, then prints the loaded scipy / networkx modules as JSON.
+#: Runs BODY, then prints the loaded scipy / networkx / oracle modules as JSON.
 PROBE = """
 import json, sys
 {body}
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "networkx"))))
+print(json.dumps(sorted(
+    m for m in sys.modules if m.split(".")[0] in ("scipy", "networkx") or m == "repro.oracle"
+)))
 """
 
 

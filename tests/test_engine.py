@@ -399,15 +399,6 @@ class TestBatchedDispatch:
         assert code == 2
         assert "in-process" in capsys.readouterr().err
 
-    def test_transform_backend_is_part_of_cache_key(self):
-        instance = small_family()[0]
-        jobs_auto = make_jobs_for_instance(instance, R_values=(3,), include_safe=False)
-        jobs_ref = make_jobs_for_instance(
-            instance, R_values=(3,), include_safe=False, transform_backend="reference"
-        )
-        version = registry.solver_version("local")
-        assert jobs_auto[0].cache_key(version) != jobs_ref[0].cache_key(version)
-
     def test_execute_jobs_batched_mixed_algorithms(self):
         instance = small_family()[0]
         specs = make_jobs_for_instance(

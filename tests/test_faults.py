@@ -88,11 +88,11 @@ class TestFaultPlan:
             MessageFault(round_number=1, fraction=1.5)
 
     def test_job_fault_matching(self):
-        fault = transient(algorithm="safe", digest_prefix="ab", params=(("backend", "vectorized"),))
-        assert fault.matches("safe", "abc123", {"backend": "vectorized", "R": 2})
-        assert not fault.matches("local", "abc123", {"backend": "vectorized"})
-        assert not fault.matches("safe", "zzz", {"backend": "vectorized"})
-        assert not fault.matches("safe", "abc123", {"backend": "reference"})
+        fault = transient(algorithm="local", digest_prefix="ab", params=(("R", 3),))
+        assert fault.matches("local", "abc123", {"R": 3, "tu_method": "recursion"})
+        assert not fault.matches("safe", "abc123", {"R": 3})
+        assert not fault.matches("local", "zzz", {"R": 3})
+        assert not fault.matches("local", "abc123", {"R": 2})
         assert fault.fires_on(0) and not fault.fires_on(1)
         assert transient(attempts=None).fires_on(41)  # poison: every attempt
 
@@ -209,7 +209,7 @@ class TestResilientExecution:
         result = run_batch(
             batch,
             faults=plan,
-            retry=RetryPolicy(max_retries=1, backoff_base_s=0.0, degrade_backend=False),
+            retry=RetryPolicy(max_retries=1, backoff_base_s=0.0),
             on_error="record",
         )
         failed = result.failed_jobs
@@ -226,34 +226,6 @@ class TestResilientExecution:
         ]
         assert survivors == expected
         assert result.metrics["failed"] == 3
-
-    def test_degradation_falls_back_to_reference_backend(self, tmp_path):
-        batch = small_batch(small_instances()[:1])
-        baseline = run_batch(batch)
-        # The fault targets the vectorized backend on every attempt, so only
-        # the downgraded (reference) attempt can succeed.
-        plan = FaultPlan(
-            job_faults=(
-                transient(algorithm="safe", params=(("backend", "vectorized"),), attempts=None),
-            )
-        )
-        cache = ResultCache(tmp_path / "cache")
-        result = run_batch(
-            batch,
-            faults=plan,
-            cache=cache,
-            retry=RetryPolicy(max_retries=1, backoff_base_s=0.0, degrade_backend=True),
-        )
-        # The safe baseline's backends agree exactly, so even the downgraded
-        # record is bitwise-identical to the fault-free run.
-        assert result.records == baseline.records
-        (safe_result,) = [r for r in result.results if r.spec.algorithm == "safe"]
-        assert safe_result.metrics["downgraded"] is True
-        assert result.metrics["downgrades"] == 1
-        # Downgraded results are never cached: re-running against the same
-        # cache recomputes exactly the downgraded job.
-        rerun = run_batch(batch, cache=ResultCache(tmp_path / "cache"))
-        assert rerun.executed_jobs == 1
 
     def test_retry_policy_validation_and_deterministic_jitter(self):
         with pytest.raises(EngineError):

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import obs
+from repro import obs, oracle
 from repro.algo.kernels import agent_hop_balls
 from repro.algo.local_solver import IncrementalSolveState, SpecialFormLocalSolver
 from repro.cli import main
@@ -682,8 +682,8 @@ def test_preprocess_array_materialisation_matches_sub_instance():
         ("k3", "e"): 1.0,
     }
     inst = MaxMinInstance(agents, cons, objs, a, c, name="degen")
-    pre = preprocess(inst, backend="vectorized")
-    ref = preprocess(inst, backend="reference")
+    pre = preprocess(inst)
+    ref = oracle.preprocess(inst)
     assert pre.instance == ref.instance
     assert instance_digest(pre.instance) == instance_digest(ref.instance)
     sub = inst.sub_instance(

@@ -1,12 +1,12 @@
-"""Backend-equivalence and unit tests for the vectorized solver kernels.
+"""Oracle-equivalence and unit tests for the vectorized solver kernels.
 
-The vectorized backend (``repro.algo.kernels`` over a
+The solver (``repro.algo.kernels`` over a
 :class:`~repro.core.compiled.CompiledInstance`) must agree with the
-per-node reference implementation on every quantity the §5 pipeline
-produces: the per-agent bounds ``t_u``, the smoothed bounds ``s_v``, the
-output vector ``x`` and its utility — within 1e-9, across every generator
-family and both ``tu_method`` values.  These tests are the contract that
-lets the vectorized backend be the default.
+per-node oracle :func:`repro.oracle.special_form_solve` on every quantity
+the §5 pipeline produces: the per-agent bounds ``t_u``, the smoothed bounds
+``s_v``, the output vector ``x`` and its utility — within 1e-9, across every
+generator family and both ``tu_method`` values.  These tests are the
+contract that lets the kernels be the one production path.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from repro.algo.kernels import (
     output_kernel,
     smooth_bounds_kernel,
 )
+from repro import oracle
 from repro.algo.local_solver import SpecialFormLocalSolver
 from repro.algo.upper_bound import compute_upper_bounds, smooth_upper_bounds
 from repro.core.compiled import CompiledInstance
@@ -66,9 +67,9 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("case_id,instance", CASES, ids=CASE_IDS)
     @pytest.mark.parametrize("R", [2, 3, 5])
     def test_recursion_backend_equivalence(self, case_id, instance, R):
-        """Vectorized and reference agree on t_u, s_v, x and utility (1e-9)."""
-        ref = SpecialFormLocalSolver(R=R, backend="reference").solve(instance)
-        vec = SpecialFormLocalSolver(R=R, backend="vectorized").solve(instance)
+        """The kernels and the oracle agree on t_u, s_v, x and utility (1e-9)."""
+        ref = oracle.special_form_solve(instance, R)
+        vec = SpecialFormLocalSolver(R=R).solve(instance)
         assert vec.utility() == pytest.approx(ref.utility(), abs=TOL)
         for v in instance.agents:
             assert vec.upper_bounds[v] == pytest.approx(ref.upper_bounds[v], abs=TOL)
@@ -78,9 +79,9 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("case_id,instance", CASES[:4], ids=CASE_IDS[:4])
     @pytest.mark.parametrize("R", [2, 3])
     def test_lp_backend_equivalence(self, case_id, instance, R):
-        """The tu_method="lp" path agrees across backends too (LP tolerance)."""
-        ref = SpecialFormLocalSolver(R=R, tu_method="lp", backend="reference").solve(instance)
-        vec = SpecialFormLocalSolver(R=R, tu_method="lp", backend="vectorized").solve(instance)
+        """The tu_method="lp" path agrees with the oracle too (LP tolerance)."""
+        ref = oracle.special_form_solve(instance, R, tu_method="lp")
+        vec = SpecialFormLocalSolver(R=R, tu_method="lp").solve(instance)
         for v in instance.agents:
             assert vec.upper_bounds[v] == pytest.approx(ref.upper_bounds[v], abs=1e-7)
             assert vec.solution[v] == pytest.approx(ref.solution[v], abs=1e-7)
@@ -89,8 +90,8 @@ class TestBackendEquivalence:
     def test_g_tables_match(self, R):
         """The full g± tables agree entry-wise, not just their Eq. 18 sum."""
         instance = random_special_form_instance(16, delta_K=3, constraint_rounds=2, seed=11)
-        ref = SpecialFormLocalSolver(R=R, backend="reference").solve(instance)
-        vec = SpecialFormLocalSolver(R=R, backend="vectorized").solve(instance)
+        ref = oracle.special_form_solve(instance, R)
+        vec = SpecialFormLocalSolver(R=R).solve(instance)
         for d in range(ref.g.r + 1):
             for v in instance.agents:
                 assert vec.g.plus(v, d) == pytest.approx(ref.g.plus(v, d), abs=TOL)
@@ -206,20 +207,18 @@ class TestKernelPieces:
     def test_g_recursion_and_output_match_reference_methods(self):
         instance = regular_special_form_instance(4, 3, constraint_rounds=2, seed=19)
         comp = instance.compiled()
-        solver = SpecialFormLocalSolver(R=4, backend="reference")
-        t = compute_upper_bounds(instance, solver.r)
-        s = smooth_upper_bounds(instance, t, solver.r)
-        g_ref = solver.compute_g_recursion(instance, s)
-        s_vec = np.asarray([s[v] for v in comp.agents])
-        g_plus, g_minus = g_recursion_kernel(comp, s_vec, solver.r)
-        for d in range(solver.r + 1):
+        R, r = 4, 2
+        ref = oracle.special_form_solve(instance, R)
+        g_ref = oracle.g_recursion(instance, ref.smoothed_bounds, r)
+        s_vec = np.asarray([ref.smoothed_bounds[v] for v in comp.agents])
+        g_plus, g_minus = g_recursion_kernel(comp, s_vec, r)
+        for d in range(r + 1):
             for idx, v in enumerate(comp.agents):
                 assert g_plus[d][idx] == pytest.approx(g_ref.plus(v, d), abs=TOL)
                 assert g_minus[d][idx] == pytest.approx(g_ref.minus(v, d), abs=TOL)
-        x = output_kernel(g_plus, g_minus, solver.R)
-        x_ref = solver.output_vector(instance, g_ref)
+        x = output_kernel(g_plus, g_minus, R)
         for idx, v in enumerate(comp.agents):
-            assert x[idx] == pytest.approx(x_ref[v], abs=TOL)
+            assert x[idx] == pytest.approx(ref.solution[v], abs=TOL)
 
     def test_targets_subset(self):
         instance = random_special_form_instance(12, delta_K=3, constraint_rounds=2, seed=23)
@@ -229,8 +228,8 @@ class TestKernelPieces:
         partial = batched_upper_bounds(comp, 1, targets=subset)
         np.testing.assert_allclose(partial, full[subset], atol=0.0)
 
-    def test_invalid_backend_rejected(self):
+    def test_unknown_tu_method_rejected(self):
         with pytest.raises(ValueError):
-            SpecialFormLocalSolver(R=3, backend="numpy")
+            SpecialFormLocalSolver(R=3, tu_method="nope")
         with pytest.raises(ValueError):
             batched_upper_bounds(cycle_instance(4).compiled(), 1, method="nope")

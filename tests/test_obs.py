@@ -3,8 +3,8 @@
 Covers the ISSUE-mandated guards: the disabled tracer's overhead bound, the
 span-nesting / attribute round-trip through the versioned trace JSON, the
 deterministic cross-process metric merge under :class:`ParallelExecutor`,
-and the counter-value equivalence between the reference and vectorized
-bisection kernels.
+and the counter-value equivalence between the per-tree bisection that the
+oracle runs and the batched kernel.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def test_disabled_overhead_is_under_two_percent_of_reference_solve():
     time.
     """
     instance = cycle_instance(512, coefficient_range=(0.5, 2.0), seed=3)
-    solver = SpecialFormLocalSolver(R=3, backend="vectorized")
+    solver = SpecialFormLocalSolver(R=3)
     solver.solve(instance)  # warm caches (compiled view, transforms)
     t_solve = min(
         _timed(lambda: solver.solve(instance)) for _ in range(3)
@@ -284,10 +284,10 @@ def test_counts_are_not_lost_under_threads():
 
 @pytest.mark.parametrize("r", [0, 1, 2])
 def test_bisection_iteration_counts_match_across_backends(r):
-    """Reference per-tree bisection and the batched kernel count identically.
+    """The oracle's per-tree bisection and the batched kernel count identically.
 
     Comparable only without tree deduplication: the batched kernel bisects
-    one representative per signature class, the reference loop every tree.
+    one representative per signature class, the oracle's loop every tree.
     """
     for instance in (
         cycle_instance(9, coefficient_range=(0.5, 2.0), seed=1),
@@ -321,7 +321,7 @@ def test_lazy_result_skips_dict_materialization_in_sweeps():
 
 def test_lazy_result_materializes_on_dict_access():
     instance = cycle_instance(8, coefficient_range=(0.5, 2.0), seed=5)
-    solver = SpecialFormLocalSolver(R=3, backend="vectorized")
+    solver = SpecialFormLocalSolver(R=3)
     obs.configure(enabled=True)
     result = solver.solve(instance)
     before = obs.snapshot()["counters"]

@@ -2,18 +2,18 @@
 
 Pins the contracts of the vectorized evaluation-and-preparation layer:
 
-* ``preprocess(backend="vectorized")`` produces identical removed sets,
-  flags, cleaned instances and lift behaviour to the reference fixed point —
+* ``preprocess`` produces identical removed sets, flags, cleaned instances
+  and lift behaviour to the per-node oracle :func:`repro.oracle.preprocess` —
   over the shared generator families, hand-built degenerate instances,
   empty instances and hypothesis-generated random (possibly degenerate)
   instances;
 * array-backed :class:`~repro.core.solution.Solution` evaluation is
-  *bitwise* identical to the dict oracle (loads, utilities, objective
+  *bitwise* identical to the oracle's dict evaluation (loads, utilities, objective
   values) with identical feasibility verdicts, and the cached passes are
   shared (utility + bottleneck = one objective pass, repeated feasibility
   checks = one load pass);
-* §4 transform results are cached on the instance per ``(backend, verify)``
-  key — an R-sweep over one instance runs the pipeline exactly once, and
+* §4 transform results are cached on the instance per ``verify`` flag —
+  an R-sweep over one instance runs the pipeline exactly once, and
   cached transforms never leak across content digests in the engine;
 * mid-bisection active-set compaction is bitwise-neutral.
 """
@@ -28,6 +28,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.transforms.vectorized as vectorized_mod
+from repro import oracle
 from repro.algo.kernels import _COMPACT_MIN_DROP, batched_upper_bounds
 from repro.analysis.ratios import compare_algorithms
 from repro.core.builder import InstanceBuilder
@@ -92,8 +93,8 @@ def fixed_instances():
 
 
 def assert_preprocess_equivalent(instance: MaxMinInstance) -> None:
-    ref = preprocess(instance, backend="reference")
-    vec = preprocess(instance, backend="vectorized")
+    ref = oracle.preprocess(instance)
+    vec = preprocess(instance)
     assert set(ref.forced_zero_agents) == set(vec.forced_zero_agents)
     assert set(ref.unconstrained_agents) == set(vec.unconstrained_agents)
     assert set(ref.removed_constraints) == set(vec.removed_constraints)
@@ -124,13 +125,8 @@ class TestVectorizedPreprocess:
     def test_backend_equivalence_hypothesis(self, instance):
         assert_preprocess_equivalent(instance)
 
-    def test_unknown_backend_rejected(self, tiny_instance):
-        with pytest.raises(ValueError):
-            preprocess(tiny_instance, backend="nope")
-
     def test_unchanged_instance_returned_as_is(self, tiny_instance):
-        for backend in ("vectorized", "reference"):
-            pre = preprocess(tiny_instance, backend=backend)
+        for pre in (preprocess(tiny_instance), oracle.preprocess(tiny_instance)):
             assert not pre.changed
             assert pre.instance is tiny_instance
 
@@ -151,7 +147,7 @@ class TestVectorizedPreprocess:
         builder.add_constraint_term("ib", "b", 1.0)
         builder.add_objective_term("k2", "b", 1.0)
         builder.add_objective_term("k2", "free", 1.0)
-        pre = preprocess(builder.build(), backend="vectorized")
+        pre = preprocess(builder.build())
         assert "free" in pre.unconstrained_agents
         assert "b" in pre.forced_zero_agents
         assert "ib" in pre.removed_constraints
@@ -184,18 +180,18 @@ class TestArrayBackedSolution:
         for j, i in enumerate(instance.constraints):
             assert loads[j] == dict_sol.constraint_load(i)
         # Objective values and utility: bitwise.
-        assert arr_sol.objective_values() == dict_sol.objective_values(backend="dict")
-        assert arr_sol.utility() == dict_sol.utility(backend="dict")
+        assert arr_sol.objective_values() == oracle.objective_values(dict_sol)
+        assert arr_sol.utility() == oracle.utility(dict_sol)
         # Feasibility: identical verdicts, violations and max violation.
         for tol in (1e-9, 0.0, 0.5):
             ra = arr_sol.check_feasibility(tol)
-            rd = dict_sol.check_feasibility(tol, backend="dict")
+            rd = oracle.check_feasibility(dict_sol, tol)
             assert ra.feasible == rd.feasible
             assert ra.max_violation == rd.max_violation
             assert set(ra.violated_constraints) == set(rd.violated_constraints)
             assert set(ra.negative_agents) == set(rd.negative_agents)
         # Bottlenecks: identical (both in canonical objective order).
-        assert arr_sol.bottleneck_objectives() == dict_sol.bottleneck_objectives(backend="dict")
+        assert arr_sol.bottleneck_objectives() == oracle.bottleneck_objectives(dict_sol)
 
     def test_empty_instance(self):
         inst = MaxMinInstance([], [], [], {}, {}, name="empty")
@@ -247,11 +243,6 @@ class TestArrayBackedSolution:
         sol.constraint_loads()
         assert len(calls) == 1
 
-    def test_unknown_backend_rejected(self, tiny_instance):
-        sol = Solution(tiny_instance, {"a": 0.1, "b": 0.1})
-        with pytest.raises(ValueError):
-            sol.utility(backend="nope")
-
 
 def _count_pipeline_runs(monkeypatch):
     """Spy on the vectorized §4 pipeline entry point; returns the call list."""
@@ -275,12 +266,15 @@ class TestTransformCache:
         assert len(calls) == 1
 
     def test_cache_keyed_per_backend_and_verify(self, general_instance):
-        a = to_special_form(general_instance, backend="vectorized", verify=True)
-        b = to_special_form(general_instance, backend="vectorized", verify=False)
-        c = to_special_form(general_instance, backend="reference", verify=True)
+        """One cached result per ``verify`` flag; the oracle never caches."""
+        a = to_special_form(general_instance, verify=True)
+        b = to_special_form(general_instance, verify=False)
+        c = oracle.to_special_form(general_instance, verify=True)
         assert a is not b and a is not c
-        assert a is to_special_form(general_instance, backend="vectorized", verify=True)
-        assert c is to_special_form(general_instance, backend="reference", verify=True)
+        assert a is to_special_form(general_instance, verify=True)
+        assert b is to_special_form(general_instance, verify=False)
+        assert c is not oracle.to_special_form(general_instance, verify=True)
+        assert set(general_instance._transform_cache) == {True, False}
 
     def test_named_results_are_not_cached(self, general_instance):
         a = to_special_form(general_instance, name="custom")
@@ -324,6 +318,63 @@ class TestTransformCache:
         assert len(calls) == 2
         assert calls[0] is not calls[1]
         _instance_and_lp.cache_clear()
+
+
+class TestCachesUnderThreads:
+    def test_concurrent_solves_of_one_cold_instance(self):
+        """Server threads solving one resident instance race on its lazily
+        filled caches (compiled view, preprocess slot, transform slot).
+
+        8 threads (more than the cores) start together behind a barrier with
+        a 1 µs switch interval, so they interleave inside the cache fills;
+        every answer must be bitwise the serial one, and the instance must
+        end up holding one preprocess result and one transform result.
+        """
+        import sys
+        import threading
+
+        from repro.algo.general_solver import LocalMaxMinSolver
+        from repro.core.preprocess import PreprocessResult
+        from repro.generators import random_instance
+        from repro.io.serialization import instance_from_json, instance_to_json
+
+        text = instance_to_json(
+            random_instance(300, extra_constraints=15, extra_objectives=15, seed=7)
+        )
+        serial = LocalMaxMinSolver(R=3).solve(instance_from_json(text))
+        assert serial.status == "local" and not serial.preprocessing.changed
+        expected = serial.solution.value_array().tobytes()
+
+        instance = instance_from_json(text)
+        assert instance._preprocess_cache is None and instance._transform_cache is None
+        threads_n = 8
+        barrier = threading.Barrier(threads_n)
+        outputs = [None] * threads_n
+        errors = []
+
+        def work(slot: int) -> None:
+            try:
+                barrier.wait(timeout=30)
+                result = LocalMaxMinSolver(R=3).solve(instance)
+                outputs[slot] = result.solution.value_array().tobytes()
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert outputs == [expected] * threads_n
+        assert isinstance(instance._preprocess_cache, PreprocessResult)
+        assert list(instance._transform_cache) == [True]
 
 
 class TestBisectionCompaction:

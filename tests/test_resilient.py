@@ -418,8 +418,7 @@ class TestChaosEquivalence:
             seed=9,
             message_faults=(MessageFault(round_number=8, fraction=0.3),),
         )
-        solver_ref = DistributedLocalSolver(R=3, backend="reference")
-        solver_vec = DistributedLocalSolver(R=3, backend="vectorized")
+        schedule = DistributedLocalSolver(R=3).schedule
         # Drive both through runtimes with the same plan (smoothing-phase
         # drops are non-fatal: the min-flood just converges differently).
         network = build_network(inst)
@@ -428,15 +427,15 @@ class TestChaosEquivalence:
             maxmin_node_factory,
         )
 
-        rounds = solver_ref.schedule.total_rounds
+        rounds = schedule.total_rounds
         ref_rt = SynchronousRuntime(network, faults=plan)
         ref_result, ref_seen = _counters(
-            lambda: ref_rt.run(maxmin_node_factory(solver_ref.schedule), rounds)
+            lambda: ref_rt.run(maxmin_node_factory(schedule), rounds)
         )
         vec_rt = SynchronousRuntime(plane=MessagePlane(inst), faults=plan)
         vec_result, vec_seen = _counters(
             lambda: vec_rt.run_vectorized(
-                VectorizedMaxMinProtocol(solver_vec.schedule), rounds
+                VectorizedMaxMinProtocol(schedule), rounds
             )
         )
         assert ref_result.outputs == vec_result.outputs

@@ -2,10 +2,12 @@
 
 Pins three contracts introduced with the vectorized runtime:
 
-* the safe baseline's two backends agree exactly (identical arithmetic per
-  edge), centralized and distributed, across every generator family;
-* the vectorized runtime reproduces the dict-based oracle for the E5 local
-  protocol — outputs, round counts and per-round message statistics;
+* the CSR safe share agrees exactly with the per-node oracle
+  :func:`repro.oracle.safe_solution` (identical arithmetic per edge),
+  centralized and distributed, across every generator family;
+* the message plane reproduces the dict runtime (``measure_bytes=True``) for
+  the E5 local protocol — outputs, round counts and per-round message
+  statistics;
 * a protocol whose agents fail to produce output raises instead of silently
   yielding a "feasible" all-zero solution (regression).
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import oracle
 from repro._types import NodeType
 from repro.algo.local_solver import SpecialFormLocalSolver
 from repro.algo.safe_algorithm import SafeAlgorithm, safe_solution
@@ -42,15 +45,15 @@ class TestSafeBackendEquivalence:
     @pytest.mark.parametrize("variant", ["degree", "delta"])
     def test_centralized_backends_agree_exactly(self, variant):
         for instance in special_form_family() + _nondegenerate_general_family():
-            ref = safe_solution(instance, variant=variant, backend="reference")
-            vec = safe_solution(instance, variant=variant, backend="vectorized")
+            ref = oracle.safe_solution(instance, variant=variant)
+            vec = safe_solution(instance, variant=variant)
             for v in instance.agents:
                 assert vec[v] == ref[v]  # identical arithmetic, not just close
 
     def test_delta_override_agrees(self):
         instance = cycle_instance(6, coefficient_range=(0.5, 2.0), seed=3)
-        ref = safe_solution(instance, variant="delta", delta_I=7, backend="reference")
-        vec = safe_solution(instance, variant="delta", delta_I=7, backend="vectorized")
+        ref = oracle.safe_solution(instance, variant="delta", delta_I=7)
+        vec = safe_solution(instance, variant="delta", delta_I=7)
         for v in instance.agents:
             assert vec[v] == ref[v]
 
@@ -59,29 +62,23 @@ class TestSafeBackendEquivalence:
         instance = cycle_instance(4)
         with pytest.raises(ValueError, match="delta_I"):
             safe_solution(instance, variant="degree", delta_I=5)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            safe_solution(cycle_instance(4), backend="gpu")
-        with pytest.raises(ValueError):
-            SafeAlgorithm(backend="gpu")
-        with pytest.raises(ValueError):
-            DistributedSafeSolver(backend="gpu")
-        with pytest.raises(ValueError):
-            DistributedLocalSolver(backend="gpu")
+        with pytest.raises(ValueError, match="delta_I"):
+            oracle.safe_solution(instance, variant="degree", delta_I=5)
 
     def test_safe_algorithm_wrapper_backends_agree(self):
         for instance in _nondegenerate_general_family():
-            ref = SafeAlgorithm(backend="reference").solve(instance)
-            vec = SafeAlgorithm(backend="vectorized").solve(instance)
+            pre = oracle.preprocess(instance)
+            assert not pre.changed  # nondegenerate: the wrapper adds no lift
+            ref = oracle.safe_solution(pre.instance)
+            vec = SafeAlgorithm().solve(instance)
             for v in instance.agents:
                 assert vec[v] == ref[v]
 
     def test_distributed_matches_centralized_all_families(self):
-        for backend in ("vectorized", "reference"):
-            solver = DistributedSafeSolver(backend=backend)
+        for measure_bytes in (False, True):
+            solver = DistributedSafeSolver(measure_bytes=measure_bytes)
             for instance in special_form_family() + _nondegenerate_general_family():
-                central = safe_solution(instance, variant="degree", backend=backend)
+                central = safe_solution(instance, variant="degree")
                 distributed, run = solver.solve(instance)
                 assert run.rounds == safe_agents_mod.SAFE_ALGORITHM_ROUNDS
                 for v in instance.agents:
@@ -133,13 +130,13 @@ class TestMessagePlane:
 
 
 class TestRuntimeEquivalence:
-    """Vectorized vs reference runtime for the E5 local protocol."""
+    """Message plane vs the per-node dict runtime for the E5 local protocol."""
 
     @pytest.mark.parametrize("R", [2, 3, 4])
     def test_outputs_and_statistics_match_oracle(self, R):
         for instance in special_form_family()[:4]:
-            ref_solution, ref_run = DistributedLocalSolver(R=R, backend="reference").solve(instance)
-            vec_solution, vec_run = DistributedLocalSolver(R=R, backend="vectorized").solve(instance)
+            ref_solution, ref_run = DistributedLocalSolver(R=R, measure_bytes=True).solve(instance)
+            vec_solution, vec_run = DistributedLocalSolver(R=R).solve(instance)
             assert vec_run.rounds == ref_run.rounds == 12 * (R - 2) + 7
             assert vec_run.total_messages == ref_run.total_messages
             assert [s.messages for s in vec_run.per_round] == [
@@ -151,15 +148,15 @@ class TestRuntimeEquivalence:
     def test_vectorized_matches_centralized_solver(self):
         for R in (2, 3):
             for instance in special_form_family():
-                central = SpecialFormLocalSolver(R=R, backend="vectorized").solve(instance)
-                distributed, _run = DistributedLocalSolver(R=R, backend="vectorized").solve(instance)
+                central = SpecialFormLocalSolver(R=R).solve(instance)
+                distributed, _run = DistributedLocalSolver(R=R).solve(instance)
                 for v in instance.agents:
                     assert distributed[v] == pytest.approx(central.solution[v], abs=1e-9)
 
     def test_vectorized_safe_statistics_match_oracle(self):
         instance = cycle_instance(5)
-        _s, ref_run = DistributedSafeSolver(backend="reference").solve(instance)
-        _s, vec_run = DistributedSafeSolver(backend="vectorized").solve(instance)
+        _s, ref_run = DistributedSafeSolver(measure_bytes=True).solve(instance)
+        _s, vec_run = DistributedSafeSolver().solve(instance)
         assert vec_run.total_messages == ref_run.total_messages == 2 * instance.num_constraints
         assert [s.messages for s in vec_run.per_round] == [s.messages for s in ref_run.per_round]
 
@@ -183,12 +180,12 @@ class TestMissingOutputRegression:
     def test_safe_solver_raises_on_silent_agents(self, monkeypatch):
         monkeypatch.setattr(safe_agents_mod.SafeAgentNode, "output", lambda self: None)
         with pytest.raises(SimulationError, match="no\\s+output"):
-            DistributedSafeSolver(backend="reference").solve(cycle_instance(4))
+            DistributedSafeSolver(measure_bytes=True).solve(cycle_instance(4))
 
     def test_local_solver_raises_on_silent_agents(self, monkeypatch):
         monkeypatch.setattr(agents_mod.MaxMinAgentNode, "output", lambda self: None)
         with pytest.raises(SimulationError, match="no\\s+output"):
-            DistributedLocalSolver(R=2, backend="reference").solve(cycle_instance(4))
+            DistributedLocalSolver(R=2, measure_bytes=True).solve(cycle_instance(4))
 
     def test_partial_outputs_also_rejected(self):
         """Even one silent agent out of many must fail the run."""

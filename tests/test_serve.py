@@ -277,7 +277,7 @@ class TestServerBasics:
             assert counters["serve.cache_stores"] >= 1
             assert counters["serve.cache_hits"] >= 1
             assert metrics["cache"]["entries"] >= 1
-            assert set(metrics["breakers"]) == {"vectorized", "reference"}
+            assert set(metrics["breakers"]) == {"local"}
             assert metrics["registry"]["capacity"] == config.registry_capacity
             assert isinstance(metrics["leaked_timeout_threads"], int)
 
@@ -376,7 +376,7 @@ class TestCoalescing:
 
     def test_solo_matches_direct_solver_bitwise(self):
         (inst,) = make_instances(1, size=12)
-        direct = LocalMaxMinSolver(R=3, backend="vectorized").solve(inst)
+        direct = LocalMaxMinSolver(R=3).solve(inst)
         with ServerHandle(ServeConfig(workers=2)) as handle:
             client = handle.client(timeout_s=20)
             status, payload = client.solve(instance=inst, include_values=True)
@@ -388,21 +388,17 @@ class TestCoalescing:
 
 
 class TestDegradationLadder:
-    def test_transient_on_vectorized_degrades_to_reference(self):
+    def test_transient_on_local_degrades_to_safe(self):
         (inst,) = make_instances(1)
-        plan = FaultPlan(
-            seed=7,
-            job_faults=(
-                transient(algorithm="local", params=(("backend", "vectorized"),)),
-            ),
-        )
+        plan = FaultPlan(seed=7, job_faults=(transient(algorithm="local"),))
         with ServerHandle(ServeConfig(workers=2, faults=plan)) as handle:
             client = handle.client(timeout_s=20)
             status, payload = client.solve(instance=inst)
             assert status == 200 and payload["degraded"]
-            assert payload["backend"] == "reference"
-            assert "FaultInjectionError" in payload["degraded_reason"]
+            assert payload["algorithm"] == "safe-degree"
+            assert payload["degraded_reason"] == "error:local:FaultInjectionError"
             assert payload["result"]["feasible"]
+            assert "backend" not in payload
 
     def test_hang_degrades_to_safe_within_deadline(self):
         (inst,) = make_instances(1)
@@ -448,11 +444,7 @@ class TestDegradationLadder:
         plan = FaultPlan(
             seed=7,
             job_faults=(
-                transient(
-                    algorithm="local",
-                    params=(("backend", "vectorized"),),
-                    attempts=None,  # poison: every vectorized attempt fails
-                ),
+                transient(algorithm="local", attempts=None),  # poison: every §5 attempt fails
             ),
         )
         config = ServeConfig(
@@ -468,12 +460,39 @@ class TestDegradationLadder:
                 status, payload = client.solve(instance=inst)
                 assert status == 200 and payload["degraded"]
             status, metrics = client.metrics()
-            assert metrics["breakers"]["vectorized"]["state"] == "open"
-            assert metrics["breakers"]["vectorized"]["opens"] >= 1
+            assert metrics["breakers"]["local"]["state"] == "open"
+            assert metrics["breakers"]["local"]["opens"] >= 1
             # With the breaker open the ladder skips the rung outright.
             status, payload = client.solve(instance=inst)
             assert status == 200 and payload["degraded"]
-            assert "breaker_open:vectorized" in payload["degraded_reason"]
+            assert payload["degraded_reason"] == "breaker_open:local"
+
+    def test_safe_requests_are_not_gated_by_the_local_breaker(self):
+        (inst,) = make_instances(1)
+        plan = FaultPlan(seed=7, job_faults=(transient(algorithm="local", attempts=None),))
+        config = ServeConfig(
+            workers=1,
+            faults=plan,
+            coalesce_window_s=0,
+            breaker_failure_threshold=2,
+            breaker_cooldown_s=60.0,
+        )
+        with ServerHandle(config) as handle:
+            client = handle.client(timeout_s=20)
+            for _ in range(3):
+                status, payload = client.solve(instance=inst)
+                assert status == 200 and payload["degraded"]
+            status, metrics = client.metrics()
+            assert metrics["breakers"]["local"]["state"] == "open"
+            # The safe baseline never failed, so the open §5 breaker must
+            # neither degrade nor fail a safe request.
+            for degrade in (True, False):
+                status, payload = client.solve(instance=inst, algorithm="safe", degrade=degrade)
+                assert status == 200, payload
+                assert payload["degraded"] is False
+                assert payload["degraded_reason"] is None
+                assert payload["algorithm"] == "safe-degree"
+                assert payload["result"]["feasible"]
 
 
 class TestAdmissionControl:
@@ -515,8 +534,8 @@ class TestChaosBarrage:
         plan = FaultPlan(
             seed=11,
             job_faults=(
-                transient(algorithm="local", params=(("backend", "vectorized"),)),
-                hang(0.2, algorithm="local", attempts=(1,)),
+                transient(algorithm="local", params=(("R", 2),)),
+                hang(0.2, algorithm="local", params=(("R", 3),)),
             ),
         )
         config = ServeConfig(
@@ -541,7 +560,7 @@ class TestChaosBarrage:
                 doc = docs[i % len(docs)]
                 kind = i % 4
                 if kind == 0:
-                    requests.append(("solve", {"instance": doc}))
+                    requests.append(("solve", {"instance": doc, "R": 2}))
                 elif kind == 1:
                     requests.append(("solve", {"instance": doc, "deadline_s": 0.75}))
                 elif kind == 2:

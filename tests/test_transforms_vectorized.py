@@ -1,10 +1,10 @@
 """Equivalence property suite for the compiled §4 transformation pipeline.
 
-The contract that lets ``backend="vectorized"`` be the default for
+The contract that lets the array pipeline be the one production path of
 :func:`repro.transforms.to_special_form`:
 
-* the transformed instance is **digest-identical** to the reference
-  pipeline's output — same node ids in the same canonical order,
+* the transformed instance is **digest-identical** to the output of the
+  per-stage oracle :func:`repro.oracle.to_special_form` — same node ids in the same canonical order,
   bitwise-equal coefficients (so ``==`` holds exactly and the engine's
   content-addressed cache keys coincide);
 * the composed ratio factor and the per-stage metadata agree;
@@ -29,7 +29,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import repro.transforms.vectorized as vec_mod
-from repro import obs
+from repro import obs, oracle
 from repro.algo.general_solver import LocalMaxMinSolver
 from repro.algo.local_solver import SpecialFormLocalSolver
 from repro.core.builder import InstanceBuilder
@@ -117,9 +117,7 @@ CASE_IDS = [case_id for case_id, _ in CASES]
 
 
 def _both_pipelines(clean):
-    ref = to_special_form(clean, backend="reference")
-    vec = to_special_form(clean, backend="vectorized")
-    return ref, vec
+    return oracle.to_special_form(clean), to_special_form(clean)
 
 
 #: Every array of a compiled view (the 12 CSR arrays plus the capacities).
@@ -175,7 +173,7 @@ class TestDigestIdentity:
 
     @pytest.mark.parametrize("case_id,clean", CASES, ids=CASE_IDS)
     def test_output_matches_declared_instance(self, case_id, clean):
-        _assert_matches_declared(to_special_form(clean, backend="vectorized").transformed)
+        _assert_matches_declared(to_special_form(clean).transformed)
 
     @pytest.mark.parametrize("case_id,clean", CASES, ids=CASE_IDS)
     def test_back_mapped_solutions_agree(self, case_id, clean):
@@ -192,7 +190,7 @@ class TestDigestIdentity:
 
     def test_noop_pipeline_returns_same_instance(self):
         special = cycle_instance(8)
-        result = to_special_form(special, backend="vectorized")
+        result = to_special_form(special)
         assert result.transformed is special
         assert not result.changed
         sol = Solution(special, {v: 0.1 for v in special.agents}, label="probe")
@@ -314,7 +312,7 @@ class TestArrayConstruction:
 class TestCompiledTransformResult:
     def test_map_back_array_matches_map_back(self):
         clean = preprocess(build_general_instance()).instance
-        vec = to_special_form(clean, backend="vectorized")
+        vec = to_special_form(clean)
         assert isinstance(vec, CompiledTransformResult)
         lp = solve_maxmin_lp(vec.transformed)
         x = np.asarray([lp.solution[v] for v in vec.transformed.agents])
@@ -333,22 +331,23 @@ class TestCompiledTransformResult:
 
     def test_rejects_degenerate(self, degenerate_instance):
         with pytest.raises(DegenerateInstanceError):
-            to_special_form(degenerate_instance, backend="vectorized")
-
-    def test_unknown_backend_rejected(self, general_instance):
-        with pytest.raises(ValueError):
-            to_special_form(general_instance, backend="turbo")
+            to_special_form(degenerate_instance)
+        with pytest.raises(DegenerateInstanceError):
+            oracle.to_special_form(degenerate_instance)
 
 
 class TestSolverIntegration:
     @pytest.mark.parametrize("case_id,clean", CASES[:6], ids=CASE_IDS[:6])
     def test_transform_backends_agree_end_to_end(self, case_id, clean):
-        ref = LocalMaxMinSolver(R=3, transform_backend="reference").solve(clean)
-        vec = LocalMaxMinSolver(R=3, transform_backend="vectorized").solve(clean)
-        assert vec.status == ref.status
-        assert vec.certificate.guaranteed_ratio == ref.certificate.guaranteed_ratio
+        """A §5 solve behind the oracle's §4 pipeline matches the solver's."""
+        ref = oracle.to_special_form(clean)
+        inner = SpecialFormLocalSolver(R=3).solve(ref.transformed)
+        mapped = ref.map_back(inner.solution)
+        vec = LocalMaxMinSolver(R=3).solve(clean)
+        assert vec.status == "local"
+        assert vec.certificate.guaranteed_ratio == ref.ratio_factor * inner.guaranteed_ratio
         for v in clean.agents:
-            assert vec.solution[v] == pytest.approx(ref.solution[v], abs=1e-9)
+            assert vec.solution[v] == pytest.approx(mapped[v], abs=1e-9)
 
     def test_solve_many_matches_solve(self):
         instances = [clean for _, clean in CASES[:5]]
