@@ -43,7 +43,8 @@ from ..core.instance import MaxMinInstance
 from ..core.lp import solve_maxmin_lp
 from ..core.solution import Solution
 from ..core.validation import require_special_form
-from .upper_bound import compute_upper_bounds, smooth_upper_bounds
+from .kernels import batched_upper_bounds
+from .upper_bound import smooth_upper_bounds
 
 __all__ = ["ABLATION_VARIANTS", "solve_ablation", "ablation_report"]
 
@@ -61,8 +62,11 @@ def solve_ablation(
     """Run one ablation variant on a special-form instance.
 
     ``variant`` must be one of :data:`ABLATION_VARIANTS`; ``"full"`` returns
-    the output of :func:`repro.oracle.special_form_solve`, which the variants
-    modify one ingredient at a time.
+    the §5 output, which the variants modify one ingredient at a time.  The
+    bounds ``t_u`` come from the solver's own kernel
+    (:func:`~repro.algo.kernels.batched_upper_bounds`), since no variant
+    touches them; smoothing, the ``g±`` recursion and Eq. 18 are the per-node
+    transcriptions of :mod:`repro.oracle`.
     """
     from ..oracle import g_recursion
 
@@ -73,7 +77,8 @@ def solve_ablation(
     require_special_form(instance)
     r = R - 2
 
-    upper_bounds = compute_upper_bounds(instance, r, method=tu_method)
+    t = batched_upper_bounds(instance.compiled(), r, method=tu_method)
+    upper_bounds = dict(zip(instance.agents, t.tolist()))
     if variant == "no_smoothing":
         bounds: Dict[NodeId, float] = dict(upper_bounds)
     else:

@@ -2,7 +2,7 @@
 
 The per-node oracle (:func:`repro.oracle.special_form_solve`, built on
 :mod:`repro.algo.upper_bound`) walks object graphs: one alternating tree per
-agent, a ~200-step bisection through a dict-based recursion per tree, one
+agent, a ~35-step bisection through a dict-based recursion per tree, one
 networkx BFS per agent for the smoothing step and per-node dict lookups in
 the ``g±`` recursion.  These kernels compute the same quantities over the
 int-indexed CSR arrays of a :class:`~repro.core.compiled.CompiledInstance`:
@@ -12,9 +12,12 @@ int-indexed CSR arrays of a :class:`~repro.core.compiled.CompiledInstance`:
   vectorized gather, not an object BFS);
 * :func:`batched_upper_bounds` deduplicates structurally identical trees by
   canonical signature (symmetric families — cycles, grids, regular graphs —
-  collapse to a handful of distinct trees) and runs the ``t_u`` bisection
-  for all distinct trees at once: numpy ``lo``/``hi`` vectors, one
-  level-ordered ``f±`` sweep per iteration;
+  collapse to a handful of distinct trees), with hashes and whole-batch
+  element-wise comparisons instead of per-tree loops, and finds ``t_u`` for
+  all distinct trees at once: a safeguarded bracketed search (secant and
+  chord steps on the concave, piecewise-linear recursion margin, midpoint
+  fallback) with per-tree numpy brackets, one level-ordered ``f±`` sweep
+  per iteration, in about half the sweeps of a bisection;
 * :func:`smooth_bounds_kernel` replaces the ``n`` per-agent BFS calls with
   ``2r + 1`` rounds of synchronous neighbour-min propagation over the
   agent-level adjacency (one round per *pair* of communication-graph edges,
@@ -24,14 +27,15 @@ int-indexed CSR arrays of a :class:`~repro.core.compiled.CompiledInstance`:
   Eq. 18 as whole-vector operations.
 
 Floating-point parity: every segmented reduction runs in the same canonical
-adjacency order as the oracle's Python loops, so the two agree to within
-bisection tolerance (the equivalence property tests in
+adjacency order as the oracle's Python loops.  Both ``t_u`` searches return a
+feasible ``ω`` within ``tol`` (1e-10) of the same maximum, so the two agree
+to within that tolerance (the equivalence property tests in
 ``tests/test_kernels.py`` pin this at 1e-9).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -128,13 +132,15 @@ class BatchedTrees:
 
     # ------------------------------------------------------------------
     def signatures(self) -> List[bytes]:
-        """Canonical per-tree structure signature for deduplication.
+        """Canonical per-tree structure signature — the definition of dedup.
 
         Two trees with equal signatures have identical child structure, edge
         coefficients and node capacities at every level, hence identical
         ``f±`` recursions and identical ``t_u``.  Node *identities* are
         deliberately excluded: a cycle's ``n`` rotationally equivalent trees
-        all collapse to one signature.
+        all collapse to one signature.  One Python loop per tree: the solver
+        partitions trees with the vectorized :func:`_dedup_groups`, and the
+        tests check that partition against this one.
         """
         capacity = self.comp.capacity
         per_level_parts: List[List[np.ndarray]] = []
@@ -160,36 +166,6 @@ class BatchedTrees:
                     chunks.append(payload)
             sigs.append(b"".join(chunks))
         return sigs
-
-    def grouping_keys(self) -> np.ndarray:
-        """Cheap per-tree keys that *refine* the signature partition — batched.
-
-        One ``(T, F)`` float matrix built from whole-level segmented
-        reductions: per level the tree's node count and the per-tree sums of
-        every array the byte signature encodes (capacities, child counts,
-        edge coefficients).  Trees with equal signatures have identical
-        per-level arrays, hence identical keys; trees with different keys are
-        therefore provably distinct.  :func:`batched_upper_bounds` uses this
-        to compute the O(T)-Python byte signatures only inside key-collision
-        groups — on coefficient-perturbed families (every tree distinct) the
-        whole dedup step collapses to these vectorized reductions.
-        """
-        T = self.num_trees
-        capacity = self.comp.capacity
-        cols: List[np.ndarray] = []
-        for level in self.levels:
-            tree_of_node = level.tree_of_node
-            cols.append(level.root_counts.astype(np.float64))
-            cols.append(np.bincount(tree_of_node, weights=capacity[level.nodes], minlength=T))
-            if level.child_indptr is not None:
-                child_counts = np.diff(level.child_indptr).astype(np.float64)
-                cols.append(np.bincount(tree_of_node, weights=child_counts, minlength=T))
-            if level.a_self is not None:
-                cols.append(np.bincount(tree_of_node, weights=level.a_self, minlength=T))
-                cols.append(np.bincount(tree_of_node, weights=level.a_partner, minlength=T))
-        if not cols:
-            return np.zeros((T, 0), dtype=np.float64)
-        return np.column_stack(cols)
 
     def select(self, tree_indices: np.ndarray) -> "BatchedTrees":
         """A new :class:`BatchedTrees` restricted to the given trees."""
@@ -309,7 +285,7 @@ def _recursion_margins(bt: BatchedTrees, omega: np.ndarray) -> np.ndarray:
     return np.minimum(min_fp, root_slack)
 
 
-#: Active-set compaction policy for :func:`_batched_bisection`: once the
+#: Active-set compaction policy for :func:`_bracketed_search`: once the
 #: still-unconverged trees are at most this fraction of the current working
 #: set (and at least ``_COMPACT_MIN_DROP`` trees would be shed), the working
 #: set is physically compacted with :meth:`BatchedTrees.select` so each
@@ -320,22 +296,42 @@ _COMPACT_FRACTION = 0.5
 _COMPACT_MIN_DROP = 16
 
 
-def _batched_bisection(
+def _bracketed_search(
     bt: BatchedTrees,
     tol: float,
     max_iterations: int,
     *,
     compact: bool = True,
 ) -> np.ndarray:
-    """``t_u`` for every tree in the batch via simultaneous binary search.
+    """``t_u`` for every tree in the batch via a safeguarded bracketed search.
 
-    Vectorization of :func:`repro.algo.upper_bound.tree_optimum_binary_search`
-    with per-tree ``lo``/``hi`` brackets: identical upper limit, identical
-    per-tree stopping rule (``hi − lo ≤ tol`` or the iteration cap), one
-    shared ``f±`` sweep per iteration.  With ``compact=True`` (default) the
-    working set shrinks mid-run (see :data:`_COMPACT_FRACTION`); each tree's
-    bisection trajectory is independent of its batch neighbours, so the
-    returned ``t`` is bitwise identical either way.
+    ``t_u`` is the largest ``ω`` with a nonnegative :func:`_recursion_margins`
+    (Lemma 3).  Level by level ``f⁻`` is convex and ``f⁺`` concave in ``ω``,
+    so the margin is concave, nonincreasing and piecewise linear, and a
+    Brent-style search (*Algorithms for Minimization without Derivatives*,
+    ch. 4) lands on its active linear piece in a few sweeps.  Each tree keeps
+    a feasible ``lo`` and an infeasible ``hi`` with their margins and probes:
+
+    * after a probe that raised ``lo``, the root of the chord through the two
+      latest infeasible points — extrapolated below them, a chord of a
+      concave function lies above it, so the probe lands infeasible;
+    * otherwise the root of the secant of ``(lo, hi)`` — interpolated, the
+      chord lies below the function, so the probe lands feasible;
+    * the midpoint when the bracket has not halved in two sweeps or the
+      chord has no root;
+
+    every probe clamped to ``[lo + tol/2, hi − tol/2]``.  The search stops
+    on bisection's rule, ``hi − lo ≤ tol``, and returns ``lo``: a ``t_u``
+    with ``margin(t_u) ≥ 0`` within ``tol`` of the maximum, in about half the
+    sweeps of a bisection.  ``hi0`` (the root objective's capacity sum, cf.
+    :func:`~repro.algo.upper_bound.tree_optimum_binary_search`) is returned
+    as is when feasible.
+
+    One ``f±`` sweep per iteration serves all trees.  Each tree's trajectory
+    reads only its own margins, so its ``t`` is bitwise identical whatever
+    batch it runs in; with ``compact=True`` (default) the working set
+    shrinks mid-run (see :data:`_COMPACT_FRACTION`) without changing any
+    ``t``.
     """
     comp = bt.comp
     T = bt.num_trees
@@ -356,58 +352,81 @@ def _batched_bisection(
 
     t = np.zeros(T, dtype=np.float64)
     positive = hi0 > 0.0
-    feasible_at_hi = np.zeros(T, dtype=bool)
+    m_lo = m_hi = np.zeros(T, dtype=np.float64)
     if positive.any():
-        feasible_at_hi = _recursion_margins(bt, hi0) >= 0.0
+        m_lo = _recursion_margins(bt, np.zeros(T, dtype=np.float64))
+        m_hi = _recursion_margins(bt, hi0)
+    feasible_at_hi = m_hi >= 0.0
     t[positive & feasible_at_hi] = hi0[positive & feasible_at_hi]
-
-    active = positive & ~feasible_at_hi
+    searched = positive & ~feasible_at_hi
     lo_full = np.zeros(T, dtype=np.float64)
 
-    # Working-set state: ``origin`` maps working positions back to batch
-    # positions; converged brackets are scattered into ``lo_full`` before any
-    # compaction drops them.
+    # Working-set state, one entry per working tree: the bracket and its
+    # margins, the previous infeasible point, the bracket widths one and two
+    # sweeps back, and whether the last probe raised ``lo``.  ``origin`` maps
+    # working positions back to batch positions; converged brackets are
+    # scattered into ``lo_full`` before any compaction drops them.
     cur = bt
     origin = np.arange(T, dtype=np.int64)
-    w_active = active.copy()
-    w_lo = np.zeros(T, dtype=np.float64)
-    w_hi = hi0.copy()
+    active = searched.copy()
+    lo = np.zeros(T, dtype=np.float64)
+    hi = hi0.copy()
+    hi_prev = np.full(T, np.nan)
+    m_hi_prev = np.full(T, np.nan)
+    width_1 = np.full(T, np.inf)
+    width_2 = np.full(T, np.inf)
+    raised = np.zeros(T, dtype=bool)
     iterations = 0
     tree_iterations = 0
     compactions = 0
     while iterations < max_iterations:
-        w_active &= (w_hi - w_lo) > tol
-        n_active = int(w_active.sum())
+        width = hi - lo
+        active &= width > tol
+        n_active = int(active.sum())
         if n_active == 0:
             break
         if (
             compact
-            and len(w_active) - n_active >= _COMPACT_MIN_DROP
-            and n_active <= _COMPACT_FRACTION * len(w_active)
+            and len(active) - n_active >= _COMPACT_MIN_DROP
+            and n_active <= _COMPACT_FRACTION * len(active)
         ):
-            lo_full[origin] = w_lo
-            keep = np.flatnonzero(w_active)
+            lo_full[origin] = lo
+            keep = np.flatnonzero(active)
             cur = cur.select(keep)
-            origin = origin[keep]
-            w_lo = w_lo[keep]
-            w_hi = w_hi[keep]
-            w_active = np.ones(len(keep), dtype=bool)
+            state = (origin, lo, m_lo, hi, m_hi, hi_prev, m_hi_prev, width, width_1, width_2, raised)
+            origin, lo, m_lo, hi, m_hi, hi_prev, m_hi_prev, width, width_1, width_2, raised = (
+                a[keep] for a in state
+            )
+            active = np.ones(len(keep), dtype=bool)
             compactions += 1
-        mid = 0.5 * (w_lo + w_hi)
-        feasible = _recursion_margins(cur, mid) >= 0.0
-        take = w_active & feasible
-        w_lo[take] = mid[take]
-        drop = w_active & ~feasible
-        w_hi[drop] = mid[drop]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            secant = lo + m_lo * (width / (m_lo - m_hi))
+            chord = hi - m_hi * ((hi_prev - hi) / (m_hi_prev - m_hi))
+        probe = np.where(raised, chord, secant)
+        bisect = (width > 0.5 * width_2) | ~np.isfinite(probe)
+        probe = np.where(bisect, 0.5 * (lo + hi), probe)
+        probe = np.minimum(np.maximum(probe, lo + 0.5 * tol), hi - 0.5 * tol)
+        margins = _recursion_margins(cur, probe)
+        # Converged trees are still swept until compaction drops them; the
+        # masks keep their brackets (only ``lo`` is read back) unchanged.
+        take = active & (margins >= 0.0)
+        drop = active & ~take
+        lo = np.where(take, probe, lo)
+        m_lo = np.where(take, margins, m_lo)
+        hi_prev = np.where(drop, hi, hi_prev)
+        m_hi_prev = np.where(drop, m_hi, m_hi_prev)
+        hi = np.where(drop, probe, hi)
+        m_hi = np.where(drop, margins, m_hi)
+        width_2, width_1 = width_1, width
+        raised = take
         iterations += 1
         tree_iterations += n_active
 
     obs.count("kernels.bisection_sweeps", iterations)
     obs.count("kernels.bisection_iterations", tree_iterations)
     obs.count("kernels.bisection_compactions", compactions)
-    lo_full[origin] = w_lo
-    bisected = positive & ~feasible_at_hi
-    t[bisected] = lo_full[bisected]
+    lo_full[origin] = lo
+    t[searched] = lo_full[searched]
     return t
 
 
@@ -431,12 +450,13 @@ def batched_upper_bounds(
     """``t_u`` per agent (positions ``targets``, default all) — batched.
 
     Builds all alternating trees at once, groups them by canonical signature
-    and computes one ``t_u`` per *distinct* tree: via the simultaneous
-    bisection for ``method="recursion"``, or via one exact tree-LP solve per
-    representative for ``method="lp"`` (the LP itself is not vectorizable,
-    but symmetric families still collapse to a handful of solves).
-    ``compact`` enables mid-bisection active-set compaction (bitwise-neutral;
-    see :func:`_batched_bisection`).
+    (:func:`_dedup_groups`) and computes one ``t_u`` per *distinct* tree: via
+    the simultaneous bracketed search for ``method="recursion"``, or via one
+    exact tree-LP solve per representative for ``method="lp"`` (the LP itself
+    is not vectorizable, but symmetric families still collapse to a handful
+    of solves).  ``tol`` is the width of the final ``t_u`` bracket and
+    ``max_iterations`` caps the sweeps; ``compact`` enables mid-search
+    active-set compaction (bitwise-neutral; see :func:`_bracketed_search`).
     """
     if method not in ("recursion", "lp"):
         raise ValueError(f"unknown t_u method {method!r} (expected 'recursion' or 'lp')")
@@ -466,7 +486,7 @@ def batched_upper_bounds(
         )
     else:
         rep_bt = bt.select(rep_idx) if len(rep_idx) < bt.num_trees else bt
-        rep_t = _batched_bisection(rep_bt, tol, max_iterations, compact=compact)
+        rep_t = _bracketed_search(rep_bt, tol, max_iterations, compact=compact)
 
     return rep_t[group_of]
 
@@ -474,47 +494,130 @@ def batched_upper_bounds(
 def _dedup_groups(bt: BatchedTrees) -> Tuple[np.ndarray, np.ndarray]:
     """``(representatives, group_of)`` for the canonical-signature dedup.
 
-    Identical partition to grouping by :meth:`BatchedTrees.signatures`
-    alone, computed cheaply: the vectorized grouping keys are mixed into one
-    64-bit hash per tree (equal signature ⇒ equal key ⇒ equal hash), and the
-    Python byte signatures are built only for trees whose hash collides with
-    another tree's — a hash collision between *different* trees merely costs
-    those trees a signature comparison, it can never merge them.  When every
-    hash is unique — the common case for coefficient-perturbed families at
-    medium ``n`` — no byte signature is ever materialised.
+    Exactly the partition of grouping by :meth:`BatchedTrees.signatures`,
+    with the first tree of each class as its representative and groups
+    numbered in order of first appearance — computed without a per-tree
+    Python loop.  Every tree gets a 64-bit hash of its whole content
+    (:func:`_content_hashes`; equal signature ⇒ equal hash); when every
+    hash is unique — the common case for coefficient-perturbed families —
+    that alone is the partition.  Otherwise every member of a hash class is
+    compared element-wise against the class's first tree (:func:`_same_trees`)
+    and the members that differ are re-seeded: split into new classes by
+    the content hash under a fresh seed, then compared again, until every
+    class agrees with its first tree.  A hash collision between different
+    trees therefore only costs a comparison round; it can never merge them.
     """
     T = bt.num_trees
-    keys = bt.grouping_keys()
-    if keys.shape[1] == 0:
-        hashes = np.zeros(T, dtype=np.uint64)
-    else:
-        bits = np.ascontiguousarray(keys).view(np.uint64)
-        hashes = np.zeros(T, dtype=np.uint64)
-        prime = np.uint64(0x100000001B3)  # FNV-1a style mixing, wraparound intended
-        for j in range(bits.shape[1]):
-            hashes = hashes * prime + bits[:, j]
-    _, inverse, counts = np.unique(hashes, return_inverse=True, return_counts=True)
-    inverse = inverse.reshape(-1)
+    _, classes, counts = np.unique(_content_hashes(bt, 0), return_inverse=True, return_counts=True)
     if int(counts.max()) == 1:
         rep_idx = np.arange(T, dtype=np.int64)
         return rep_idx, rep_idx
 
-    multi = np.flatnonzero(counts[inverse] > 1)
-    if len(multi) < T:
-        sig_of = dict(zip(multi.tolist(), bt.select(multi).signatures()))
-    else:
-        sig_of = dict(enumerate(bt.signatures()))
-    first_of: Dict[object, int] = {}
-    representatives: List[int] = []
-    group_of = np.empty(T, dtype=np.int64)
-    inv_list = inverse.tolist()
-    for t in range(T):
-        key = (inv_list[t], sig_of.get(t))
-        g = first_of.setdefault(key, len(representatives))
-        if g == len(representatives):
-            representatives.append(t)
-        group_of[t] = g
-    return np.asarray(representatives, dtype=np.int64), group_of
+    # ``pending``: trees not yet verified against their class's first tree.
+    # A tree that matched keeps its class and that class keeps its first
+    # tree, so each round re-checks only the trees the last one re-seeded.
+    # Each round settles at least the first tree's class of every class it
+    # splits, so the loop ends even if a re-seed hash collides again.
+    classes = classes.reshape(-1)
+    pending = np.arange(T, dtype=np.int64)
+    seed = 0
+    while True:
+        labels, first, classes = np.unique(classes, return_index=True, return_inverse=True)
+        classes = classes.reshape(-1)
+        ref = first[classes]
+        members = pending[ref[pending] != pending]
+        pending = members[~_same_trees(bt, members, ref[members])]
+        if len(pending) == 0:
+            break
+        seed += 1
+        rehash = _mix64(_content_hashes(bt.select(pending), seed) ^ classes[pending].astype(np.uint64))
+        _, split = np.unique(rehash, return_inverse=True)
+        classes[pending] = len(labels) + split.reshape(-1)
+    rep_idx = np.flatnonzero(ref == np.arange(T))
+    return rep_idx, np.searchsorted(rep_idx, ref)
+
+
+_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_2 = np.uint64(0x94D049BB133111EB)
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer on a ``uint64`` array (bijective, wraparound intended)."""
+    z = z ^ (z >> np.uint64(30))
+    z *= _MIX_1
+    z ^= z >> np.uint64(27)
+    z *= _MIX_2
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _content_hashes(bt: BatchedTrees, seed: int) -> np.ndarray:
+    """A seeded 64-bit hash per tree of everything
+    :meth:`BatchedTrees.signatures` encodes.
+
+    Per level, each node's capacity, position in its tree's block, child
+    count and edge coefficients are folded into one word with odd
+    multipliers drawn from ``seed``, mixed, and summed per tree; each
+    level's sums and node counts are then mixed into the tree's hash.  The
+    position term makes trees that hold the same values in a different
+    arrangement hash apart; a new seed changes every multiplier.
+    """
+    mult = _mix64(np.arange(5 * seed + 1, 5 * seed + 6, dtype=np.uint64)) | np.uint64(1)
+    capacity_bits = bt.comp.capacity.view(np.uint64)
+    T = bt.num_trees
+    hashes = np.zeros(T, dtype=np.uint64)
+    for level in bt.levels:
+        starts = level.root_indptr[:-1]
+        counts = level.root_counts
+        position = np.arange(len(level.nodes), dtype=np.int64) - starts[level.tree_of_node]
+        node = capacity_bits[level.nodes] * mult[0]
+        node += position.view(np.uint64)
+        if level.child_indptr is not None:
+            node *= mult[1]
+            node += np.diff(level.child_indptr).view(np.uint64)
+        if level.a_self is not None:
+            node *= mult[2]
+            node += level.a_self.view(np.uint64)
+            node *= mult[3]
+            node += level.a_partner.view(np.uint64)
+        sums = np.zeros(T, dtype=np.uint64)
+        nonempty = counts > 0
+        if len(node):
+            sums[nonempty] = np.add.reduceat(_mix64(node), starts[nonempty])
+        hashes = _mix64(hashes ^ sums ^ (counts.astype(np.uint64) * mult[4]))
+    return hashes
+
+
+def _same_trees(bt: BatchedTrees, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per pair ``(a[j], b[j])`` with ``b[j] < a[j]``: equal signatures?
+
+    Compares, level by level, what :meth:`BatchedTrees.signatures` encodes —
+    capacities, child counts and both edge-coefficient arrays — bit for bit,
+    as whole-batch gathers over ``a``'s node counts.  The node counts need
+    no check of their own: every tree has one root, and equal child counts
+    on one level give equal node counts on the next, so a pair whose counts
+    differ somewhere already differs in the child counts above.  Reading
+    ``b``'s nodes with ``a``'s counts stays in bounds because ``b`` precedes
+    ``a``.
+    """
+    same = np.ones(len(a), dtype=bool)
+    capacity_bits = bt.comp.capacity.view(np.int64)
+    owner_ids = np.arange(len(a), dtype=np.int64)
+    for level in bt.levels:
+        counts = level.root_counts[a]
+        starts = level.root_indptr[:-1]
+        ia = _segment_gather(starts[a], counts)
+        ib = _segment_gather(starts[b], counts)
+        differs = capacity_bits[level.nodes[ia]] != capacity_bits[level.nodes[ib]]
+        if level.child_indptr is not None:
+            child_counts = np.diff(level.child_indptr)
+            differs |= child_counts[ia] != child_counts[ib]
+        if level.a_self is not None:
+            for coeff in (level.a_self.view(np.int64), level.a_partner.view(np.int64)):
+                differs |= coeff[ia] != coeff[ib]
+        owner = np.repeat(owner_ids, counts)
+        same[np.bincount(owner[differs], minlength=len(a)) > 0] = False
+    return same
 
 
 def smooth_bounds_kernel(comp: CompiledInstance, t: np.ndarray, r: int) -> np.ndarray:

@@ -31,6 +31,8 @@ bit-identical outputs; the per-node transcription of the paper's formulas is
 from __future__ import annotations
 
 import math
+import os
+import threading
 from typing import Dict, List
 
 from .. import obs
@@ -81,6 +83,21 @@ class GRecursionValues:
         return f"GRecursionValues(r={self.r}, agents={len(self.g_plus[0])})"
 
 
+#: Serialises :meth:`SpecialFormSolveResult._materialize` across threads.
+_MATERIALIZE_LOCK = threading.Lock()
+
+
+def _reinit_lock_after_fork() -> None:
+    # A fork taken while another thread materialises must not leave the
+    # child's only copy of the lock held forever.
+    global _MATERIALIZE_LOCK
+    _MATERIALIZE_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reinit_lock_after_fork)
+
+
 class SpecialFormSolveResult:
     """Everything produced by one run of the §5 algorithm on a special-form instance.
 
@@ -106,7 +123,9 @@ class SpecialFormSolveResult:
     engine's record path reads nothing but ``solution``, so a sweep never
     pays for ``O(n·r)`` dict construction per solve.  The
     ``solver.lazy_results`` / ``solver.lazy_materializations`` counters
-    record how often the skip fires versus gets undone.
+    record how often the skip fires versus gets undone.  Materialisation
+    runs under a lock, so a result shared between threads (the serve
+    workers) builds its views exactly once and every reader sees them.
     """
 
     __slots__ = (
@@ -164,16 +183,23 @@ class SpecialFormSolveResult:
         return result
 
     def _materialize(self) -> None:
-        """Build the dict views from the retained kernel arrays (once)."""
-        instance, t, s, g_plus, g_minus = self._lazy
-        agents = instance.agents
-        self._upper_bounds = dict(zip(agents, t.tolist()))
-        self._smoothed_bounds = dict(zip(agents, s.tolist()))
-        self._g = GRecursionValues(
-            [dict(zip(agents, g_plus[d].tolist())) for d in range(self.r + 1)],
-            [dict(zip(agents, g_minus[d].tolist())) for d in range(self.r + 1)],
-        )
-        self._lazy = None
+        """Build the dict views from the retained kernel arrays (once).
+
+        A caller that finds ``_lazy`` already cleared lost the race to
+        another thread, which published every view before clearing it.
+        """
+        with _MATERIALIZE_LOCK:
+            if self._lazy is None:
+                return
+            instance, t, s, g_plus, g_minus = self._lazy
+            agents = instance.agents
+            self._upper_bounds = dict(zip(agents, t.tolist()))
+            self._smoothed_bounds = dict(zip(agents, s.tolist()))
+            self._g = GRecursionValues(
+                [dict(zip(agents, g_plus[d].tolist())) for d in range(self.r + 1)],
+                [dict(zip(agents, g_minus[d].tolist())) for d in range(self.r + 1)],
+            )
+            self._lazy = None
         obs.count("solver.lazy_materializations")
 
     @property
@@ -199,8 +225,9 @@ class SpecialFormSolveResult:
 
     def minimum_smoothed_bound(self) -> float:
         """``min_v s_v`` — the quantity Lemma 12 relates the output to."""
-        if self._smoothed_bounds is None and self._lazy is not None:
-            s = self._lazy[2]
+        lazy = self._lazy
+        if lazy is not None:
+            s = lazy[2]
             return float(s.min()) if len(s) else math.inf
         return min(self.smoothed_bounds.values()) if self.smoothed_bounds else math.inf
 
@@ -221,13 +248,17 @@ class SpecialFormLocalSolver:
         — ``2 (1 − 1/ΔK)(1 + 1/(R−1))`` — at the cost of a local horizon that
         grows linearly in R.
     tu_method:
-        ``"recursion"`` (binary search, default) or ``"lp"`` (exact tree LP).
+        ``"recursion"`` (default: a bracketed search over the ``f±``
+        recursion, see :func:`repro.algo.kernels.batched_upper_bounds`) or
+        ``"lp"`` (exact tree LP).
     tu_tol:
-        Bisection tolerance when ``tu_method="recursion"``.
+        Final bracket width of the ``t_u`` search when
+        ``tu_method="recursion"``: each ``t_u`` is feasible for the
+        recursion and within ``tu_tol`` of the largest feasible ``ω``.
 
-    The per-node oracle :func:`repro.oracle.special_form_solve` computes the
-    same result to within bisection tolerance (pinned at 1e-9 by
-    ``tests/test_kernels.py``).
+    The per-node oracle :func:`repro.oracle.special_form_solve`, which
+    bisects to the same tolerance, computes the same result to within it
+    (pinned at 1e-9 by ``tests/test_kernels.py``).
     """
 
     def __init__(
@@ -310,11 +341,11 @@ class SpecialFormLocalSolver:
 
         The instances' compiled CSR blocks are concatenated into a
         :class:`~repro.core.compiled.CompiledBatch` (offset-shifted indices)
-        and the whole §5 pipeline — tree construction, the ``t_u`` bisection,
+        and the whole §5 pipeline — tree construction, the ``t_u`` search,
         smoothing, the ``g±`` recursion and Eq. 18 — runs once over the
         stack, amortising kernel launches over the batch.  Tree
         deduplication spans the batch, so structurally identical trees of
-        *different* instances share one bisection.  Every kernel reduces over
+        *different* instances share one search.  Every kernel reduces over
         per-agent segments that never cross block boundaries, so each
         instance's outputs are bitwise identical to a solo solve.
 

@@ -11,6 +11,12 @@ by the ``f±`` recursion.  Two interchangeable methods are provided:
 * ``"lp"`` — solve the tree LP exactly with :mod:`scipy` (Lemma 3 says both
   agree; the tests cross-check them).
 
+These per-tree functions are the oracle (:func:`repro.oracle.special_form_solve`),
+and it still bisects.  The solver's batched kernel
+(:func:`repro.algo.kernels.batched_upper_bounds`) finds the same ``t_u``
+with a bracketed secant search in about half the ``f±`` evaluations; both
+stop at a feasible ``ω`` within ``tol`` of the maximum.
+
 ``s_v`` (Eq. before 12) is the minimum of ``t_u`` over all agents ``u``
 within graph distance ``4r + 2`` of ``v`` — the *smoothing* step that makes
 the locally computed bounds consistent enough for the ``g±`` recursion.
@@ -40,8 +46,9 @@ __all__ = [
 #: Default absolute tolerance of the binary search for ``t_u``.
 DEFAULT_BISECTION_TOL = 1e-10
 
-#: Hard cap on bisection iterations (2^-60 relative precision is far below
-#: every other tolerance in the library).
+#: Hard cap on search iterations — per-tree bisection steps here, ``f±``
+#: sweeps in the batched kernel (2^-60 relative precision is far below every
+#: other tolerance in the library).
 MAX_BISECTION_ITERATIONS = 200
 
 

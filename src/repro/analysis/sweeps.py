@@ -77,7 +77,7 @@ def run_ratio_sweep(
         ``"per-job"`` (default) or ``"batched"`` — the latter solves all of
         the sweep's ``local`` jobs per parameter set in one multi-instance
         kernel dispatch (see :func:`repro.engine.registry.execute_jobs_batched`).
-        The stacked ``t_u`` bisection compacts its active set as trees
+        The stacked ``t_u`` search compacts its active set as trees
         converge, so batching pays off at medium instance sizes too, not only
         on many-small-instance sweeps (see
         :func:`repro.algo.kernels.batched_upper_bounds`).

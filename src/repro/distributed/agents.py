@@ -304,9 +304,10 @@ class VectorizedMaxMinProtocol(VectorizedProtocol):
     anonymous view trees), which a float-valued plane cannot carry, so the
     flood is marked on the plane for accounting while the quantity each
     agent would read off its assembled view — the alternating-tree optimum
-    ``t_u`` — is evaluated at the phase boundary by the batched bisection
-    kernel (:func:`repro.algo.kernels.batched_upper_bounds`), which computes
-    the same binary search each agent performs locally in the oracle.
+    ``t_u`` — is evaluated at the phase boundary by the batched search
+    kernel (:func:`repro.algo.kernels.batched_upper_bounds`), which finds
+    the ``t_u`` each agent's local binary search finds in the oracle, to
+    within the same tolerance.
     """
 
     def __init__(self, schedule: PhaseSchedule, tu_tol: float = 1e-10) -> None:

@@ -62,10 +62,11 @@ __all__ = [
 
 #: Version tag per registered algorithm.  Bump when an algorithm's *output*
 #: changes; cached results from older versions are then recomputed.
-#: ``local`` is at "3": the §4 transformation pipeline switched to its
-#: compiled array form (transformed instances are digest-identical, but
-#: back-mapped solutions agree only to 1e-12, so version-"2" entries are
-#: stale by the letter of the contract).  ``safe`` is at "2".  Removing the
+#: ``local`` is at "4": ``t_u`` comes from a bracketed secant search instead
+#: of a bisection, so bounds and outputs move by less than the 1e-10 search
+#: tolerance (version "3" switched the §4 pipeline to its compiled array
+#: form, whose back-mapped solutions agree only to 1e-12).  ``safe`` is at
+#: "2".  Removing the
 #: ``backend`` / ``transform_backend`` job parameters changed every job's
 #: parameters, hence every cache key, without changing any output — so no
 #: version moved.  ``lp-optimum`` is at "2": the exact LP now assembles its
@@ -73,7 +74,7 @@ __all__ = [
 #: block-diagonally (same optima within solver tolerance, but not
 #: bit-identical vertex solutions).
 SOLVER_VERSIONS: Dict[str, str] = {
-    "local": "3",
+    "local": "4",
     "safe": "2",
     "lp-optimum": "2",
 }

@@ -11,20 +11,29 @@ contract that lets the kernels be the one production path.
 
 from __future__ import annotations
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import repro.algo.kernels as kernels_mod
 from repro.algo.kernels import (
+    _dedup_groups,
+    _recursion_margins,
     batched_upper_bounds,
     build_batched_trees,
     g_recursion_kernel,
     output_kernel,
     smooth_bounds_kernel,
 )
-from repro import oracle
+from repro import obs, oracle
 from repro.algo.local_solver import SpecialFormLocalSolver
-from repro.algo.upper_bound import compute_upper_bounds, smooth_upper_bounds
-from repro.core.compiled import CompiledInstance
+from repro.algo.upper_bound import DEFAULT_BISECTION_TOL, compute_upper_bounds, smooth_upper_bounds
+from repro.core.builder import InstanceBuilder
+from repro.core.compiled import CompiledInstance, stack_compiled
 from repro.exceptions import NotSpecialFormError
 from repro.generators import (
     cycle_instance,
@@ -61,6 +70,108 @@ def special_form_cases():
 
 CASES = special_form_cases()
 CASE_IDS = [case_id for case_id, _ in CASES]
+
+
+def signature_partition(bt):
+    """``(representatives, group_of)`` by grouping :meth:`signatures` in a loop."""
+    first = {}
+    representatives = []
+    group_of = np.empty(bt.num_trees, dtype=np.int64)
+    for t, sig in enumerate(bt.signatures()):
+        g = first.setdefault(sig, len(representatives))
+        if g == len(representatives):
+            representatives.append(t)
+        group_of[t] = g
+    return np.asarray(representatives, dtype=np.int64), group_of
+
+
+def assert_same_partition(bt, *, collide=False, weak_reseed=False):
+    """``collide=True`` hashes every tree alike in the first round, so only
+    the element-wise comparison and re-seeding separate the classes;
+    ``weak_reseed=True`` also makes every re-seed hash collide, so each
+    round can only split off the class of each group's first tree."""
+    content_hashes = kernels_mod._content_hashes
+
+    def colliding_hashes(bt, seed):
+        if seed == 0 or weak_reseed:
+            return np.zeros(bt.num_trees, dtype=np.uint64)
+        return content_hashes(bt, seed)
+
+    patch = mock.patch.object(kernels_mod, "_content_hashes", colliding_hashes)
+    with patch if collide else contextlib.nullcontext():
+        reps, group_of = _dedup_groups(bt)
+    expected_reps, expected_group_of = signature_partition(bt)
+    assert np.array_equal(reps, expected_reps)
+    assert np.array_equal(group_of, expected_group_of)
+
+
+def arrangement_blind_classes(bt):
+    """Number of classes of :meth:`signatures` with each level's arrays
+    sorted per tree — what a hash of per-level sums or multisets could tell
+    apart at best."""
+    keys = set()
+    for t in range(bt.num_trees):
+        key = []
+        for level in bt.levels:
+            lo, hi = level.root_indptr[t], level.root_indptr[t + 1]
+            key.append(np.sort(bt.comp.capacity[level.nodes[lo:hi]]).tobytes())
+            if level.child_indptr is not None:
+                key.append(np.sort(np.diff(level.child_indptr)[lo:hi]).tobytes())
+            if level.a_self is not None:
+                key.append(np.sort(level.a_self[lo:hi]).tobytes())
+                key.append(np.sort(level.a_partner[lo:hi]).tobytes())
+        keys.add(tuple(key))
+    return len(keys)
+
+
+def search_upper_limits(bt):
+    """The search's ``hi0``: the root objective's capacity sum per tree."""
+    capacity = bt.comp.capacity
+    level = bt.levels[1]
+    return capacity[bt.levels[0].nodes] + np.add.reduceat(
+        capacity[level.nodes], level.root_indptr[:-1]
+    )
+
+
+@st.composite
+def special_form_instances_with_repeats(draw, max_pairs: int = 8):
+    """Cycles with chords whose coefficients come from a 3-value set.
+
+    Few coefficient values make many trees equal, so hash classes hold
+    several trees; run with a constant hash, every example with more than
+    one class also goes through the compare-and-re-seed path.
+    """
+    pairs = draw(st.integers(min_value=2, max_value=max_pairs))
+    n = 2 * pairs
+    coefficient = st.sampled_from([0.5, 1.0, 2.0])
+    agents = [f"v{j}" for j in range(n)]
+    builder = InstanceBuilder(name="hypothesis-repeats")
+    for j in range(pairs):
+        builder.add_objective_term(f"k{j}", agents[2 * j], 1.0)
+        builder.add_objective_term(f"k{j}", agents[2 * j + 1], 1.0)
+    shift = draw(st.integers(min_value=1, max_value=n - 1))
+    for j in range(pairs):
+        builder.add_constraint_term(f"i{j}", agents[(2 * j + shift) % n], draw(coefficient))
+        builder.add_constraint_term(f"i{j}", agents[(2 * j + 1 + shift) % n], draw(coefficient))
+    if draw(st.booleans()):
+        for j in range(pairs):
+            a, b = agents[2 * j], agents[(2 * j + 3) % n]
+            builder.add_constraint_term(f"m{j}", a, draw(coefficient))
+            builder.add_constraint_term(f"m{j}", b, draw(coefficient))
+    return builder.build()
+
+
+def stacked_cases():
+    """A multi-instance batch mixing symmetric and perturbed families."""
+    return stack_compiled(
+        [
+            cycle_instance(12).compiled(),
+            cycle_instance(9, coefficient_range=(0.5, 2.0), seed=3).compiled(),
+            regular_special_form_instance(6, 3, constraint_rounds=2, seed=7).compiled(),
+            objective_ring_instance(5, 3).compiled(),
+            cycle_instance(8).compiled(),
+        ]
+    )
 
 
 class TestBackendEquivalence:
@@ -104,6 +215,116 @@ class TestBackendEquivalence:
         with_dedup = batched_upper_bounds(comp, 1, deduplicate=True)
         without = batched_upper_bounds(comp, 1, deduplicate=False)
         np.testing.assert_allclose(with_dedup, without, atol=0.0)
+
+
+class TestDedupPartition:
+    """``_dedup_groups`` is exactly the partition of grouping by signature:
+    same classes, same representatives (first tree of each class), same
+    ``group_of``."""
+
+    @pytest.mark.parametrize("case_id,instance", CASES, ids=CASE_IDS)
+    @pytest.mark.parametrize("R", [2, 3, 5])
+    def test_families(self, case_id, instance, R):
+        assert_same_partition(build_batched_trees(instance.compiled(), R - 2))
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(special_form_instances_with_repeats(), st.integers(min_value=0, max_value=2))
+    def test_hypothesis_instances(self, instance, r):
+        bt = build_batched_trees(instance.compiled(), r)
+        assert_same_partition(bt)
+        assert_same_partition(bt, collide=True)
+        assert_same_partition(bt, collide=True, weak_reseed=True)
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_stacked_batch(self, r):
+        assert_same_partition(build_batched_trees(stacked_cases(), r))
+
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_targets_subset(self, r):
+        comp = stacked_cases()
+        targets = np.arange(0, comp.num_agents, 3, dtype=np.int64)[::-1].copy()
+        assert_same_partition(build_batched_trees(comp, r, targets))
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_hash_sees_arrangement(self, r):
+        """Unit coefficients and mixed degrees give distinct trees that hold
+        the same values per level in a different arrangement; the content
+        hash tells them apart, so the first round is already the partition
+        and nothing is re-seeded."""
+        instance = random_special_form_instance(
+            60, delta_K=3, constraint_rounds=2, coefficient_range=(1.0, 1.0), seed=0
+        )
+        bt = build_batched_trees(instance.compiled(), r)
+        distinct = len(signature_partition(bt)[0])
+        assert arrangement_blind_classes(bt) < distinct
+        assert len(np.unique(kernels_mod._content_hashes(bt, 0))) == distinct
+        with mock.patch.object(
+            kernels_mod, "_content_hashes", wraps=kernels_mod._content_hashes
+        ) as hashes:
+            assert_same_partition(bt)
+        assert hashes.call_count == 1
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    @pytest.mark.parametrize("weak_reseed", [False, True])
+    def test_forced_hash_collisions(self, r, weak_reseed):
+        bt = build_batched_trees(stacked_cases(), r)
+        assert len(signature_partition(bt)[0]) > 2
+        assert_same_partition(bt, collide=True, weak_reseed=weak_reseed)
+
+
+class TestBracketedSearch:
+    """The ``t_u`` search contract: a feasible ``ω`` within ``tol`` of the
+    largest one, bitwise independent of the batch a tree runs in."""
+
+    @pytest.mark.parametrize("case_id,instance", CASES, ids=CASE_IDS)
+    @pytest.mark.parametrize("R", [2, 3, 5])
+    def test_certificate(self, case_id, instance, R):
+        """Each t is hi0 itself, or feasible with t + tol infeasible."""
+        comp = instance.compiled()
+        bt = build_batched_trees(comp, R - 2)
+        t = batched_upper_bounds(comp, R - 2)
+        at_limit = t == search_upper_limits(bt)
+        assert np.all(at_limit | (_recursion_margins(bt, t) >= 0.0))
+        assert np.all(at_limit | (_recursion_margins(bt, t + DEFAULT_BISECTION_TOL) < 0.0))
+
+    @pytest.mark.parametrize("case_id,instance", CASES, ids=CASE_IDS)
+    @pytest.mark.parametrize("R", [2, 3, 5])
+    def test_tree_bitwise_independent_of_batch(self, case_id, instance, R, monkeypatch):
+        r = R - 2
+        comp = instance.compiled()
+        full = batched_upper_bounds(comp, r)
+        other = random_special_form_instance(10, delta_K=3, seed=1).compiled()
+        stacked = stack_compiled([other, comp, other])
+        lo = other.num_agents
+        in_stack = batched_upper_bounds(stacked, r)[lo : lo + comp.num_agents]
+        assert np.array_equal(in_stack, full)
+        monkeypatch.setattr(kernels_mod, "_COMPACT_MIN_DROP", 1)
+        monkeypatch.setattr(kernels_mod, "_COMPACT_FRACTION", 0.99)
+        compacted = batched_upper_bounds(comp, r, deduplicate=False)
+        assert np.array_equal(compacted, full)
+        step = max(1, comp.num_agents // 8)
+        for u in range(0, comp.num_agents, step):
+            solo = batched_upper_bounds(comp, r, targets=np.asarray([u], dtype=np.int64))
+            assert solo[0] == full[u]
+
+    def test_sweeps_at_most_half_of_bisection(self):
+        """Guard: a bisection from the capacity-sum limit to 1e-10 takes 36
+        sweeps on this instance at R = 3; the search may take at most 18."""
+        instance = random_special_form_instance(500, delta_K=3, seed=1)
+        obs.configure(enabled=True)
+        try:
+            mark = obs.counters_mark()
+            batched_upper_bounds(instance.compiled(), 1)
+            counters = obs.counters_since(mark)
+        finally:
+            obs.configure(enabled=False)
+            obs.reset()
+        assert counters["kernels.trees_distinct"] == 500
+        assert 0 < counters["kernels.bisection_sweeps"] <= 18
 
 
 class TestCompiledInstance:

@@ -56,10 +56,11 @@ def test_disabled_overhead_is_under_two_percent_of_reference_solve():
 
     One solve issues on the order of a dozen obs calls (5 spans + ~8
     counters); this bounds the cost of one hundred disabled span+count
-    pairs — several times that — against 2% of the reference solve's wall
-    time.
+    pairs — several times that — against 2% of the solve's wall time.  The
+    instance is sized so that the solve takes a few milliseconds, which
+    puts the budget near 1 µs per disabled pair.
     """
-    instance = cycle_instance(512, coefficient_range=(0.5, 2.0), seed=3)
+    instance = cycle_instance(1408, coefficient_range=(0.5, 2.0), seed=3)
     solver = SpecialFormLocalSolver(R=3)
     solver.solve(instance)  # warm caches (compiled view, transforms)
     t_solve = min(
@@ -284,14 +285,16 @@ def test_counts_are_not_lost_under_threads():
 
 @pytest.mark.parametrize("r", [0, 1, 2])
 def test_bisection_iteration_counts_match_across_backends(r):
-    """The oracle's per-tree bisection and the batched kernel count identically.
+    """Both t_u searches count per-tree margin evaluations the same way.
 
-    Comparable only without tree deduplication: the batched kernel bisects
+    Comparable only without tree deduplication: the batched kernel searches
     one representative per signature class, the oracle's loop every tree.
+    The kernel's bracketed search never needs more evaluations than the
+    oracle's bisection, and strictly fewer on the random instance.
     """
-    for instance in (
-        cycle_instance(9, coefficient_range=(0.5, 2.0), seed=1),
-        random_special_form_instance(14, delta_K=3, seed=2),
+    for strictly_fewer, instance in (
+        (False, cycle_instance(9, coefficient_range=(0.5, 2.0), seed=1)),
+        (True, random_special_form_instance(14, delta_K=3, seed=2)),
     ):
         obs.configure(enabled=True)
         mark = obs.counters_mark()
@@ -300,9 +303,11 @@ def test_bisection_iteration_counts_match_across_backends(r):
         mark = obs.counters_mark()
         batched_upper_bounds(instance.compiled(), r, deduplicate=False)
         vec = obs.counters_since(mark)
-        assert ref.get("kernels.bisection_iterations", 0) == vec.get(
-            "kernels.bisection_iterations", 0
-        )
+        ref_evals = ref.get("kernels.bisection_iterations", 0)
+        vec_evals = vec.get("kernels.bisection_iterations", 0)
+        assert vec_evals <= ref_evals
+        if strictly_fewer:
+            assert vec_evals < ref_evals
         assert ref.get("kernels.trees_total") == vec.get("kernels.trees_total")
         obs.configure(enabled=False)
 

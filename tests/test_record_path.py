@@ -15,7 +15,8 @@ Pins the contracts of the vectorized evaluation-and-preparation layer:
 * §4 transform results are cached on the instance per ``verify`` flag —
   an R-sweep over one instance runs the pipeline exactly once, and
   cached transforms never leak across content digests in the engine;
-* mid-bisection active-set compaction is bitwise-neutral.
+* mid-search active-set compaction is bitwise-neutral;
+* a lazy solve result shared by threads materialises its views once.
 """
 
 from __future__ import annotations
@@ -375,6 +376,143 @@ class TestCachesUnderThreads:
         assert outputs == [expected] * threads_n
         assert isinstance(instance._preprocess_cache, PreprocessResult)
         assert list(instance._transform_cache) == [True]
+
+
+class TestLazyResultUnderThreads:
+    """A lazy :class:`SpecialFormSolveResult` shared by threads builds its
+    dict views exactly once, and every reader gets those views."""
+
+    @staticmethod
+    def _kernel_arrays(instance, R=3):
+        from repro.algo.local_solver import SpecialFormLocalSolver
+
+        solver = SpecialFormLocalSolver(R=R)
+        t, s, g_plus, g_minus, _ = solver._run_kernels(instance.compiled())
+        solved = solver.solve(instance)
+        return (t, s, g_plus, g_minus, solved.solution, R, solved.guaranteed_ratio), solved
+
+    def test_reader_during_materialization_gets_the_same_views(self):
+        """Deterministic interleaving: the first reader is parked inside the
+        materialisation (on the instance's ``agents``) while a second reader
+        asks for every view.  The second reader must wait for the first
+        materialisation instead of running its own."""
+        import threading
+
+        from repro import obs
+        from repro.algo.local_solver import SpecialFormSolveResult
+
+        instance = cycle_instance(16, coefficient_range=(0.5, 2.0), seed=4)
+        arrays, solved = self._kernel_arrays(instance)
+        inside = threading.Event()
+        release = threading.Event()
+
+        class GatedInstance:
+            """Parks the first caller of ``agents`` until released."""
+
+            first = True
+
+            @property
+            def agents(self):
+                if GatedInstance.first:
+                    GatedInstance.first = False
+                    inside.set()
+                    release.wait(timeout=30)
+                return instance.agents
+
+        result = SpecialFormSolveResult.from_kernel_arrays(GatedInstance(), *arrays)
+        seen = {}
+        errors = []
+
+        def read(key, views) -> None:
+            try:
+                seen[key] = views()
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        obs.configure(enabled=True)
+        try:
+            mark = obs.counters_mark()
+            first = threading.Thread(target=read, args=("first", lambda: result.upper_bounds))
+            first.start()
+            assert inside.wait(timeout=30)
+            second = threading.Thread(
+                target=read,
+                args=("second", lambda: (result.g, result.smoothed_bounds, result.upper_bounds)),
+            )
+            second.start()
+            # Unsynchronised, the second reader would materialise on its own
+            # and finish within this wait.
+            second.join(timeout=0.2)
+            release.set()
+            first.join(timeout=30)
+            second.join(timeout=30)
+            materializations = obs.counters_since(mark).get("solver.lazy_materializations", 0)
+        finally:
+            release.set()
+            obs.configure(enabled=False)
+            obs.reset()
+        assert errors == []
+        assert materializations == 1
+        assert seen["second"][2] is seen["first"] is result.upper_bounds
+        assert seen["first"] == solved.upper_bounds
+        assert seen["second"][1] == solved.smoothed_bounds
+
+    def test_concurrent_first_reads_materialize_once(self):
+        """Stress: 300 fresh results, each read by 8 threads released by a
+        barrier with a 1 µs switch interval, split across ``upper_bounds``,
+        ``smoothed_bounds`` and ``g``.  No reader may fail, each result
+        materialises once, and every reader holds the views it kept."""
+        import sys
+        import threading
+
+        from repro import obs
+        from repro.algo.local_solver import SpecialFormSolveResult
+
+        instance = cycle_instance(64, coefficient_range=(0.5, 2.0), seed=4)
+        arrays, _ = self._kernel_arrays(instance)
+        trials, threads_n = 300, 8
+        views = ("upper_bounds", "smoothed_bounds", "g")
+        errors = []
+        per_result = []
+        mismatched = 0
+
+        def work(result, barrier, slot, out) -> None:
+            try:
+                barrier.wait(timeout=30)
+                out[slot] = getattr(result, views[slot % 3])
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        obs.configure(enabled=True)
+        try:
+            for _ in range(trials):
+                result = SpecialFormSolveResult.from_kernel_arrays(instance, *arrays)
+                barrier = threading.Barrier(threads_n)
+                out = [None] * threads_n
+                mark = obs.counters_mark()
+                threads = [
+                    threading.Thread(target=work, args=(result, barrier, k, out))
+                    for k in range(threads_n)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                per_result.append(
+                    obs.counters_since(mark).get("solver.lazy_materializations", 0)
+                )
+                mismatched += sum(
+                    out[k] is not getattr(result, views[k % 3]) for k in range(threads_n)
+                )
+        finally:
+            sys.setswitchinterval(previous)
+            obs.configure(enabled=False)
+            obs.reset()
+        assert errors == []
+        assert per_result == [1] * trials
+        assert mismatched == 0
 
 
 class TestBisectionCompaction:
