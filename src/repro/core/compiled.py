@@ -1,18 +1,17 @@
 """Compiled numeric views of a :class:`~repro.core.instance.MaxMinInstance`.
 
-:class:`MaxMinInstance` is an object graph keyed by arbitrary hashable node
-identifiers — ideal for correctness and for the structural machinery of the
-paper, but every traversal pays Python dict/tuple overhead per node.  The
-vectorized solver kernels (:mod:`repro.algo.kernels`) instead operate on a
-:class:`CompiledInstance`: the same bipartite structure lowered once into
-int-indexed CSR (compressed sparse row) arrays so that whole-instance sweeps
-become a handful of :mod:`numpy` gather / segmented-reduce operations.
+A :class:`CompiledInstance` is the representation every instance is built
+around: the bipartite structure as int-indexed CSR (compressed sparse row)
+arrays, so that whole-instance sweeps in the solver kernels
+(:mod:`repro.algo.kernels`), preprocessing and the §4 pipeline become a
+handful of :mod:`numpy` gather / segmented-reduce operations.  Every
+:class:`MaxMinInstance` constructor checks its per-agent edge arrays and
+builds the compiled view once, at construction; the instance's coefficient
+and adjacency dicts are lazy views derived from these arrays.
 
 The lowering is *index-compressed*: agents, constraints and objectives are
 numbered ``0 … n−1`` in their canonical (declaration) order, so positions in
-every array line up with :attr:`MaxMinInstance.agents` etc.  A compiled view
-is built once per instance and cached on the (immutable) instance via
-:meth:`MaxMinInstance.compiled`.
+every array line up with :attr:`MaxMinInstance.agents` etc.
 
 Two layers are exposed:
 
@@ -30,6 +29,7 @@ Two layers are exposed:
 from __future__ import annotations
 
 import math
+import weakref
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -43,58 +43,56 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (instance imports us 
 __all__ = ["CompiledInstance", "CompiledBatch", "CompiledDelta", "DeltaResult", "stack_compiled"]
 
 
-def _csr_from_rows(rows, index: Dict[object, int], coeff_lookup) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lower ``rows`` (an iterable of (owner, members) pairs) to CSR arrays.
-
-    ``coeff_lookup(owner, member)`` supplies the edge coefficient; members are
-    mapped through ``index``.  Returns ``(indptr, indices, coefficients)``.
-    """
-    indptr = [0]
-    indices = []
-    coeffs = []
-    for owner, members in rows:
-        for member in members:
-            indices.append(index[member])
-            coeffs.append(coeff_lookup(owner, member))
-        indptr.append(len(indices))
-    return (
-        np.asarray(indptr, dtype=np.int64),
-        np.asarray(indices, dtype=np.int64),
-        np.asarray(coeffs, dtype=np.float64),
-    )
-
-
 def _transpose_csr(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    coeff: np.ndarray,
-    num_target_rows: int,
+    indptr: np.ndarray, indices: np.ndarray, num_target_rows: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reverse a forward CSR (owner → members) into member → owners arrays.
+    """Reverse a forward CSR (owner → members) into member → owners rows.
 
-    Both CSR families of an instance list row members in canonical order, so
-    the reverse rows must come out sorted by owner position within each
-    member row — exactly the order a stable ``(member, owner)`` lexsort
-    produces.  The result is bitwise identical to building the reverse CSR
-    from the instance's adjacency dicts with :func:`_csr_from_rows` (same
-    int64/float64 values, same order), which is what lets delta-edited
-    compiles reuse the forward arrays and derive the rest.
+    Returns ``(t_indptr, t_indices, edge)``: ``edge[e]`` is the forward
+    edge behind reverse edge ``e``, so ``coeff[edge]`` carries a forward
+    coefficient array over.  Both CSR families of an instance list row
+    members in canonical order, so the reverse rows must come out sorted by
+    owner position within each member row — exactly the order a stable
+    ``(member, owner)`` lexsort produces.  ``indices`` must lie in
+    ``[0, num_target_rows)``.
     """
     owner = np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
-    order = np.lexsort((owner, indices))
+    edge = np.lexsort((owner, indices))
     t_indptr = np.zeros(num_target_rows + 1, dtype=np.int64)
     if len(indices):
         np.cumsum(np.bincount(indices, minlength=num_target_rows), out=t_indptr[1:])
-    return t_indptr, owner[order], coeff[order]
+    return t_indptr, owner[edge], edge
 
 
 class _SpecialFormView:
-    """Special-form-only arrays derived from the generic CSR layer."""
+    """Special-form-only arrays derived from the generic CSR layer.
 
-    __slots__ = ("con_partner", "con_partner_coeff", "obj_of_agent", "adj_indptr", "adj_indices")
+    With ``like`` (the view of a compiled instance with the same edges) only
+    the partner coefficients are gathered anew; the partner, objective and
+    smoothing-adjacency arrays are shared with it.
+    """
 
-    def __init__(self, compiled: "CompiledInstance") -> None:
-        inst = compiled.instance
+    __slots__ = (
+        "con_partner",
+        "con_partner_coeff",
+        "obj_of_agent",
+        "adj_indptr",
+        "adj_indices",
+        "_partner_edge",
+    )
+
+    def __init__(
+        self, compiled: "CompiledInstance", like: Optional["_SpecialFormView"] = None
+    ) -> None:
+        if like is not None:
+            self._partner_edge = like._partner_edge
+            self.con_partner = like.con_partner
+            self.con_partner_coeff = compiled.cagents_coeff[like._partner_edge]
+            self.obj_of_agent = like.obj_of_agent
+            self.adj_indptr = like.adj_indptr
+            self.adj_indices = like.adj_indices
+            return
+        name = getattr(compiled.instance, "name", None)
         n = compiled.num_agents
         con_deg = np.diff(compiled.con_indptr)
         obj_deg = np.diff(compiled.obj_indptr)
@@ -102,30 +100,27 @@ class _SpecialFormView:
         oagent_deg = np.diff(compiled.oagents_indptr)
         if compiled.num_constraints and not np.all(cagent_deg == 2):
             raise NotSpecialFormError(
-                f"instance {inst.name!r} has constraints of degree != 2; "
+                f"instance {name!r} has constraints of degree != 2; "
                 "the compiled special-form view requires |V_i| = 2"
             )
         if n and not (np.all(obj_deg == 1) and np.all(con_deg >= 1)):
             raise NotSpecialFormError(
-                f"instance {inst.name!r} violates |K_v| = 1 / |I_v| >= 1; "
+                f"instance {name!r} violates |K_v| = 1 / |I_v| >= 1; "
                 "run the transformation pipeline before compiling the special-form view"
             )
         if compiled.num_objectives and not np.all(oagent_deg >= 2):
             raise NotSpecialFormError(
-                f"instance {inst.name!r} has objectives of degree < 2"
+                f"instance {name!r} has objectives of degree < 2"
             )
 
         # Partner behind each agent–constraint edge: the degree-2 constraint
         # row holds exactly {owner, partner}.
         owner = np.repeat(np.arange(n, dtype=np.int64), con_deg)
         row_start = compiled.cagents_indptr[compiled.con_indices]
-        first = compiled.cagents_indices[row_start]
-        second = compiled.cagents_indices[row_start + 1]
-        first_coeff = compiled.cagents_coeff[row_start]
-        second_coeff = compiled.cagents_coeff[row_start + 1]
-        owner_is_first = first == owner
-        self.con_partner = np.where(owner_is_first, second, first)
-        self.con_partner_coeff = np.where(owner_is_first, second_coeff, first_coeff)
+        owner_is_first = compiled.cagents_indices[row_start] == owner
+        self._partner_edge = np.where(owner_is_first, row_start + 1, row_start)
+        self.con_partner = compiled.cagents_indices[self._partner_edge]
+        self.con_partner_coeff = compiled.cagents_coeff[self._partner_edge]
 
         # Unique objective per agent (|K_v| = 1 verified above).
         self.obj_of_agent = compiled.obj_indices[compiled.obj_indptr[:-1]].copy() if n else np.zeros(0, dtype=np.int64)
@@ -168,8 +163,108 @@ def _segment_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) - np.repeat(offsets, counts) + np.repeat(starts, counts)
 
 
+def _index(ids: Tuple, kind: str) -> Dict[object, int]:
+    """``identifier -> position`` over one canonical node order (ids unique)."""
+    index = dict(zip(ids, range(len(ids))))
+    if len(index) != len(ids):
+        raise InvalidInstanceError(f"duplicate {kind} identifiers")
+    return index
+
+
+def _checked_rows(
+    kind: str,
+    symbol: str,
+    indptr,
+    indices,
+    coeff,
+    members: Tuple,
+    agents: Tuple,
+    structure: bool = True,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One family of per-agent CSR rows as int64 / float64 arrays, checked.
+
+    Raises :class:`InvalidInstanceError`, worded like the dict constructor's
+    errors, unless every coefficient is positive and finite and — when
+    ``structure`` is set — the row pointers are well formed, every member
+    position lies in ``[0, len(members))`` and every row lists its members
+    in strictly increasing position (the canonical adjacency order; an equal
+    neighbour is a duplicate edge).
+    """
+    indptr = np.asarray(indptr, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    coeff = np.asarray(coeff, dtype=np.float64)
+    nnz = len(indices)
+    if coeff.shape != (nnz,) or structure and (
+        indptr.shape != (len(agents) + 1,)
+        or indices.ndim != 1
+        or indptr[0] != 0
+        or indptr[-1] != nnz
+        or bool((np.diff(indptr) < 0).any())
+    ):
+        raise InvalidInstanceError(
+            f"malformed {kind} rows: expected {len(agents) + 1} nondecreasing row "
+            f"pointers from 0 to {nnz} and one coefficient per edge"
+        )
+
+    def agent_of(edge: int):
+        return agents[int(np.searchsorted(indptr, edge, side="right")) - 1]
+
+    if structure:
+        bad = (indices < 0) | (indices >= len(members))
+        if bad.any():
+            e = int(np.flatnonzero(bad)[0])
+            raise InvalidInstanceError(
+                f"coefficient {symbol}[?, {agent_of(e)!r}] refers to unknown {kind} "
+                f"position {int(indices[e])}"
+            )
+    bad = ~(np.isfinite(coeff) & (coeff > 0.0))
+    if bad.any():
+        e = int(np.flatnonzero(bad)[0])
+        raise InvalidInstanceError(
+            f"{kind} coefficient {symbol}[{members[indices[e]]!r}, {agent_of(e)!r}] = "
+            f"{float(coeff[e])} must be positive and finite"
+        )
+    if structure and nnz > 1:
+        bad = indices[1:] <= indices[:-1]
+        starts = indptr[1:-1]
+        bad[starts[(starts > 0) & (starts < nnz)] - 1] = False  # across a row break
+        if bad.any():
+            e = int(np.flatnonzero(bad)[0]) + 1
+            if indices[e] == indices[e - 1]:
+                raise InvalidInstanceError(
+                    f"duplicate {kind} coefficient for "
+                    f"({members[indices[e]]!r}, {agent_of(e)!r})"
+                )
+            raise InvalidInstanceError(
+                f"{kind} row of agent {agent_of(e)!r} is not in canonical order"
+            )
+    return indptr, indices, coeff
+
+
+#: The slots of a compiled view that depend only on its nodes and edges —
+#: what a coefficient-only edit shares with its base (see ``topology``).
+_TOPOLOGY = (
+    "agent_index",
+    "constraint_index",
+    "objective_index",
+    "cagents_indptr",
+    "cagents_indices",
+    "oagents_indptr",
+    "oagents_indices",
+    "_cagents_edge",
+    "_oagents_edge",
+    "_constraint_degrees",
+    "_objective_degrees",
+    "_cagents_owner",
+    "_oagents_owner",
+)
+
+
 class CompiledInstance:
     """Int-indexed CSR arrays of one :class:`MaxMinInstance` (see module docs).
+
+    Built once by every :class:`MaxMinInstance` constructor, never directly;
+    this constructor is where every producer's arrays are checked.
 
     Attributes
     ----------
@@ -194,120 +289,104 @@ class CompiledInstance:
     """
 
     __slots__ = (
-        "instance",
+        "_instance",
         "agents",
         "constraints",
         "objectives",
-        "agent_index",
-        "constraint_index",
-        "objective_index",
         "con_indptr",
         "con_indices",
         "con_coeff",
         "obj_indptr",
         "obj_indices",
         "obj_coeff",
-        "cagents_indptr",
-        "cagents_indices",
         "cagents_coeff",
-        "oagents_indptr",
-        "oagents_indices",
         "oagents_coeff",
         "capacity",
         "_special",
-        "_constraint_degrees",
-        "_objective_degrees",
-        "_cagents_owner",
-        "_oagents_owner",
-    )
+    ) + _TOPOLOGY
 
-    def __init__(self, instance: "MaxMinInstance") -> None:
-        self.instance = instance
-        self.agents = instance.agents
-        self.constraints = instance.constraints
-        self.objectives = instance.objectives
-        self.agent_index = {v: idx for idx, v in enumerate(self.agents)}
-        self.constraint_index = {i: idx for idx, i in enumerate(self.constraints)}
-        self.objective_index = {k: idx for idx, k in enumerate(self.objectives)}
-
-        self.con_indptr, self.con_indices, self.con_coeff = _csr_from_rows(
-            ((v, instance.constraints_of_agent(v)) for v in self.agents),
-            self.constraint_index,
-            lambda v, i: instance.a(i, v),
-        )
-        self.obj_indptr, self.obj_indices, self.obj_coeff = _csr_from_rows(
-            ((v, instance.objectives_of_agent(v)) for v in self.agents),
-            self.objective_index,
-            lambda v, k: instance.c(k, v),
-        )
-        self.cagents_indptr, self.cagents_indices, self.cagents_coeff = _csr_from_rows(
-            ((i, instance.agents_of_constraint(i)) for i in self.constraints),
-            self.agent_index,
-            lambda i, v: instance.a(i, v),
-        )
-        self.oagents_indptr, self.oagents_indices, self.oagents_coeff = _csr_from_rows(
-            ((k, instance.agents_of_objective(k)) for k in self.objectives),
-            self.agent_index,
-            lambda k, v: instance.c(k, v),
-        )
-
-        self.capacity = self.agent_constraint_min(1.0 / self.con_coeff)
-
-        self._special = None
-        self._constraint_degrees = None
-        self._objective_degrees = None
-        self._cagents_owner = None
-        self._oagents_owner = None
-
-    @classmethod
-    def from_arrays(
-        cls,
+    def __init__(
+        self,
         instance: "MaxMinInstance",
-        con_indptr: np.ndarray,
-        con_indices: np.ndarray,
-        con_coeff: np.ndarray,
-        obj_indptr: np.ndarray,
-        obj_indices: np.ndarray,
-        obj_coeff: np.ndarray,
-    ) -> "CompiledInstance":
-        """Build a compiled view directly from forward CSR arrays.
+        con: Tuple[np.ndarray, np.ndarray, np.ndarray],
+        obj: Tuple[np.ndarray, np.ndarray, np.ndarray],
+        topology: Optional["CompiledInstance"] = None,
+    ) -> None:
+        """Check and lower the forward ``(indptr, indices, coefficients)`` rows.
 
-        Trusted constructor for callers that already hold the per-agent
-        constraint / objective edge arrays in canonical adjacency order
-        (delta application, preprocessing) — the Python-loop lowering of
-        ``__init__`` is skipped entirely.  The reverse CSR families are
-        derived by :func:`_transpose_csr` and every array is bitwise
-        identical to a fresh ``CompiledInstance(instance)`` build.
+        ``con`` / ``obj`` are the per-agent constraint / objective rows over
+        ``instance``'s node tuples (see :func:`_checked_rows`).  The reverse
+        families come from :func:`_transpose_csr` — or, given ``topology``
+        (a compiled view of the same nodes and the same ``indptr`` /
+        ``indices`` arrays, whose coefficients alone differ), every
+        :data:`_TOPOLOGY` slot and the special-form view's topology are
+        shared with it and only the coefficient arrays and capacities are
+        derived anew.
         """
-        self = cls.__new__(cls)
-        self.instance = instance
+        self._instance = weakref.ref(instance)
         self.agents = instance.agents
         self.constraints = instance.constraints
         self.objectives = instance.objectives
-        self.agent_index = {v: idx for idx, v in enumerate(self.agents)}
-        self.constraint_index = {i: idx for idx, i in enumerate(self.constraints)}
-        self.objective_index = {k: idx for idx, k in enumerate(self.objectives)}
-        self.con_indptr = con_indptr
-        self.con_indices = con_indices
-        self.con_coeff = con_coeff
-        self.obj_indptr = obj_indptr
-        self.obj_indices = obj_indices
-        self.obj_coeff = obj_coeff
-        self.cagents_indptr, self.cagents_indices, self.cagents_coeff = _transpose_csr(
-            con_indptr, con_indices, con_coeff, len(self.constraints)
+        # A topology's rows were checked when it was built: only the new
+        # coefficients need checking.
+        structure = topology is None
+        self.con_indptr, self.con_indices, self.con_coeff = _checked_rows(
+            "constraint", "a", *con, self.constraints, self.agents, structure
         )
-        self.oagents_indptr, self.oagents_indices, self.oagents_coeff = _transpose_csr(
-            obj_indptr, obj_indices, obj_coeff, len(self.objectives)
+        self.obj_indptr, self.obj_indices, self.obj_coeff = _checked_rows(
+            "objective", "c", *obj, self.objectives, self.agents, structure
         )
-        self.capacity = self.agent_constraint_min(1.0 / self.con_coeff)
-        self._special = None
-        self._constraint_degrees = None
-        self._objective_degrees = None
-        self._cagents_owner = None
-        self._oagents_owner = None
-        return self
+        if topology is None:
+            self.agent_index = _index(self.agents, "agent")
+            self.constraint_index = _index(self.constraints, "constraint")
+            self.objective_index = _index(self.objectives, "objective")
+            self.cagents_indptr, self.cagents_indices, self._cagents_edge = _transpose_csr(
+                self.con_indptr, self.con_indices, len(self.constraints)
+            )
+            self.oagents_indptr, self.oagents_indices, self._oagents_edge = _transpose_csr(
+                self.obj_indptr, self.obj_indices, len(self.objectives)
+            )
+            self._constraint_degrees = self._objective_degrees = None
+            self._cagents_owner = self._oagents_owner = None
+        else:
+            for slot in _TOPOLOGY:
+                setattr(self, slot, getattr(topology, slot))
+        self.cagents_coeff = self.con_coeff[self._cagents_edge]
+        self.oagents_coeff = self.obj_coeff[self._oagents_edge]
+        if topology is None:
+            self.capacity = self.agent_constraint_min(1.0 / self.con_coeff)
+            self._special = None
+        else:
+            self.capacity = self._edited_capacity(topology)
+            like = topology._special
+            self._special = None if like is None else _SpecialFormView(self, like)
+
+    def _edited_capacity(self, topology: "CompiledInstance") -> np.ndarray:
+        """``topology``'s capacities with the agents owning an edited
+        constraint coefficient recomputed (each row's minimum, whole)."""
+        capacity = topology.capacity.copy()
+        edited = np.flatnonzero(self.con_coeff != topology.con_coeff)
+        rows = np.unique(np.searchsorted(self.con_indptr, edited, side="right") - 1)
+        if len(rows):
+            counts = self.con_indptr[rows + 1] - self.con_indptr[rows]
+            starts = np.zeros(len(rows), dtype=np.int64)
+            np.cumsum(counts[:-1], out=starts[1:])
+            edges = _segment_gather(self.con_indptr[rows], counts)
+            capacity[rows] = np.minimum.reduceat(1.0 / self.con_coeff[edges], starts)
+        return capacity
 
     # ------------------------------------------------------------------
+    @property
+    def instance(self) -> Optional["MaxMinInstance"]:
+        """The instance this view belongs to (``None`` once it is gone).
+
+        Held weakly: the instance owns its view, and a strong reference back
+        would make every instance a reference cycle that only the cyclic
+        collector frees — a server discarding duplicate uploads would pile
+        them up.
+        """
+        return self._instance()
+
     @property
     def num_agents(self) -> int:
         return len(self.agents)
@@ -450,7 +529,7 @@ class CompiledInstance:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"CompiledInstance({self.instance.name!r}, |V|={self.num_agents}, "
+            f"CompiledInstance({getattr(self.instance, 'name', None)!r}, |V|={self.num_agents}, "
             f"|I|={self.num_constraints}, |K|={self.num_objectives}, "
             f"nnz={len(self.con_indices) + len(self.obj_indices)})"
         )
@@ -463,7 +542,8 @@ class DeltaResult:
     ----------
     instance, compiled:
         The edited :class:`MaxMinInstance` and its (array-patched) compiled
-        view — bitwise and digest identical to re-lowering from scratch.
+        view — bitwise and digest identical to declaring the edited instance
+        from scratch.
     dirty_agents:
         Sorted *new* agent positions whose local data changed: agents whose
         own edge rows were edited plus every surviving member of a touched
@@ -554,17 +634,16 @@ class CompiledDelta:
 
     Records edge additions / removals, coefficient changes and agent /
     constraint / objective additions and removals, then :meth:`apply` patches
-    the base CSR arrays in one pass: untouched rows are block-copied with a
-    vectorized position remap, only the touched rows are rebuilt from their
-    edit dicts, and the reverse CSR families come from
-    :func:`_transpose_csr`.  The resulting instance + compiled view are
-    bitwise and digest identical to declaring the edited instance from
-    scratch (pinned by ``tests/test_incremental.py``), but cost
-    ``O(touched + E_copy_vectorized)`` instead of the full Python-loop
-    validation and lowering.
+    the base's forward CSR arrays in one pass: untouched rows are
+    block-copied with a vectorized position remap and only the touched rows
+    are rebuilt from their edit dicts.  The patched arrays go through
+    :meth:`MaxMinInstance.from_arrays` like every other producer's, so the
+    resulting instance + compiled view are bitwise and digest identical to
+    declaring the edited instance from scratch (pinned by
+    ``tests/test_incremental.py``) without a Python loop over the edges.
 
-    Coefficients are validated at edit time (the trusted
-    ``MaxMinInstance.from_arrays`` constructor skips re-validation), node
+    Coefficients are validated at edit time (and checked again by the
+    constructor), node
     identifiers are resolved against the base instance plus this delta's own
     additions, and constraints / objectives referenced by a ``set_*`` call
     are created on first use.  Agents must exist or be declared via
@@ -725,7 +804,7 @@ class CompiledDelta:
         pending = self._con_edits.get(key, _MISSING)
         if pending is None:
             raise InvalidInstanceError(f"edge a[{i!r}, {v!r}] already removed by this delta")
-        if pending is _MISSING and self.instance.a(i, v) <= 0.0:
+        if pending is _MISSING and not _in_base(self.base.con_indptr, self.base.con_indices, key):
             raise InvalidInstanceError(f"no edge a[{i!r}, {v!r}] to remove")
         self._con_edits[key] = None
         self._num_edits += 1
@@ -742,7 +821,7 @@ class CompiledDelta:
         pending = self._obj_edits.get(key, _MISSING)
         if pending is None:
             raise InvalidInstanceError(f"edge c[{k!r}, {v!r}] already removed by this delta")
-        if pending is _MISSING and self.instance.c(k, v) <= 0.0:
+        if pending is _MISSING and not _in_base(self.base.obj_indptr, self.base.obj_indices, key):
             raise InvalidInstanceError(f"no edge c[{k!r}, {v!r}] to remove")
         self._obj_edits[key] = None
         self._num_edits += 1
@@ -775,13 +854,11 @@ class CompiledDelta:
 
         # --- classify edits against the base ---------------------------
         con = _classify_edits(
-            self._con_edits, nC, nA,
-            lambda ci, av: inst.a(base.constraints[ci], base.agents[av]),
+            self._con_edits, base.con_indptr, base.con_indices,
             self._removed_agents, self._removed_constraints,
         )
         obj = _classify_edits(
-            self._obj_edits, nK, nA,
-            lambda ki, av: inst.c(base.objectives[ki], base.agents[av]),
+            self._obj_edits, base.obj_indptr, base.obj_indices,
             self._removed_agents, self._removed_objectives,
         )
         structural = bool(
@@ -897,116 +974,32 @@ class CompiledDelta:
         self, con: "_EditPlan", obj: "_EditPlan", name: Optional[str]
     ) -> Tuple["MaxMinInstance", "CompiledInstance"]:
         """Non-structural fast path: every edit is a coefficient update on an
-        existing edge, so all topology-derived structures — node tuples, index
-        dicts, every indptr / indices array, the adjacency maps, and the
-        special-form view's partner / adjacency arrays — are *shared* with the
-        base.  Only the coefficient arrays, the capacity vector and the
-        coefficient dicts are copied and patched, making a single-edge edit
-        ``O(degree)`` instead of ``O(E)``.  Dict updates hit existing keys
-        only, so insertion order (and with it repr / digest / equality) is
-        preserved exactly.
+        existing edge.  Only the two forward coefficient arrays are copied
+        and patched, ``O(degree)`` per edit; the edited instance is built by
+        :meth:`MaxMinInstance._with_coefficients`, whose compiled view shares
+        every topology-derived structure with the base (node tuples, index
+        maps, every indptr / indices array, the special-form view's partner
+        and adjacency arrays) and derives the reverse coefficients,
+        capacities and partner coefficients with whole-array gathers — no
+        transpose and no Python loop over the edges.
         """
         from .. import obs
-        from .instance import MaxMinInstance
 
         base = self.base
-        inst = self.instance
         obs.count("compiled.delta_coeff_fast_paths")
-
-        new_a = dict(inst._a)
-        new_c = dict(inst._c)
         con_coeff = base.con_coeff.copy()
         obj_coeff = base.obj_coeff.copy()
-        cagents_coeff = base.cagents_coeff.copy()
-        oagents_coeff = base.oagents_coeff.copy()
-        sp = base._special
-        partner_coeff = sp.con_partner_coeff.copy() if sp is not None else None
-
-        def _slot(indptr: np.ndarray, indices: np.ndarray, row: int, member: int) -> int:
-            lo, hi = int(indptr[row]), int(indptr[row + 1])
-            return lo + int(np.flatnonzero(indices[lo:hi] == member)[0])
-
-        touched_agents: Set[int] = set()
-        for row, row_edits in con.by_row.items():
-            touched_agents.add(row)
-            for (ci, av), val in row_edits.items():
-                con_coeff[_slot(base.con_indptr, base.con_indices, av, ci)] = val
-                cagents_coeff[_slot(base.cagents_indptr, base.cagents_indices, ci, av)] = val
-                new_a[(base.constraints[ci], base.agents[av])] = val
-                if partner_coeff is not None:
-                    lo, hi = int(base.cagents_indptr[ci]), int(base.cagents_indptr[ci + 1])
-                    for w in base.cagents_indices[lo:hi].tolist():
-                        # The *partner's* slot on this constraint now sees
-                        # the edited coefficient behind the shared edge.
-                        if w != av:
-                            partner_coeff[_slot(base.con_indptr, base.con_indices, w, ci)] = val
-        for row, row_edits in obj.by_row.items():
-            for (ki, av), val in row_edits.items():
-                obj_coeff[_slot(base.obj_indptr, base.obj_indices, av, ki)] = val
-                oagents_coeff[_slot(base.oagents_indptr, base.oagents_indices, ki, av)] = val
-                new_c[(base.objectives[ki], base.agents[av])] = val
-
-        capacity = base.capacity.copy()
-        for av in touched_agents:
-            lo, hi = int(base.con_indptr[av]), int(base.con_indptr[av + 1])
-            if hi > lo:
-                capacity[av] = np.minimum.reduceat(1.0 / con_coeff[lo:hi], [0])[0]
-
-        new_inst = MaxMinInstance.__new__(MaxMinInstance)
-        new_inst._agents = inst._agents
-        new_inst._constraints = inst._constraints
-        new_inst._objectives = inst._objectives
-        new_inst.name = inst.name if name is None else name
-        new_inst._a = new_a
-        new_inst._c = new_c
-        new_inst._agents_of_constraint = inst._agents_of_constraint
-        new_inst._agents_of_objective = inst._agents_of_objective
-        new_inst._constraints_of_agent = inst._constraints_of_agent
-        new_inst._objectives_of_agent = inst._objectives_of_agent
-        new_inst._agent_set = inst._agent_set
-        new_inst._constraint_set = inst._constraint_set
-        new_inst._objective_set = inst._objective_set
-        new_inst._graph_cache = None  # nx edges carry the (edited) coefficients
-        new_inst._transform_cache = None
-        new_inst._preprocess_cache = None
-
-        new_comp = CompiledInstance.__new__(CompiledInstance)
-        new_comp.instance = new_inst
-        new_comp.agents = base.agents
-        new_comp.constraints = base.constraints
-        new_comp.objectives = base.objectives
-        new_comp.agent_index = base.agent_index
-        new_comp.constraint_index = base.constraint_index
-        new_comp.objective_index = base.objective_index
-        new_comp.con_indptr = base.con_indptr
-        new_comp.con_indices = base.con_indices
-        new_comp.con_coeff = con_coeff
-        new_comp.obj_indptr = base.obj_indptr
-        new_comp.obj_indices = base.obj_indices
-        new_comp.obj_coeff = obj_coeff
-        new_comp.cagents_indptr = base.cagents_indptr
-        new_comp.cagents_indices = base.cagents_indices
-        new_comp.cagents_coeff = cagents_coeff
-        new_comp.oagents_indptr = base.oagents_indptr
-        new_comp.oagents_indices = base.oagents_indices
-        new_comp.oagents_coeff = oagents_coeff
-        new_comp.capacity = capacity
-        new_comp._constraint_degrees = base._constraint_degrees
-        new_comp._objective_degrees = base._objective_degrees
-        new_comp._cagents_owner = base._cagents_owner
-        new_comp._oagents_owner = base._oagents_owner
-        if sp is not None:
-            view = _SpecialFormView.__new__(_SpecialFormView)
-            view.con_partner = sp.con_partner
-            view.con_partner_coeff = partner_coeff
-            view.obj_of_agent = sp.obj_of_agent
-            view.adj_indptr = sp.adj_indptr
-            view.adj_indices = sp.adj_indices
-            new_comp._special = view
-        else:
-            new_comp._special = None
-        new_inst._compiled_cache = new_comp
-        return new_inst, new_comp
+        for coeff, indptr, indices, plan in (
+            (con_coeff, base.con_indptr, base.con_indices, con),
+            (obj_coeff, base.obj_indptr, base.obj_indices, obj),
+        ):
+            for row_edits in plan.by_row.values():
+                for (owner, av), val in row_edits.items():
+                    coeff[_slot(indptr, indices, av, owner)] = val
+        new_inst = self.instance._with_coefficients(
+            con_coeff, obj_coeff, self.instance.name if name is None else name
+        )
+        return new_inst, new_inst.compiled()
 
     def _patch_forward(
         self,
@@ -1103,19 +1096,32 @@ class _EditPlan:
         self.structural_owners: Set[int] = set()
 
 
+def _slot(indptr: np.ndarray, indices: np.ndarray, row: int, member: int) -> int:
+    """Position of ``member`` in CSR row ``row`` (−1 when absent)."""
+    lo, hi = int(indptr[row]), int(indptr[row + 1])
+    hit = np.flatnonzero(indices[lo:hi] == member)
+    return lo + int(hit[0]) if len(hit) else -1
+
+
+def _in_base(indptr: np.ndarray, indices: np.ndarray, key: Tuple[int, int]) -> bool:
+    """True when the provisional ``(owner, agent)`` edge exists in the base rows."""
+    owner, agent = key
+    return agent < len(indptr) - 1 and _slot(indptr, indices, agent, owner) >= 0
+
+
 def _classify_edits(
     edits: Dict[Tuple[int, int], Optional[float]],
-    n_owner_old: int,
-    n_agent_old: int,
-    base_coeff,
+    indptr: np.ndarray,
+    indices: np.ndarray,
     removed_agents: Set[int],
     removed_owners: Set[int],
 ) -> _EditPlan:
     plan = _EditPlan()
-    for (owner, agent), val in edits.items():
+    for key, val in edits.items():
+        owner, agent = key
         if agent in removed_agents or owner in removed_owners:
             continue  # edits are dropped at removal time; belt and braces
-        existed = owner < n_owner_old and agent < n_agent_old and base_coeff(owner, agent) > 0.0
+        existed = _in_base(indptr, indices, key)
         if val is None and not existed:
             continue  # add-then-remove inside one delta: net no-op
         plan.by_row.setdefault(agent, {})[(owner, agent)] = val

@@ -15,17 +15,36 @@ its bipartite communication graph: agents ``V`` (variables), constraints
 ``{v, i}`` whenever ``a_iv > 0`` and an edge ``{v, k}`` whenever
 ``c_kv > 0``.
 
-:class:`MaxMinInstance` is an immutable value object: all adjacency
-structures are precomputed at construction time and the public accessors are
-O(1) per call (degrees are bounded by the constants ``ΔI`` and ``ΔK``, so
-"per-node work" really is constant — this matters for the locality claims
-measured in the benchmarks).
+:class:`MaxMinInstance` is an immutable value object whose representation
+is its compiled CSR arrays (:class:`~repro.core.compiled.CompiledInstance`):
+every constructor checks per-agent edge arrays and builds them once.  The
+coefficient maps and adjacency dicts behind the per-node accessors
+(:meth:`~MaxMinInstance.a`, :meth:`~MaxMinInstance.agents_of_constraint`,
+…) are lazy views, built from the arrays on first use, once, under a lock;
+from then on those accessors are O(1) per call (degrees are bounded by the
+constants ``ΔI`` and ``ΔK``, so "per-node work" really is constant — this
+matters for the locality claims measured in the benchmarks).  The solve
+paths read the arrays and never build the views.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+import os
+import threading
+from typing import (
+    TYPE_CHECKING,
+    AbstractSet,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+import numpy as np
 
 from .._types import (
     CoefficientMap,
@@ -37,6 +56,7 @@ from .._types import (
     objective_node,
 )
 from ..exceptions import InvalidInstanceError
+from .compiled import CompiledInstance, _index, _segment_gather
 
 if TYPE_CHECKING:  # pragma: no cover - networkx loads only where a graph is built
     import networkx as nx
@@ -44,42 +64,115 @@ if TYPE_CHECKING:  # pragma: no cover - networkx loads only where a graph is bui
 __all__ = ["MaxMinInstance", "DegreeStatistics"]
 
 
-def _adjacency_from_csr(owners, members, indptr, indices, coeff):
-    """Adjacency dicts of one CSR side (trusted, see ``from_arrays``).
+_VIEWS_LOCK = threading.Lock()
 
-    ``owners`` are the row nodes (agents), ``members`` the column nodes
-    (constraints or objectives); rows must list members in canonical order.
-    Returns ``(coeff_map, rows_of_owner, rows_of_member)`` where
-    ``coeff_map`` is keyed ``(member_id, owner_id)`` — the ``(i, v)`` /
-    ``(k, v)`` convention of the instance's ``_a`` / ``_c`` dicts — and the
-    reverse rows come out sorted by owner canonical position (the same order
-    ``__init__``'s insertion + sort produces).
+
+def _reinit_lock_after_fork() -> None:
+    # A fork taken while another thread builds views must not leave the
+    # child's only copy of the lock held forever.
+    global _VIEWS_LOCK
+    _VIEWS_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reinit_lock_after_fork)
+
+
+def _rows_from_map(
+    kind: str,
+    symbol: str,
+    coeffs: Mapping[Tuple[NodeId, NodeId], float],
+    member_index: Dict[NodeId, int],
+    agent_index: Dict[NodeId, int],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-agent CSR rows of a ``(member, agent) -> coefficient`` map.
+
+    Maps every id to its position and orders the edges with one lexsort
+    (agent, then member position); :class:`CompiledInstance` checks the
+    result.  Raises :class:`InvalidInstanceError` for an undeclared id.
     """
-    import numpy as np
+    try:
+        members = np.asarray([member_index[m] for m, _ in coeffs], dtype=np.int64)
+        owners = np.asarray([agent_index[v] for _, v in coeffs], dtype=np.int64)
+    except KeyError:
+        m, v = next((m, v) for m, v in coeffs if m not in member_index or v not in agent_index)
+        unknown = f"{kind} {m!r}" if m not in member_index else f"agent {v!r}"
+        raise InvalidInstanceError(
+            f"coefficient {symbol}[{m!r}, {v!r}] refers to unknown {unknown}"
+        ) from None
+    values = np.fromiter(coeffs.values(), dtype=np.float64, count=len(members))
+    order = np.lexsort((members, owners))
+    indptr = np.zeros(len(agent_index) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owners, minlength=len(agent_index)), out=indptr[1:])
+    return indptr, members[order], values[order]
 
-    idx = indices.tolist()
-    indptr_l = indptr.tolist()
-    member_ids = [members[p] for p in idx]
-    rows_of_owner = {
-        owner: tuple(member_ids[indptr_l[row] : indptr_l[row + 1]])
-        for row, owner in enumerate(owners)
+
+def _mask(index: Dict[NodeId, int], ids: Iterable[NodeId]) -> np.ndarray:
+    """Boolean position mask of the declared ids among ``ids``."""
+    mask = np.zeros(len(index), dtype=bool)
+    mask[[index[x] for x in ids if x in index]] = True
+    return mask
+
+
+def _compact(indptr, indices, coeff, keep_rows, keep_member):
+    """The rows ``keep_rows`` (positions) minus every edge into a dropped member.
+
+    ``keep_member`` is a boolean mask over member positions; kept members are
+    renumbered in order.  Returns the compacted ``(indptr, indices, coeff)``.
+    """
+    member_map = np.full(len(keep_member), -1, dtype=np.int64)
+    member_map[keep_member] = np.arange(int(keep_member.sum()), dtype=np.int64)
+    counts = np.diff(indptr)[keep_rows]
+    edges = _segment_gather(indptr[keep_rows], counts)
+    owner = np.repeat(np.arange(len(keep_rows), dtype=np.int64), counts)
+    keep_e = keep_member[indices[edges]]
+    new_indptr = np.zeros(len(keep_rows) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner[keep_e], minlength=len(keep_rows)), out=new_indptr[1:])
+    return new_indptr, member_map[indices[edges[keep_e]]], coeff[edges[keep_e]]
+
+
+def _side(agents, members, indptr, indices, t_indptr, t_indices, t_coeff):
+    """The dict views of one edge family: ``(coeff_map, rows_of_agent, rows_of_member)``.
+
+    ``coeff_map`` is keyed ``(member_id, agent_id)`` in canonical order
+    (member-major, agents in canonical order within a member); every row
+    lists its nodes in canonical order.
+    """
+    member_ids = [members[p] for p in indices.tolist()]
+    bounds = indptr.tolist()
+    rows_of_agent = {
+        v: tuple(member_ids[bounds[p] : bounds[p + 1]]) for p, v in enumerate(agents)
     }
-    owner_rep = np.repeat(np.arange(len(owners), dtype=np.int64), np.diff(indptr))
-    owner_ids = [owners[p] for p in owner_rep.tolist()]
-    coeff_map = dict(zip(zip(member_ids, owner_ids), coeff.tolist()))
-    order = np.lexsort((owner_rep, indices)).tolist()
-    counts = (
-        np.bincount(indices, minlength=len(members)).tolist()
-        if len(idx)
-        else [0] * len(members)
+    agent_ids = [agents[p] for p in t_indices.tolist()]
+    t_bounds = t_indptr.tolist()
+    rows_of_member = {
+        m: tuple(agent_ids[t_bounds[q] : t_bounds[q + 1]]) for q, m in enumerate(members)
+    }
+    keys = [(m, v) for m, row in rows_of_member.items() for v in row]
+    return dict(zip(keys, t_coeff.tolist())), rows_of_agent, rows_of_member
+
+
+class _Views:
+    """The dict views of one instance, built from its compiled arrays."""
+
+    __slots__ = (
+        "a",
+        "c",
+        "constraints_of_agent",
+        "agents_of_constraint",
+        "objectives_of_agent",
+        "agents_of_objective",
     )
-    rows_of_member = {}
-    pos = 0
-    for m, mid in enumerate(members):
-        cnt = counts[m]
-        rows_of_member[mid] = tuple(owner_ids[p] for p in order[pos : pos + cnt])
-        pos += cnt
-    return coeff_map, rows_of_owner, rows_of_member
+
+    def __init__(self, comp: CompiledInstance) -> None:
+        self.a, self.constraints_of_agent, self.agents_of_constraint = _side(
+            comp.agents, comp.constraints, comp.con_indptr, comp.con_indices,
+            comp.cagents_indptr, comp.cagents_indices, comp.cagents_coeff,
+        )
+        self.c, self.objectives_of_agent, self.agents_of_objective = _side(
+            comp.agents, comp.objectives, comp.obj_indptr, comp.obj_indices,
+            comp.oagents_indptr, comp.oagents_indices, comp.oagents_coeff,
+        )
 
 
 class DegreeStatistics:
@@ -162,31 +255,29 @@ class MaxMinInstance:
     name:
         Optional human-readable name used in reports.
 
+    The maps are lowered to per-agent CSR rows (ids to positions, one
+    lexsort) and built through the same checked path as
+    :meth:`from_arrays`.
+
     Raises
     ------
     InvalidInstanceError
-        If a coefficient is non-positive or refers to an undeclared node, or
-        if identifiers within one node class are duplicated.
+        If a coefficient is not positive and finite or refers to an
+        undeclared node, or if identifiers within one node class are
+        duplicated.
     """
 
     __slots__ = (
         "_agents",
         "_constraints",
         "_objectives",
-        "_a",
-        "_c",
-        "_agents_of_constraint",
-        "_agents_of_objective",
-        "_constraints_of_agent",
-        "_objectives_of_agent",
-        "_agent_set",
-        "_constraint_set",
-        "_objective_set",
+        "_compiled",
+        "_views",
         "_graph_cache",
-        "_compiled_cache",
         "_transform_cache",
         "_preprocess_cache",
         "name",
+        "__weakref__",
     )
 
     def __init__(
@@ -198,111 +289,106 @@ class MaxMinInstance:
         c: Mapping[Tuple[NodeId, NodeId], float],
         name: str = "max-min-lp",
     ) -> None:
-        self._agents: Tuple[NodeId, ...] = tuple(agents)
-        self._constraints: Tuple[NodeId, ...] = tuple(constraints)
-        self._objectives: Tuple[NodeId, ...] = tuple(objectives)
-        self.name = name
+        agents, constraints, objectives = tuple(agents), tuple(constraints), tuple(objectives)
+        agent_index = _index(agents, "agent")
+        con = _rows_from_map("constraint", "a", a, _index(constraints, "constraint"), agent_index)
+        obj = _rows_from_map("objective", "c", c, _index(objectives, "objective"), agent_index)
+        self._setup(agents, constraints, objectives, con, obj, name)
 
+    @classmethod
+    def from_arrays(
+        cls,
+        agents: Sequence[NodeId],
+        constraints: Sequence[NodeId],
+        objectives: Sequence[NodeId],
+        con_indptr,
+        con_indices,
+        con_coeff,
+        obj_indptr,
+        obj_indices,
+        obj_coeff,
+        name: str = "max-min-lp",
+    ) -> "MaxMinInstance":
+        """Build an instance from its per-agent CSR rows.
+
+        ``con_*`` holds the per-agent constraint edges (``con_indices`` are
+        positions into ``constraints``), ``obj_*`` the per-agent objective
+        edges.  The arrays are checked (unique ids, member positions in
+        range, positive finite coefficients, rows strictly increasing — the
+        canonical adjacency order, no duplicate edge) and raise the same
+        :class:`InvalidInstanceError` a dict declaration would; the result
+        is indistinguishable (digest, hash, ``==``, every compiled array and
+        every view) from declaring the instance through ``__init__``.
+        """
+        self = cls.__new__(cls)
+        self._setup(
+            tuple(agents), tuple(constraints), tuple(objectives),
+            (con_indptr, con_indices, con_coeff), (obj_indptr, obj_indices, obj_coeff),
+            name,
+        )
+        return self
+
+    def _with_coefficients(self, con_coeff, obj_coeff, name: str) -> "MaxMinInstance":
+        """This instance with new forward coefficient arrays (same edges).
+
+        The edited instance's compiled view shares every topology-derived
+        structure with this one (see :class:`CompiledInstance`); the new
+        coefficients are checked like every producer's.
+        """
+        comp = self._compiled
+        edited = MaxMinInstance.__new__(MaxMinInstance)
+        edited._setup(
+            self._agents, self._constraints, self._objectives,
+            (comp.con_indptr, comp.con_indices, con_coeff),
+            (comp.obj_indptr, comp.obj_indices, obj_coeff),
+            name, topology=comp,
+        )
+        return edited
+
+    def _setup(self, agents, constraints, objectives, con, obj, name, topology=None) -> None:
+        """The one construction path: node tuples plus the checked compiled view."""
+        from .. import obs
+
+        self._agents: Tuple[NodeId, ...] = agents
+        self._constraints: Tuple[NodeId, ...] = constraints
+        self._objectives: Tuple[NodeId, ...] = objectives
+        self.name = name
+        self._views: Optional[_Views] = None
         self._graph_cache: Optional["nx.Graph"] = None
-        self._compiled_cache = None
-        # §4 pipeline results cached per ``verify`` flag, exactly like
-        # the compiled view: the instance is immutable, so a cached
-        # TransformResult can never go stale.  Populated by
-        # :func:`repro.transforms.pipeline.to_special_form`; an R-sweep that
-        # revisits this instance runs the pipeline once.  (The result holds a
-        # back-reference to this instance — a plain reference cycle, handled
-        # by the cycle collector just like ``_compiled_cache``.)
+        # §4 pipeline results cached per ``verify`` flag: the instance is
+        # immutable, so a cached TransformResult can never go stale.
+        # Populated by :func:`repro.transforms.pipeline.to_special_form`; an
+        # R-sweep that revisits this instance runs the pipeline once.  (The
+        # result holds a back-reference to this instance — a plain reference
+        # cycle, handled by the cycle collector like the compiled view's.)
         self._transform_cache: Optional[dict] = None
         # The preprocessing outcome, cached in one slot (same rationale): a
         # sweep revisiting this instance cleans it once, and the *same*
         # cleaned instance object is reused — which is what keeps the cleaned
         # instance's own compiled/transform caches warm across R values.
         self._preprocess_cache = None
+        obs.count("compile.builds")
+        self._compiled = CompiledInstance(self, con, obj, topology)
 
-        self._agent_set = frozenset(self._agents)
-        self._constraint_set = frozenset(self._constraints)
-        self._objective_set = frozenset(self._objectives)
+    def __reduce__(self):
+        # Pickled as its arrays: the compiled view's back-reference is weak.
+        comp = self._compiled
+        return MaxMinInstance.from_arrays, (
+            self._agents, self._constraints, self._objectives,
+            comp.con_indptr, comp.con_indices, comp.con_coeff,
+            comp.obj_indptr, comp.obj_indices, comp.obj_coeff,
+            self.name,
+        )
 
-        if len(self._agent_set) != len(self._agents):
-            raise InvalidInstanceError("duplicate agent identifiers")
-        if len(self._constraint_set) != len(self._constraints):
-            raise InvalidInstanceError("duplicate constraint identifiers")
-        if len(self._objective_set) != len(self._objectives):
-            raise InvalidInstanceError("duplicate objective identifiers")
-
-        self._a: CoefficientMap = {}
-        self._c: CoefficientMap = {}
-
-        agents_of_constraint: Dict[NodeId, List[NodeId]] = {i: [] for i in self._constraints}
-        agents_of_objective: Dict[NodeId, List[NodeId]] = {k: [] for k in self._objectives}
-        constraints_of_agent: Dict[NodeId, List[NodeId]] = {v: [] for v in self._agents}
-        objectives_of_agent: Dict[NodeId, List[NodeId]] = {v: [] for v in self._agents}
-
-        # Canonical identity maps: coefficient keys may be equal-but-distinct
-        # objects (e.g. ``numpy.str_`` leaking out of a generator's sampling).
-        # Normalising them to the *declared* node objects keeps every derived
-        # structure — reprs, JSON sort order, hashes, content digests —
-        # dependent only on node values, never on key object identity.
-        canon_agent: Dict[NodeId, NodeId] = {v: v for v in self._agents}
-        canon_constraint: Dict[NodeId, NodeId] = {i: i for i in self._constraints}
-        canon_objective: Dict[NodeId, NodeId] = {k: k for k in self._objectives}
-
-        for (i, v), coeff in a.items():
-            if i not in agents_of_constraint:
-                raise InvalidInstanceError(f"coefficient a[{i!r}, {v!r}] refers to unknown constraint {i!r}")
-            if v not in constraints_of_agent:
-                raise InvalidInstanceError(f"coefficient a[{i!r}, {v!r}] refers to unknown agent {v!r}")
-            i = canon_constraint[i]
-            v = canon_agent[v]
-            coeff = float(coeff)
-            if not math.isfinite(coeff) or coeff <= 0.0:
-                raise InvalidInstanceError(
-                    f"constraint coefficient a[{i!r}, {v!r}] = {coeff} must be positive and finite"
-                )
-            if (i, v) in self._a:
-                raise InvalidInstanceError(f"duplicate constraint coefficient for ({i!r}, {v!r})")
-            self._a[(i, v)] = coeff
-            agents_of_constraint[i].append(v)
-            constraints_of_agent[v].append(i)
-
-        for (k, v), coeff in c.items():
-            if k not in agents_of_objective:
-                raise InvalidInstanceError(f"coefficient c[{k!r}, {v!r}] refers to unknown objective {k!r}")
-            if v not in objectives_of_agent:
-                raise InvalidInstanceError(f"coefficient c[{k!r}, {v!r}] refers to unknown agent {v!r}")
-            k = canon_objective[k]
-            v = canon_agent[v]
-            coeff = float(coeff)
-            if not math.isfinite(coeff) or coeff <= 0.0:
-                raise InvalidInstanceError(
-                    f"objective coefficient c[{k!r}, {v!r}] = {coeff} must be positive and finite"
-                )
-            if (k, v) in self._c:
-                raise InvalidInstanceError(f"duplicate objective coefficient for ({k!r}, {v!r})")
-            self._c[(k, v)] = coeff
-            agents_of_objective[k].append(v)
-            objectives_of_agent[v].append(k)
-
-        # Freeze adjacency lists (sorted by insertion order of node tuples for
-        # determinism; the declared node order defines the canonical order).
-        agent_order = {v: idx for idx, v in enumerate(self._agents)}
-        constraint_order = {i: idx for idx, i in enumerate(self._constraints)}
-        objective_order = {k: idx for idx, k in enumerate(self._objectives)}
-
-        self._agents_of_constraint: Dict[NodeId, Tuple[NodeId, ...]] = {
-            i: tuple(sorted(vs, key=agent_order.__getitem__)) for i, vs in agents_of_constraint.items()
-        }
-        self._agents_of_objective: Dict[NodeId, Tuple[NodeId, ...]] = {
-            k: tuple(sorted(vs, key=agent_order.__getitem__)) for k, vs in agents_of_objective.items()
-        }
-        self._constraints_of_agent: Dict[NodeId, Tuple[NodeId, ...]] = {
-            v: tuple(sorted(is_, key=constraint_order.__getitem__))
-            for v, is_ in constraints_of_agent.items()
-        }
-        self._objectives_of_agent: Dict[NodeId, Tuple[NodeId, ...]] = {
-            v: tuple(sorted(ks, key=objective_order.__getitem__))
-            for v, ks in objectives_of_agent.items()
-        }
+    def _view(self) -> _Views:
+        """The dict views, built from the arrays on first use (once, under a lock)."""
+        views = self._views
+        if views is None:
+            with _VIEWS_LOCK:
+                views = self._views
+                if views is None:
+                    views = self._views = _Views(self._compiled)
+        return views
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -342,68 +428,72 @@ class MaxMinInstance:
     @property
     def num_edges(self) -> int:
         """Total number of edges of the communication graph."""
-        return len(self._a) + len(self._c)
+        return len(self._compiled.con_indices) + len(self._compiled.obj_indices)
 
     @property
-    def agent_set(self) -> "frozenset[NodeId]":
-        """The agents as a frozenset (for C-speed membership batch checks)."""
-        return self._agent_set
+    def agent_set(self) -> AbstractSet[NodeId]:
+        """The agents as a set-like view (for C-speed membership batch checks)."""
+        return self._compiled.agent_index.keys()
 
     def has_agent(self, v: NodeId) -> bool:
-        return v in self._agent_set
+        return v in self._compiled.agent_index
 
     def has_constraint(self, i: NodeId) -> bool:
-        return i in self._constraint_set
+        return i in self._compiled.constraint_index
 
     def has_objective(self, k: NodeId) -> bool:
-        return k in self._objective_set
+        return k in self._compiled.objective_index
 
     # ------------------------------------------------------------------
-    # Coefficients and adjacency
+    # Coefficients and adjacency (the lazy dict views)
     # ------------------------------------------------------------------
     def a(self, i: NodeId, v: NodeId) -> float:
         """The constraint coefficient ``a_iv`` (0.0 if the edge is absent)."""
-        return self._a.get((i, v), 0.0)
+        return self._view().a.get((i, v), 0.0)
 
     def c(self, k: NodeId, v: NodeId) -> float:
         """The objective coefficient ``c_kv`` (0.0 if the edge is absent)."""
-        return self._c.get((k, v), 0.0)
+        return self._view().c.get((k, v), 0.0)
 
     @property
     def a_coefficients(self) -> CoefficientMap:
-        """A copy of the sparse constraint coefficient map."""
-        return dict(self._a)
+        """A copy of the sparse constraint coefficient map.
+
+        Keys ``(i, v)`` come in canonical order: constraint-major, each
+        constraint's agents in canonical order.
+        """
+        return dict(self._view().a)
 
     @property
     def c_coefficients(self) -> CoefficientMap:
-        """A copy of the sparse objective coefficient map."""
-        return dict(self._c)
+        """A copy of the sparse objective coefficient map (canonical order)."""
+        return dict(self._view().c)
 
     def agents_of_constraint(self, i: NodeId) -> Tuple[NodeId, ...]:
         """``V_i``: the agents adjacent to constraint ``i``."""
         try:
-            return self._agents_of_constraint[i]
+            return self._view().agents_of_constraint[i]
         except KeyError:
             raise InvalidInstanceError(f"unknown constraint {i!r}") from None
 
     def agents_of_objective(self, k: NodeId) -> Tuple[NodeId, ...]:
         """``V_k``: the agents adjacent to objective ``k``."""
         try:
-            return self._agents_of_objective[k]
+            return self._view().agents_of_objective[k]
         except KeyError:
             raise InvalidInstanceError(f"unknown objective {k!r}") from None
 
     def constraints_of_agent(self, v: NodeId) -> Tuple[NodeId, ...]:
         """``I_v``: the constraints adjacent to agent ``v``."""
         try:
-            return self._constraints_of_agent[v]
+            return self._view().constraints_of_agent[v]
         except KeyError:
             raise InvalidInstanceError(f"unknown agent {v!r}") from None
 
     def objectives_of_agent(self, v: NodeId) -> Tuple[NodeId, ...]:
         """``K_v``: the objectives adjacent to agent ``v``."""
         try:
-            return self._objectives_of_agent[v]
+            return self._view().objectives_of_agent[v]
         except KeyError:
             raise InvalidInstanceError(f"unknown agent {v!r}") from None
 
@@ -442,12 +532,10 @@ class MaxMinInstance:
 
         Returns ``math.inf`` for agents with no adjacent constraint.
         """
-        best = math.inf
-        for i in self.constraints_of_agent(v):
-            cap = 1.0 / self._a[(i, v)]
-            if cap < best:
-                best = cap
-        return best
+        pos = self._compiled.agent_index.get(v)
+        if pos is None:
+            raise InvalidInstanceError(f"unknown agent {v!r}")
+        return float(self._compiled.capacity[pos])
 
     def trivial_upper_bound(self) -> float:
         """A finite upper bound on the optimum of a non-degenerate instance.
@@ -463,7 +551,7 @@ class MaxMinInstance:
                 if math.isinf(cap):
                     total = math.inf
                     break
-                total += self._c[(k, v)] * cap
+                total += self.c(k, v) * cap
             if total < best:
                 best = total
         return best
@@ -474,38 +562,31 @@ class MaxMinInstance:
     @property
     def delta_I(self) -> int:
         """``ΔI = max_i |V_i|`` (0 when there are no constraints)."""
-        if not self._constraints:
-            return 0
-        return max(len(vs) for vs in self._agents_of_constraint.values())
+        degrees = self._compiled.constraint_degrees
+        return int(degrees.max()) if len(degrees) else 0
 
     @property
     def delta_K(self) -> int:
         """``ΔK = max_k |V_k|`` (0 when there are no objectives)."""
-        if not self._objectives:
-            return 0
-        return max(len(vs) for vs in self._agents_of_objective.values())
+        degrees = self._compiled.objective_degrees
+        return int(degrees.max()) if len(degrees) else 0
 
     def degree_statistics(self) -> DegreeStatistics:
         """Compute :class:`DegreeStatistics` for this instance."""
-        max_iv = max((len(x) for x in self._constraints_of_agent.values()), default=0)
-        max_kv = max((len(x) for x in self._objectives_of_agent.values()), default=0)
-        mean_i = (
-            sum(len(x) for x in self._agents_of_constraint.values()) / self.num_constraints
-            if self.num_constraints
-            else 0.0
-        )
-        mean_k = (
-            sum(len(x) for x in self._agents_of_objective.values()) / self.num_objectives
-            if self.num_objectives
-            else 0.0
-        )
+        comp = self._compiled
+        con_deg = np.diff(comp.con_indptr)
+        obj_deg = np.diff(comp.obj_indptr)
         return DegreeStatistics(
             delta_I=self.delta_I,
             delta_K=self.delta_K,
-            max_agent_constraint_degree=max_iv,
-            max_agent_objective_degree=max_kv,
-            mean_constraint_degree=mean_i,
-            mean_objective_degree=mean_k,
+            max_agent_constraint_degree=int(con_deg.max()) if len(con_deg) else 0,
+            max_agent_objective_degree=int(obj_deg.max()) if len(obj_deg) else 0,
+            mean_constraint_degree=(
+                len(comp.con_indices) / self.num_constraints if self.num_constraints else 0.0
+            ),
+            mean_objective_degree=(
+                len(comp.obj_indices) / self.num_objectives if self.num_objectives else 0.0
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -523,19 +604,17 @@ class MaxMinInstance:
         objective) and ``unconstrained_agents`` (agents with no constraint);
         only non-empty categories are present.
         """
+        comp = self._compiled
         out: Dict[str, Tuple[NodeId, ...]] = {}
-        iso_i = tuple(i for i in self._constraints if not self._agents_of_constraint[i])
-        iso_k = tuple(k for k in self._objectives if not self._agents_of_objective[k])
-        no_obj = tuple(v for v in self._agents if not self._objectives_of_agent[v])
-        no_con = tuple(v for v in self._agents if not self._constraints_of_agent[v])
-        if iso_i:
-            out["isolated_constraints"] = iso_i
-        if iso_k:
-            out["isolated_objectives"] = iso_k
-        if no_obj:
-            out["non_contributing_agents"] = no_obj
-        if no_con:
-            out["unconstrained_agents"] = no_con
+        for category, nodes, degrees in (
+            ("isolated_constraints", self._constraints, comp.constraint_degrees),
+            ("isolated_objectives", self._objectives, comp.objective_degrees),
+            ("non_contributing_agents", self._agents, np.diff(comp.obj_indptr)),
+            ("unconstrained_agents", self._agents, np.diff(comp.con_indptr)),
+        ):
+            found = tuple(nodes[p] for p in np.flatnonzero(degrees == 0).tolist())
+            if found:
+                out[category] = found
         return out
 
     def is_special_form(self, tol: float = 1e-12) -> bool:
@@ -544,14 +623,12 @@ class MaxMinInstance:
         The special form requires ``|V_i| = 2``, ``|V_k| ≥ 2``, ``|K_v| = 1``,
         ``|I_v| ≥ 1`` and ``c_kv = 1`` for every node / edge.
 
-        Evaluated as whole-array degree checks over the cached compiled view
-        (this runs before *every* §5 solve, so it must not cost a per-node
-        Python loop); :meth:`special_form_violations` remains the per-node
+        Evaluated as whole-array degree checks over the compiled arrays (this
+        runs before *every* §5 solve, so it must not cost a per-node Python
+        loop); :meth:`special_form_violations` remains the per-node
         reporting oracle and defines the semantics.
         """
-        import numpy as np
-
-        comp = self.compiled()
+        comp = self._compiled
         if comp.num_constraints and not bool(
             (np.diff(comp.cagents_indptr) == 2).all()
         ):
@@ -573,33 +650,35 @@ class MaxMinInstance:
 
     def special_form_violations(self, tol: float = 1e-12) -> List[str]:
         """Human-readable list of §5 precondition violations (empty if none)."""
+        views = self._view()
         problems: List[str] = []
         for i in self._constraints:
-            if len(self._agents_of_constraint[i]) != 2:
+            if len(views.agents_of_constraint[i]) != 2:
                 problems.append(
-                    f"constraint {i!r} has degree {len(self._agents_of_constraint[i])}, expected 2"
+                    f"constraint {i!r} has degree {len(views.agents_of_constraint[i])}, expected 2"
                 )
         for k in self._objectives:
-            if len(self._agents_of_objective[k]) < 2:
+            if len(views.agents_of_objective[k]) < 2:
                 problems.append(
-                    f"objective {k!r} has degree {len(self._agents_of_objective[k])}, expected >= 2"
+                    f"objective {k!r} has degree {len(views.agents_of_objective[k])}, expected >= 2"
                 )
         for v in self._agents:
-            if len(self._objectives_of_agent[v]) != 1:
+            if len(views.objectives_of_agent[v]) != 1:
                 problems.append(
-                    f"agent {v!r} has {len(self._objectives_of_agent[v])} objectives, expected 1"
+                    f"agent {v!r} has {len(views.objectives_of_agent[v])} objectives, expected 1"
                 )
-            if len(self._constraints_of_agent[v]) < 1:
+            if len(views.constraints_of_agent[v]) < 1:
                 problems.append(f"agent {v!r} has no constraints")
-        for (k, v), coeff in self._c.items():
+        for (k, v), coeff in views.c.items():
             if abs(coeff - 1.0) > tol:
                 problems.append(f"objective coefficient c[{k!r}, {v!r}] = {coeff} != 1")
         return problems
 
     def has_zero_one_coefficients(self, tol: float = 1e-12) -> bool:
         """True if every coefficient equals 1 (the {0,1}-coefficient case)."""
-        return all(abs(x - 1.0) <= tol for x in self._a.values()) and all(
-            abs(x - 1.0) <= tol for x in self._c.values()
+        comp = self._compiled
+        return bool((np.abs(comp.con_coeff - 1.0) <= tol).all()) and bool(
+            (np.abs(comp.obj_coeff - 1.0) <= tol).all()
         )
 
     def is_bipartite_maxmin(self) -> bool:
@@ -608,9 +687,9 @@ class MaxMinInstance:
         Each agent is adjacent to exactly one constraint and exactly one
         objective (each column of ``A`` and of ``C`` has a single non-zero).
         """
-        return all(
-            len(self._constraints_of_agent[v]) == 1 and len(self._objectives_of_agent[v]) == 1
-            for v in self._agents
+        comp = self._compiled
+        return bool((np.diff(comp.con_indptr) == 1).all()) and bool(
+            (np.diff(comp.obj_indptr) == 1).all()
         )
 
     # ------------------------------------------------------------------
@@ -631,6 +710,7 @@ class MaxMinInstance:
             return self._graph_cache
         import networkx as nx
 
+        views = self._view()
         g = nx.Graph(name=self.name)
         for v in self._agents:
             g.add_node(agent_node(v), kind=NodeType.AGENT)
@@ -638,27 +718,20 @@ class MaxMinInstance:
             g.add_node(constraint_node(i), kind=NodeType.CONSTRAINT)
         for k in self._objectives:
             g.add_node(objective_node(k), kind=NodeType.OBJECTIVE)
-        for (i, v), coeff in self._a.items():
+        for (i, v), coeff in views.a.items():
             g.add_edge(constraint_node(i), agent_node(v), coeff=coeff)
-        for (k, v), coeff in self._c.items():
+        for (k, v), coeff in views.c.items():
             g.add_edge(objective_node(k), agent_node(v), coeff=coeff)
         self._graph_cache = g
         return g
 
-    def compiled(self) -> "CompiledInstance":
-        """The cached :class:`~repro.core.compiled.CompiledInstance` view.
+    def compiled(self) -> CompiledInstance:
+        """The :class:`~repro.core.compiled.CompiledInstance` built at construction.
 
-        Lowers the instance to int-indexed CSR arrays for the vectorized
-        solver kernels; built on first call and reused afterwards (the
-        instance is immutable, so the view can never go stale).
+        The instance's representation: int-indexed CSR arrays for the
+        vectorized solver kernels, preprocessing and the §4 pipeline.
         """
-        if self._compiled_cache is None:
-            from .. import obs
-            from .compiled import CompiledInstance
-
-            obs.count("compile.builds")
-            self._compiled_cache = CompiledInstance(self)
-        return self._compiled_cache
+        return self._compiled
 
     def neighbours(self, node: GraphNode) -> Tuple[GraphNode, ...]:
         """Neighbours of a ``(NodeType, id)`` node in the communication graph."""
@@ -703,35 +776,30 @@ class MaxMinInstance:
 
     def sub_instance(
         self,
-        agents: Sequence[NodeId],
-        constraints: Sequence[NodeId],
-        objectives: Sequence[NodeId],
+        agents: Iterable[NodeId],
+        constraints: Iterable[NodeId],
+        objectives: Iterable[NodeId],
         name: Optional[str] = None,
     ) -> "MaxMinInstance":
         """Restrict the instance to the given node subsets.
 
         Coefficients are kept only when both endpoints survive.  The canonical
-        order of the parent instance is preserved.
+        order of the parent instance is preserved; ids the instance does not
+        declare are ignored.  The surviving agent rows are compacted as
+        arrays (edges into dropped nodes removed, member positions
+        renumbered) and built through :meth:`from_arrays`.
         """
-        agent_sel = set(agents)
-        constraint_sel = set(constraints)
-        objective_sel = set(objectives)
-        a = {
-            (i, v): coeff
-            for (i, v), coeff in self._a.items()
-            if i in constraint_sel and v in agent_sel
-        }
-        c = {
-            (k, v): coeff
-            for (k, v), coeff in self._c.items()
-            if k in objective_sel and v in agent_sel
-        }
-        return MaxMinInstance(
-            agents=[v for v in self._agents if v in agent_sel],
-            constraints=[i for i in self._constraints if i in constraint_sel],
-            objectives=[k for k in self._objectives if k in objective_sel],
-            a=a,
-            c=c,
+        comp = self._compiled
+        keep_agent = _mask(comp.agent_index, agents)
+        keep_con = _mask(comp.constraint_index, constraints)
+        keep_obj = _mask(comp.objective_index, objectives)
+        rows = np.flatnonzero(keep_agent)
+        return MaxMinInstance.from_arrays(
+            [self._agents[p] for p in rows.tolist()],
+            [self._constraints[p] for p in np.flatnonzero(keep_con).tolist()],
+            [self._objectives[p] for p in np.flatnonzero(keep_obj).tolist()],
+            *_compact(comp.con_indptr, comp.con_indices, comp.con_coeff, rows, keep_con),
+            *_compact(comp.obj_indptr, comp.obj_indices, comp.obj_coeff, rows, keep_obj),
             name=name or f"{self.name}#sub",
         )
 
@@ -743,35 +811,39 @@ class MaxMinInstance:
 
         With ``tol > 0`` coefficients may differ by at most ``tol``.
         """
+        mine, theirs = self._view(), other._view()
         if (
             set(self._agents) != set(other._agents)
             or set(self._constraints) != set(other._constraints)
             or set(self._objectives) != set(other._objectives)
-            or set(self._a) != set(other._a)
-            or set(self._c) != set(other._c)
+            or set(mine.a) != set(theirs.a)
+            or set(mine.c) != set(theirs.c)
         ):
             return False
-        for key, val in self._a.items():
-            if abs(val - other._a[key]) > tol:
+        for key, val in mine.a.items():
+            if abs(val - theirs.a[key]) > tol:
                 return False
-        for key, val in self._c.items():
-            if abs(val - other._c[key]) > tol:
+        for key, val in mine.c.items():
+            if abs(val - theirs.c[key]) > tol:
                 return False
         return True
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, MaxMinInstance):
             return NotImplemented
         return self.structurally_equal(other, tol=0.0)
 
     def __hash__(self) -> int:
+        views = self._view()
         return hash(
             (
                 self._agents,
                 self._constraints,
                 self._objectives,
-                tuple(sorted(self._a.items(), key=repr)),
-                tuple(sorted(self._c.items(), key=repr)),
+                tuple(sorted(views.a.items(), key=repr)),
+                tuple(sorted(views.c.items(), key=repr)),
             )
         )
 
@@ -781,92 +853,3 @@ class MaxMinInstance:
             f"|I|={self.num_constraints}, |K|={self.num_objectives}, "
             f"deltaI={self.delta_I}, deltaK={self.delta_K})"
         )
-
-    # ------------------------------------------------------------------
-    # Serialization helpers (thin; full logic lives in repro.io)
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        """A JSON-compatible dictionary (node ids are converted to strings
-        only by :mod:`repro.io.serialization`; here they are passed through).
-        """
-        return {
-            "name": self.name,
-            "agents": list(self._agents),
-            "constraints": list(self._constraints),
-            "objectives": list(self._objectives),
-            "a": [[i, v, coeff] for (i, v), coeff in sorted(self._a.items(), key=repr)],
-            "c": [[k, v, coeff] for (k, v), coeff in sorted(self._c.items(), key=repr)],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "MaxMinInstance":
-        """Inverse of :meth:`to_dict`."""
-        a = {(i, v): float(coeff) for i, v, coeff in data["a"]}  # type: ignore[index]
-        c = {(k, v): float(coeff) for k, v, coeff in data["c"]}  # type: ignore[index]
-        return cls(
-            agents=list(data["agents"]),  # type: ignore[arg-type]
-            constraints=list(data["constraints"]),  # type: ignore[arg-type]
-            objectives=list(data["objectives"]),  # type: ignore[arg-type]
-            a=a,
-            c=c,
-            name=str(data.get("name", "max-min-lp")),
-        )
-
-    @classmethod
-    def from_arrays(
-        cls,
-        agents: Sequence[NodeId],
-        constraints: Sequence[NodeId],
-        objectives: Sequence[NodeId],
-        con_indptr,
-        con_indices,
-        con_coeff,
-        obj_indptr,
-        obj_indices,
-        obj_coeff,
-        name: str = "max-min-lp",
-        compile: bool = True,
-    ) -> "MaxMinInstance":
-        """Trusted constructor from pre-validated CSR arrays.
-
-        ``con_*`` holds the per-agent constraint edges (``con_indices`` are
-        positions into ``constraints``, rows in canonical adjacency order),
-        ``obj_*`` the per-agent objective edges.  The caller vouches that the
-        arrays describe a valid instance — node identifiers unique,
-        coefficients positive and finite, no duplicate edges, rows sorted by
-        member canonical position — so the O(E) re-validation and adjacency
-        sorting of ``__init__`` is skipped (it dominates ``preprocess()`` and
-        delta application at n ≈ 1e4).  With ``compile=True`` the matching
-        :class:`~repro.core.compiled.CompiledInstance` is attached to the
-        compiled-view cache directly from the same arrays, so the Python-loop
-        lowering is skipped as well.  The result is indistinguishable (equal
-        dicts, digest, hash, compiled arrays) from declaring the instance via
-        ``__init__``.
-        """
-        self = cls.__new__(cls)
-        self._agents = tuple(agents)
-        self._constraints = tuple(constraints)
-        self._objectives = tuple(objectives)
-        self.name = name
-        self._graph_cache = None
-        self._compiled_cache = None
-        self._transform_cache = None
-        self._preprocess_cache = None
-        self._agent_set = frozenset(self._agents)
-        self._constraint_set = frozenset(self._constraints)
-        self._objective_set = frozenset(self._objectives)
-        self._a, self._constraints_of_agent, self._agents_of_constraint = _adjacency_from_csr(
-            self._agents, self._constraints, con_indptr, con_indices, con_coeff
-        )
-        self._c, self._objectives_of_agent, self._agents_of_objective = _adjacency_from_csr(
-            self._agents, self._objectives, obj_indptr, obj_indices, obj_coeff
-        )
-        if compile:
-            from .. import obs
-            from .compiled import CompiledInstance
-
-            obs.count("compile.from_arrays")
-            self._compiled_cache = CompiledInstance.from_arrays(
-                self, con_indptr, con_indices, con_coeff, obj_indptr, obj_indices, obj_coeff
-            )
-        return self

@@ -55,7 +55,7 @@ import numpy as np
 from .. import obs
 from .._types import NodeId
 from ..exceptions import DegenerateInstanceError
-from .compiled import _segment_gather
+from .compiled import _row_members
 from .instance import MaxMinInstance
 from .solution import Solution
 
@@ -204,7 +204,6 @@ class _FixedPoint:
         "removed_constraints",
         "removed_objectives",
         "optimum_is_zero",
-        "alive_masks",
     )
 
     def __init__(
@@ -217,7 +216,6 @@ class _FixedPoint:
         removed_constraints: List[NodeId],
         removed_objectives: List[NodeId],
         optimum_is_zero: bool,
-        alive_masks: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
     ) -> None:
         self.agents = agents
         self.constraints = constraints
@@ -227,16 +225,6 @@ class _FixedPoint:
         self.removed_constraints = removed_constraints
         self.removed_objectives = removed_objectives
         self.optimum_is_zero = optimum_is_zero
-        #: (alive_agent, alive_con, alive_obj) position masks when the fixed
-        #: point ran on the compiled arrays — enables the array-level
-        #: materialisation of the cleaned instance.
-        self.alive_masks = alive_masks
-
-
-def _row_members(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Concatenated adjacency rows (``indices`` entries) of the given rows."""
-    counts = np.diff(indptr)[rows]
-    return indices[_segment_gather(indptr[rows], counts)]
 
 
 def _vectorized_fixed_point(instance: MaxMinInstance) -> _FixedPoint:
@@ -364,44 +352,6 @@ def _vectorized_fixed_point(instance: MaxMinInstance) -> _FixedPoint:
         _ids(removed_con_rounds, constraint_ids),
         _ids(removed_obj_rounds, objective_ids),
         optimum_is_zero,
-        alive_masks=(alive_agent, alive_con, alive_obj),
-    )
-
-
-def _materialize_cleaned(instance: MaxMinInstance, fp: _FixedPoint, name: str) -> MaxMinInstance:
-    """Build the cleaned instance straight from the compiled CSR arrays.
-
-    Compacts the surviving agent rows (dropping edges into removed
-    constraints / objectives, remapping member positions) and hands the
-    arrays to the trusted :meth:`MaxMinInstance.from_arrays` constructor —
-    no per-edge dict rebuilding and no re-validation, producing an instance
-    equal (and digest-identical) to :meth:`MaxMinInstance.sub_instance`.
-    """
-    comp = instance.compiled()
-    alive_agent, alive_con, alive_obj = fp.alive_masks
-    keep_a = np.flatnonzero(alive_agent)
-
-    def compact(indptr, indices, coeff, alive_member, n_new_members):
-        member_map = np.full(len(alive_member), -1, dtype=np.int64)
-        member_map[alive_member] = np.arange(n_new_members, dtype=np.int64)
-        counts = np.diff(indptr)[keep_a]
-        edges = _segment_gather(indptr[keep_a], counts)
-        owner = np.repeat(np.arange(len(keep_a), dtype=np.int64), counts)
-        keep_e = alive_member[indices[edges]]
-        new_indptr = np.zeros(len(keep_a) + 1, dtype=np.int64)
-        if len(owner):
-            np.cumsum(np.bincount(owner[keep_e], minlength=len(keep_a)), out=new_indptr[1:])
-        return (
-            new_indptr,
-            member_map[indices[edges[keep_e]]],
-            coeff[edges[keep_e]],
-        )
-
-    con_arrays = compact(comp.con_indptr, comp.con_indices, comp.con_coeff, alive_con, len(fp.constraints))
-    obj_arrays = compact(comp.obj_indptr, comp.obj_indices, comp.obj_coeff, alive_obj, len(fp.objectives))
-    obs.count("preprocess.array_materializations")
-    return MaxMinInstance.from_arrays(
-        fp.agents, fp.constraints, fp.objectives, *con_arrays, *obj_arrays, name=name
     )
 
 
@@ -444,12 +394,9 @@ def _result_from_fixed_point(instance: MaxMinInstance, fp: _FixedPoint) -> Prepr
         obs.count("preprocess.removed_agents", len(fp.forced_zero) + len(fp.unconstrained))
         obs.count("preprocess.removed_constraints", len(fp.removed_constraints))
         obs.count("preprocess.removed_objectives", len(fp.removed_objectives))
-        if fp.alive_masks is not None:
-            cleaned = _materialize_cleaned(instance, fp, f"{instance.name}#clean")
-        else:
-            cleaned = instance.sub_instance(
-                fp.agents, fp.constraints, fp.objectives, name=f"{instance.name}#clean"
-            )
+        cleaned = instance.sub_instance(
+            fp.agents, fp.constraints, fp.objectives, name=f"{instance.name}#clean"
+        )
     else:
         # Nothing removed: hand back the original object so per-instance
         # caches (compiled view, §4 transform results) survive preprocessing.

@@ -126,7 +126,7 @@ class Solution:
         self._objvals = None
         self.degradation = None
         vals: Dict[NodeId, float] = {v: float(x) for v, x in values.items()}
-        if vals and not instance.agent_set.issuperset(vals):
+        if vals and not instance.agent_set >= vals.keys():
             unknown = next(v for v in vals if not instance.has_agent(v))
             raise InvalidInstanceError(f"solution refers to unknown agent {unknown!r}")
         if len(vals) < instance.num_agents:

@@ -358,7 +358,7 @@ class MessagePlane:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"MessagePlane({self.comp.instance.name!r}, slots={self.num_slots}, "
+            f"MessagePlane({getattr(self.comp.instance, 'name', None)!r}, slots={self.num_slots}, "
             f"agents={self.num_agents})"
         )
 

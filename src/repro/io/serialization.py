@@ -24,7 +24,7 @@ from typing import Any, Dict, Mapping, Union
 from .._types import NodeId
 from ..core.instance import MaxMinInstance
 from ..core.solution import Solution
-from ..exceptions import SerializationError
+from ..exceptions import InvalidInstanceError, SerializationError
 
 __all__ = [
     "instance_to_json",
@@ -98,7 +98,11 @@ def instance_to_json(instance: MaxMinInstance) -> str:
 
 
 def instance_from_json(text: str) -> MaxMinInstance:
-    """Inverse of :func:`instance_to_json`."""
+    """Inverse of :func:`instance_to_json`.
+
+    Every failure — invalid JSON, a malformed document, or a document that
+    describes no valid instance — raises :class:`SerializationError`.
+    """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -124,6 +128,10 @@ def instance_from_json(text: str) -> MaxMinInstance:
         )
     except (KeyError, TypeError) as exc:
         raise SerializationError(f"malformed instance document: {exc}") from exc
+    except (InvalidInstanceError, ValueError, OverflowError) as exc:
+        # Valid JSON that is no valid instance (duplicate ids, a coefficient
+        # that is not a positive finite number, ...): a document error too.
+        raise SerializationError(str(exc)) from exc
 
 
 def instance_digest(instance: Union[MaxMinInstance, str]) -> str:

@@ -4,6 +4,11 @@ Every stage of the solver has one production path over the compiled CSR
 arrays.  This module keeps the readable per-node transcriptions of the paper
 that those paths are tested against, each with the tolerance it is pinned at:
 
+* :func:`lower` — a dict declaration lowered edge by edge: coefficient
+  maps, sorted adjacency tuples and the CSR arrays built one edge at a
+  time.  Equal dicts and tuples, and bitwise-equal arrays of the same
+  dtypes, to :class:`~repro.core.instance.MaxMinInstance`'s lowering (ids
+  to positions and one lexsort).
 * :func:`special_form_solve` — §5 with one alternating tree and bisection
   per agent, a breadth-first search per agent for the smoothing, and dict
   loops for the ``g±`` recursion (:func:`g_recursion`) and Eq. 18.  Within
@@ -31,7 +36,9 @@ solve computes.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from . import obs
 from ._types import DEFAULT_FEASIBILITY_TOL, NodeId
@@ -47,6 +54,7 @@ from .transforms.base import TransformResult
 from .transforms.pipeline import apply_chain, canonical_transforms
 
 __all__ = [
+    "lower",
     "special_form_solve",
     "g_recursion",
     "to_special_form",
@@ -57,6 +65,77 @@ __all__ = [
     "bottleneck_objectives",
     "check_feasibility",
 ]
+
+
+# ----------------------------------------------------------------------
+# Instance declaration: dicts lowered edge by edge
+# ----------------------------------------------------------------------
+def _csr(rows, position: Dict[NodeId, int], coeff) -> List[np.ndarray]:
+    """Lower ``(owner, members)`` rows one edge at a time."""
+    indptr, indices, values = [0], [], []
+    for owner, members in rows:
+        for member in members:
+            indices.append(position[member])
+            values.append(coeff(owner, member))
+        indptr.append(len(indices))
+    return [
+        np.asarray(indptr, dtype=np.int64),
+        np.asarray(indices, dtype=np.int64),
+        np.asarray(values, dtype=np.float64),
+    ]
+
+
+def lower(
+    agents: Sequence[NodeId],
+    constraints: Sequence[NodeId],
+    objectives: Sequence[NodeId],
+    a: Mapping[Tuple[NodeId, NodeId], float],
+    c: Mapping[Tuple[NodeId, NodeId], float],
+) -> Dict[str, object]:
+    """Lower a valid dict declaration edge by edge (no validation).
+
+    Returns the coefficient maps ``"a"`` / ``"c"`` keyed by the declared
+    node objects, the adjacency dicts ``"constraints_of_agent"``,
+    ``"objectives_of_agent"``, ``"agents_of_constraint"`` and
+    ``"agents_of_objective"`` (tuples in canonical order) and every
+    :class:`~repro.core.compiled.CompiledInstance` array under its attribute
+    name (the twelve CSR arrays and ``"capacity"``).
+    """
+    out: Dict[str, object] = {}
+    pos_a = {v: p for p, v in enumerate(agents)}
+    pos_i = {i: p for p, i in enumerate(constraints)}
+    pos_k = {k: p for p, k in enumerate(objectives)}
+    for coeffs, members, pos_m, key, rows_key, member_rows_key in (
+        (a, constraints, pos_i, "a", "constraints_of_agent", "agents_of_constraint"),
+        (c, objectives, pos_k, "c", "objectives_of_agent", "agents_of_objective"),
+    ):
+        coeff_map: Dict[Tuple[NodeId, NodeId], float] = {}
+        of_agent: Dict[NodeId, List[NodeId]] = {v: [] for v in agents}
+        of_member: Dict[NodeId, List[NodeId]] = {m: [] for m in members}
+        for (m, v), value in coeffs.items():
+            # Key by the declared objects: keys may be equal-but-distinct.
+            m, v = members[pos_m[m]], agents[pos_a[v]]
+            coeff_map[(m, v)] = float(value)
+            of_agent[v].append(m)
+            of_member[m].append(v)
+        out[key] = coeff_map
+        out[rows_key] = {v: tuple(sorted(ms, key=pos_m.__getitem__)) for v, ms in of_agent.items()}
+        out[member_rows_key] = {m: tuple(sorted(vs, key=pos_a.__getitem__)) for m, vs in of_member.items()}
+
+    a_map, c_map = out["a"], out["c"]
+    for prefix, rows, position, coeff in (
+        ("con", out["constraints_of_agent"], pos_i, lambda v, i: a_map[(i, v)]),
+        ("obj", out["objectives_of_agent"], pos_k, lambda v, k: c_map[(k, v)]),
+        ("cagents", out["agents_of_constraint"], pos_a, lambda i, v: a_map[(i, v)]),
+        ("oagents", out["agents_of_objective"], pos_a, lambda k, v: c_map[(k, v)]),
+    ):
+        for part, array in zip(("indptr", "indices", "coeff"), _csr(rows.items(), position, coeff)):
+            out[f"{prefix}_{part}"] = array
+    out["capacity"] = np.asarray(
+        [min((1.0 / a_map[(i, v)] for i in out["constraints_of_agent"][v]), default=math.inf) for v in agents],
+        dtype=np.float64,
+    )
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -156,6 +235,9 @@ def _fixed_point(instance: MaxMinInstance) -> _FixedPoint:
         if not instance.agents_of_objective(k):
             optimum_is_zero = True
 
+    # Each phase walks its nodes in canonical order, like the production
+    # fixed point: the removal lists (and so the lift) must not depend on
+    # set iteration order, which varies with PYTHONHASHSEED.
     peel_rounds = 0
     changed = True
     while changed:
@@ -163,30 +245,32 @@ def _fixed_point(instance: MaxMinInstance) -> _FixedPoint:
         peel_rounds += 1
 
         # Constraints with no surviving agents are trivially satisfied.
-        for i in list(constraints):
-            members = [v for v in instance.agents_of_constraint(i) if v in agents]
-            if not members:
+        for i in instance.constraints:
+            if i in constraints and not any(v in agents for v in instance.agents_of_constraint(i)):
                 constraints.discard(i)
                 removed_constraints.append(i)
                 changed = True
 
         # Unconstrained agents: every objective containing one never binds.
-        for v in list(agents):
-            live_constraints = [i for i in instance.constraints_of_agent(v) if i in constraints]
-            if not live_constraints:
+        freed: Set[NodeId] = set()
+        for v in instance.agents:
+            if v in agents and not any(i in constraints for i in instance.constraints_of_agent(v)):
                 agents.discard(v)
                 unconstrained.append(v)
                 unconstrained_set.add(v)
-                for k in instance.objectives_of_agent(v):
-                    if k in objectives:
-                        objectives.discard(k)
-                        removed_objectives.append(k)
+                freed.update(instance.objectives_of_agent(v))
                 changed = True
+        for k in instance.objectives:
+            if k in freed and k in objectives:
+                objectives.discard(k)
+                removed_objectives.append(k)
 
         # Objectives that lost all their agents (but had some originally)
         # would force the optimum to 0 — unless they were removed above
         # because an unconstrained agent can satisfy them.
-        for k in list(objectives):
+        for k in instance.objectives:
+            if k not in objectives:
+                continue
             members = [v for v in instance.agents_of_objective(k) if v in agents]
             originally_empty = not instance.agents_of_objective(k)
             if not members:
@@ -208,9 +292,8 @@ def _fixed_point(instance: MaxMinInstance) -> _FixedPoint:
                 changed = True
 
         # Non-contributing agents: no surviving objective.
-        for v in list(agents):
-            live_objectives = [k for k in instance.objectives_of_agent(v) if k in objectives]
-            if not live_objectives:
+        for v in instance.agents:
+            if v in agents and not any(k in objectives for k in instance.objectives_of_agent(v)):
                 agents.discard(v)
                 forced_zero.append(v)
                 forced_zero_set.add(v)

@@ -12,8 +12,8 @@ transformation as index arithmetic on the instance's compiled CSR arrays
 * every stage rewrites ``(indptr, indices, coefficients)`` arrays with
   gathers, segment reductions and cumulative-sum relabelling — no
   intermediate instances exist, only the final special-form instance is
-  materialised, straight from the last stage's arrays (no coefficient
-  dicts, no second lowering to CSR);
+  built, through :meth:`MaxMinInstance.from_arrays` from the last stage's
+  arrays (no coefficient dicts);
 * the five back-mappings are folded into **one** array-encoded map: per
   original agent a segment of ``(gather index, scale)`` pairs, so mapping a
   solution back is a single gather + scaled segmented max.  (§4.3 and §4.6
@@ -706,75 +706,33 @@ def _stage_normalise_coefficients(st: _PipelineState) -> None:
 # ----------------------------------------------------------------------
 # Output instance
 # ----------------------------------------------------------------------
-def _agent_rows(
-    kind: str,
-    symbol: str,
-    indptr: np.ndarray,
-    members: np.ndarray,
-    coeff: np.ndarray,
-    rows: List[NodeId],
-    agents: List[NodeId],
-):
-    """Checked per-agent CSR ``(indptr, row positions, coefficients)`` of one edge family.
-
-    ``indptr`` / ``members`` / ``coeff`` are the stage's per-row arrays over
-    agent positions; the transpose lists each agent's rows in ascending
-    (canonical) order.  Raises :class:`InvalidInstanceError`, worded like
-    ``MaxMinInstance.__init__``'s errors, when a member position is out of
-    range, a coefficient is not positive and finite, or an edge is
-    duplicated.
-    """
-    n = len(agents)
-    owner = np.repeat(np.arange(len(rows), dtype=np.int64), np.diff(indptr))
-    out_of_range = (members < 0) | (members >= n)
-    if out_of_range.any():
-        e = int(np.flatnonzero(out_of_range)[0])
-        raise InvalidInstanceError(
-            f"coefficient {symbol}[{rows[owner[e]]!r}, ?] refers to unknown agent "
-            f"position {int(members[e])}"
-        )
-    bad = ~(np.isfinite(coeff) & (coeff > 0.0))
-    if bad.any():
-        e = int(np.flatnonzero(bad)[0])
-        raise InvalidInstanceError(
-            f"{kind} coefficient {symbol}[{rows[owner[e]]!r}, {agents[members[e]]!r}] = "
-            f"{float(coeff[e])} must be positive and finite"
-        )
-    a_indptr, a_rows, a_coeff = _transpose_csr(indptr, members, coeff, n)
-    a_owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(a_indptr))
-    dup = (a_owner[1:] == a_owner[:-1]) & (a_rows[1:] <= a_rows[:-1])
-    if dup.any():
-        e = int(np.flatnonzero(dup)[0])
-        raise InvalidInstanceError(
-            f"duplicate {kind} coefficient for ({rows[a_rows[e]]!r}, {agents[a_owner[e]]!r})"
-        )
-    return a_indptr, a_rows, a_coeff
-
-
 def _special_form_instance(st: _PipelineState) -> MaxMinInstance:
     """Materialise the pipeline's output straight from the stage arrays.
 
-    :meth:`MaxMinInstance.from_arrays` takes the per-agent rows and attaches
-    the compiled view built from the same arrays, so the output is never
-    validated or lowered again through coefficient dicts.  ``from_arrays``
-    trusts its input; the checks of ``MaxMinInstance.__init__`` run here as
-    array checks instead (see :func:`_agent_rows`).
+    Each stage family (per-row agent positions) is transposed to per-agent
+    rows and handed to :meth:`MaxMinInstance.from_arrays`, which checks them
+    like every producer's (coefficients, duplicate edges, unique ids); the
+    output is never lowered through coefficient dicts.  Only the agent
+    positions are checked here, because the transpose needs them in range.
     """
-    for kind, ids in (
-        ("agent", st.agents),
-        ("constraint", st.constraints),
-        ("objective", st.objectives),
+    n = len(st.agents)
+    rows = []
+    for symbol, indptr, members, coeff, ids in (
+        ("a", st.con_indptr, st.con_agents, st.con_coeff, st.constraints),
+        ("c", st.obj_indptr, st.obj_agents, st.obj_coeff, st.objectives),
     ):
-        if len(set(ids)) != len(ids):
-            raise InvalidInstanceError(f"duplicate {kind} identifiers")
-    con = _agent_rows(
-        "constraint", "a", st.con_indptr, st.con_agents, st.con_coeff, st.constraints, st.agents
-    )
-    obj = _agent_rows(
-        "objective", "c", st.obj_indptr, st.obj_agents, st.obj_coeff, st.objectives, st.agents
-    )
+        out_of_range = (members < 0) | (members >= n)
+        if out_of_range.any():
+            e = int(np.flatnonzero(out_of_range)[0])
+            row = int(np.searchsorted(indptr, e, side="right")) - 1
+            raise InvalidInstanceError(
+                f"coefficient {symbol}[{ids[row]!r}, ?] refers to unknown agent "
+                f"position {int(members[e])}"
+            )
+        a_indptr, a_rows, edge = _transpose_csr(indptr, members, n)
+        rows.extend((a_indptr, a_rows, coeff[edge]))
     return MaxMinInstance.from_arrays(
-        st.agents, st.constraints, st.objectives, *con, *obj, name=st.name
+        st.agents, st.constraints, st.objectives, *rows, name=st.name
     )
 
 

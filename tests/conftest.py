@@ -149,6 +149,48 @@ def general_family():
 # ----------------------------------------------------------------------
 
 
+def invalid_instance_documents():
+    """``(id, text)`` pairs: valid JSON instance documents that describe no
+    valid instance (duplicate agent ids, a zero coefficient, a coefficient
+    that is no number)."""
+    import json
+
+    from repro.io.serialization import instance_to_json
+
+    docs = []
+    for case in ("duplicate-agent", "zero-coefficient", "non-numeric-coefficient"):
+        doc = json.loads(instance_to_json(build_tiny_instance()))
+        if case == "duplicate-agent":
+            doc["agents"] = [doc["agents"][0]] * 2
+        else:
+            doc["a"][0]["coefficient"] = 0.0 if case == "zero-coefficient" else "abc"
+        docs.append((case, json.dumps(doc)))
+    return docs
+
+
+def spy_view_builds(monkeypatch) -> list:
+    """Record every instance whose lazy dict views get built.
+
+    Returns a list that gains one entry (the instance's name) per
+    ``MaxMinInstance`` dict-view materialisation while ``monkeypatch`` is
+    active — the spy behind "this path reads only the CSR arrays".
+    """
+    import repro.core.instance as instance_mod
+
+    built = []
+    real = instance_mod._Views
+
+    class CountingViews(real):
+        __slots__ = ()
+
+        def __init__(self, comp):
+            built.append(comp.instance.name)
+            super().__init__(comp)
+
+    monkeypatch.setattr(instance_mod, "_Views", CountingViews)
+    return built
+
+
 def assert_feasible(solution: Solution, tol: float = 1e-8) -> None:
     report = solution.check_feasibility(tol)
     assert report.feasible, (

@@ -4,13 +4,25 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro import oracle
 from repro._types import NodeType, agent_node, constraint_node, objective_node
 from repro.core.instance import MaxMinInstance
 from repro.exceptions import InvalidInstanceError
+from repro.generators import random_instance
+from repro.io.serialization import instance_digest
 
-from conftest import build_general_instance, build_tiny_instance
+from conftest import (
+    build_general_instance,
+    build_tiny_instance,
+    general_family,
+    special_form_family,
+    spy_view_builds,
+)
 
 
 class TestConstruction:
@@ -220,11 +232,172 @@ class TestEqualityAndSerialization:
         assert tiny_instance.structurally_equal(perturbed, tol=1e-9)
         assert not tiny_instance.structurally_equal(perturbed, tol=0.0)
 
-    def test_dict_roundtrip(self, general_instance):
-        restored = MaxMinInstance.from_dict(general_instance.to_dict())
-        assert restored == general_instance
-        assert restored.name == general_instance.name
-
     def test_repr(self, general_instance):
         text = repr(general_instance)
         assert "MaxMinInstance" in text and "deltaI=3" in text
+
+
+# ----------------------------------------------------------------------
+# One representation: dict declarations lowered to the checked CSR arrays
+# ----------------------------------------------------------------------
+def assert_matches_lowering(instance: MaxMinInstance, ref: dict) -> None:
+    """Every compiled array (values and dtype), view and digest input agree."""
+    comp = instance.compiled()
+    arrays = [name for name, value in ref.items() if isinstance(value, np.ndarray)]
+    assert len(arrays) == 13
+    for attr in arrays:
+        got, want = getattr(comp, attr), ref[attr]
+        assert got.dtype == want.dtype, attr
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), attr
+    for v in instance.agents:
+        assert instance.constraints_of_agent(v) == ref["constraints_of_agent"][v]
+        assert instance.objectives_of_agent(v) == ref["objectives_of_agent"][v]
+    for i in instance.constraints:
+        assert instance.agents_of_constraint(i) == ref["agents_of_constraint"][i]
+    for k in instance.objectives:
+        assert instance.agents_of_objective(k) == ref["agents_of_objective"][k]
+    for got, want in ((instance.a_coefficients, ref["a"]), (instance.c_coefficients, ref["c"])):
+        assert got == want
+        # The digest and hash inputs: items sorted by repr, key objects included.
+        assert repr(sorted(got.items(), key=repr)) == repr(sorted(want.items(), key=repr))
+    assert hash(instance) == hash(
+        (
+            instance.agents,
+            instance.constraints,
+            instance.objectives,
+            tuple(sorted(ref["a"].items(), key=repr)),
+            tuple(sorted(ref["c"].items(), key=repr)),
+        )
+    )
+
+
+def _declare_both(agents, constraints, objectives, a, c):
+    instance = MaxMinInstance(agents, constraints, objectives, a, c, name="declared")
+    return instance, oracle.lower(agents, constraints, objectives, a, c)
+
+
+@st.composite
+def declarations(draw, max_nodes: int = 7):
+    """Raw dict declarations: mixed id types, edges inserted in any order."""
+    ids = st.one_of(
+        st.integers(-3, 20), st.text("abxy", min_size=1, max_size=3), st.tuples(st.integers(0, 3), st.just("t"))
+    )
+    agents = draw(st.lists(ids, min_size=1, max_size=max_nodes, unique=True))
+    constraints = draw(st.lists(ids, max_size=max_nodes, unique=True))
+    objectives = draw(st.lists(ids, max_size=max_nodes, unique=True))
+    coeff = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)
+
+    def edges(members):
+        if not members:
+            return {}
+        keys = draw(st.lists(st.tuples(st.sampled_from(members), st.sampled_from(agents)), unique=True, max_size=20))
+        return {key: draw(coeff) for key in keys}
+
+    return agents, constraints, objectives, edges(constraints), edges(objectives)
+
+
+class TestArraysFirst:
+    @pytest.mark.parametrize(
+        "instance",
+        general_family() + special_form_family() + [build_general_instance(), build_tiny_instance()],
+        ids=lambda inst: inst.name,
+    )
+    def test_families_match_oracle_lowering(self, instance):
+        # Re-declared with the edges inserted back to front: the lowering
+        # must not depend on the insertion order.
+        a = dict(reversed(list(instance.a_coefficients.items())))
+        c = dict(reversed(list(instance.c_coefficients.items())))
+        redeclared, ref = _declare_both(instance.agents, instance.constraints, instance.objectives, a, c)
+        assert_matches_lowering(redeclared, ref)
+        assert_matches_lowering(instance, ref)
+        assert redeclared == instance
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(declarations())
+    def test_declarations_match_oracle_lowering(self, declaration):
+        instance, ref = _declare_both(*declaration)
+        assert_matches_lowering(instance, ref)
+
+    def test_random_10k_matches_oracle_lowering(self):
+        instance = random_instance(10_000, delta_I=3, delta_K=3, seed=3)
+        a, c = instance.a_coefficients, instance.c_coefficients
+        redeclared, ref = _declare_both(instance.agents, instance.constraints, instance.objectives, a, c)
+        assert_matches_lowering(redeclared, ref)
+
+    def test_equal_but_distinct_keys_use_the_declared_objects(self):
+        instance, ref = _declare_both(
+            ["a", "b"], ["i"], ["k"], {("i", np.str_("a")): 1.0, (np.str_("i"), "b"): 2.0}, {("k", "a"): 1.0}
+        )
+        assert_matches_lowering(instance, ref)
+        assert all(type(x) is str for key in instance.a_coefficients for x in key)
+
+    @pytest.mark.parametrize(
+        "con, match",
+        [
+            (([0, 1, 2], [0, 0], [1.0, 0.0]), "must be positive and finite"),
+            (([0, 1, 2], [0, 0], [1.0, np.nan]), "must be positive and finite"),
+            (([0, 1, 2], [0, 5], [1.0, 1.0]), "unknown constraint position 5"),
+            (([0, 1, 2], [-1, 0], [1.0, 1.0]), "unknown constraint position -1"),
+            (([0, 2, 2], [0, 0], [1.0, 1.0]), r"duplicate constraint coefficient for \('i0', 'v0'\)"),
+            (([0, 2, 2], [1, 0], [1.0, 1.0]), "constraint row of agent 'v0' is not in canonical order"),
+            (([0, 2], [0, 1], [1.0, 1.0]), "malformed constraint rows"),
+            (([0, 2, 1], [0, 1], [1.0, 1.0]), "malformed constraint rows"),
+            (([0, 1, 2], [0, 1], [1.0]), "malformed constraint rows"),
+        ],
+        ids=["zero", "nan", "past-end", "negative", "duplicate", "unsorted", "short-indptr", "decreasing", "short-coeff"],
+    )
+    def test_from_arrays_checks_its_arrays(self, con, match):
+        obj = ([0, 1, 2], [0, 0], [1.0, 1.0])
+        with pytest.raises(InvalidInstanceError, match=match):
+            MaxMinInstance.from_arrays(["v0", "v1"], ["i0", "i1"], ["k0"], *con, *obj)
+
+    @pytest.mark.parametrize("kind", ["agent", "constraint", "objective"])
+    def test_from_arrays_rejects_duplicate_ids(self, kind):
+        nodes = {"agent": ["v0", "v1"], "constraint": ["i0", "i1"], "objective": ["k0", "k1"]}
+        nodes[kind] = [nodes[kind][0]] * 2
+        empty = ([0, 0, 0], [], [])
+        with pytest.raises(InvalidInstanceError, match=f"duplicate {kind} identifiers"):
+            MaxMinInstance.from_arrays(nodes["agent"], nodes["constraint"], nodes["objective"], *empty, *empty)
+
+    def test_pickle_round_trip(self, general_instance):
+        import pickle
+
+        restored = pickle.loads(pickle.dumps(general_instance))
+        assert restored == general_instance and restored.name == general_instance.name
+        assert restored.compiled().instance is restored
+
+    def test_unreferenced_instance_is_freed_without_the_cycle_collector(self):
+        import gc
+        import weakref
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            instance = random_instance(40, seed=1)
+            instance.compiled()
+            ref = weakref.ref(instance)
+            del instance
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_equality_is_identity_first(self, monkeypatch, general_instance):
+        def compared(*args, **kwargs):
+            raise AssertionError("an instance was compared with itself")
+
+        monkeypatch.setattr(MaxMinInstance, "structurally_equal", compared)
+        assert general_instance == general_instance
+        assert not general_instance != general_instance
+
+    def test_equality_ignores_declaration_order(self, tiny_instance):
+        swapped = MaxMinInstance(
+            list(reversed(tiny_instance.agents)),
+            tiny_instance.constraints,
+            tiny_instance.objectives,
+            tiny_instance.a_coefficients,
+            tiny_instance.c_coefficients,
+            name="swapped",
+        )
+        assert swapped == tiny_instance
+        assert instance_digest(swapped) != instance_digest(tiny_instance)

@@ -26,6 +26,8 @@ from repro.io import (
 )
 from repro.transforms import to_special_form
 
+from conftest import invalid_instance_documents
+
 
 class TestJsonSerialization:
     def test_roundtrip_simple(self, general_instance, tmp_path):
@@ -236,6 +238,19 @@ class TestCli:
         assert main([command, str(not_instance)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: invalid instance file")
+
+    @pytest.mark.parametrize(
+        "text", [text for _, text in invalid_instance_documents()],
+        ids=[case for case, _ in invalid_instance_documents()],
+    )
+    def test_invalid_instance_document_is_a_one_line_error(self, text, tmp_path, capsys):
+        """Valid JSON describing no valid instance: one line, exit 2."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        assert main(["solve", str(bad), "-R", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: invalid instance file")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
         "family", ["random", "special-form", "torus", "sensor", "ring"]

@@ -33,7 +33,7 @@ from repro import obs, oracle
 from repro.algo.local_solver import SpecialFormLocalSolver
 from repro.algo.upper_bound import DEFAULT_BISECTION_TOL, compute_upper_bounds, smooth_upper_bounds
 from repro.core.builder import InstanceBuilder
-from repro.core.compiled import CompiledInstance, stack_compiled
+from repro.core.compiled import stack_compiled
 from repro.exceptions import NotSpecialFormError
 from repro.generators import (
     cycle_instance,
@@ -356,7 +356,7 @@ class TestCompiledInstance:
             assert sums[idx] == pytest.approx(expected, abs=1e-12)
 
     def test_special_view_rejects_general_instances(self):
-        comp = CompiledInstance(build_general_instance())
+        comp = build_general_instance().compiled()
         with pytest.raises(NotSpecialFormError):
             comp.obj_of_agent
 

@@ -28,7 +28,6 @@ from repro.algo.local_solver import SpecialFormLocalSolver
 from repro.algo.safe_algorithm import SafeAlgorithm
 from repro.algo.upper_bound import tree_optimum_binary_search, tree_optimum_lp
 from repro.core.builder import InstanceBuilder
-from repro.core.instance import MaxMinInstance
 from repro.core.lp import solve_maxmin_lp
 from repro.core.preprocess import preprocess
 from repro.core.solution import Solution
@@ -234,12 +233,6 @@ def test_preprocess_lift_preserves_feasibility(instance):
 @given(general_instances())
 def test_json_roundtrip(instance):
     assert instance_from_json(instance_to_json(instance)) == instance
-
-
-@slow_settings
-@given(general_instances())
-def test_dict_roundtrip(instance):
-    assert MaxMinInstance.from_dict(instance.to_dict()) == instance
 
 
 @slow_settings

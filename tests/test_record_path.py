@@ -16,7 +16,9 @@ Pins the contracts of the vectorized evaluation-and-preparation layer:
   an R-sweep over one instance runs the pipeline exactly once, and
   cached transforms never leak across content digests in the engine;
 * mid-search active-set compaction is bitwise-neutral;
-* a lazy solve result shared by threads materialises its views once.
+* a lazy solve result shared by threads materialises its views once, and
+  so does an instance's dict view; the solve, evaluate, save, delta and
+  resilient paths never build an instance's dict views.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from conftest import (
     build_tiny_instance,
     general_family,
     special_form_family,
+    spy_view_builds,
 )
 
 # ----------------------------------------------------------------------
@@ -96,10 +99,11 @@ def fixed_instances():
 def assert_preprocess_equivalent(instance: MaxMinInstance) -> None:
     ref = oracle.preprocess(instance)
     vec = preprocess(instance)
-    assert set(ref.forced_zero_agents) == set(vec.forced_zero_agents)
-    assert set(ref.unconstrained_agents) == set(vec.unconstrained_agents)
-    assert set(ref.removed_constraints) == set(vec.removed_constraints)
-    assert set(ref.removed_objectives) == set(vec.removed_objectives)
+    # In order, not as sets: the lift walks the removed objectives in order.
+    assert ref.forced_zero_agents == vec.forced_zero_agents
+    assert ref.unconstrained_agents == vec.unconstrained_agents
+    assert ref.removed_constraints == vec.removed_constraints
+    assert ref.removed_objectives == vec.removed_objectives
     assert ref.optimum_is_zero == vec.optimum_is_zero
     assert ref.optimum_is_unbounded == vec.optimum_is_unbounded
     assert ref.changed == vec.changed
@@ -124,6 +128,27 @@ class TestVectorizedPreprocess:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(instance=possibly_degenerate_instances())
     def test_backend_equivalence_hypothesis(self, instance):
+        assert_preprocess_equivalent(instance)
+
+    def test_removal_order_is_canonical(self):
+        """Three unconstrained agents free two objectives in one round.
+
+        Walking the agents lists k2 first (v0 frees k2 before v3 frees k0),
+        and walking a set gives an order that follows ``PYTHONHASHSEED``;
+        either lifts a different solution.  Both fixed points list each
+        round in canonical order.
+        """
+        instance = MaxMinInstance(
+            ["v0", "v1", "v2", "v3"],
+            ["i0"],
+            ["k0", "k1", "k2"],
+            {("i0", "v2"): 1.0},
+            {("k0", "v3"): 0.5, ("k1", "v2"): 1.0, ("k2", "v0"): 1.0, ("k2", "v3"): 2.0, ("k2", "v1"): 0.5},
+            name="canonical-removals",
+        )
+        for pre in (oracle.preprocess(instance), preprocess(instance)):
+            assert pre.unconstrained_agents == ("v0", "v1", "v3")
+            assert pre.removed_objectives == ("k0", "k2")
         assert_preprocess_equivalent(instance)
 
     def test_unchanged_instance_returned_as_is(self, tiny_instance):
@@ -321,19 +346,46 @@ class TestTransformCache:
         _instance_and_lp.cache_clear()
 
 
+def _race(work, threads_n: int = 8) -> list:
+    """Run ``work(slot)`` on ``threads_n`` threads released together by a
+    barrier under a 1 µs switch interval; returns the errors raised."""
+    import sys
+    import threading
+
+    barrier = threading.Barrier(threads_n)
+    errors = []
+
+    def run(slot: int) -> None:
+        try:
+            barrier.wait(timeout=30)
+            work(slot)
+        except Exception as exc:  # noqa: BLE001 - reported by the caller
+            errors.append(exc)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(threads_n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    return errors
+
+
 class TestCachesUnderThreads:
     def test_concurrent_solves_of_one_cold_instance(self):
         """Server threads solving one resident instance race on its lazily
-        filled caches (compiled view, preprocess slot, transform slot).
+        filled caches (preprocess slot, transform slot).
 
         8 threads (more than the cores) start together behind a barrier with
         a 1 µs switch interval, so they interleave inside the cache fills;
         every answer must be bitwise the serial one, and the instance must
         end up holding one preprocess result and one transform result.
         """
-        import sys
-        import threading
-
         from repro.algo.general_solver import LocalMaxMinSolver
         from repro.core.preprocess import PreprocessResult
         from repro.generators import random_instance
@@ -348,34 +400,101 @@ class TestCachesUnderThreads:
 
         instance = instance_from_json(text)
         assert instance._preprocess_cache is None and instance._transform_cache is None
-        threads_n = 8
-        barrier = threading.Barrier(threads_n)
-        outputs = [None] * threads_n
-        errors = []
+        outputs = [None] * 8
 
         def work(slot: int) -> None:
-            try:
-                barrier.wait(timeout=30)
-                result = LocalMaxMinSolver(R=3).solve(instance)
-                outputs[slot] = result.solution.value_array().tobytes()
-            except Exception as exc:  # noqa: BLE001 - reported below
-                errors.append(exc)
+            result = LocalMaxMinSolver(R=3).solve(instance)
+            outputs[slot] = result.solution.value_array().tobytes()
 
-        previous = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(k,)) for k in range(threads_n)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(previous)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-        assert outputs == [expected] * threads_n
+        assert _race(work) == []
+        assert outputs == [expected] * 8
         assert isinstance(instance._preprocess_cache, PreprocessResult)
         assert list(instance._transform_cache) == [True]
+
+    def test_first_touch_of_the_dict_views(self, monkeypatch):
+        """Threads touching a fresh instance's dict views first through
+        different accessors all read one set of views, built once."""
+        from repro.generators import random_instance
+        from repro.io.serialization import instance_from_json, instance_to_json
+
+        text = instance_to_json(
+            random_instance(1000, extra_constraints=50, extra_objectives=50, seed=7)
+        )
+
+        def answers(instance):
+            return (
+                instance.a_coefficients,
+                [instance.agents_of_constraint(i) for i in instance.constraints],
+                hash(instance),
+                instance_to_json(instance),
+            )
+
+        expected = answers(instance_from_json(text))
+        assert expected[3] == text
+        views = spy_view_builds(monkeypatch)
+        for _ in range(5):
+            views.clear()
+            instance = instance_from_json(text)
+            firsts = (
+                lambda: instance.a_coefficients,
+                lambda: instance.agents_of_constraint(instance.constraints[-1]),
+                lambda: hash(instance),
+                lambda: instance_to_json(instance),
+            )
+            outputs = [None] * 8
+
+            def work(slot: int) -> None:
+                firsts[slot % len(firsts)]()
+                outputs[slot] = answers(instance)
+
+            assert _race(work) == []
+            assert outputs == [expected] * 8
+            assert views == [instance.name]
+
+
+class TestSolvePathsReadArraysOnly:
+    """The production paths read the CSR arrays and never build dict views."""
+
+    def test_general_solve_evaluate_and_save(self, monkeypatch, tmp_path):
+        from repro.algo.general_solver import LocalMaxMinSolver
+        from repro.generators import random_instance
+        from repro.io.serialization import load_instance, save_instance, save_solution
+
+        path = save_instance(
+            random_instance(10_000, delta_I=3, delta_K=3, seed=3), tmp_path / "random.json"
+        )
+        views = spy_view_builds(monkeypatch)
+        result = LocalMaxMinSolver(R=3).solve(load_instance(path))
+        assert result.status == "local" and result.transform is not None
+        assert result.solution.is_feasible() and result.solution.utility() > 0.0
+        save_solution(result.solution, tmp_path / "solution.json")
+        assert views == []
+
+    @pytest.mark.parametrize("structural", [False, True], ids=["coefficient", "structural"])
+    def test_delta_ticks(self, monkeypatch, structural):
+        from repro.distributed.dynamics import DynamicNetwork, random_churn_delta
+
+        net = DynamicNetwork(random_special_form_instance(300, delta_K=3, seed=2), R=3)
+        rng = np.random.default_rng(0)
+        views = spy_view_builds(monkeypatch)
+        for _ in range(4):
+            delta = random_churn_delta(
+                net.instance, rng, edits=2, structural_prob=1.0 if structural else 0.0
+            )
+            views.clear()  # the delta generator reads the views; the tick must not
+            result = delta.apply()
+            tick = net.apply(result)
+            assert result.structural == structural == tick.structural
+            assert views == []
+
+    def test_resilient_solve(self, monkeypatch):
+        from repro.distributed import ResilientLocalSolver
+
+        instance = random_special_form_instance(300, delta_K=3, seed=4)
+        views = spy_view_builds(monkeypatch)
+        solution, _ = ResilientLocalSolver(R=3).solve(instance)
+        assert solution.is_feasible()
+        assert views == []
 
 
 class TestLazyResultUnderThreads:

@@ -36,6 +36,8 @@ from repro.serve import (
 from repro.serve.batcher import MicroBatcher
 from repro.serve.protocol import ERROR_STATUS, parse_body
 
+from conftest import invalid_instance_documents
+
 
 def make_instances(count, *, size=10, seed0=100):
     return [
@@ -299,6 +301,18 @@ class TestServerBasics:
             assert status == 404
             status, payload = client.utility("nope", instance=inst)
             assert status == 400
+
+    def test_invalid_instance_documents_are_bad_requests(self):
+        """Valid JSON describing no valid instance is the client's error."""
+        with ServerHandle(ServeConfig(workers=1)) as handle:
+            client = handle.client(timeout_s=10)
+            for case, text in invalid_instance_documents():
+                status, payload = client.op("solve", {"instance": json.loads(text)})
+                assert status == 400 and payload["error"]["code"] == "bad_request", case
+                assert payload["error"]["message"].startswith("invalid instance document"), case
+            status, metrics = client.metrics()
+            assert status == 200
+            assert metrics["counters"].get("serve.internal_errors", 0) == 0
 
     def test_cache_tier_survives_restart(self, tmp_path):
         (inst,) = make_instances(1)

@@ -11,10 +11,10 @@ The contract that lets the array pipeline be the one production path of
 * back-mapped solutions agree within 1e-12 (the array back-map composes the
   §4.3/§4.6 scales in one product instead of two chained operations, which
   costs at most a few ulp);
-* the output, built straight from the stage arrays through the trusted
+* the output, built straight from the stage arrays through the checked
   ``MaxMinInstance.from_arrays``, is indistinguishable from the same
-  instance declared through ``MaxMinInstance(...)`` — and the array checks
-  that replace ``__init__``'s validation reject corrupted stage output.
+  instance declared through ``MaxMinInstance(...)`` — and those array
+  checks reject corrupted stage output.
 
 Checked across every generator family and over hypothesis-generated
 instances that are built from scratch (not via the library's generators, to
@@ -49,7 +49,7 @@ from repro.io.serialization import instance_digest, instance_to_json
 from repro.transforms import CompiledTransformResult, to_special_form
 from repro.transforms.vectorized import vectorized_to_special_form
 
-from conftest import assert_feasible, build_general_instance, general_family
+from conftest import assert_feasible, build_general_instance, general_family, spy_view_builds
 
 BACKMAP_TOL = 1e-12
 
@@ -263,7 +263,8 @@ class TestArrayConstruction:
         clean.compiled()
         return clean
 
-    def test_output_is_never_lowered_through_dicts(self, clean):
+    def test_output_is_never_lowered_through_dicts(self, clean, monkeypatch):
+        views = spy_view_builds(monkeypatch)
         obs.configure(enabled=True)
         try:
             mark = obs.counters_mark()
@@ -273,8 +274,8 @@ class TestArrayConstruction:
             obs.configure(enabled=False)
             obs.reset()
         assert result.transformed is not clean
-        assert delta.get("compile.builds", 0) == 0
-        assert delta.get("compile.from_arrays") == 1
+        assert views == []
+        assert delta.get("compile.builds") == 1
 
     @pytest.mark.parametrize(
         "corrupt,match",
