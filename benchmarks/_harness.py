@@ -1,14 +1,13 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark module corresponds to one experiment id (E1 … E10) of
-DESIGN.md / EXPERIMENTS.md.  Besides timing the core computation with
-``pytest-benchmark``, each module *regenerates the rows/series the paper's
-claims speak about* and
+Every ``bench_e*.py`` module is one experiment (E1 … E10) that checks a
+claim of the paper; ``bench_a1_ablations.py`` is the ablation A1.  Besides
+timing the core computation with ``pytest-benchmark``, each module
+*regenerates the rows/series the paper's claims speak about* and
 
 * prints them as an ASCII table (visible with ``pytest -s`` or in the
   captured output), and
-* writes them to ``benchmarks/results/<experiment>.md`` so that
-  EXPERIMENTS.md can be refreshed by re-running the harness.
+* writes them to ``benchmarks/results/<experiment>.md``.
 
 The benchmarks also assert the qualitative *shape* of each result (who wins,
 which bound holds) so that a regression in the algorithms fails the harness

@@ -1,7 +1,7 @@
 """A1 — Ablation study: why the algorithm's ingredients are necessary.
 
 Not a table from the paper, but an executable justification of its design
-choices (DESIGN.md §5): dropping the smoothing step (§5.3) or the up/down
+choices (paper §5–6): dropping the smoothing step (§5.3) or the up/down
 averaging (§6.2, Eq. 18) produces outputs that are *infeasible*, and keeping
 only the conservative half of the averaging keeps feasibility but destroys
 the approximation guarantee.  The full algorithm is the only variant that is

@@ -172,10 +172,7 @@ def _counter_row(n_agents: int, R: int, ticks: int, seed: int) -> Dict[str, obje
             net.random_tick(rng, edits=2, structural_prob=0.3)
 
     _, counters = obs_counter_rollup(run)
-    keep = (
-        "dynamics.", "compiled.delta", "solver.incremental",
-        "kernels.confined", "plane.delta",
-    )
+    keep = ("dynamics.", "compiled.delta", "solver.incremental", "kernels.confined")
     return {
         "kind": "counters",
         "n_agents": n_agents,

@@ -8,9 +8,9 @@ and reports rounds, messages and messages per node.
 
 The protocol runs on the vectorized message plane (see ``bench_safe_e5.py``
 for its speedup over the per-node oracle); the measurements do not depend
-on the runtime — the dict-based oracle (``measure_bytes=True``) produces
-identical per-round message statistics, which one row here re-checks
-explicitly.
+on the runtime — the per-node simulator of :mod:`repro.oracle.distributed`
+produces identical per-round message statistics, which one row here
+re-checks explicitly.
 """
 
 from __future__ import annotations
@@ -20,18 +20,18 @@ import pytest
 from repro.distributed import DistributedLocalSolver, DistributedSafeSolver
 from repro.engine import ParallelExecutor, SerialExecutor, ratio_sweep_batch, run_batch
 from repro.generators import cycle_instance
+from repro.oracle import distributed as oracle_dist
 from repro.transforms import to_special_form
 from repro.generators import sensor_network_instance
 
 from _harness import emit_table
 
 
-def _cycle_rows(R: int = 3, measure_bytes: bool = False):
-    solver = DistributedLocalSolver(R=R, measure_bytes=measure_bytes)
+def _cycle_rows(solve):
     rows = []
     for segments in (8, 16, 32, 64):
         instance = cycle_instance(segments, coefficient_range=(0.5, 2.0), seed=segments)
-        solution, run = solver.solve(instance)
+        solution, run = solve(instance)
         rows.append(
             {
                 "family": f"cycle-{segments}",
@@ -72,7 +72,7 @@ def _sensor_rows(R: int = 2):
 
 
 def test_e5_scaling(benchmark):
-    cycle_rows = _cycle_rows()
+    cycle_rows = _cycle_rows(DistributedLocalSolver(R=3).solve)
     sensor_rows = _sensor_rows()
     rows = cycle_rows + sensor_rows
     emit_table(
@@ -102,8 +102,8 @@ def test_e5_scaling(benchmark):
     assert max(per_node) <= min(per_node) * 1.05
     assert all(row["feasible"] for row in rows)
 
-    # Runtime independence: the dict-based oracle reports the same statistics.
-    oracle_rows = _cycle_rows(measure_bytes=True)
+    # Runtime independence: the per-node oracle reports the same statistics.
+    oracle_rows = _cycle_rows(lambda instance: oracle_dist.local_solve(instance, 3))
     assert [(r["rounds"], r["messages"]) for r in oracle_rows] == [
         (r["rounds"], r["messages"]) for r in cycle_rows
     ]

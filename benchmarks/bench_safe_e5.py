@@ -13,9 +13,8 @@ the script times the per-node oracle and the production path of
 * ``DistributedLocalSolver`` at R=2 (the E5 scaling protocol), also
   reporting the per-round cost of the runtime itself,
 
-where the oracle of the two protocols is their per-node agents on the dict
-runtime (the path ``measure_bytes=True`` takes, driven here without byte
-accounting so only the runtime is timed).  It checks that both sides agree
+where the oracle of the two protocols is their per-node simulator,
+:mod:`repro.oracle.distributed`.  It checks that both sides agree
 (outputs and total message counts), and
 asserts the acceptance bar (runtime speedup ≥ ``--min-speedup`` at
 ``n ≥ --speedup-floor-n``) unless running in ``--smoke`` mode.
@@ -51,17 +50,9 @@ from repro import oracle
 from repro.algo.safe_algorithm import safe_solution
 from _harness import obs_counter_rollup, write_bench_payload
 from repro.analysis.reporting import format_table
-from repro.core.solution import Solution
-from repro.distributed import (
-    DistributedLocalSolver,
-    DistributedSafeSolver,
-    PhaseSchedule,
-    SynchronousRuntime,
-    build_network,
-    maxmin_node_factory,
-)
-from repro.distributed.safe_agents import SAFE_ALGORITHM_ROUNDS, _safe_node_factory
+from repro.distributed import DistributedLocalSolver, DistributedSafeSolver
 from repro.engine.cache import ResultCache
+from repro.oracle import distributed as oracle_dist
 from repro.engine.registry import solver_version
 from repro.generators import cycle_instance, regular_special_form_instance
 
@@ -90,20 +81,17 @@ def _code_digest() -> str:
     """
     import repro.algo.kernels as kernels_mod
     import repro.algo.safe_algorithm as safe_mod
+    import repro.analysis.views as views_mod
     import repro.core.compiled as compiled_mod
     import repro.distributed.agents as agents_mod
-    import repro.distributed.local_view as local_view_mod
-    import repro.distributed.message as message_mod
-    import repro.distributed.network as network_mod
-    import repro.distributed.node as node_mod
     import repro.distributed.plane as plane_mod
-    import repro.distributed.port_numbering as ports_mod
     import repro.distributed.runtime as runtime_mod
     import repro.distributed.safe_agents as safe_agents_mod
 
     h = hashlib.sha256()
     for mod in (
         oracle,
+        oracle_dist,
         safe_mod,
         kernels_mod,
         compiled_mod,
@@ -111,11 +99,7 @@ def _code_digest() -> str:
         runtime_mod,
         agents_mod,
         safe_agents_mod,
-        local_view_mod,
-        node_mod,
-        network_mod,
-        ports_mod,
-        message_mod,
+        views_mod,
     ):
         h.update(Path(mod.__file__).read_bytes())
     return h.hexdigest()
@@ -139,12 +123,6 @@ def config_key(family: str, n: int, R: int, seed: int) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _dict_runtime(instance, factory, rounds: int):
-    """Run per-node protocol agents on the dict runtime; ``(solution, run)``."""
-    result = SynchronousRuntime(build_network(instance)).run(factory, rounds=rounds)
-    return Solution(instance, result.outputs, require_complete=True), result
-
-
 def measure(family: str, n: int, R: int, seed: int) -> Dict[str, object]:
     """Time the oracle and the production side of all three paths on one instance."""
     instance = make_instance(family, n, seed)
@@ -159,7 +137,7 @@ def measure(family: str, n: int, R: int, seed: int) -> Dict[str, object]:
     safe_diff = max(abs(safe_ref[v] - safe_vec[v]) for v in instance.agents)
 
     start = time.perf_counter()
-    dsafe_ref, drun_ref = _dict_runtime(instance, _safe_node_factory, SAFE_ALGORITHM_ROUNDS)
+    dsafe_ref, drun_ref = oracle_dist.safe_solve(instance)
     t_dsafe_ref = time.perf_counter() - start
     start = time.perf_counter()
     dsafe_vec, drun_vec = DistributedSafeSolver().solve(instance)
@@ -167,11 +145,8 @@ def measure(family: str, n: int, R: int, seed: int) -> Dict[str, object]:
     if drun_ref.total_messages != drun_vec.total_messages:
         raise AssertionError("safe protocol runtimes disagree on message counts")
 
-    schedule = PhaseSchedule(R)
     start = time.perf_counter()
-    local_ref, run_ref = _dict_runtime(
-        instance, maxmin_node_factory(schedule), schedule.total_rounds
-    )
+    local_ref, run_ref = oracle_dist.local_solve(instance, R)
     t_run_ref = time.perf_counter() - start
     start = time.perf_counter()
     local_vec, run_vec = DistributedLocalSolver(R=R).solve(instance)
@@ -200,8 +175,8 @@ def measure(family: str, n: int, R: int, seed: int) -> Dict[str, object]:
         "messages": run_vec.total_messages,
         "max_abs_diff_safe": safe_diff,
         "max_abs_diff_runtime": runtime_diff,
-        # Untimed traced re-run of the vectorized protocol: rounds, message
-        # and byte counters for the configuration timed above.
+        # Untimed traced re-run of the vectorized protocol: round and message
+        # counters for the configuration timed above.
         "obs": obs_counter_rollup(
             lambda: DistributedLocalSolver(R=R).solve(instance)
         )[1],

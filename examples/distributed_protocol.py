@@ -3,8 +3,8 @@
 
 The paper's model (§1.2): synchronous rounds, port numbering, no node
 identifiers.  This script takes a general workload, applies the §4
-transformations, runs the distributed §5 protocol on the simulator, maps the
-solution back, and compares the result (and its cost in rounds/messages)
+transformations, runs the distributed §5 protocol on the message plane, maps
+the solution back, and compares the result (and its cost in rounds/messages)
 against the centralized solver and the 2-round safe protocol.
 
 Run with:  python examples/distributed_protocol.py
@@ -29,13 +29,13 @@ def main() -> None:
     print(f"special form after §4: {special!r} (ratio factor {transform.ratio_factor:g})\n")
 
     # §5 as a message-passing protocol.
-    distributed = DistributedLocalSolver(R=R, measure_bytes=True)
+    distributed = DistributedLocalSolver(R=R)
     dist_solution, run = distributed.solve(special)
     mapped = transform.map_back(dist_solution)
 
     # Reference executions.
     central = SpecialFormLocalSolver(R=R).solve(special)
-    safe_solution, safe_run = DistributedSafeSolver(measure_bytes=True).solve(special)
+    safe_solution, safe_run = DistributedSafeSolver().solve(special)
     optimum = solve_maxmin_lp(instance).optimum
 
     max_diff = max(abs(dist_solution[v] - central.solution[v]) for v in special.agents)
@@ -46,14 +46,12 @@ def main() -> None:
             "protocol": f"local algorithm (R={R})",
             "rounds": run.rounds,
             "messages": run.total_messages,
-            "kilobytes": run.total_bytes / 1024,
             "utility (original instance)": mapped.utility(),
         },
         {
             "protocol": "safe baseline",
             "rounds": safe_run.rounds,
             "messages": safe_run.total_messages,
-            "kilobytes": safe_run.total_bytes / 1024,
             "utility (original instance)": transform.map_back(safe_solution).utility(),
         },
     ]

@@ -14,7 +14,7 @@ Public API highlights
 * :class:`repro.algo.LocalMaxMinSolver` — the paper's local algorithm with
   the Theorem 1 guarantee ``ΔI (1 − 1/ΔK)(1 + 1/(R − 1))``.
 * :class:`repro.algo.SafeAlgorithm` — the prior-work factor-``ΔI`` baseline.
-* :mod:`repro.distributed` — synchronous message-passing simulator and the
+* :mod:`repro.distributed` — synchronous message-passing runtime and the
   distributed realisation of the algorithm.
 * :mod:`repro.generators` — workload generators (random, regular, cycles,
   grids, sensor networks, bandwidth allocation, lower-bound gadgets).

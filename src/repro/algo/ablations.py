@@ -16,8 +16,8 @@ pseudocode alone:
    the objectives require".
 
 This module implements the corresponding degraded variants so that the
-ablation benchmark (EXPERIMENTS.md, experiment A1) can show *measurably* what
-breaks:
+ablation benchmark (experiment A1, ``benchmarks/bench_a1_ablations.py``) can
+show *measurably* what breaks:
 
 * ``no_smoothing`` — skip step 1 (use ``t_v`` directly): the output can
   violate packing constraints once ``r ≥ 1`` (observed violations of ~5–10 %

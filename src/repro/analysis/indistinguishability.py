@@ -31,9 +31,8 @@ import numpy as np
 from .._types import GraphNode, NodeId, agent_node
 from ..core.instance import MaxMinInstance
 from ..core.lp import solve_maxmin_lp
-from ..distributed.local_view import ViewTree
-from ..distributed.network import CommunicationNetwork, build_network
 from ..exceptions import SolverError
+from .views import CommunicationNetwork, ViewTree, build_network
 
 __all__ = [
     "build_view",
@@ -48,7 +47,7 @@ def build_view(network: CommunicationNetwork, node: GraphNode, depth: int) -> Vi
     """The radius-``depth`` view of a node, built directly from the topology.
 
     Produces exactly the tree the flooding protocol of
-    :mod:`repro.distributed.agents` would deliver after ``depth`` rounds
+    :mod:`repro.oracle.distributed` would deliver after ``depth`` rounds
     (the tests assert this), but without running the runtime — convenient
     for analysis code that needs many views.
     """

@@ -1,9 +1,10 @@
 """Approximation-ratio measurement helpers.
 
-Every experiment in EXPERIMENTS.md ultimately reports the same quantity —
-how far a solution's utility is from the exact optimum — so the logic lives
-here once: compute the optimum, evaluate one or more algorithms, and return
-flat records that the reporting module renders as tables.
+Every experiment of ``benchmarks/bench_e*.py`` ultimately reports the same
+quantity — how far a solution's utility is from the exact optimum — so the
+logic lives here once: compute the optimum, evaluate one or more
+algorithms, and return flat records that the reporting module renders as
+tables.
 """
 
 from __future__ import annotations

@@ -2,8 +2,7 @@
 
 The benchmark harness prints the same "rows and series" a paper table or
 figure would contain; this module owns the formatting so that every
-benchmark reports consistently and EXPERIMENTS.md can be regenerated by
-copy-pasting benchmark output.
+experiment (``benchmarks/bench_e*.py``) reports consistently.
 """
 
 from __future__ import annotations
@@ -77,7 +76,7 @@ def format_markdown_table(
     *,
     float_format: str = "{:.4f}",
 ) -> str:
-    """GitHub-flavoured Markdown table (for EXPERIMENTS.md)."""
+    """GitHub-flavoured Markdown table (the experiments' ``results/*.md``)."""
     columns = _normalise_columns(rows, columns)
     header = "| " + " | ".join(columns) + " |"
     separator = "| " + " | ".join("---" for _ in columns) + " |"

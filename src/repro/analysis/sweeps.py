@@ -1,10 +1,10 @@
 """Parameter-sweep harness.
 
-The experiments of EXPERIMENTS.md are parameter sweeps at heart: run a set
-of algorithms over a family of instances and tabulate utilities, measured
-ratios and guarantees.  :func:`run_ratio_sweep` does exactly that, and
-:func:`worst_case_by` aggregates the worst measured ratio per group — the
-number the paper's *worst-case* guarantees speak about.
+The experiments of ``benchmarks/bench_e*.py`` are parameter sweeps at
+heart: run a set of algorithms over a family of instances and tabulate
+utilities, measured ratios and guarantees.  :func:`run_ratio_sweep` does
+exactly that, and :func:`worst_case_by` aggregates the worst measured ratio
+per group — the number the paper's *worst-case* guarantees speak about.
 
 Execution is delegated to :mod:`repro.engine`: the sweep is compiled into a
 batch of (instance × algorithm × parameters) jobs and handed to

@@ -1,21 +1,15 @@
-"""Synchronous message-passing substrate and distributed protocols.
+"""Synchronous message-passing runtime and distributed protocols.
 
-This subpackage is the "systems" half of the reproduction: it simulates the
+This subpackage is the "systems" half of the reproduction: it runs the
 model of computation of paper §1.2 (synchronous rounds, port numbering, no
-node identifiers) faithfully enough that round counts, message counts and
-locality radii are meaningful measurements, and implements the paper's
-algorithm — plus the safe baseline — as actual protocols on that substrate.
+node identifiers) on an int-indexed message plane, faithfully enough that
+round counts, message counts and locality radii are meaningful
+measurements, and implements the paper's algorithm — plus the safe
+baseline — as actual protocols on it.  The per-node simulator the plane is
+tested against lives in :mod:`repro.oracle.distributed`.
 """
 
-from .agents import (
-    DistributedLocalSolver,
-    MaxMinAgentNode,
-    MaxMinConstraintNode,
-    MaxMinObjectiveNode,
-    PhaseSchedule,
-    VectorizedMaxMinProtocol,
-    maxmin_node_factory,
-)
+from .agents import DistributedLocalSolver, PhaseSchedule, VectorizedMaxMinProtocol
 from .plane import MessagePlane, VectorizedProtocol
 from .dynamics import (
     ChangeImpact,
@@ -27,11 +21,6 @@ from .dynamics import (
     measure_change_impact,
     random_churn_delta,
 )
-from .local_view import ViewTree, view_feasible_omega, view_tree_optimum
-from .message import Message, message_size_bytes
-from .network import CommunicationNetwork, build_network
-from .node import LocalInput, ProtocolNode
-from .port_numbering import PortNumbering
 from .resilient import (
     AGENT_EXACT,
     AGENT_FAILED,
@@ -47,13 +36,6 @@ from .runtime import RoundStatistics, RunResult, SynchronousRuntime, require_age
 from .safe_agents import DistributedSafeSolver, SAFE_ALGORITHM_ROUNDS, VectorizedSafeProtocol
 
 __all__ = [
-    "Message",
-    "message_size_bytes",
-    "PortNumbering",
-    "LocalInput",
-    "ProtocolNode",
-    "CommunicationNetwork",
-    "build_network",
     "MessagePlane",
     "VectorizedProtocol",
     "VectorizedSafeProtocol",
@@ -62,14 +44,7 @@ __all__ = [
     "RunResult",
     "RoundStatistics",
     "require_agent_outputs",
-    "ViewTree",
-    "view_tree_optimum",
-    "view_feasible_omega",
     "PhaseSchedule",
-    "MaxMinAgentNode",
-    "MaxMinConstraintNode",
-    "MaxMinObjectiveNode",
-    "maxmin_node_factory",
     "DistributedLocalSolver",
     "DistributedSafeSolver",
     "SAFE_ALGORITHM_ROUNDS",

@@ -3,11 +3,10 @@
 The protocol runs in ``12r + 7`` synchronous rounds (``r = R − 2``) and uses
 only port numbering:
 
-* **View phase** (rounds ``1 … 4r+2``): every node floods anonymous view
-  trees (:class:`~repro.distributed.local_view.ViewTree`).  At the start of
-  round ``4r+3`` each agent holds its radius-``(4r+2)`` view — exactly deep
-  enough to evaluate the ``f±`` recursion of its alternating tree ``A_u`` —
-  and computes ``t_u`` by local binary search.
+* **View phase** (rounds ``1 … 4r+2``): every node floods its anonymous view
+  tree.  At the start of round ``4r+3`` each agent holds its
+  radius-``(4r+2)`` view — exactly deep enough to evaluate the ``f±``
+  recursion of its alternating tree ``A_u`` — and computes ``t_u``.
 * **Smoothing phase** (rounds ``4r+3 … 8r+4``): the values ``t_u`` are
   min-flooded for ``4r+2`` rounds, so that at the start of round ``8r+5``
   each agent knows ``s_v = min {t_u : dist(u, v) ≤ 4r+2}`` exactly.
@@ -16,38 +15,31 @@ only port numbering:
   sibling sums, constraints forward the partner's contribution — and each
   agent finally outputs Eq. 18.
 
-Agents, constraints and objectives all know the global parameter ``R`` (it
-is part of the algorithm, not of the input) but nothing else beyond their
-local input; the tests check the outputs coincide with the centralized
-reference implementation.
+:class:`VectorizedMaxMinProtocol` runs every node's part of a round as one
+array operation on the message plane.  Agents, constraints and objectives
+all know the global parameter ``R`` (it is part of the algorithm, not of the
+input) but nothing else beyond their local input; the per-node transcription
+in :mod:`repro.oracle.distributed` is the reference the tests pin the
+protocol to, and the centralized solver is the reference for its outputs.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .._types import NodeType
 from ..core.instance import MaxMinInstance
 from ..core.solution import Solution
 from ..core.validation import require_special_form
 from ..exceptions import SimulationError
-from .local_view import ViewTree, view_tree_optimum
-from .message import Message
-from .network import CommunicationNetwork, build_network
-from .node import LocalInput, ProtocolNode
 from .plane import MessagePlane, VectorizedProtocol
 from .runtime import RunResult, SynchronousRuntime, require_agent_outputs
 
 __all__ = [
     "PhaseSchedule",
-    "MaxMinAgentNode",
-    "MaxMinConstraintNode",
-    "MaxMinObjectiveNode",
     "VectorizedMaxMinProtocol",
-    "maxmin_node_factory",
     "DistributedLocalSolver",
 ]
 
@@ -73,233 +65,12 @@ class PhaseSchedule:
         return f"PhaseSchedule(R={self.R}, total_rounds={self.total_rounds})"
 
 
-class _ViewFloodingMixin:
-    """Shared view-flooding behaviour of all three node kinds (rounds 1 … view_end)."""
-
-    def _view_round(self, round_number: int, inbox: Dict[int, Message]) -> Dict[int, Message]:
-        if round_number == 1:
-            self._view = ViewTree.leaf(self.local_input)
-        else:
-            received: Dict[int, Tuple[ViewTree, int]] = {}
-            for port, message in inbox.items():
-                subview, remote_port = message.payload
-                received[port] = (subview, remote_port)
-            self._view = ViewTree.extend(self.local_input, received)
-        outbox: Dict[int, Message] = {}
-        for port in range(1, self.degree + 1):
-            outbox[port] = Message((self._view, port), phase="view")
-        return outbox
-
-    def _assemble_final_view(self, inbox: Dict[int, Message]) -> ViewTree:
-        received: Dict[int, Tuple[ViewTree, int]] = {}
-        for port, message in inbox.items():
-            if message.phase != "view":
-                continue
-            subview, remote_port = message.payload
-            received[port] = (subview, remote_port)
-        return ViewTree.extend(self.local_input, received)
-
-
-class MaxMinAgentNode(ProtocolNode, _ViewFloodingMixin):
-    """Protocol behaviour of an agent ``v`` (produces the output ``x_v``)."""
-
-    def __init__(self, graph_node, local_input: LocalInput, schedule: PhaseSchedule, tu_tol: float = 1e-10) -> None:
-        super().__init__(graph_node, local_input)
-        self.schedule = schedule
-        self.tu_tol = tu_tol
-        self._view: Optional[ViewTree] = None
-        self.t_u: Optional[float] = None
-        self.s_v: Optional[float] = None
-        self._smooth_min = math.inf
-        self.g_plus: List[Optional[float]] = [None] * (schedule.r + 1)
-        self.g_minus: List[Optional[float]] = [None] * (schedule.r + 1)
-        self._output: Optional[float] = None
-
-    # -- helpers -------------------------------------------------------
-    def _objective_port(self) -> int:
-        ports = self.local_input.objective_ports()
-        if len(ports) != 1:
-            raise SimulationError("agent does not have a unique objective port (not special form)")
-        return ports[0]
-
-    def _broadcast(self, value: float, phase: str) -> Dict[int, Message]:
-        return {port: Message(value, phase=phase) for port in range(1, self.degree + 1)}
-
-    def _maybe_finalize(self) -> None:
-        if all(g is not None for g in self.g_plus) and all(g is not None for g in self.g_minus):
-            factor = 1.0 / (2.0 * self.schedule.R)
-            self._output = factor * sum(
-                self.g_plus[d] + self.g_minus[d] for d in range(self.schedule.r + 1)  # type: ignore[operator]
-            )
-
-    # -- protocol ------------------------------------------------------
-    def compose(self, round_number: int, inbox: Dict[int, Message]) -> Dict[int, Message]:
-        sched = self.schedule
-
-        # Phase 1: view flooding.
-        if round_number <= sched.view_end:
-            return self._view_round(round_number, inbox)
-
-        # Round view_end + 1: final view, local binary search for t_u, start smoothing.
-        if round_number == sched.view_end + 1:
-            final_view = self._assemble_final_view(inbox)
-            self.t_u = view_tree_optimum(final_view, sched.r, tol=self.tu_tol)
-            self._smooth_min = self.t_u
-            return self._broadcast(self._smooth_min, phase="smooth")
-
-        # Phase 2: min flooding of the t_u values.
-        if round_number <= sched.smooth_end:
-            for message in inbox.values():
-                if message.phase == "smooth":
-                    self._smooth_min = min(self._smooth_min, message.payload)
-            return self._broadcast(self._smooth_min, phase="smooth")
-
-        # Phase 3: the g recursion.  Offsets are relative to g_start.
-        offset = round_number - sched.g_start
-
-        if offset == 0:
-            # Final smoothing update: messages sent in round smooth_end have
-            # travelled exactly 4r + 2 hops.
-            for message in inbox.values():
-                if message.phase == "smooth":
-                    self._smooth_min = min(self._smooth_min, message.payload)
-            self.s_v = self._smooth_min
-            self.g_plus[0] = self.local_input.capacity()
-            return {self._objective_port(): Message(self.g_plus[0], phase="g-obj")}
-
-        if offset < 0 or offset > 4 * sched.r + 2:
-            return {}
-
-        if offset % 4 == 2:
-            # Sibling sums arrive from the objective: compute g⁻ at depth d.
-            d = offset // 4
-            message = inbox.get(self._objective_port())
-            if message is None or message.phase != "g-obj-sum":
-                raise SimulationError(
-                    f"agent {self.graph_node[1]!r} expected a sibling sum on "
-                    f"port {self._objective_port()} in round {round_number} "
-                    "(message dropped or objective relay failed)"
-                )
-            sibling_sum = message.payload
-            assert self.s_v is not None
-            self.g_minus[d] = max(0.0, self.s_v - sibling_sum)
-            self._maybe_finalize()
-            if d < sched.r:
-                # Ship a_iv · g⁻_{v,d} towards every constraint for the next g⁺.
-                outbox = {}
-                for port in self.local_input.constraint_ports():
-                    a_iv = self.local_input.port_coefficients[port]
-                    outbox[port] = Message(a_iv * self.g_minus[d], phase="g-con")
-                return outbox
-            return {}
-
-        if offset % 4 == 0 and offset > 0:
-            # Partner contributions arrive from the constraints: compute g⁺ at depth d.
-            d = offset // 4
-            best = math.inf
-            for port in self.local_input.constraint_ports():
-                message = inbox.get(port)
-                if message is None or message.phase != "g-con-fwd":
-                    raise SimulationError(
-                        f"agent {self.graph_node[1]!r} expected a partner value "
-                        f"on port {port} in round {round_number} "
-                        "(message dropped or constraint relay failed)"
-                    )
-                a_iv = self.local_input.port_coefficients[port]
-                candidate = (1.0 - message.payload) / a_iv
-                if candidate < best:
-                    best = candidate
-            self.g_plus[d] = best
-            return {self._objective_port(): Message(self.g_plus[d], phase="g-obj")}
-
-        # Odd offsets: relays are working; agents idle.
-        return {}
-
-    def output(self) -> Optional[float]:
-        return self._output
-
-
-class MaxMinConstraintNode(ProtocolNode, _ViewFloodingMixin):
-    """Constraint relay: floods views, relays minima, forwards partner values."""
-
-    def __init__(self, graph_node, local_input: LocalInput, schedule: PhaseSchedule) -> None:
-        super().__init__(graph_node, local_input)
-        self.schedule = schedule
-        self._view: Optional[ViewTree] = None
-        self._smooth_min = math.inf
-
-    def compose(self, round_number: int, inbox: Dict[int, Message]) -> Dict[int, Message]:
-        sched = self.schedule
-        if round_number <= sched.view_end:
-            return self._view_round(round_number, inbox)
-
-        if round_number <= sched.smooth_end:
-            for message in inbox.values():
-                if message.phase == "smooth":
-                    self._smooth_min = min(self._smooth_min, message.payload)
-            if math.isfinite(self._smooth_min):
-                return {port: Message(self._smooth_min, phase="smooth") for port in range(1, self.degree + 1)}
-            return {}
-
-        # g phase: cross-forward whatever the two member agents sent.
-        g_messages = {port: m for port, m in inbox.items() if m.phase == "g-con"}
-        if g_messages:
-            if self.degree != 2:
-                raise SimulationError("constraint relay requires degree 2 (special form)")
-            outbox: Dict[int, Message] = {}
-            for port in (1, 2):
-                other = 2 if port == 1 else 1
-                if other in g_messages:
-                    outbox[port] = Message(g_messages[other].payload, phase="g-con-fwd")
-            return outbox
-        return {}
-
-
-class MaxMinObjectiveNode(ProtocolNode, _ViewFloodingMixin):
-    """Objective relay: floods views, relays minima, returns sibling sums."""
-
-    def __init__(self, graph_node, local_input: LocalInput, schedule: PhaseSchedule) -> None:
-        super().__init__(graph_node, local_input)
-        self.schedule = schedule
-        self._view: Optional[ViewTree] = None
-        self._smooth_min = math.inf
-
-    def compose(self, round_number: int, inbox: Dict[int, Message]) -> Dict[int, Message]:
-        sched = self.schedule
-        if round_number <= sched.view_end:
-            return self._view_round(round_number, inbox)
-
-        if round_number <= sched.smooth_end:
-            for message in inbox.values():
-                if message.phase == "smooth":
-                    self._smooth_min = min(self._smooth_min, message.payload)
-            if math.isfinite(self._smooth_min):
-                return {port: Message(self._smooth_min, phase="smooth") for port in range(1, self.degree + 1)}
-            return {}
-
-        g_messages = {port: m for port, m in inbox.items() if m.phase == "g-obj"}
-        if g_messages:
-            if len(g_messages) != self.degree:
-                missing = [p for p in range(1, self.degree + 1) if p not in g_messages]
-                raise SimulationError(
-                    f"objective relay {self.graph_node[1]!r} expected g values on "
-                    f"all {self.degree} ports, got {len(g_messages)} "
-                    f"(missing ports {missing[:5]})"
-                )
-            total = sum(m.payload for m in g_messages.values())
-            return {
-                port: Message(total - g_messages[port].payload, phase="g-obj-sum")
-                for port in range(1, self.degree + 1)
-            }
-        return {}
-
-
 class VectorizedMaxMinProtocol(VectorizedProtocol):
     """The §5 protocol as whole-plane array operations per round.
 
     The round structure, message pattern and arithmetic follow the per-node
-    classes above exactly — the equivalence tests pin outputs and per-round
-    message counts against the dict-based oracle.  The one deliberate
+    classes of :mod:`repro.oracle.distributed` exactly — the equivalence
+    tests pin outputs and per-round message counts against them.  The one deliberate
     difference is the view phase: its payloads are structural (whole
     anonymous view trees), which a float-valued plane cannot carry, so the
     flood is marked on the plane for accounting while the quantity each
@@ -502,20 +273,6 @@ class VectorizedMaxMinProtocol(VectorizedProtocol):
         return factor * total
 
 
-def maxmin_node_factory(schedule: PhaseSchedule, tu_tol: float = 1e-10):
-    """Create the node factory used by :class:`SynchronousRuntime`."""
-
-    def factory(network: CommunicationNetwork, graph_node) -> ProtocolNode:
-        local_input = network.local_input(graph_node)
-        if local_input.kind is NodeType.AGENT:
-            return MaxMinAgentNode(graph_node, local_input, schedule, tu_tol=tu_tol)
-        if local_input.kind is NodeType.CONSTRAINT:
-            return MaxMinConstraintNode(graph_node, local_input, schedule)
-        return MaxMinObjectiveNode(graph_node, local_input, schedule)
-
-    return factory
-
-
 class DistributedLocalSolver:
     """Run the §5 algorithm as an actual message-passing protocol.
 
@@ -523,24 +280,13 @@ class DistributedLocalSolver:
     locally computable (paper §4.1) but are performed centrally in this
     library; use :class:`repro.algo.LocalMaxMinSolver` for arbitrary
     instances (or transform first and map the solution back yourself).
-
-    The protocol runs as :class:`VectorizedMaxMinProtocol` over the
-    int-indexed message plane.  Byte accounting needs real message objects,
-    so ``measure_bytes=True`` runs the per-node agents of this module on the
-    dict runtime instead — the same messages, and the fidelity oracle the
-    plane is tested against.
+    The protocol runs as :class:`VectorizedMaxMinProtocol` on the message
+    plane.
     """
 
-    def __init__(
-        self,
-        R: int = 3,
-        *,
-        tu_tol: float = 1e-10,
-        measure_bytes: bool = False,
-    ) -> None:
+    def __init__(self, R: int = 3, *, tu_tol: float = 1e-10) -> None:
         self.schedule = PhaseSchedule(R)
         self.tu_tol = tu_tol
-        self.measure_bytes = measure_bytes
 
     @property
     def R(self) -> int:
@@ -554,21 +300,14 @@ class DistributedLocalSolver:
     def solve(self, instance: MaxMinInstance) -> Tuple[Solution, RunResult]:
         """Execute the protocol and return the solution plus run statistics."""
         require_special_form(instance)
-        if not self.measure_bytes:
-            runtime = SynchronousRuntime(plane=MessagePlane(instance))
-            result = runtime.run_vectorized(
-                VectorizedMaxMinProtocol(self.schedule, tu_tol=self.tu_tol),
-                rounds=self.schedule.total_rounds,
-            )
-        else:
-            network = build_network(instance)
-            runtime = SynchronousRuntime(network, measure_bytes=self.measure_bytes)
-            result = runtime.run(
-                maxmin_node_factory(self.schedule, tu_tol=self.tu_tol),
-                rounds=self.schedule.total_rounds,
-            )
-        require_agent_outputs(instance, result)
-        solution = Solution(instance, result.outputs, label=f"distributed-R{self.R}")
+        result = SynchronousRuntime(MessagePlane(instance)).run(
+            VectorizedMaxMinProtocol(self.schedule, tu_tol=self.tu_tol),
+            rounds=self.schedule.total_rounds,
+        )
+        require_agent_outputs(instance, result.values)
+        solution = Solution.from_agent_array(
+            instance, result.values, label=f"distributed-R{self.R}"
+        )
         return solution, result
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

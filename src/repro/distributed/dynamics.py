@@ -317,8 +317,7 @@ class DynamicNetwork:
     pays one full vectorized solve, after which every tick applies a
     :class:`~repro.core.compiled.CompiledDelta`, re-runs the kernels only on
     the dirty ``6r+3``-hop ball
-    (:class:`~repro.algo.local_solver.IncrementalSolveState`) and carries
-    the message plane across the delta when one has been built.  Per-tick
+    (:class:`~repro.algo.local_solver.IncrementalSolveState`).  Per-tick
     cost is O(changed · r-ball) instead of O(n) — the paper's §1.3 dynamic
     graph property made operational.
 
@@ -350,7 +349,6 @@ class DynamicNetwork:
         self.verify = verify
         self.horizon = local_horizon_radius(R) if horizon is None else int(horizon)
         self.ticks = 0
-        self._plane = None
 
     @property
     def instance(self) -> MaxMinInstance:
@@ -365,15 +363,6 @@ class DynamicNetwork:
     def result(self):
         """The full :class:`SpecialFormSolveResult` for the current instance."""
         return self.state.result()
-
-    @property
-    def plane(self):
-        """The message plane of the current instance (built once, then patched)."""
-        from .plane import MessagePlane
-
-        if self._plane is None:
-            self._plane = MessagePlane(self.instance)
-        return self._plane
 
     def begin_delta(self) -> CompiledDelta:
         """A fresh :class:`CompiledDelta` against the current instance."""
@@ -394,8 +383,6 @@ class DynamicNetwork:
         obs.count("dynamics.ticks")
         obs.count("dynamics.dirty_agents", len(result.dirty_agents))
         obs.count("dynamics.reused_agents", num_agents - len(recomputed))
-        if self._plane is not None and not result.identity:
-            self._plane = self._plane.updated(result)
 
         impact: Optional[ChangeImpact] = None
         max_error: Optional[float] = None

@@ -1,10 +1,7 @@
 """The int-indexed message plane of the synchronous runtime.
 
-The dict-based runtime (:meth:`~repro.distributed.runtime.SynchronousRuntime.run`)
-delivers messages by walking per-node Python dicts — faithful, but every
-round pays dict/tuple overhead per edge, which caps protocol experiments
-(E5) at toy sizes.  :class:`MessagePlane` lowers the communication graph
-once into flat arrays, after which a whole round is a handful of numpy
+:class:`MessagePlane` lowers an instance's communication graph once into
+flat arrays, after which a whole synchronous round is a handful of numpy
 operations:
 
 * every *directed* edge ``(node, port)`` gets one integer slot;  a node's
@@ -13,20 +10,20 @@ operations:
 * :attr:`MessagePlane.reverse` is the delivery permutation: the message a
   node puts on slot ``e`` arrives on slot ``reverse[e]`` of its neighbour —
   the whole round's delivery is one fancy-indexed gather;
-* slot order is pinned to :class:`~repro.distributed.port_numbering.PortNumbering`
+* slot order is pinned to :class:`~repro.analysis.views.PortNumbering`
   (constraint ports before objective ports for agents, canonical adjacency
   order everywhere), so an array-aware protocol sees messages in exactly the
-  order the dict-based oracle sees them.
+  order the per-node oracle (:mod:`repro.oracle.distributed`) sees them.
 
 The plane is built directly from the compiled CSR arrays
 (:meth:`MaxMinInstance.compiled`) — the ``PortNumbering`` / ``LocalInput``
-dicts are never materialised on the vectorized path; the equivalence of the
-two numbering schemes is pinned by ``tests/test_runtime_vectorized.py``.
+dicts are never materialised; the equivalence of the two numbering schemes
+is pinned by ``tests/test_runtime_vectorized.py``.
 
-Array-aware protocols implement :class:`VectorizedProtocol`: per round they
-receive the delivered slot mask/values and return the slots they send on.
-Payloads on the plane are ``float64`` — enough for the numeric protocols in
-this library; protocols whose payloads are structural (the §5 view-flooding
+Protocols implement :class:`VectorizedProtocol`: per round they receive the
+delivered slot mask/values and return the slots they send on.  Payloads on
+the plane are ``float64`` — enough for the numeric protocols in this
+library; protocols whose payloads are structural (the §5 view-flooding
 phase ships whole view trees) mark the flood on the plane for accounting and
 evaluate the structural computation with the batched kernels at the phase
 boundary (each agent's final view is a deterministic function of the
@@ -42,10 +39,9 @@ from typing import TYPE_CHECKING, Tuple
 import numpy as np
 
 from .. import obs
-from ..core.compiled import CompiledInstance, _segment_gather
+from ..core.compiled import _segment_gather
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.compiled import DeltaResult
     from ..core.instance import MaxMinInstance
 
 __all__ = ["MessagePlane", "VectorizedProtocol"]
@@ -116,38 +112,31 @@ class MessagePlane:
 
     def __init__(self, instance: "MaxMinInstance") -> None:
         obs.count("plane.builds")
-        self._build_skeleton(instance.compiled())
-
-        comp = self.comp
-        con_pair = _pair_with_reverse_rows(
-            comp.con_indptr, comp.con_indices, comp.cagents_indptr, comp.cagents_indices
-        )
-        obj_pair = _pair_with_reverse_rows(
-            comp.obj_indptr, comp.obj_indices, comp.oagents_indptr, comp.oagents_indices
-        )
-
-        self.reverse = np.empty(self.num_slots, dtype=np.int64)
-        self.reverse[self.agent_con_slots] = self.con_base + con_pair
-        self.reverse[self.agent_obj_slots] = self.obj_base + obj_pair
-        self.reverse[self.con_base + con_pair] = self.agent_con_slots
-        self.reverse[self.obj_base + obj_pair] = self.agent_obj_slots
-
-    def _build_skeleton(self, comp: CompiledInstance) -> None:
-        """Slot layout (everything except :attr:`reverse`) from the CSR arrays."""
-        self.comp = comp
+        self.comp = comp = instance.compiled()
         A = len(comp.con_indices)
         B = len(comp.obj_indices)
-        n = comp.num_agents
         self.num_slots = 2 * (A + B)
         self.con_base = A + B
         self.obj_base = A + B + A
 
         con_deg = np.diff(comp.con_indptr)
         obj_deg = np.diff(comp.obj_indptr)
-        self.agent_indptr = np.zeros(n + 1, dtype=np.int64)
+        self.agent_indptr = np.zeros(comp.num_agents + 1, dtype=np.int64)
         np.cumsum(con_deg + obj_deg, out=self.agent_indptr[1:])
         self.agent_con_slots = _segment_gather(self.agent_indptr[:-1], con_deg)
         self.agent_obj_slots = _segment_gather(self.agent_indptr[:-1] + con_deg, obj_deg)
+
+        con_pair = _pair_with_reverse_rows(
+            comp.con_indptr, comp.con_indices, comp.cagents_indptr, comp.cagents_indices
+        )
+        obj_pair = _pair_with_reverse_rows(
+            comp.obj_indptr, comp.obj_indices, comp.oagents_indptr, comp.oagents_indices
+        )
+        self.reverse = np.empty(self.num_slots, dtype=np.int64)
+        self.reverse[self.agent_con_slots] = self.con_base + con_pair
+        self.reverse[self.agent_obj_slots] = self.obj_base + obj_pair
+        self.reverse[self.con_base + con_pair] = self.agent_con_slots
+        self.reverse[self.obj_base + obj_pair] = self.agent_obj_slots
 
     # ------------------------------------------------------------------
     @property
@@ -186,8 +175,8 @@ class MessagePlane:
         The inverse of the slot layout: agent slots are looked up through
         :attr:`agent_indptr`, relay slots through the mirrored
         ``cagents``/``oagents`` CSRs.  ``port`` is the node's 1-based local
-        port, i.e. exactly the key the dict-based oracle would use — so a
-        fault report names the same coordinates on both execution paths.
+        port, i.e. exactly the key the per-node oracle would use — so a
+        fault report names the same coordinates on both.
         """
         comp = self.comp
         if not 0 <= slot < self.num_slots:
@@ -209,153 +198,6 @@ class MessagePlane:
         rkind, rnode, rport = self.slot_owner(int(self.reverse[slot]))
         return f"{kind} {node!r} port {port} -> {rkind} {rnode!r} port {rport}"
 
-    # ------------------------------------------------------------------
-    # dirty-region tracking
-    # ------------------------------------------------------------------
-    def dirty_region(self, agents: np.ndarray, radius: int) -> np.ndarray:
-        """Agent positions within graph distance ``radius`` of ``agents``.
-
-        ``radius`` is measured in *communication-graph* edges (agent → relay
-        node → agent is distance 2); it is rounded down to whole agent-to-agent
-        hops, matching how :func:`~repro.distributed.dynamics.local_horizon_radius`
-        is stated.
-        """
-        from ..algo.kernels import agent_hop_balls
-
-        (ball,) = agent_hop_balls(self.comp, np.asarray(agents), [radius // 2])
-        return ball
-
-    def updated(self, delta: "DeltaResult") -> "MessagePlane":
-        """The plane of ``delta.compiled``, reusing this plane's arrays.
-
-        Coefficient-only deltas keep the communication graph intact — every
-        slot array depends only on the CSR ``indptr``/``indices`` — so the
-        update is a constant-time clone with ``comp`` swapped.  Structural
-        deltas rebuild the slot skeleton (cheap cumulative sums) and then
-        recover :attr:`reverse` by translating the slots of every untouched
-        row; only slots in rows whose membership changed are re-paired.
-        """
-        if delta.identity:
-            return self
-        new = object.__new__(MessagePlane)
-        new._build_skeleton(delta.compiled)
-        if not delta.structural:
-            obs.count("plane.delta_reuses")
-            # Same topology: positions are unchanged, so the skeleton (and
-            # hence reverse) is bitwise what we already have.
-            new.reverse = self.reverse
-            return new
-
-        obs.count("plane.delta_rebuilds")
-        old_comp = self.comp
-
-        # Slot translation old → new for every row whose membership (and
-        # hence slot block content/order) is unchanged.  An agent row is
-        # clean only if both its constraint and objective memberships are:
-        # the two blocks are interleaved per agent, so either change shifts
-        # the whole block.
-        trans = np.full(self.num_slots, -1, dtype=np.int64)
-
-        def translate(old_rows, o2n, old_starts_all, old_deg_all, new_starts_all):
-            rows = np.asarray(old_rows, dtype=np.int64)
-            if len(rows) == 0:
-                return
-            counts = old_deg_all[rows]
-            src = _segment_gather(old_starts_all[rows], counts)
-            dst = _segment_gather(new_starts_all[o2n[rows]], counts)
-            trans[src] = dst
-
-        o2n_a = delta.old_to_new_agent
-        o2n_c = delta.old_to_new_constraint
-        o2n_k = delta.old_to_new_objective
-
-        dirty_a = np.zeros(old_comp.num_agents, dtype=bool)
-        dirty_a[delta.changed_con_rows] = True
-        dirty_a[delta.changed_obj_rows] = True
-        clean_a = np.flatnonzero((o2n_a >= 0) & ~dirty_a)
-        translate(
-            clean_a,
-            o2n_a,
-            self.agent_indptr[:-1],
-            np.diff(self.agent_indptr),
-            new.agent_indptr[:-1],
-        )
-
-        dirty_c = np.zeros(old_comp.num_constraints, dtype=bool)
-        dirty_c[delta.changed_constraints] = True
-        clean_c = np.flatnonzero((o2n_c >= 0) & ~dirty_c)
-        translate(
-            clean_c,
-            o2n_c,
-            self.con_base + old_comp.cagents_indptr[:-1],
-            np.diff(old_comp.cagents_indptr),
-            new.con_base + new.comp.cagents_indptr[:-1],
-        )
-
-        dirty_k = np.zeros(old_comp.num_objectives, dtype=bool)
-        dirty_k[delta.changed_objectives] = True
-        clean_k = np.flatnonzero((o2n_k >= 0) & ~dirty_k)
-        translate(
-            clean_k,
-            o2n_k,
-            self.obj_base + old_comp.oagents_indptr[:-1],
-            np.diff(old_comp.oagents_indptr),
-            new.obj_base + new.comp.oagents_indptr[:-1],
-        )
-
-        # Carry over every reverse pair whose slots both translate.
-        new.reverse = np.full(new.num_slots, -1, dtype=np.int64)
-        mirror = trans[self.reverse]
-        both = np.flatnonzero((trans >= 0) & (mirror >= 0))
-        new.reverse[trans[both]] = mirror[both]
-        obs.count("plane.delta_slots_reused", len(both))
-
-        # Re-pair the remaining slots family by family.  Within a family the
-        # unfilled forward entries and unfilled reverse entries describe the
-        # same undirected edges; sorting both by (relay row, agent) aligns
-        # them 1:1, exactly as in _pair_with_reverse_rows but restricted to
-        # the dirty edges.
-        comp = new.comp
-
-        def repair(fwd_slots, fwd_indptr, fwd_indices, rev_base, rev_indptr, rev_indices):
-            open_f = np.flatnonzero(new.reverse[fwd_slots] < 0)
-            open_r = np.flatnonzero(new.reverse[rev_base + np.arange(len(rev_indices))] < 0)
-            if len(open_f) != len(open_r):  # pragma: no cover - mirror invariant
-                raise ValueError("dirty forward/reverse edge counts disagree")
-            if len(open_f) == 0:
-                return 0
-            owner = np.repeat(
-                np.arange(len(fwd_indptr) - 1, dtype=np.int64), np.diff(fwd_indptr)
-            )
-            order_f = open_f[np.lexsort((owner[open_f], fwd_indices[open_f]))]
-            # rev entries in natural order are already sorted by (row, member)
-            a_slots = fwd_slots[order_f]
-            r_slots = rev_base + open_r
-            new.reverse[a_slots] = r_slots
-            new.reverse[r_slots] = a_slots
-            return 2 * len(open_f)
-
-        rebuilt = repair(
-            new.agent_con_slots,
-            comp.con_indptr,
-            comp.con_indices,
-            new.con_base,
-            comp.cagents_indptr,
-            comp.cagents_indices,
-        )
-        rebuilt += repair(
-            new.agent_obj_slots,
-            comp.obj_indptr,
-            comp.obj_indices,
-            new.obj_base,
-            comp.oagents_indptr,
-            comp.oagents_indices,
-        )
-        obs.count("plane.delta_slots_rebuilt", rebuilt)
-        if len(both) + rebuilt != new.num_slots:  # pragma: no cover - invariant
-            raise ValueError("plane delta update left unpaired slots")
-        return new
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"MessagePlane({getattr(self.comp.instance, 'name', None)!r}, slots={self.num_slots}, "
@@ -366,12 +208,13 @@ class MessagePlane:
 class VectorizedProtocol(abc.ABC):
     """An array-aware protocol: one :meth:`compose` call per round, whole plane.
 
-    The contract mirrors :class:`~repro.distributed.node.ProtocolNode` lifted
-    to arrays: ``compose`` receives the messages delivered at the end of the
-    previous round (slot mask + slot values, empty in round 1) and returns
-    the slots this round's messages go out on.  The runtime delivers via
+    The contract is the per-node one of
+    :class:`~repro.oracle.distributed.ProtocolNode` lifted to arrays:
+    ``compose`` receives the messages delivered at the end of the previous
+    round (slot mask + slot values, empty in round 1) and returns the slots
+    this round's messages go out on.  The runtime delivers via
     :attr:`MessagePlane.reverse` and keeps the round/message accounting, so
-    per-round statistics are directly comparable with the dict-based oracle.
+    per-round statistics are directly comparable with the per-node oracle.
     """
 
     def begin(self, plane: MessagePlane) -> None:

@@ -10,8 +10,9 @@ the network.
 
 Three layers implement that:
 
-**Retransmission** (:class:`ResilientRuntime`).  Every round the runtime
-compares the composed slot set against the attempt-0 drop set of the
+**Retransmission** (:class:`ResilientRuntime`: the plain runtime's round
+loop with its own delivery step).  Every round the runtime compares the
+sent slots against the attempt-0 drop set of the
 :class:`~repro.faults.FaultPlan` and re-sends each dropped slot up to
 ``retransmit_budget`` times (``runtime.retransmits``); a
 :class:`~repro.faults.MessageFault` with the default ``attempts=(0,)``
@@ -57,13 +58,8 @@ from ..core.validation import require_nondegenerate, require_special_form
 from ..exceptions import SimulationError
 from ..faults import FaultInjector, FaultPlan
 from .agents import PhaseSchedule, VectorizedMaxMinProtocol
-from .plane import MessagePlane
-from .runtime import (
-    RoundStatistics,
-    RunResult,
-    SynchronousRuntime,
-    require_agent_outputs,
-)
+from .plane import MessagePlane, VectorizedProtocol
+from .runtime import RunResult, SynchronousRuntime, require_agent_outputs
 from .safe_agents import SAFE_ALGORITHM_ROUNDS, VectorizedSafeProtocol
 
 __all__ = [
@@ -196,28 +192,13 @@ class ResilientRunResult(RunResult):
 
     __slots__ = ("retransmits", "dropped_messages", "lost_slots", "agent_fault_rounds", "events")
 
-    def __init__(
-        self,
-        base: RunResult,
-        retransmits: int,
-        dropped_messages: int,
-        lost_slots: Dict[int, Tuple[int, ...]],
-        agent_fault_rounds: Dict[str, Dict[int, int]],
-        events: Tuple[FaultEvent, ...],
-    ) -> None:
-        super().__init__(
-            outputs=base.outputs,
-            rounds=base.rounds,
-            total_messages=base.total_messages,
-            total_bytes=base.total_bytes,
-            per_round=base.per_round,
-            node_outputs=base.node_outputs,
-        )
-        self.retransmits = retransmits
-        self.dropped_messages = dropped_messages
-        self.lost_slots = lost_slots
-        self.agent_fault_rounds = agent_fault_rounds
-        self.events = events
+    def __init__(self, base: RunResult, ledger: "_Ledger") -> None:
+        super().__init__(base.values, base.agents, base.rounds, base.total_messages, base.per_round)
+        self.retransmits = ledger.retransmits
+        self.dropped_messages = ledger.dropped_messages
+        self.lost_slots = ledger.lost_slots
+        self.agent_fault_rounds = ledger.agent_fault_rounds
+        self.events = tuple(ledger.events)
 
     @property
     def lost_messages(self) -> int:
@@ -228,6 +209,21 @@ class ResilientRunResult(RunResult):
             kind: tuple(sorted(rounds_by_pos))
             for kind, rounds_by_pos in self.agent_fault_rounds.items()
         }
+
+
+class _Ledger:
+    """The faults one resilient run charged, filled in round by round."""
+
+    def __init__(self) -> None:
+        self.retransmits = 0
+        self.dropped_messages = 0
+        self.lost_slots: Dict[int, Tuple[int, ...]] = {}
+        self.agent_fault_rounds: Dict[str, Dict[int, int]] = {
+            "crash": {},
+            "silent": {},
+            "babbling": {},
+        }
+        self.events: List[FaultEvent] = []
 
 
 def _slot_agent_endpoints(plane: MessagePlane, slots) -> Set[int]:
@@ -261,192 +257,91 @@ def _slot_agent_endpoints(plane: MessagePlane, slots) -> Set[int]:
 class ResilientRuntime(SynchronousRuntime):
     """Synchronous runtime with per-round ack/retransmit and a fault ledger.
 
-    The delivery contract (see module docstring): attempt-0 drops are
-    detected against the composed slot mask and re-sent up to
-    ``retransmit_budget`` times; what the budget recovers is delivered as
-    if the link had never glitched, what it cannot recover is charged to
-    the ledger and healed by re-execution, so downstream protocol state is
-    never silently corrupted.  The plain runtime's behaviour is the
-    degenerate case ``retransmit_budget=0`` *plus* treating every loss as
-    fatal.
+    It runs the round loop of :class:`SynchronousRuntime` and replaces only
+    the delivery step (see module docstring): attempt-0 drops are detected
+    against the sent slots and re-sent up to ``retransmit_budget`` times;
+    what the budget recovers is delivered as if the link had never
+    glitched, what it cannot recover is charged to the ledger and healed by
+    re-execution, so downstream protocol state is never silently corrupted.
+    The plain runtime's behaviour is the degenerate case
+    ``retransmit_budget=0`` *plus* treating every loss as fatal.  A NaN/inf
+    value the protocol itself composes still aborts the run, as on the plain
+    runtime: resilience covers *injected* faults, not bugs.
     """
 
     def __init__(
         self,
-        network=None,
+        plane: MessagePlane,
         *,
-        plane: Optional[MessagePlane] = None,
         faults: Optional[Union[FaultPlan, FaultInjector]] = None,
         retransmit_budget: int = 2,
     ) -> None:
         if retransmit_budget < 0:
             raise SimulationError("retransmit_budget must be >= 0")
-        super().__init__(network, plane=plane, faults=faults)
+        super().__init__(plane, faults=faults)
         self.retransmit_budget = retransmit_budget
 
-    def run(self, *args, **kwargs):  # pragma: no cover - guard
-        raise SimulationError(
-            "ResilientRuntime drives the vectorized path only; use "
-            "SynchronousRuntime.run for the dict-based oracle"
-        )
+    def run(self, protocol: VectorizedProtocol, rounds: int) -> ResilientRunResult:
+        self._ledger = _Ledger()
+        return ResilientRunResult(super().run(protocol, rounds), self._ledger)
 
-    def run_vectorized(self, protocol, rounds, *, stop_when_silent=False) -> ResilientRunResult:
-        if self.measure_bytes:
-            raise SimulationError("byte accounting is dict-path only")
+    def _deliver(self, round_number: int, sent: np.ndarray) -> np.ndarray:
+        """Every sent slot arrives; the round's faults go to the ledger."""
+        if self.faults is None:
+            return sent
+        ledger = self._ledger
         plane = self.plane
-        with obs.span(
-            "runtime.run_resilient",
-            slots=plane.num_slots,
-            rounds=rounds,
-            budget=self.retransmit_budget,
-        ):
-            return self._run_resilient(protocol, rounds, plane, stop_when_silent)
 
-    def _run_resilient(
-        self,
-        protocol,
-        rounds: int,
-        plane: MessagePlane,
-        stop_when_silent: bool,
-    ) -> ResilientRunResult:
-        inbox_mask, inbox_values = plane.empty_round()
-        protocol.begin(plane)
-        n = plane.num_agents
-
-        per_round: List[RoundStatistics] = []
-        total_messages = 0
-        executed = 0
-        retransmits = 0
-        dropped_total = 0
-        lost_slots: Dict[int, Tuple[int, ...]] = {}
-        agent_fault_rounds: Dict[str, Dict[int, int]] = {
-            "crash": {},
-            "silent": {},
-            "babbling": {},
-        }
-        events: List[FaultEvent] = []
-
-        for round_number in range(1, rounds + 1):
-            executed = round_number
-            out_mask, out_values = protocol.compose(
-                round_number, inbox_mask, inbox_values, plane
-            )
-            sent = np.flatnonzero(out_mask)
-            round_messages = len(sent)
-
-            # Protocol-state corruption is still fatal — resilience covers
-            # *injected* faults, not bugs.  Injected babblers are handled
-            # below without ever putting garbage on the wire.
-            finite = np.isfinite(out_values[sent])
-            if not finite.all():
-                bad = sent[~finite]
-                links = "; ".join(plane.describe_slot(int(s)) for s in bad[:5])
-                raise SimulationError(
-                    f"round {round_number}: {len(bad)} outgoing message(s) are "
-                    f"NaN/inf ({links}); a non-finite value on the wire means "
-                    "the protocol state is corrupt — refusing to deliver it"
-                )
-
-            # Agent faults: record first-afflicted rounds.  A babbler's
-            # garbage is detected at the receivers (non-finite payloads) and
-            # discarded; from the ledger's perspective it is a crashed node.
-            if self.faults is not None:
-                states = self.faults.agent_faults(round_number, n)
-                for kind, afflicted in states.items():
-                    ledger = agent_fault_rounds[kind]
-                    for pos in sorted(afflicted):
-                        if pos not in ledger:
-                            ledger[pos] = round_number
-                            obs.count(f"faults.agent_{kind}")
-                            events.append(
-                                FaultEvent(
-                                    kind=f"agent_{kind}",
-                                    round_number=round_number,
-                                    subject=repr(plane.comp.agents[pos]),
-                                )
-                            )
-
-            # Link faults: detect attempt-0 drops, retransmit up to the
-            # budget, charge the rest to the ledger.  Delivery itself is the
-            # healed flow — see "recovery by re-execution" in the module
-            # docstring.
-            if self.faults is not None:
-                drop = self.faults.dropped_slots(round_number, plane.num_slots, 0)
-                if drop:
-                    outstanding = sorted(
-                        int(s) for s in sent if int(s) in drop
+        # Agent faults: record first-afflicted rounds.  A babbler's garbage
+        # is detected at the receivers (non-finite payloads) and discarded;
+        # from the ledger's perspective it is a crashed node.
+        states = self.faults.agent_faults(round_number, plane.num_agents)
+        for kind, afflicted in states.items():
+            first_round = ledger.agent_fault_rounds[kind]
+            for pos in sorted(afflicted):
+                if pos not in first_round:
+                    first_round[pos] = round_number
+                    obs.count(f"faults.agent_{kind}")
+                    ledger.events.append(
+                        FaultEvent(
+                            kind=f"agent_{kind}",
+                            round_number=round_number,
+                            subject=repr(plane.comp.agents[pos]),
+                        )
                     )
-                    if outstanding:
-                        dropped_total += len(outstanding)
-                        obs.count("faults.dropped_messages", len(outstanding))
-                    attempt = 0
-                    while outstanding and attempt < self.retransmit_budget:
-                        attempt += 1
-                        retransmits += len(outstanding)
-                        obs.count("runtime.retransmits", len(outstanding))
-                        redrop = self.faults.dropped_slots(
-                            round_number, plane.num_slots, attempt
-                        ) or set()
-                        recovered = [s for s in outstanding if s not in redrop]
-                        if recovered:
-                            obs.count("runtime.recovered_messages", len(recovered))
-                        outstanding = [s for s in outstanding if s in redrop]
-                    if outstanding:
-                        lost_slots[round_number] = tuple(outstanding)
-                        obs.count("runtime.lost_messages", len(outstanding))
-                        links = "; ".join(
-                            plane.describe_slot(s) for s in outstanding[:3]
-                        )
-                        events.append(
-                            FaultEvent(
-                                kind="link_loss",
-                                round_number=round_number,
-                                subject=f"{len(outstanding)} slot(s)",
-                                count=len(outstanding),
-                                detail=links,
-                            )
-                        )
 
-            inbox_mask, inbox_values = plane.empty_round()
-            received = plane.reverse[sent]
-            inbox_mask[received] = True
-            inbox_values[received] = out_values[sent]
-
-            total_messages += round_messages
-            per_round.append(RoundStatistics(round_number, round_messages, 0))
-
-            if stop_when_silent and round_messages == 0:
-                break
-
-        values = protocol.outputs(plane)
-        node_outputs: Dict[Any, Any] = {}
-        outputs: Dict[Any, float] = {}
-        from .._types import agent_node
-
-        for position, v in enumerate(plane.comp.agents):
-            value = float(values[position])
-            node_outputs[agent_node(v)] = None if np.isnan(values[position]) else value
-            if not np.isnan(values[position]):
-                outputs[v] = value
-
-        obs.count("runtime.rounds", executed)
-        obs.count("runtime.messages", total_messages)
-        base = RunResult(
-            outputs=outputs,
-            rounds=executed,
-            total_messages=total_messages,
-            total_bytes=0,
-            per_round=per_round,
-            node_outputs=node_outputs,
-        )
-        return ResilientRunResult(
-            base,
-            retransmits=retransmits,
-            dropped_messages=dropped_total,
-            lost_slots=lost_slots,
-            agent_fault_rounds=agent_fault_rounds,
-            events=tuple(events),
-        )
+        # Link faults: detect attempt-0 drops, retransmit up to the budget,
+        # charge the rest to the ledger.
+        drop = self.faults.dropped_slots(round_number, plane.num_slots, 0)
+        if not drop:
+            return sent
+        outstanding = sent[np.isin(sent, np.fromiter(drop, dtype=np.int64))].tolist()
+        if outstanding:
+            ledger.dropped_messages += len(outstanding)
+            obs.count("faults.dropped_messages", len(outstanding))
+        attempt = 0
+        while outstanding and attempt < self.retransmit_budget:
+            attempt += 1
+            ledger.retransmits += len(outstanding)
+            obs.count("runtime.retransmits", len(outstanding))
+            redrop = self.faults.dropped_slots(round_number, plane.num_slots, attempt) or set()
+            still = [s for s in outstanding if s in redrop]
+            if len(still) < len(outstanding):
+                obs.count("runtime.recovered_messages", len(outstanding) - len(still))
+            outstanding = still
+        if outstanding:
+            ledger.lost_slots[round_number] = tuple(outstanding)
+            obs.count("runtime.lost_messages", len(outstanding))
+            ledger.events.append(
+                FaultEvent(
+                    kind="link_loss",
+                    round_number=round_number,
+                    subject=f"{len(outstanding)} slot(s)",
+                    count=len(outstanding),
+                    detail="; ".join(plane.describe_slot(s) for s in outstanding[:3]),
+                )
+            )
+        return sent
 
 
 def _certificate(
@@ -515,17 +410,17 @@ class ResilientLocalSolver:
         require_special_form(instance)
         plane = MessagePlane(instance)
         runtime = ResilientRuntime(
-            plane=plane, faults=self.faults, retransmit_budget=self.retransmit_budget
+            plane, faults=self.faults, retransmit_budget=self.retransmit_budget
         )
         with obs.span("resilient.solve", agents=plane.num_agents):
-            result = runtime.run_vectorized(
+            result = runtime.run(
                 VectorizedMaxMinProtocol(self.schedule, tu_tol=self.tu_tol),
                 rounds=self.schedule.total_rounds,
             )
-            require_agent_outputs(instance, result)
+            require_agent_outputs(instance, result.values)
             comp = plane.comp
             n = comp.num_agents
-            values = np.array([result.outputs[v] for v in comp.agents], dtype=np.float64)
+            values = result.values.copy()
 
             failed = sorted(
                 set(result.agent_fault_rounds["crash"])
@@ -645,16 +540,14 @@ class ResilientSafeSolver:
         require_nondegenerate(instance)
         plane = MessagePlane(instance)
         runtime = ResilientRuntime(
-            plane=plane, faults=self.faults, retransmit_budget=self.retransmit_budget
+            plane, faults=self.faults, retransmit_budget=self.retransmit_budget
         )
         with obs.span("resilient.safe_solve", agents=plane.num_agents):
-            result = runtime.run_vectorized(
-                VectorizedSafeProtocol(), rounds=SAFE_ALGORITHM_ROUNDS
-            )
-            require_agent_outputs(instance, result)
+            result = runtime.run(VectorizedSafeProtocol(), rounds=SAFE_ALGORITHM_ROUNDS)
+            require_agent_outputs(instance, result.values)
             comp = plane.comp
             n = comp.num_agents
-            values = np.array([result.outputs[v] for v in comp.agents], dtype=np.float64)
+            values = result.values.copy()
 
             failed = sorted(
                 set(result.agent_fault_rounds["crash"])

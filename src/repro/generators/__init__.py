@@ -1,4 +1,4 @@
-"""Workload generators for every experiment family in EXPERIMENTS.md."""
+"""Workload generators for every experiment family of ``benchmarks/bench_e*.py``."""
 
 from .bandwidth import BandwidthWorkload, bandwidth_allocation_instance
 from .cycle import cycle_instance, defect_cycle_instance

@@ -26,6 +26,10 @@ that those paths are tested against, each with the tolerance it is pinned at:
   :class:`~repro.core.solution.Solution`.  Bitwise equal to its CSR
   evaluation.
 
+The per-node message-passing simulator that the message plane of
+:mod:`repro.distributed` is pinned to lives in the submodule
+:mod:`repro.oracle.distributed`.
+
 The equivalence suites, the benchmark scripts and
 :mod:`repro.algo.ablations` call these functions directly.  Nothing on the
 ``solve`` or ``serve`` path imports this module, and nothing here caches
@@ -40,18 +44,18 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from . import obs
-from ._types import DEFAULT_FEASIBILITY_TOL, NodeId
-from .algo.local_solver import GRecursionValues, SpecialFormSolveResult, special_form_ratio
-from .algo.safe_algorithm import _check_variant
-from .algo.upper_bound import DEFAULT_BISECTION_TOL, compute_upper_bounds, smooth_upper_bounds
-from .core.instance import MaxMinInstance
-from .core.preprocess import PreprocessResult, _FixedPoint, _result_from_fixed_point
-from .core.solution import FeasibilityReport, Solution
-from .core.validation import require_nondegenerate, require_special_form
-from .exceptions import InvalidInstanceError
-from .transforms.base import TransformResult
-from .transforms.pipeline import apply_chain, canonical_transforms
+from .. import obs
+from .._types import DEFAULT_FEASIBILITY_TOL, NodeId
+from ..algo.local_solver import GRecursionValues, SpecialFormSolveResult, special_form_ratio
+from ..algo.safe_algorithm import _check_variant
+from ..algo.upper_bound import DEFAULT_BISECTION_TOL, compute_upper_bounds, smooth_upper_bounds
+from ..core.instance import MaxMinInstance
+from ..core.preprocess import PreprocessResult, _FixedPoint, _result_from_fixed_point
+from ..core.solution import FeasibilityReport, Solution
+from ..core.validation import require_nondegenerate, require_special_form
+from ..exceptions import InvalidInstanceError
+from ..transforms.base import TransformResult
+from ..transforms.pipeline import apply_chain, canonical_transforms
 
 __all__ = [
     "lower",

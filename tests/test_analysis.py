@@ -25,7 +25,7 @@ from repro.analysis.indistinguishability import build_view
 from repro._types import agent_node
 from repro.core.lp import solve_maxmin_lp
 from repro.core.solution import Solution
-from repro.distributed.network import build_network
+from repro.analysis.views import build_network
 from repro.generators import (
     cycle_instance,
     indistinguishable_cycle_pair,

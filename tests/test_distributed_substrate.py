@@ -1,4 +1,4 @@
-"""Tests for the message-passing substrate: ports, networks, runtime, views."""
+"""Tests for the port-numbering model, the per-node simulator and views."""
 
 from __future__ import annotations
 
@@ -9,14 +9,10 @@ import pytest
 
 from repro._types import NodeType, agent_node, constraint_node, objective_node
 from repro.analysis.indistinguishability import build_view
-from repro.core.builder import InstanceBuilder
-from repro.distributed.local_view import ViewTree, view_tree_optimum
-from repro.distributed.message import Message, message_size_bytes
-from repro.distributed.network import build_network
-from repro.distributed.node import LocalInput, ProtocolNode
-from repro.distributed.port_numbering import PortNumbering
-from repro.distributed.runtime import SynchronousRuntime
+from repro.analysis.views import PortNumbering, ViewTree, build_network
 from repro.exceptions import SimulationError
+from repro.oracle import distributed as oracle_dist
+from repro.oracle.distributed import Message, ProtocolNode, view_tree_optimum
 from repro.algo.upper_bound import compute_upper_bounds
 from repro.generators import cycle_instance, random_special_form_instance
 
@@ -108,27 +104,19 @@ class _EchoNode(ProtocolNode):
 class TestRuntime:
     def test_message_counting_and_delivery(self, unit_cycle):
         network = build_network(unit_cycle)
-        runtime = SynchronousRuntime(network, measure_bytes=True)
-        result = runtime.run(lambda net, node: _EchoNode(node, net.local_input(node)), rounds=3)
+        result = oracle_dist.run(
+            network, lambda net, node: _EchoNode(node, net.local_input(node)), rounds=3
+        )
         assert result.rounds == 3
         # Round 1: every node sends on every port = 2 * |E| messages; round 2 the same.
         assert result.per_round[0].messages == 2 * unit_cycle.num_edges
         assert result.per_round[1].messages == 2 * unit_cycle.num_edges
         assert result.per_round[2].messages == 0
-        assert result.total_bytes > 0
         assert result.messages_per_round == pytest.approx(result.total_messages / 3)
         # Every agent got an ack for its own degree from each neighbour.
         for v, received in result.outputs.items():
             acks = [x for x in received if isinstance(x, tuple)]
             assert all(payload == 2 for _, payload in acks)
-
-    def test_stop_when_silent(self, unit_cycle):
-        network = build_network(unit_cycle)
-        runtime = SynchronousRuntime(network)
-        result = runtime.run(
-            lambda net, node: _EchoNode(node, net.local_input(node)), rounds=10, stop_when_silent=True
-        )
-        assert result.rounds == 3  # round 3 is silent
 
     def test_invalid_port_send_raises(self, tiny_instance):
         class BadNode(ProtocolNode):
@@ -136,9 +124,8 @@ class TestRuntime:
                 return {99: Message("boom")}
 
         network = build_network(tiny_instance)
-        runtime = SynchronousRuntime(network)
         with pytest.raises(SimulationError):
-            runtime.run(lambda net, node: BadNode(node, net.local_input(node)), rounds=1)
+            oracle_dist.run(network, lambda net, node: BadNode(node, net.local_input(node)), rounds=1)
 
     def test_bare_payloads_are_wrapped(self, tiny_instance):
         class BareNode(ProtocolNode):
@@ -157,8 +144,8 @@ class TestRuntime:
                 return self.seen
 
         network = build_network(tiny_instance)
-        result = SynchronousRuntime(network).run(
-            lambda net, node: BareNode(node, net.local_input(node)), rounds=2
+        result = oracle_dist.run(
+            network, lambda net, node: BareNode(node, net.local_input(node)), rounds=2
         )
         assert any(isinstance(v, Message) for v in result.node_outputs.values() if v is not None)
 
@@ -183,11 +170,6 @@ class TestViewTrees:
         assert child.kind is NodeType.CONSTRAINT
         with pytest.raises(SimulationError):
             view.child(99)
-
-    def test_message_size_accounting(self):
-        small = Message(1.0, phase="x")
-        big = Message(list(range(1000)), phase="x")
-        assert message_size_bytes(big) > message_size_bytes(small) > 0
 
     @pytest.mark.parametrize("r", [0, 1])
     def test_view_tu_matches_centralized(self, r):

@@ -26,7 +26,12 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.distributed import MessagePlane, RunResult, SynchronousRuntime, require_agent_outputs
+from repro.distributed import (
+    MessagePlane,
+    ResilientRuntime,
+    SynchronousRuntime,
+    require_agent_outputs,
+)
 from repro.distributed import safe_agents as safe_agents_mod
 from repro.engine import (
     BatchJournal,
@@ -510,27 +515,30 @@ class _NaNAgentProtocol:
 
 
 class TestRuntimeFaults:
-    def test_nonfinite_message_raises_with_round_and_agents(self):
+    @pytest.mark.parametrize(
+        "runtime_cls", [SynchronousRuntime, ResilientRuntime], ids=["plain", "resilient"]
+    )
+    def test_nonfinite_message_raises_with_round_and_agents(self, runtime_cls):
         instance = cycle_instance(6, coefficient_range=(0.5, 2.0), seed=3)
         plane = MessagePlane(instance)
-        runtime = SynchronousRuntime(plane=plane)
+        runtime = runtime_cls(plane)
         obs.configure(enabled=True)
         mark = obs.counters_mark()
         with pytest.raises(SimulationError, match=r"round 2.*NaN/inf") as excinfo:
-            runtime.run_vectorized(_NaNAgentProtocol(), rounds=3)
+            runtime.run(_NaNAgentProtocol(), rounds=3)
         assert repr(plane.comp.agents[0]) in str(excinfo.value)
         assert obs.counters_since(mark).get("runtime.nonfinite_messages", 0) == 1
 
     def test_message_drop_is_visible_to_the_protocol(self):
         instance = cycle_instance(6, coefficient_range=(0.5, 2.0), seed=3)
         plan = FaultPlan(seed=1, message_faults=(MessageFault(round_number=1, fraction=1.0),))
-        runtime = SynchronousRuntime(plane=MessagePlane(instance), faults=plan)
+        runtime = SynchronousRuntime(MessagePlane(instance), faults=plan)
         obs.configure(enabled=True)
         mark = obs.counters_mark()
         # The safe protocol notices the missing inbox slots and refuses to
         # fabricate state — exactly the failure a lossy link should surface.
         with pytest.raises(SimulationError):
-            runtime.run_vectorized(
+            runtime.run(
                 safe_agents_mod.VectorizedSafeProtocol(),
                 rounds=safe_agents_mod.SAFE_ALGORITHM_ROUNDS,
             )
@@ -538,12 +546,12 @@ class TestRuntimeFaults:
 
     def test_fault_free_plan_leaves_run_untouched(self):
         instance = cycle_instance(6, coefficient_range=(0.5, 2.0), seed=3)
-        base = SynchronousRuntime(plane=MessagePlane(instance)).run_vectorized(
+        base = SynchronousRuntime(MessagePlane(instance)).run(
             safe_agents_mod.VectorizedSafeProtocol(),
             rounds=safe_agents_mod.SAFE_ALGORITHM_ROUNDS,
         )
         plan = FaultPlan(seed=1, message_faults=(MessageFault(round_number=99, fraction=1.0),))
-        faulted = SynchronousRuntime(plane=MessagePlane(instance), faults=plan).run_vectorized(
+        faulted = SynchronousRuntime(MessagePlane(instance), faults=plan).run(
             safe_agents_mod.VectorizedSafeProtocol(),
             rounds=safe_agents_mod.SAFE_ALGORITHM_ROUNDS,
         )
@@ -552,21 +560,12 @@ class TestRuntimeFaults:
 
     def test_require_agent_outputs_partially_missing(self):
         instance = cycle_instance(5, seed=0)
-        full = {v: 1.0 for v in instance.agents}
-        result = RunResult(
-            outputs=dict(list(full.items())[:-2]),
-            rounds=1,
-            total_messages=0,
-            total_bytes=0,
-            per_round=[],
-            node_outputs={},
-        )
+        full = np.ones(instance.num_agents)
+        partial = full.copy()
+        partial[-2:] = np.nan
         with pytest.raises(SimulationError, match="2 agent"):
-            require_agent_outputs(instance, result)
-        result_full = RunResult(
-            outputs=full, rounds=1, total_messages=0, total_bytes=0, per_round=[], node_outputs={}
-        )
-        require_agent_outputs(instance, result_full)  # no raise
+            require_agent_outputs(instance, partial)
+        require_agent_outputs(instance, full)  # no raise
 
 
 # ----------------------------------------------------------------------

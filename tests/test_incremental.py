@@ -9,8 +9,6 @@ The contracts pinned here:
 * ``IncrementalSolveState.apply_delta`` matches a from-scratch vectorized
   solve bit for bit on every family × R, and a locality spy confirms the
   kernels only touch the dirty r-ball;
-* ``MessagePlane.updated`` equals a freshly built plane for both
-  coefficient-only and structural deltas;
 * ``DynamicNetwork`` streams churn with the verify oracle on, and the CLI
   ``dynamics`` command runs end to end.
 """
@@ -36,8 +34,6 @@ from repro.distributed.dynamics import (
     local_horizon_radius,
     random_churn_delta,
 )
-from repro.distributed.plane import MessagePlane
-from repro.distributed.runtime import SynchronousRuntime
 from repro.exceptions import SimulationError
 from repro.generators import (
     cycle_instance,
@@ -511,94 +507,6 @@ class TestChangedSites:
 
 
 # ----------------------------------------------------------------------
-# MessagePlane dirty-region updates
-# ----------------------------------------------------------------------
-
-
-def assert_planes_equal(a: MessagePlane, b: MessagePlane) -> None:
-    assert a.num_slots == b.num_slots
-    assert a.con_base == b.con_base and a.obj_base == b.obj_base
-    for attr in ("agent_indptr", "agent_con_slots", "agent_obj_slots", "reverse"):
-        assert np.array_equal(getattr(a, attr), getattr(b, attr)), attr
-
-
-class TestPlaneUpdates:
-    def test_coefficient_delta_shares_arrays(self):
-        inst = random_special_form_instance(30, seed=9)
-        plane = MessagePlane(inst)
-        delta = inst.compiled().delta()
-        i = inst.constraints[1]
-        v = inst.agents_of_constraint(i)[0]
-        delta.set_constraint_coefficient(i, v, 2.0)
-        result = delta.apply()
-
-        updated = plane.updated(result)
-        assert updated.reverse is plane.reverse  # zero-copy
-        assert updated.comp is result.compiled
-        assert_planes_equal(updated, MessagePlane(result.instance))
-
-    def test_structural_delta_rebuilds_dirty_rows_only(self):
-        inst = regular_special_form_instance(8, 3, seed=5)
-        plane = MessagePlane(inst)
-        victim = next(
-            v
-            for v in inst.agents
-            if len(inst.agents_of_objective(inst.objectives_of_agent(v)[0])) >= 3
-        )
-        delta = inst.compiled().delta()
-        for i in inst.constraints_of_agent(victim):
-            delta.remove_constraint(i)
-        delta.remove_agent(victim)
-        result = delta.apply()
-
-        prior = obs.enabled()
-        obs.configure(enabled=True)
-        try:
-            mark = obs.counters_mark()
-            updated = plane.updated(result)
-            seen = obs.counters_since(mark)
-        finally:
-            obs.configure(enabled=prior)
-
-        assert_planes_equal(updated, MessagePlane(result.instance))
-        assert seen.get("plane.delta_rebuilds") == 1
-        assert seen.get("plane.delta_slots_reused", 0) > 0
-        reused = seen.get("plane.delta_slots_reused", 0)
-        rebuilt = seen.get("plane.delta_slots_rebuilt", 0)
-        assert reused + rebuilt == updated.num_slots
-
-    def test_identity_delta_returns_self(self):
-        inst = cycle_instance(8, seed=0)
-        plane = MessagePlane(inst)
-        assert plane.updated(inst.compiled().delta().apply()) is plane
-
-    def test_dirty_region_matches_hop_ball(self):
-        inst = cycle_instance(20, seed=0)
-        plane = MessagePlane(inst)
-        seeds = np.array([0])
-        (expected,) = agent_hop_balls(inst.compiled(), seeds, [2])
-        assert np.array_equal(plane.dirty_region(seeds, 4), expected)
-
-    def test_runtime_refresh_plane(self):
-        inst = random_special_form_instance(16, seed=5)
-        runtime = SynchronousRuntime(plane=MessagePlane(inst))
-        delta = inst.compiled().delta()
-        i = inst.constraints[0]
-        v = inst.agents_of_constraint(i)[0]
-        delta.set_constraint_coefficient(i, v, 1.3)
-        result = delta.apply()
-        refreshed = runtime.refresh_plane(result)
-        assert refreshed.comp is result.compiled
-        assert runtime.plane is refreshed
-
-        from repro.distributed.network import build_network
-
-        net_runtime = SynchronousRuntime(build_network(inst))
-        with pytest.raises(SimulationError):
-            net_runtime.refresh_plane(result)
-
-
-# ----------------------------------------------------------------------
 # DynamicNetwork streaming workload
 # ----------------------------------------------------------------------
 
@@ -621,15 +529,6 @@ class TestDynamicNetwork:
         for _ in range(6):
             net.random_tick(rng, edits=1, structural_prob=1.0)
         assert net.instance.is_special_form()
-
-    def test_plane_maintained_across_ticks(self):
-        net = DynamicNetwork(cycle_instance(20, seed=0), R=3)
-        plane = net.plane  # build it so ticks must maintain it
-        rng = np.random.default_rng(3)
-        for _ in range(4):
-            net.random_tick(rng, edits=1, structural_prob=0.5)
-        assert net.plane.comp is net.state.comp
-        assert_planes_equal(net.plane, MessagePlane(net.instance))
 
     def test_explicit_delta_and_counters(self):
         net = DynamicNetwork(cycle_instance(30, seed=2), R=3)

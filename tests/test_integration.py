@@ -1,8 +1,8 @@
 """End-to-end integration tests across subsystems.
 
-Each test here mirrors one of the experiments in EXPERIMENTS.md at a small
-scale, so that the benchmark harness can never silently drift away from a
-checked property.
+Each test here mirrors one of the experiments ``benchmarks/bench_e*.py`` at
+a small scale, so that the benchmark harness can never silently drift away
+from a checked property.
 """
 
 from __future__ import annotations

@@ -3,13 +3,12 @@
 Covers the resilience contract end to end: ``AgentFault``/``MessageFault``
 plan semantics, retransmit recovery (bitwise-identical under the budget),
 locality-bounded degradation beyond it (safe ball, failed agents, exact
-outside — spied on with the obs counters), the quiet-stop fix, dict/vectorized
-chaos equivalence, and the hypothesis soundness property of the certificate.
+outside — spied on with the obs counters), chaos equivalence between the
+message plane and the per-node oracle, and the hypothesis soundness property
+of the certificate.
 """
 
 from __future__ import annotations
-
-from typing import Dict
 
 import numpy as np
 import pytest
@@ -29,12 +28,11 @@ from repro.distributed import (
     ResilientSafeSolver,
     SynchronousRuntime,
 )
-from repro.distributed.message import Message
-from repro.distributed.network import build_network
-from repro.distributed.node import ProtocolNode
+from repro.analysis.views import build_network
 from repro.exceptions import EngineError, SimulationError
 from repro.faults import AgentFault, FaultPlan, MessageFault
 from repro.generators import cycle_instance, random_special_form_instance
+from repro.oracle import distributed as oracle_dist
 
 
 @pytest.fixture(scope="module")
@@ -184,7 +182,7 @@ class TestRetransmitRecovery:
 
     def test_negative_budget_rejected(self):
         with pytest.raises(SimulationError):
-            ResilientRuntime(plane=None, network=None, retransmit_budget=-1)
+            ResilientRuntime(MessagePlane(cycle_instance(4)), retransmit_budget=-1)
 
 
 # ----------------------------------------------------------------------
@@ -334,82 +332,13 @@ class TestResilientSafeSolver:
         )
         base, _ = DistributedSafeSolver().solve(chain80)
         solution, _ = ResilientSafeSolver(faults=plan).solve(chain80)
-        assert solution.degradation.statuses[4] == AGENT_SAFE or (
-            solution.degradation.statuses[4] == AGENT_EXACT
-        )
+        assert solution.degradation.statuses[4] == AGENT_EXACT
+        assert np.array_equal(solution.value_array(), base.value_array())
         assert solution.check_feasibility().feasible
 
 
 # ----------------------------------------------------------------------
-# Satellite: stop_when_silent vs dropped rounds
-# ----------------------------------------------------------------------
-class _PingPongNode(ProtocolNode):
-    """Echoes every received message forever; silent only when starved."""
-
-    def compose(self, round_number: int, inbox: Dict[int, Message]) -> Dict[int, Message]:
-        if round_number == 1:
-            return {p: Message(1.0, phase="ping") for p in range(1, self.degree + 1)}
-        return {p: Message(m.payload, phase="ping") for p, m in inbox.items()}
-
-
-class TestQuietStopFix:
-    def _run_dict(self, instance, faults=None):
-        network = build_network(instance)
-        runtime = SynchronousRuntime(network, faults=faults)
-        return runtime.run(
-            lambda net, node: _PingPongNode(node, net.local_input(node)),
-            rounds=10,
-            stop_when_silent=True,
-        )
-
-    def test_pingpong_never_stops_without_faults(self, chain80):
-        assert self._run_dict(chain80).rounds == 10
-
-    def test_all_dropped_round_does_not_fake_convergence(self, chain80):
-        num_slots = MessagePlane(chain80).num_slots
-        plan = FaultPlan(
-            seed=0,
-            message_faults=(MessageFault(round_number=2, fraction=1.0),),
-        )
-        result, seen = _counters(lambda: self._run_dict(chain80, faults=plan))
-        # Round 3 is quiet only because round 2 was eaten; the stop is
-        # suppressed once, then round 4's genuine silence ends the run.
-        assert result.rounds == 4
-        assert seen.get("runtime.suppressed_quiet_stops") == 1
-        assert seen.get("faults.dropped_messages") == result.per_round[1].messages
-
-    def test_vectorized_path_suppresses_identically(self, chain80):
-        class _VecPingPong:
-            def begin(self, plane):
-                pass
-
-            def compose(self, round_number, inbox_mask, inbox_values, plane):
-                mask, values = plane.empty_round()
-                if round_number == 1:
-                    mask[:] = True
-                    values[:] = 1.0
-                else:
-                    mask[:] = inbox_mask
-                    values[:] = np.where(inbox_mask, inbox_values, 0.0)
-                return mask, values
-
-            def outputs(self, plane):
-                return np.full(plane.num_agents, np.nan)
-
-        plan = FaultPlan(
-            seed=0,
-            message_faults=(MessageFault(round_number=2, fraction=1.0),),
-        )
-        runtime = SynchronousRuntime(plane=MessagePlane(chain80), faults=plan)
-        result, seen = _counters(
-            lambda: runtime.run_vectorized(_VecPingPong(), 10, stop_when_silent=True)
-        )
-        assert result.rounds == 4
-        assert seen.get("runtime.suppressed_quiet_stops") == 1
-
-
-# ----------------------------------------------------------------------
-# Satellite: dict-path fault injection + chaos equivalence
+# Chaos equivalence: the plane and the per-node oracle under one plan
 # ----------------------------------------------------------------------
 class TestChaosEquivalence:
     def test_smoothing_drops_identical_on_both_paths(self):
@@ -422,21 +351,17 @@ class TestChaosEquivalence:
         # Drive both through runtimes with the same plan (smoothing-phase
         # drops are non-fatal: the min-flood just converges differently).
         network = build_network(inst)
-        from repro.distributed.agents import (
-            VectorizedMaxMinProtocol,
-            maxmin_node_factory,
-        )
+        from repro.distributed.agents import VectorizedMaxMinProtocol
 
         rounds = schedule.total_rounds
-        ref_rt = SynchronousRuntime(network, faults=plan)
         ref_result, ref_seen = _counters(
-            lambda: ref_rt.run(maxmin_node_factory(schedule), rounds)
-        )
-        vec_rt = SynchronousRuntime(plane=MessagePlane(inst), faults=plan)
-        vec_result, vec_seen = _counters(
-            lambda: vec_rt.run_vectorized(
-                VectorizedMaxMinProtocol(schedule), rounds
+            lambda: oracle_dist.run(
+                network, oracle_dist.maxmin_node_factory(schedule), rounds, faults=plan
             )
+        )
+        vec_rt = SynchronousRuntime(MessagePlane(inst), faults=plan)
+        vec_result, vec_seen = _counters(
+            lambda: vec_rt.run(VectorizedMaxMinProtocol(schedule), rounds)
         )
         assert ref_result.outputs == vec_result.outputs
         assert ref_seen.get("faults.dropped_messages") == vec_seen.get(
@@ -463,20 +388,21 @@ class TestChaosEquivalence:
                 MessageFault(round_number=g_start + 1, slots=(victim_slot,)),
             ),
         )
-        from repro.distributed.agents import (
-            VectorizedMaxMinProtocol,
-            maxmin_node_factory,
-        )
+        from repro.distributed.agents import VectorizedMaxMinProtocol
 
-        vec_rt = SynchronousRuntime(plane=plane, faults=plan)
+        vec_rt = SynchronousRuntime(plane, faults=plan)
         with pytest.raises(SimulationError) as vec_err:
-            vec_rt.run_vectorized(
+            vec_rt.run(
                 VectorizedMaxMinProtocol(schedule_rounds),
                 schedule_rounds.total_rounds,
             )
-        ref_rt = SynchronousRuntime(build_network(inst), faults=plan)
         with pytest.raises(SimulationError) as ref_err:
-            ref_rt.run(maxmin_node_factory(schedule_rounds), schedule_rounds.total_rounds)
+            oracle_dist.run(
+                build_network(inst),
+                oracle_dist.maxmin_node_factory(schedule_rounds),
+                schedule_rounds.total_rounds,
+                faults=plan,
+            )
         # Both errors are diagnosable: they name the starved agent and a port.
         assert repr(victim_agent) in str(vec_err.value)
         assert "port" in str(vec_err.value)
@@ -496,15 +422,18 @@ class TestChaosEquivalence:
         from repro.distributed.safe_agents import (
             SAFE_ALGORITHM_ROUNDS,
             VectorizedSafeProtocol,
-            _safe_node_factory,
         )
 
-        vec_rt = SynchronousRuntime(plane=plane, faults=plan)
+        vec_rt = SynchronousRuntime(plane, faults=plan)
         with pytest.raises(SimulationError) as vec_err:
-            vec_rt.run_vectorized(VectorizedSafeProtocol(), SAFE_ALGORITHM_ROUNDS)
-        ref_rt = SynchronousRuntime(build_network(inst), faults=plan)
+            vec_rt.run(VectorizedSafeProtocol(), SAFE_ALGORITHM_ROUNDS)
         with pytest.raises(SimulationError) as ref_err:
-            ref_rt.run(_safe_node_factory, SAFE_ALGORITHM_ROUNDS)
+            oracle_dist.run(
+                build_network(inst),
+                oracle_dist.safe_node_factory,
+                SAFE_ALGORITHM_ROUNDS,
+                faults=plan,
+            )
         assert repr(victim_agent) in str(vec_err.value)
         assert repr(victim_agent) in str(ref_err.value)
 

@@ -5,9 +5,9 @@ Pins three contracts introduced with the vectorized runtime:
 * the CSR safe share agrees exactly with the per-node oracle
   :func:`repro.oracle.safe_solution` (identical arithmetic per edge),
   centralized and distributed, across every generator family;
-* the message plane reproduces the dict runtime (``measure_bytes=True``) for
-  the E5 local protocol — outputs, round counts and per-round message
-  statistics;
+* the message plane reproduces the per-node simulator of
+  :mod:`repro.oracle.distributed` for the E5 local protocol — outputs, round
+  counts and per-round message statistics;
 * a protocol whose agents fail to produce output raises instead of silently
   yielding a "feasible" all-zero solution (regression).
 """
@@ -21,17 +21,12 @@ from repro import oracle
 from repro._types import NodeType
 from repro.algo.local_solver import SpecialFormLocalSolver
 from repro.algo.safe_algorithm import SafeAlgorithm, safe_solution
+from repro.analysis.views import build_network
 from repro.core.solution import Solution
-from repro.distributed import (
-    DistributedLocalSolver,
-    DistributedSafeSolver,
-    MessagePlane,
-    SynchronousRuntime,
-    build_network,
-)
-from repro.distributed import agents as agents_mod
+from repro.distributed import DistributedLocalSolver, DistributedSafeSolver, MessagePlane
 from repro.distributed import safe_agents as safe_agents_mod
 from repro.exceptions import InvalidInstanceError, SimulationError
+from repro.oracle import distributed as oracle_dist
 from repro.generators import cycle_instance, random_special_form_instance
 
 from conftest import general_family, special_form_family
@@ -75,11 +70,10 @@ class TestSafeBackendEquivalence:
                 assert vec[v] == ref[v]
 
     def test_distributed_matches_centralized_all_families(self):
-        for measure_bytes in (False, True):
-            solver = DistributedSafeSolver(measure_bytes=measure_bytes)
+        for solve in (DistributedSafeSolver().solve, oracle_dist.safe_solve):
             for instance in special_form_family() + _nondegenerate_general_family():
                 central = safe_solution(instance, variant="degree")
-                distributed, run = solver.solve(instance)
+                distributed, run = solve(instance)
                 assert run.rounds == safe_agents_mod.SAFE_ALGORITHM_ROUNDS
                 for v in instance.agents:
                     assert distributed[v] == central[v]
@@ -111,31 +105,14 @@ class TestMessagePlane:
         plane = MessagePlane(instance)
         assert np.array_equal(plane.reverse[plane.reverse], np.arange(plane.num_slots))
 
-    def test_runtime_requires_network_or_plane(self):
-        with pytest.raises(SimulationError):
-            SynchronousRuntime()
-
-    def test_vectorized_rejects_byte_accounting(self):
-        instance = cycle_instance(4)
-        runtime = SynchronousRuntime(plane=MessagePlane(instance), measure_bytes=True)
-        with pytest.raises(SimulationError, match="byte accounting"):
-            runtime.run_vectorized(safe_agents_mod.VectorizedSafeProtocol(), rounds=2)
-
-    def test_measure_bytes_falls_back_to_reference_path(self):
-        instance = cycle_instance(4)
-        _solution, run = DistributedSafeSolver(measure_bytes=True).solve(instance)
-        assert run.total_bytes > 0
-        _solution, run = DistributedLocalSolver(R=2, measure_bytes=True).solve(instance)
-        assert run.total_bytes > 0
-
 
 class TestRuntimeEquivalence:
-    """Message plane vs the per-node dict runtime for the E5 local protocol."""
+    """Message plane vs the per-node simulator for the E5 local protocol."""
 
     @pytest.mark.parametrize("R", [2, 3, 4])
     def test_outputs_and_statistics_match_oracle(self, R):
         for instance in special_form_family()[:4]:
-            ref_solution, ref_run = DistributedLocalSolver(R=R, measure_bytes=True).solve(instance)
+            ref_solution, ref_run = oracle_dist.local_solve(instance, R)
             vec_solution, vec_run = DistributedLocalSolver(R=R).solve(instance)
             assert vec_run.rounds == ref_run.rounds == 12 * (R - 2) + 7
             assert vec_run.total_messages == ref_run.total_messages
@@ -155,7 +132,7 @@ class TestRuntimeEquivalence:
 
     def test_vectorized_safe_statistics_match_oracle(self):
         instance = cycle_instance(5)
-        _s, ref_run = DistributedSafeSolver(measure_bytes=True).solve(instance)
+        _s, ref_run = oracle_dist.safe_solve(instance)
         _s, vec_run = DistributedSafeSolver().solve(instance)
         assert vec_run.total_messages == ref_run.total_messages == 2 * instance.num_constraints
         assert [s.messages for s in vec_run.per_round] == [s.messages for s in ref_run.per_round]
@@ -178,14 +155,14 @@ class TestMissingOutputRegression:
             Solution.from_agent_array(tiny_instance, [0.5], label="short")
 
     def test_safe_solver_raises_on_silent_agents(self, monkeypatch):
-        monkeypatch.setattr(safe_agents_mod.SafeAgentNode, "output", lambda self: None)
+        monkeypatch.setattr(oracle_dist.SafeAgentNode, "output", lambda self: None)
         with pytest.raises(SimulationError, match="no\\s+output"):
-            DistributedSafeSolver(measure_bytes=True).solve(cycle_instance(4))
+            oracle_dist.safe_solve(cycle_instance(4))
 
     def test_local_solver_raises_on_silent_agents(self, monkeypatch):
-        monkeypatch.setattr(agents_mod.MaxMinAgentNode, "output", lambda self: None)
+        monkeypatch.setattr(oracle_dist.MaxMinAgentNode, "output", lambda self: None)
         with pytest.raises(SimulationError, match="no\\s+output"):
-            DistributedLocalSolver(R=2, measure_bytes=True).solve(cycle_instance(4))
+            oracle_dist.local_solve(cycle_instance(4), 2)
 
     def test_partial_outputs_also_rejected(self):
         """Even one silent agent out of many must fail the run."""

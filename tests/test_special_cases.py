@@ -17,10 +17,13 @@ from repro.algo.general_solver import LocalMaxMinSolver
 from repro.algo.local_solver import SpecialFormLocalSolver
 from repro.core.builder import InstanceBuilder
 from repro.core.lp import solve_maxmin_lp
-from repro.distributed import DistributedLocalSolver, Message, build_network, SynchronousRuntime
-from repro.distributed.agents import MaxMinAgentNode, PhaseSchedule
+from repro.analysis.views import build_network
+from repro.distributed import DistributedLocalSolver
+from repro.distributed.agents import PhaseSchedule
 from repro.exceptions import SimulationError
 from repro.generators import cycle_instance, random_instance, regular_general_instance
+from repro.oracle import distributed as oracle_dist
+from repro.oracle.distributed import MaxMinAgentNode, Message
 from repro.transforms import to_special_form
 
 from conftest import assert_feasible, assert_within_guarantee
@@ -139,10 +142,11 @@ class TestDistributedErrorPaths:
         solver = DistributedLocalSolver(R=2)
         expected, _ = solver.solve(instance)
         network = build_network(instance)
-        runtime = SynchronousRuntime(network)
-        from repro.distributed.agents import maxmin_node_factory
-
-        result = runtime.run(maxmin_node_factory(PhaseSchedule(2)), rounds=PhaseSchedule(2).total_rounds + 5)
+        result = oracle_dist.run(
+            network,
+            oracle_dist.maxmin_node_factory(PhaseSchedule(2)),
+            rounds=PhaseSchedule(2).total_rounds + 5,
+        )
         for v in instance.agents:
             assert result.outputs[v] == pytest.approx(expected[v], abs=1e-12)
 
