@@ -14,6 +14,10 @@ resilience contract asserted here:
 * at least one response is degraded, and both the transient and the hang
   fired (``faults.transient`` / ``faults.hangs`` on ``/metrics``): a chaos
   harness that stops injecting is itself a bug;
+* every exact or degraded inline upload answers with its instance's
+  resident digest, whether it was sent as the canonical text (the one-hash
+  hit path) or as a parsed object (the parse-and-canonicalize path), and
+  the registry still holds exactly the 8 residents afterwards;
 * the server is still healthy and ready afterwards, with breaker and
   counter state visible on ``/metrics``.
 
@@ -62,16 +66,20 @@ def main() -> int:
 
     failures: List[str] = []
     with ServerHandle(config) as handle:
-        docs = [json.loads(handle.server.registry.admit_instance(i).json_text) for i in instances]
-        digests = [handle.server.registry.admit_instance(i).digest for i in instances]
+        entries = [handle.server.registry.admit_instance(i) for i in instances]
         requests: List[Tuple[str, dict]] = []
+        uploads = {}  # request index -> the digest its answer must carry
         for i in range(64):
-            inst, digest = docs[i % len(docs)], digests[i % len(digests)]
+            entry = entries[i % len(entries)]
+            digest = entry.digest
             kind = i % 8
             if kind < 4:
                 requests.append(("solve", {"digest": digest, "R": 2 + (i % 2)}))
             elif kind == 4:
-                requests.append(("ratio", {"instance": inst, "R": 2}))
+                # Half the uploads are the canonical text, half a parsed object.
+                doc = entry.json_text if (i // 8) % 2 else json.loads(entry.json_text)
+                requests.append(("ratio", {"instance": doc, "R": 2}))
+                uploads[i] = digest
             elif kind == 5:
                 requests.append(("info", {"digest": digest}))
             elif kind == 6:
@@ -99,6 +107,12 @@ def main() -> int:
             failures.append("fault plan never degraded a response; injection is not firing")
         if histogram.get("bad_request", 0) == 0 or histogram.get("not_found", 0) == 0:
             failures.append("malformed/unknown-digest probes did not produce structured errors")
+        for i, digest in uploads.items():
+            if labels[i] in ("ok", "degraded") and outcomes[i][1].get("digest") != digest:
+                failures.append(
+                    f"inline upload {i} answered digest {outcomes[i][1].get('digest')!r}, "
+                    f"not its resident {digest[:12]}…"
+                )
 
         status, health = client.healthz()
         if status != 200 or not health.get("ok"):
@@ -111,6 +125,9 @@ def main() -> int:
             failures.append(f"/metrics failed: {status}")
         else:
             counters = metrics.get("counters", {})
+            resident = metrics.get("registry", {}).get("resident")
+            if resident != len(entries):
+                failures.append(f"{resident} residents after the barrage, expected {len(entries)}")
             if counters.get("serve.admitted", 0) < len(requests) - counters.get("serve.shed", 0):
                 failures.append(f"admission accounting does not add up: {counters}")
             print(

@@ -313,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=2.0,
         dest="coalesce_window_ms",
-        help="micro-batching collection window (0 disables coalescing)",
+        help="micro-batching collection window, opened only when another request "
+        "is in flight (0 disables coalescing)",
     )
     serve.add_argument(
         "--registry-capacity",

@@ -37,9 +37,13 @@ Response = Tuple[int, Dict[str, object]]
 
 
 def _instance_document(instance) -> object:
-    """Accept a live ``MaxMinInstance``, a JSON string, or a parsed document."""
+    """Accept a live ``MaxMinInstance``, a JSON string, or a parsed document.
+
+    A live instance goes out as its canonical text, which the server
+    matches against its residents with one hash.
+    """
     if isinstance(instance, MaxMinInstance):
-        return json.loads(instance_to_json(instance))
+        return instance_to_json(instance)
     return instance
 
 

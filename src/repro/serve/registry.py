@@ -9,6 +9,14 @@ re-running any of them.  The registry is therefore the hot tier; the
 engine's on-disk :class:`~repro.engine.cache.ResultCache` is the persistent
 tier that survives eviction and restarts.
 
+Every entry is keyed by the SHA-256 digest of its canonical document
+(:func:`~repro.io.serialization.instance_to_json`), and admission is
+digest-first: an uploaded text whose digest is resident is byte-identical to
+that resident's canonical document, so re-uploading it costs one hash — no
+parse, no validation, no re-serialization.  Any other text is parsed,
+validated and admitted under its *canonical* digest, so client formatting
+never splits one instance across two residents.
+
 Capacity is bounded: past ``capacity`` residents the least-recently-used
 entry is evicted (its per-instance caches go with it).  A client that
 addresses an evicted digest gets a structured ``not_found`` and re-sends the
@@ -28,6 +36,7 @@ from typing import Callable, List, Optional, Tuple
 
 from .. import obs
 from ..core.instance import MaxMinInstance
+from ..exceptions import SerializationError
 from ..io.serialization import instance_digest, instance_from_json, instance_to_json
 from .protocol import ServeError
 
@@ -76,45 +85,50 @@ class InstanceRegistry:
 
     def get(self, digest: str) -> ResidentInstance:
         """The resident entry for ``digest`` (marks it recently used)."""
-        with self._lock:
-            entry = self._entries.get(digest)
-            if entry is None:
-                raise ServeError(
-                    "not_found",
-                    f"instance {digest[:12]}… is not resident; re-send the request "
-                    "with the full 'instance' document",
-                )
-            self._entries.move_to_end(digest)
-            return entry
+        entry = self._touch(digest)
+        if entry is None:
+            raise ServeError(
+                "not_found",
+                f"instance {digest[:12]}… is not resident; re-send the request "
+                "with the full 'instance' document",
+            )
+        return entry
 
     def admit_json(self, json_text: str) -> ResidentInstance:
-        """Make the instance encoded by ``json_text`` resident (or touch it)."""
-        digest = instance_digest(json_text)
-        with self._lock:
-            entry = self._entries.get(digest)
-            if entry is not None:
-                self._entries.move_to_end(digest)
-                return entry
-        # Deserialize outside the lock — it is the expensive part.
-        instance = instance_from_json(json_text)
-        return self._admit(ResidentInstance(digest, instance, json_text))
+        """Make the instance encoded by ``json_text`` resident (or touch it).
+
+        When the text's digest is resident, the text is byte-identical to
+        that resident's canonical document, validated at its admission, so
+        the hit costs one SHA-256.  Any other text is parsed and validated
+        (a malformed document is a ``bad_request``) and admitted under its
+        canonical digest.
+        """
+        entry = self._touch(instance_digest(json_text))
+        if entry is not None:
+            return entry
+        try:
+            instance = instance_from_json(json_text)
+        except SerializationError as exc:
+            raise ServeError("bad_request", f"invalid instance document: {exc}") from exc
+        return self.admit_instance(instance)
 
     def admit_instance(self, instance: MaxMinInstance) -> ResidentInstance:
-        """Make a live instance resident (used by preloading and tests)."""
+        """Make a live instance resident under its canonical digest (or touch it)."""
         json_text = instance_to_json(instance)
-        digest = instance_digest(json_text)
+        return self._admit(ResidentInstance(instance_digest(json_text), instance, json_text))
+
+    def _touch(self, digest: str) -> Optional[ResidentInstance]:
         with self._lock:
             entry = self._entries.get(digest)
             if entry is not None:
                 self._entries.move_to_end(digest)
-                return entry
-        return self._admit(ResidentInstance(digest, instance, json_text))
+            return entry
 
     def _admit(self, entry: ResidentInstance) -> ResidentInstance:
         evicted: List[str] = []
         with self._lock:
             existing = self._entries.get(entry.digest)
-            if existing is not None:  # a concurrent admit won the race
+            if existing is not None:  # already resident, or a concurrent admit won
                 self._entries.move_to_end(entry.digest)
                 return existing
             self._entries[entry.digest] = entry

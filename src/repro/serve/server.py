@@ -30,7 +30,8 @@ Request lifecycle::
 * **Micro-batching**: concurrent ``local`` solves sharing one parameter set
   coalesce through :class:`~repro.serve.batcher.MicroBatcher` into a single
   ``solve_many`` kernel pass (bitwise-equal to solo solves); a
-  failed flush falls back to the solo ladder per request.
+  failed flush falls back to the solo ladder per request.  A solve that is
+  the only request in flight skips the window and takes the solo ladder.
 * **Caching**: non-degraded solve results are stored in the engine's
   checksummed :class:`~repro.engine.cache.ResultCache` (the persistent tier
   below the resident-instance LRU), keyed by instance digest, parameters
@@ -64,8 +65,7 @@ from ..core.solution import Solution
 from ..engine.cache import ResultCache
 from ..engine.registry import SOLVER_VERSIONS
 from ..engine.resilience import call_with_timeout, leaked_timeout_threads
-from ..exceptions import JobTimeoutError, ReproError, SerializationError
-from ..io.serialization import instance_from_json
+from ..exceptions import JobTimeoutError, ReproError
 from .batcher import MicroBatcher
 from .breaker import CircuitBreaker
 from .protocol import (
@@ -106,7 +106,9 @@ class ServeConfig:
     max_pending: int = 64  # admission bound: in-flight requests before shedding
     default_deadline_s: float = 30.0
     safe_grace_s: float = 2.0  # minimum budget for the final safe rung
-    coalesce_window_s: float = 0.002  # 0 disables micro-batching
+    # Micro-batching window, opened only when another request is in flight
+    # (a lone solve never waits); 0 disables micro-batching.
+    coalesce_window_s: float = 0.002
     coalesce_max_batch: int = 64
     registry_capacity: int = 64
     cache_dir: Optional[str] = None  # persistent ResultCache tier (None = off)
@@ -118,6 +120,20 @@ class ServeConfig:
     max_body_bytes: int = 32 * 1024 * 1024
     default_R: int = 3
     extra: Dict[str, object] = field(default_factory=dict)
+
+
+def _values_payload(solution: Solution) -> object:
+    """A solution's ``values`` on the wire.
+
+    An ``{agent: value}`` object when every agent id is a string; otherwise
+    (int or tuple ids, which JSON object keys cannot carry) a list in
+    canonical agent order.  The ``utility`` op accepts both shapes.
+    """
+    agents = solution.instance.agents
+    values = solution.value_array().tolist()
+    if all(isinstance(v, str) for v in agents):
+        return dict(zip(agents, values))
+    return values
 
 
 class AllocationServer:
@@ -226,19 +242,10 @@ class AllocationServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            request = await self._read_request(reader)
-            if request is None:
+            response = await self._respond(reader)
+            if response is None:
                 return
-            method, path, raw = request
-            try:
-                status, payload = await self._route(method, path, raw)
-            except ServeError as exc:
-                status, payload = error_response(exc.code, str(exc))
-            except Exception as exc:  # noqa: BLE001 - never a traceback on the wire
-                logger.exception("unhandled error serving %s %s", method, path)
-                self._count("serve.internal_errors")
-                status, payload = error_response("internal", f"{type(exc).__name__}: {exc}")
-            body = json.dumps(payload).encode("utf-8")
+            status, body = response
             head = (
                 f"HTTP/1.1 {status} {_HTTP_REASONS.get(status, 'OK')}\r\n"
                 "Content-Type: application/json\r\n"
@@ -255,6 +262,30 @@ class AllocationServer:
                 await writer.wait_closed()
             except Exception:  # noqa: BLE001 - best-effort close
                 pass
+
+    async def _respond(self, reader: asyncio.StreamReader) -> Optional[Tuple[int, bytes]]:
+        """Read one request and encode its answer (``None``: the client sent nothing).
+
+        Past the transport every failure is a structured error: a malformed
+        request, a failed op and a payload that does not encode alike.
+        """
+        method, path = "-", "-"
+        try:
+            request = await self._read_request(reader)
+            if request is None:
+                return None
+            method, path, raw = request
+            status, payload = await self._route(method, path, raw)
+            return status, json.dumps(payload).encode("utf-8")
+        except (ConnectionError, asyncio.TimeoutError, asyncio.IncompleteReadError):
+            raise  # the transport failed: nothing to answer
+        except ServeError as exc:
+            status, payload = error_response(exc.code, str(exc))
+        except Exception as exc:  # noqa: BLE001 - never a traceback on the wire
+            logger.exception("unhandled error serving %s %s", method, path)
+            self._count("serve.internal_errors")
+            status, payload = error_response("internal", f"{type(exc).__name__}: {exc}")
+        return status, json.dumps(payload).encode("utf-8")
 
     async def _read_request(
         self, reader: asyncio.StreamReader
@@ -410,21 +441,13 @@ class AllocationServer:
     def _resolve_entry(self, body: Dict[str, object]) -> ResidentInstance:
         doc = body.get("instance")
         if doc is not None:
-            if isinstance(doc, str):
-                text = doc
-            elif isinstance(doc, dict):
-                text = json.dumps(doc)
-            else:
+            if isinstance(doc, dict):
+                doc = json.dumps(doc)
+            if not isinstance(doc, str):
                 raise ServeError(
                     "bad_request", "'instance' must be the JSON instance document"
                 )
-            try:
-                instance = instance_from_json(text)
-            except SerializationError as exc:
-                raise ServeError("bad_request", f"invalid instance document: {exc}") from exc
-            # admit_instance re-serializes canonically, so client formatting
-            # never splits one instance across two digests.
-            return self.registry.admit_instance(instance)
+            return self.registry.admit_json(doc)
         digest = body.get("digest")
         if not isinstance(digest, str) or not digest:
             raise ServeError("bad_request", "request needs an 'instance' document or a 'digest'")
@@ -470,8 +493,11 @@ class AllocationServer:
                     degraded_reason=None,
                     **rec["meta"],
                 )
+        # A lone solve takes the solo ladder at once: no company will join
+        # its window.
         if (
             self._batcher is not None
+            and self._inflight > 1
             and params["algorithm"] == "local"
             and params["coalesce"]
             and self.breaker.allow()
@@ -722,7 +748,7 @@ class AllocationServer:
             "feasible": bool(res.solution.is_feasible()),
         }
         if include_values:
-            result["values"] = {k: float(v) for k, v in res.solution.as_dict().items()}
+            result["values"] = _values_payload(res.solution)
         return result
 
     @staticmethod
@@ -734,7 +760,7 @@ class AllocationServer:
             "feasible": bool(solution.is_feasible()),
         }
         if include_values:
-            result["values"] = {k: float(v) for k, v in solution.as_dict().items()}
+            result["values"] = _values_payload(solution)
         return result
 
     def _cache_key(self, digest: str, params: Dict[str, object]) -> str:

@@ -13,11 +13,19 @@ from __future__ import annotations
 import asyncio
 import collections
 import json
+import logging
+import socket
+import sys
+import threading
 import time
 
 import pytest
 
+import repro.io.serialization as serialization
+import repro.serve.registry as registry_mod
+import repro.serve.server as server_mod
 from repro.algo.general_solver import LocalMaxMinSolver
+from repro.core.instance import MaxMinInstance
 from repro.engine.resilience import call_with_timeout, leaked_timeout_threads
 from repro.exceptions import JobTimeoutError
 from repro.faults import FaultPlan
@@ -36,13 +44,68 @@ from repro.serve import (
 from repro.serve.batcher import MicroBatcher
 from repro.serve.protocol import ERROR_STATUS, parse_body
 
-from conftest import invalid_instance_documents
+from conftest import invalid_instance_documents, spy_view_builds
 
 
 def make_instances(count, *, size=10, seed0=100):
     return [
         random_special_form_instance(size, seed=seed0 + i) for i in range(count)
     ]
+
+
+def relabel_agents(instance, agent_id):
+    """The same instance with agent ``j`` (canonical order) renamed ``agent_id(j)``."""
+    name = {v: agent_id(j) for j, v in enumerate(instance.agents)}
+    return MaxMinInstance(
+        agents=[name[v] for v in instance.agents],
+        constraints=instance.constraints,
+        objectives=instance.objectives,
+        a={(i, name[v]): x for (i, v), x in instance.a_coefficients.items()},
+        c={(k, name[v]): x for (k, v), x in instance.c_coefficients.items()},
+        name=instance.name,
+    )
+
+
+def spy_serialization(monkeypatch):
+    """Count calls to ``instance_from_json`` / ``instance_to_json``, wherever
+    the serve modules imported them from."""
+    calls = []
+    for fname in ("instance_from_json", "instance_to_json"):
+        real = getattr(serialization, fname)
+
+        def spy(*args, _real=real, _name=fname, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        for module in (serialization, registry_mod, server_mod):
+            if getattr(module, fname, None) is real:
+                monkeypatch.setattr(module, fname, spy)
+    return calls
+
+
+class _UnhandledConnectionErrors(logging.Handler):
+    def __init__(self) -> None:
+        super().__init__(level=logging.ERROR)
+        self.messages = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        message = record.getMessage()
+        if "client_connected_cb" in message:
+            self.messages.append(message)
+
+
+@pytest.fixture(autouse=True)
+def no_unhandled_connection_errors():
+    """Fail a test during which an exception escaped the server's connection
+    handler: asyncio logs it, and the client got no structured answer."""
+    handler = _UnhandledConnectionErrors()
+    asyncio_logger = logging.getLogger("asyncio")
+    asyncio_logger.addHandler(handler)
+    try:
+        yield
+    finally:
+        asyncio_logger.removeHandler(handler)
+    assert handler.messages == []
 
 
 # ----------------------------------------------------------------------
@@ -101,10 +164,65 @@ class TestInstanceRegistry:
         # Client-side formatting must not split one instance into two
         # digests: a re-indented document admits to the same entry.
         doc = json.loads(instance_to_json(inst))
-        again = registry.admit_json(instance_to_json(inst))
-        assert again.digest == entry.digest and len(registry) == 1
-        assert json.dumps(doc)  # the pretty-printed form exists
+        again = registry.admit_json(json.dumps(doc))
+        assert again is entry
         assert registry.digests() == [entry.digest]
+
+    def test_first_admit_of_any_formatting_is_canonical(self):
+        (inst,) = make_instances(1, size=6)
+        text = instance_to_json(inst)
+        for variant in (json.dumps(json.loads(text)), json.dumps(json.loads(text), indent=4)):
+            registry = InstanceRegistry(capacity=4)
+            entry = registry.admit_json(variant)
+            assert entry.digest == instance_digest(text)
+            assert entry.json_text == text
+            # The canonical text now hits the same entry.
+            assert registry.admit_json(text) is entry
+            assert registry.digests() == [entry.digest]
+
+    def test_resident_text_is_one_hash(self, monkeypatch):
+        registry = InstanceRegistry(capacity=4)
+        (inst,) = make_instances(1, size=6)
+        entry = registry.admit_json(instance_to_json(inst))
+        calls = spy_serialization(monkeypatch)
+        views = spy_view_builds(monkeypatch)
+        assert registry.admit_json(entry.json_text) is entry
+        assert calls == [] and views == []
+
+    def test_concurrent_admits_leave_one_resident_per_instance(self):
+        instances = make_instances(3, size=6)
+        canonical = [instance_to_json(inst) for inst in instances]
+        texts = [t for text in canonical for t in (text, json.dumps(json.loads(text)))]
+        registry = InstanceRegistry(capacity=8)
+        entries = [None] * 48
+
+        def work(slot):
+            entries[slot] = registry.admit_json(texts[slot % len(texts)])
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(entries))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(registry) == len(instances)
+        for slot, entry in enumerate(entries):
+            text = canonical[(slot % len(texts)) // 2]
+            assert entry is registry.get(instance_digest(text))
+
+    def test_malformed_text_is_a_bad_request(self):
+        registry = InstanceRegistry(capacity=4)
+        for text in ("{not json", json.dumps({"format": "something-else"})):
+            with pytest.raises(ServeError) as excinfo:
+                registry.admit_json(text)
+            assert excinfo.value.code == "bad_request"
+            assert str(excinfo.value).startswith("invalid instance document")
+        assert len(registry) == 0
 
 
 # ----------------------------------------------------------------------
@@ -348,6 +466,94 @@ class TestServerBasics:
 
         asyncio.run(run())
 
+    def test_malformed_request_line_is_a_structured_error(self):
+        with ServerHandle(ServeConfig(workers=1)) as handle:
+            with socket.create_connection(("127.0.0.1", handle.port), timeout=10) as sock:
+                sock.sendall(b"NONSENSE\r\n\r\n")
+                raw = b""
+                while chunk := sock.recv(65536):
+                    raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(body)["error"]["code"] == "bad_request"
+
+    def test_unencodable_payload_is_a_structured_internal_error(self, monkeypatch):
+        (inst,) = make_instances(1)
+        real = server_mod.ok_response
+        monkeypatch.setattr(
+            server_mod, "ok_response", lambda *a, **kw: {**real(*a, **kw), "bad": object()}
+        )
+        with ServerHandle(ServeConfig(workers=1)) as handle:
+            client = handle.client(timeout_s=10)
+            status, payload = client.info(instance=inst)
+            assert status == 500 and payload["error"]["code"] == "internal"
+            assert "TypeError" in payload["error"]["message"]
+            status, metrics = client.metrics()
+            assert metrics["counters"]["serve.internal_errors"] == 1
+
+
+class TestUploads:
+    """Inline uploads: a resident re-upload costs one hash, and any other
+    formatting is parsed, validated and admitted under the canonical digest."""
+
+    @pytest.mark.parametrize("op", ["solve", "info"])
+    def test_resident_reupload_skips_parse_and_serialize(self, op, monkeypatch):
+        (inst,) = make_instances(1)
+        text = instance_to_json(inst)
+        with ServerHandle(ServeConfig(workers=1)) as handle:
+            client = handle.client(timeout_s=20)
+            status, first = client.op(op, {"instance": text})
+            assert status == 200
+            calls = spy_serialization(monkeypatch)
+            views = spy_view_builds(monkeypatch)
+            status, again = client.op(op, {"instance": text, "include_values": True})
+            assert status == 200 and again["ok"]
+            assert again["digest"] == first["digest"] == instance_digest(text)
+            assert calls == [] and views == []
+            assert handle.server.registry.digests() == [first["digest"]]
+
+    def test_reformatted_and_dict_documents_resolve_to_the_canonical_digest(self):
+        (inst,) = make_instances(1)
+        text = instance_to_json(inst)
+        with ServerHandle(ServeConfig(workers=1)) as handle:
+            client = handle.client(timeout_s=20)
+            for doc in (json.dumps(json.loads(text), indent=1), json.loads(text), text):
+                status, payload = client.info(instance=doc)
+                assert status == 200 and payload["digest"] == instance_digest(text)
+            status, metrics = client.metrics()
+            assert metrics["registry"]["resident"] == 1
+
+    def test_client_sends_a_live_instance_as_canonical_text(self, monkeypatch):
+        (inst,) = make_instances(1)
+        with ServerHandle(ServeConfig(workers=1)) as handle:
+            client = handle.client(timeout_s=20)
+            status, first = client.info(instance=inst)
+            assert status == 200
+            calls = spy_serialization(monkeypatch)
+            status, again = client.info(instance=inst)
+            assert status == 200 and again["digest"] == first["digest"]
+            assert calls == []  # the server neither parsed nor re-serialized it
+
+    @pytest.mark.parametrize(
+        "agent_id", [lambda j: ("agent", j), lambda j: j], ids=["tuple", "int"]
+    )
+    def test_values_of_non_string_agent_ids_round_trip(self, agent_id):
+        inst = relabel_agents(make_instances(1)[0], agent_id)
+        with ServerHandle(ServeConfig(workers=1)) as handle:
+            client = handle.client(timeout_s=20)
+            for algorithm in ("local", "safe"):
+                status, payload = client.solve(
+                    instance=inst, algorithm=algorithm, include_values=True
+                )
+                assert status == 200, payload
+                values = payload["result"]["values"]
+                assert isinstance(values, list) and len(values) == inst.num_agents
+                status, util = client.utility(values, digest=payload["digest"])
+                assert status == 200, util
+                assert util["result"]["utility"] == payload["result"]["utility"]
+            status, ratio = client.ratio(instance=inst, include_values=True)
+            assert status == 200 and isinstance(ratio["result"]["values"], list)
+
 
 class TestCoalescing:
     def test_coalesced_responses_bitwise_equal_solo(self):
@@ -387,6 +593,18 @@ class TestCoalescing:
             status, metrics = client.metrics()
             assert metrics["counters"].get("serve.coalesced_batches", 0) >= 1
             assert metrics["counters"].get("serve.coalesced_requests", 0) >= 2
+
+    def test_lone_solve_skips_the_window(self):
+        (inst,) = make_instances(1)
+        config = ServeConfig(workers=1, coalesce_window_s=1.0)
+        with ServerHandle(config) as handle:
+            client = handle.client(timeout_s=20)
+            status, payload = client.info(instance=inst)
+            assert status == 200
+            for _ in range(2):
+                status, payload = client.solve(digest=payload["digest"])
+                assert status == 200 and not payload["coalesced"]
+                assert payload["elapsed_ms"] < 500.0
 
     def test_solo_matches_direct_solver_bitwise(self):
         (inst,) = make_instances(1, size=12)
