@@ -17,11 +17,9 @@ handled directly, mirroring the paper's remark that those cases are easy.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Optional
+from typing import Optional
 
 from .. import obs
-from .._types import NodeId
 from ..core.instance import MaxMinInstance
 from ..core.preprocess import PreprocessResult, preprocess
 from ..core.solution import Solution
@@ -165,8 +163,8 @@ class LocalMaxMinSolver:
         capacity ``min_{i∈I_v} 1/a_iv``, which dominates every feasible
         solution componentwise and is therefore optimal.
         """
-        values: Dict[NodeId, float] = {v: instance.agent_capacity(v) for v in instance.agents}
-        return Solution(instance, values, label="local-trivial")
+        capacity = instance.compiled().capacity
+        return Solution.from_agent_array(instance, capacity, label="local-trivial")
 
     # ------------------------------------------------------------------
     def _certificate(self, instance: MaxMinInstance, ratio: float, status: str) -> Certificate:
@@ -196,7 +194,7 @@ class LocalMaxMinSolver:
 
         if pre.optimum_is_unbounded or pre.instance.num_agents == 0:
             solution = pre.lift(
-                Solution(pre.instance, {v: 0.0 for v in pre.instance.agents}, label=self.name),
+                Solution(pre.instance, {}, label=self.name),
                 target_utility=1.0,
                 label=self.name,
             )
@@ -210,8 +208,8 @@ class LocalMaxMinSolver:
         # Trivial case ΔI ≤ 1: solvable optimally by a purely local rule.
         if clean.delta_I <= 1:
             inner_solution = self._trivial_delta_I_1(clean)
-            solution = pre.lift(inner_solution, label=self.name) if pre.changed else Solution(
-                instance, inner_solution.as_dict(), label=self.name
+            solution = pre.lift(inner_solution, label=self.name) if pre.changed else (
+                Solution.from_agent_array(instance, inner_solution.value_array(), label=self.name)
             )
             cert = self._certificate(instance, 1.0, "trivial-delta-I-1")
             cert.utility = solution.utility()
@@ -243,7 +241,7 @@ class LocalMaxMinSolver:
             if pre.changed:
                 final = pre.lift(mapped, label=self.name)
             else:
-                final = Solution(instance, mapped.as_dict(), label=self.name)
+                final = Solution.from_agent_array(instance, mapped.value_array(), label=self.name)
 
             # Guarantee accounting: the special-form factor times the composed
             # transformation factor (only §4.3 contributes, exactly ΔI/2).

@@ -31,9 +31,10 @@ bit-identical outputs; the per-node transcription of the paper's formulas is
 from __future__ import annotations
 
 import math
-import os
-import threading
-from typing import Dict, List
+from collections.abc import Mapping
+from typing import Iterator, List
+
+import numpy as np
 
 from .. import obs
 from .._types import NodeId
@@ -61,41 +62,48 @@ def special_form_ratio(delta_K: int, R: int) -> float:
     return 2.0 * (1.0 - 1.0 / delta_K) * (1.0 + 1.0 / (R - 1.0))
 
 
+class _AgentValues(Mapping):
+    """A read-only ``{agent: value}`` view over a canonical-order vector."""
+
+    __slots__ = ("_agents", "_index", "_values")
+
+    def __init__(self, instance: MaxMinInstance, values: np.ndarray) -> None:
+        self._agents = instance.agents
+        self._index = instance.compiled().agent_index
+        self._values = values
+
+    def __getitem__(self, v: NodeId) -> float:
+        return float(self._values[self._index[v]])
+
+    def __iter__(self) -> Iterator[NodeId]:
+        return iter(self._agents)
+
+    def __len__(self) -> int:
+        return len(self._agents)
+
+
 class GRecursionValues:
-    """The ``g±`` tables of one run, indexed ``[d][agent]`` for ``d = 0 … r``."""
+    """The ``g±`` tables of one run: ``(r + 1, n)`` arrays, one row per depth
+    ``d = 0 … r`` in the instance's canonical agent order."""
 
-    __slots__ = ("g_plus", "g_minus", "r")
+    __slots__ = ("g_plus", "g_minus", "r", "_index")
 
-    def __init__(self, g_plus: List[Dict[NodeId, float]], g_minus: List[Dict[NodeId, float]]) -> None:
-        if len(g_plus) != len(g_minus):
+    def __init__(self, instance: MaxMinInstance, g_plus: np.ndarray, g_minus: np.ndarray) -> None:
+        if g_plus.shape != g_minus.shape:
             raise InvalidInstanceError("g_plus and g_minus must have the same depth")
         self.g_plus = g_plus
         self.g_minus = g_minus
         self.r = len(g_plus) - 1
+        self._index = instance.compiled().agent_index
 
     def plus(self, v: NodeId, d: int) -> float:
-        return self.g_plus[d][v]
+        return float(self.g_plus[d, self._index[v]])
 
     def minus(self, v: NodeId, d: int) -> float:
-        return self.g_minus[d][v]
+        return float(self.g_minus[d, self._index[v]])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"GRecursionValues(r={self.r}, agents={len(self.g_plus[0])})"
-
-
-#: Serialises :meth:`SpecialFormSolveResult._materialize` across threads.
-_MATERIALIZE_LOCK = threading.Lock()
-
-
-def _reinit_lock_after_fork() -> None:
-    # A fork taken while another thread materialises must not leave the
-    # child's only copy of the lock held forever.
-    global _MATERIALIZE_LOCK
-    _MATERIALIZE_LOCK = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reinit_lock_after_fork)
+        return f"GRecursionValues(r={self.r}, agents={self.g_plus.shape[1]})"
 
 
 class SpecialFormSolveResult:
@@ -105,10 +113,10 @@ class SpecialFormSolveResult:
     ----------
     solution:
         The output vector ``x`` of Eq. 18 (feasible by Lemma 11).
-    upper_bounds:
-        ``t_u`` per agent.
-    smoothed_bounds:
-        ``s_v`` per agent.
+    t, s:
+        The kernel arrays of ``t_u`` and ``s_v``, in canonical agent order.
+    upper_bounds, smoothed_bounds:
+        Read-only ``{agent: value}`` views over ``t`` and ``s``.
     g:
         The ``g±`` recursion tables (used by the §6 analysis machinery and
         by the structural tests of Lemmata 5–7).
@@ -117,119 +125,46 @@ class SpecialFormSolveResult:
     guaranteed_ratio:
         ``2 (1 − 1/ΔK)(1 + 1/(R−1))`` for this instance's ``ΔK``.
 
-    Results built by :meth:`from_kernel_arrays` (every solver result)
-    keep the kernel output arrays and materialise the ``upper_bounds`` /
-    ``smoothed_bounds`` / ``g`` dicts only on first attribute access: the
-    engine's record path reads nothing but ``solution``, so a sweep never
-    pays for ``O(n·r)`` dict construction per solve.  The
-    ``solver.lazy_results`` / ``solver.lazy_materializations`` counters
-    record how often the skip fires versus gets undone.  Materialisation
-    runs under a lock, so a result shared between threads (the serve
-    workers) builds its views exactly once and every reader sees them.
+    The result keeps the arrays it is given and never changes them, so a
+    result shared between threads (the serve workers) needs no lock.
     """
 
-    __slots__ = (
-        "solution",
-        "_upper_bounds",
-        "_smoothed_bounds",
-        "_g",
-        "_lazy",
-        "R",
-        "r",
-        "guaranteed_ratio",
-    )
+    __slots__ = ("solution", "t", "s", "g", "R", "r", "guaranteed_ratio")
 
     def __init__(
         self,
+        t: np.ndarray,
+        s: np.ndarray,
+        g_plus: np.ndarray,
+        g_minus: np.ndarray,
         solution: Solution,
-        upper_bounds: Dict[NodeId, float],
-        smoothed_bounds: Dict[NodeId, float],
-        g: GRecursionValues,
         R: int,
         guaranteed_ratio: float,
     ) -> None:
         self.solution = solution
-        self._upper_bounds = upper_bounds
-        self._smoothed_bounds = smoothed_bounds
-        self._g = g
-        self._lazy = None
+        self.t = t
+        self.s = s
+        self.g = GRecursionValues(solution.instance, g_plus, g_minus)
         self.R = R
         self.r = R - 2
         self.guaranteed_ratio = guaranteed_ratio
 
-    @classmethod
-    def from_kernel_arrays(
-        cls,
-        instance: MaxMinInstance,
-        t,
-        s,
-        g_plus,
-        g_minus,
-        solution: Solution,
-        R: int,
-        guaranteed_ratio: float,
-    ) -> "SpecialFormSolveResult":
-        """Wrap kernel output arrays without materialising the bound dicts."""
-        result = cls.__new__(cls)
-        result.solution = solution
-        result._upper_bounds = None
-        result._smoothed_bounds = None
-        result._g = None
-        result._lazy = (instance, t, s, g_plus, g_minus)
-        result.R = R
-        result.r = R - 2
-        result.guaranteed_ratio = guaranteed_ratio
-        obs.count("solver.lazy_results")
-        return result
-
-    def _materialize(self) -> None:
-        """Build the dict views from the retained kernel arrays (once).
-
-        A caller that finds ``_lazy`` already cleared lost the race to
-        another thread, which published every view before clearing it.
-        """
-        with _MATERIALIZE_LOCK:
-            if self._lazy is None:
-                return
-            instance, t, s, g_plus, g_minus = self._lazy
-            agents = instance.agents
-            self._upper_bounds = dict(zip(agents, t.tolist()))
-            self._smoothed_bounds = dict(zip(agents, s.tolist()))
-            self._g = GRecursionValues(
-                [dict(zip(agents, g_plus[d].tolist())) for d in range(self.r + 1)],
-                [dict(zip(agents, g_minus[d].tolist())) for d in range(self.r + 1)],
-            )
-            self._lazy = None
-        obs.count("solver.lazy_materializations")
+    @property
+    def upper_bounds(self) -> Mapping[NodeId, float]:
+        """``t_u`` per agent."""
+        return _AgentValues(self.solution.instance, self.t)
 
     @property
-    def upper_bounds(self) -> Dict[NodeId, float]:
-        if self._upper_bounds is None:
-            self._materialize()
-        return self._upper_bounds
-
-    @property
-    def smoothed_bounds(self) -> Dict[NodeId, float]:
-        if self._smoothed_bounds is None:
-            self._materialize()
-        return self._smoothed_bounds
-
-    @property
-    def g(self) -> GRecursionValues:
-        if self._g is None:
-            self._materialize()
-        return self._g
+    def smoothed_bounds(self) -> Mapping[NodeId, float]:
+        """``s_v`` per agent."""
+        return _AgentValues(self.solution.instance, self.s)
 
     def utility(self) -> float:
         return self.solution.utility()
 
     def minimum_smoothed_bound(self) -> float:
         """``min_v s_v`` — the quantity Lemma 12 relates the output to."""
-        lazy = self._lazy
-        if lazy is not None:
-            s = lazy[2]
-            return float(s.min()) if len(s) else math.inf
-        return min(self.smoothed_bounds.values()) if self.smoothed_bounds else math.inf
+        return float(self.s.min()) if len(self.s) else math.inf
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -315,14 +250,9 @@ class SpecialFormLocalSolver:
         g_minus,
         x,
     ) -> SpecialFormSolveResult:
-        """Wrap kernel output arrays (canonical agent order) into a lazy result.
-
-        The bound dicts and ``g±`` tables materialise only if a caller
-        actually reads them (see :meth:`SpecialFormSolveResult.from_kernel_arrays`).
-        """
+        """Wrap kernel output arrays (canonical agent order) into a result."""
         solution = Solution.from_agent_array(instance, x, label=f"local-R{self.R}")
-        return SpecialFormSolveResult.from_kernel_arrays(
-            instance,
+        return SpecialFormSolveResult(
             t,
             s,
             g_plus,
@@ -428,7 +358,7 @@ class IncrementalSolveState:
             self.x.copy(),
         )
 
-    def apply_delta(self, delta) -> "np.ndarray":
+    def apply_delta(self, delta) -> np.ndarray:
         """Confined re-solve after a delta; returns the recomputed positions.
 
         ``delta`` is the :class:`~repro.core.compiled.DeltaResult` of an
@@ -436,8 +366,6 @@ class IncrementalSolveState:
         remapped to the new canonical order (dropped / added positions) and
         every pipeline stage re-runs only on its dirty ball.
         """
-        import numpy as np
-
         from .kernels import (
             agent_hop_balls,
             batched_upper_bounds,

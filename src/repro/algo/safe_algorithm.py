@@ -113,7 +113,7 @@ class SafeAlgorithm:
         inner = safe_solution(pre.instance, variant=self.variant)
         if pre.changed:
             return pre.lift(inner, label=self.name)
-        return Solution(instance, inner.as_dict(), label=self.name)
+        return Solution.from_agent_array(instance, inner.value_array(), label=self.name)
 
     def solve_with_certificate(self, instance: MaxMinInstance) -> "tuple[Solution, Certificate]":
         solution = self.solve(instance)

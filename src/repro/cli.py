@@ -26,8 +26,9 @@ Sub-commands
 
 Exit codes follow convention: ``0`` success, ``1`` a run that completed
 with recorded failures (e.g. a sweep with failed jobs), ``2`` usage errors
-— including unreadable or malformed instance files, which are reported as
-a one-line message rather than a traceback.
+— including an ``R`` below 2, unreadable or malformed instance files and
+output files that cannot be written, which are reported as a one-line
+message rather than a traceback.
 
 The CLI is a thin veneer over the library — every code path it exercises is
 also covered by the test suite through the Python API.
@@ -36,9 +37,10 @@ also covered by the test suite through the Python API.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from typing import Callable, List, Optional
+from typing import Callable, Iterator, List, Optional
 
 from . import obs
 from .algo.general_solver import LocalMaxMinSolver
@@ -90,6 +92,26 @@ def _load_instance_friendly(path: str) -> MaxMinInstance:
         raise _CliError(f"cannot read instance file {path}: {exc}") from None
 
 
+@contextlib.contextmanager
+def _writing(path: str) -> Iterator[None]:
+    """Turn a failed write of ``path`` into a one-line CLI error."""
+    try:
+        yield
+    except OSError as exc:
+        raise _CliError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _shifting_parameter(text: str) -> int:
+    """The argparse type of every ``R``: an integer of at least 2."""
+    try:
+        R = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if R < 2:
+        raise argparse.ArgumentTypeError(f"R must be >= 2, got {R}")
+    return R
+
+
 def _add_obs_flags(sub_parser: argparse.ArgumentParser) -> None:
     """Observability flags shared by ``solve`` and ``sweep``."""
     sub_parser.add_argument(
@@ -121,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve an instance JSON with the local algorithm")
     solve.add_argument("input", help="instance JSON path")
-    solve.add_argument("-R", type=int, default=3, help="shifting parameter (>= 2)")
+    solve.add_argument("-R", type=_shifting_parameter, default=3, help="shifting parameter (>= 2)")
     solve.add_argument("--output", help="write the solution to this JSON path")
     solve.add_argument("--with-safe", action="store_true", help="also run the safe baseline")
     solve.add_argument("--with-optimum", action="store_true", help="also solve the exact LP")
@@ -186,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser("compare", help="compare R values and baselines on an instance")
     compare.add_argument("input", help="instance JSON path")
-    compare.add_argument("--r-values", type=int, nargs="+", default=[2, 3, 4])
+    compare.add_argument("--r-values", type=_shifting_parameter, nargs="+", default=[2, 3, 4])
 
     sweep = sub.add_parser(
         "sweep",
@@ -196,7 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--sizes", type=int, nargs="+", default=[8, 16, 24], help="instance size grid"
     )
-    sweep.add_argument("--r-values", type=int, nargs="+", default=[2, 3, 4], help="R grid")
+    sweep.add_argument(
+        "--r-values", type=_shifting_parameter, nargs="+", default=[2, 3, 4], help="R grid"
+    )
     sweep.add_argument("--delta-i", type=int, default=3, dest="delta_I", help="max constraint degree")
     sweep.add_argument("--delta-k", type=int, default=3, dest="delta_K", help="max objective degree")
     sweep.add_argument("--seed", type=int, default=0)
@@ -269,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="structural_prob",
         help="probability that an operation changes topology instead of a coefficient",
     )
-    dyn.add_argument("-R", type=int, default=3, help="shifting parameter (>= 2)")
+    dyn.add_argument("-R", type=_shifting_parameter, default=3, help="shifting parameter (>= 2)")
     dyn.add_argument("--delta-i", type=int, default=3, dest="delta_I", help="max constraint degree")
     dyn.add_argument("--delta-k", type=int, default=3, dest="delta_K", help="max objective degree")
     dyn.add_argument("--seed", type=int, default=0)
@@ -359,7 +383,8 @@ def _make_instance(
 
 def _generate(args: argparse.Namespace) -> int:
     instance = _make_instance(args.family, args.size, args.delta_I, args.delta_K, args.seed)
-    path = save_instance(instance, args.output)
+    with _writing(args.output):
+        path = save_instance(instance, args.output)
     print(f"wrote {instance!r} to {path}")
     return 0
 
@@ -524,7 +549,8 @@ def _solve_dist(args: argparse.Namespace, instance: MaxMinInstance) -> int:
         suffix = f" [{event.detail}]" if event.detail else ""
         print(f"  round {event.round_number}: {event.kind} {event.subject}{suffix}")
     if args.output:
-        save_solution(solution, args.output)
+        with _writing(args.output):
+            save_solution(solution, args.output)
         print(f"solution written to {args.output}")
     return 0
 
@@ -569,7 +595,8 @@ def _solve(args: argparse.Namespace) -> int:
             row["measured_ratio"] = lp.optimum / utility if utility > 0 else float("inf")
     print(format_table(rows, title=f"{instance.name} (n={instance.num_agents})"))
     if args.output:
-        save_solution(result.solution, args.output)
+        with _writing(args.output):
+            save_solution(result.solution, args.output)
         print(f"solution written to {args.output}")
     return 0
 
@@ -646,9 +673,6 @@ def _dynamics(args: argparse.Namespace) -> int:
             "dynamics streams the §5 incremental solver and needs special form",
             file=sys.stderr,
         )
-        return 2
-    if args.R < 2:
-        print("error: -R must be >= 2", file=sys.stderr)
         return 2
 
     net = DynamicNetwork(instance, args.R, verify=args.verify)
@@ -766,7 +790,7 @@ def _run_with_obs(
             print(obs.format_counter_table())
         if trace_out:
             payload = obs.trace_payload(meta={"command": args.command})
-            with open(trace_out, "w", encoding="utf-8") as handle:
+            with _writing(trace_out), open(trace_out, "w", encoding="utf-8") as handle:
                 json.dump(payload, handle, indent=2)
             print(f"trace written to {trace_out}")
         return code

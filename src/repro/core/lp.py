@@ -113,7 +113,7 @@ def _solve_clean(instance: MaxMinInstance, method: str) -> LPResult:
 
     if n == 0 or n_obj == 0:
         # No variables or no objectives: handled by callers; be defensive.
-        zero = Solution(instance, {v: 0.0 for v in instance.agents}, label="lp-zero")
+        zero = Solution(instance, {}, label="lp-zero")
         return LPResult(math.inf if n_obj == 0 else 0.0, zero, "unbounded" if n_obj == 0 else "zero")
 
     with obs.span("lp.assemble", rows=n_con + n_obj, cols=n + 1):
@@ -209,7 +209,7 @@ def _solve_components(
     omega_col[active] = n + np.arange(len(active), dtype=np.int64)
     n_omega = len(active)
     if n_omega == 0:  # pragma: no cover - clean instances always have objectives
-        zero = Solution(instance, {v: 0.0 for v in instance.agents}, label="lp-zero")
+        zero = Solution(instance, {}, label="lp-zero")
         return LPResult(math.inf, zero, "unbounded")
 
     with obs.span("lp.assemble", rows=n_con + n_obj, cols=n + n_omega):
@@ -293,7 +293,7 @@ def _solve_maxmin_lp(
 
     if pre.optimum_is_unbounded:
         witness = pre.lift(
-            Solution(pre.instance, {v: 0.0 for v in pre.instance.agents}, label="lp-unbounded"),
+            Solution(pre.instance, {}, label="lp-unbounded"),
             target_utility=unbounded_target,
         )
         return LPResult(math.inf, witness, "unbounded")

@@ -48,7 +48,7 @@ across repeated solves.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -146,11 +146,14 @@ class PreprocessResult:
         if solution.instance != self.instance:
             raise DegenerateInstanceError("lift() expects a solution of the cleaned instance")
 
-        values: Dict[NodeId, float] = {v: 0.0 for v in self.original.agents}
-        for v in self.instance.agents:
-            values[v] = solution[v]
-        for v in self.forced_zero_agents:
-            values[v] = 0.0
+        # The cleaned instance keeps the original's canonical agent order,
+        # minus the removed agents; forced-zero agents stay 0.
+        original = self.original
+        index = original.compiled().agent_index
+        kept = np.ones(original.num_agents, dtype=bool)
+        kept[[index[v] for v in self.forced_zero_agents + self.unconstrained_agents]] = False
+        x = np.zeros(original.num_agents, dtype=np.float64)
+        x[kept] = solution.aligned_to(self.instance)
 
         if target_utility is None:
             util = solution.utility()
@@ -160,23 +163,24 @@ class PreprocessResult:
         # (that is why it was removed); give that agent enough value.
         unconstrained = set(self.unconstrained_agents)
         for k in self.removed_objectives:
-            members = self.original.agents_of_objective(k)
+            members = original.agents_of_objective(k)
             carriers = [v for v in members if v in unconstrained]
             if not carriers:
                 # Objective removed because it became isolated after its
                 # agents were removed; it forces optimum zero, nothing to do.
                 continue
-            current = sum(self.original.c(k, v) * values[v] for v in members)
+            current = sum(original.c(k, v) * float(x[index[v]]) for v in members)
             deficit = target_utility - current
             if deficit > 0.0:
-                carrier = carriers[0]
-                values[carrier] = max(values[carrier], values[carrier] + deficit / self.original.c(k, carrier))
+                carrier = index[carriers[0]]
+                value = float(x[carrier])
+                x[carrier] = max(value, value + deficit / original.c(k, carriers[0]))
 
-        return Solution(self.original, values, label=label or f"{solution.label}+lifted")
+        return Solution.from_agent_array(original, x, label=label or f"{solution.label}+lifted")
 
     def zero_solution(self, label: str = "zero") -> Solution:
         """The all-zero solution of the original instance."""
-        return Solution(self.original, {v: 0.0 for v in self.original.agents}, label=label)
+        return Solution(self.original, {}, label=label)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -5,14 +5,20 @@ Its *utility* is ``ω(x) = min_k Σ_{v ∈ V_k} c_kv x_v``; it is *feasible* whe
 ``Σ_{v ∈ V_i} a_iv x_v ≤ 1`` for every constraint ``i`` (up to a tolerance,
 since the algorithms work in floating point).
 
+Representation
+--------------
+A :class:`Solution` *is* that vector: one read-only float64 array in the
+instance's canonical agent order (:meth:`Solution.value_array`).  Per-agent
+reads (``solution[v]``, :meth:`~Solution.get`, :meth:`~Solution.as_dict`)
+look values up through the compiled instance's agent index; the solve paths
+never make them.
+
 Evaluation
 ----------
 The whole-solution evaluators (:meth:`Solution.utility`,
 :meth:`Solution.objective_values`, :meth:`Solution.check_feasibility`,
-:meth:`Solution.bottleneck_objectives`) cache a dense value vector aligned
-with the instance's canonical agent order (free when the solution was built
-by :meth:`Solution.from_agent_array`, one gather otherwise) and evaluate
-every constraint / objective in one CSR pass over the compiled instance
+:meth:`Solution.bottleneck_objectives`) evaluate every constraint /
+objective in one CSR pass over the compiled instance
 (:meth:`~repro.core.compiled.CompiledInstance.constraint_loads` /
 ``objective_values``).  Loads and utilities are *bitwise* identical to the
 per-node dict evaluation of :mod:`repro.oracle` — the CSR accumulation adds
@@ -44,15 +50,16 @@ class FeasibilityReport:
     Attributes
     ----------
     feasible:
-        True if no constraint is violated beyond tolerance and no value is
-        negative beyond tolerance.
+        True if every load is ``≤ 1 + tol`` and every value is ``≥ −tol``.
+        A NaN load or value satisfies neither, so it is a violation.
     max_violation:
         Largest amount by which a constraint exceeds its right-hand side 1
-        (0.0 if none).
+        (0.0 if none, ``inf`` for a NaN load).
     violated_constraints:
         Tuple of ``(constraint_id, load)`` pairs for violated constraints.
     negative_agents:
-        Tuple of ``(agent_id, value)`` pairs with values below ``-tol``.
+        Tuple of ``(agent_id, value)`` pairs whose value is not ``≥ −tol``
+        (negative beyond tolerance, or NaN).
     tol:
         Tolerance that was used.
     """
@@ -92,8 +99,9 @@ class Solution:
     instance:
         The instance the solution refers to.
     values:
-        Mapping from agent id to value.  Missing agents default to 0.0;
-        unknown agents raise :class:`InvalidInstanceError`.
+        Mapping from agent id to value.  Missing agents default to 0.0 (so
+        ``{}`` gives the all-zero solution); unknown agents raise
+        :class:`InvalidInstanceError`.
     label:
         Optional provenance label (e.g. ``"local-R3"``, ``"lp-optimum"``).
     require_complete:
@@ -109,7 +117,7 @@ class Solution:
     ``degradation`` (``None`` on every clean path).
     """
 
-    __slots__ = ("instance", "_values", "label", "_dense", "_loads", "_objvals", "degradation")
+    __slots__ = ("instance", "_x", "label", "_loads", "_objvals", "degradation")
 
     def __init__(
         self,
@@ -119,111 +127,111 @@ class Solution:
         *,
         require_complete: bool = False,
     ) -> None:
-        self.instance = instance
-        self.label = label
-        self._dense = None
-        self._loads = None
-        self._objvals = None
-        self.degradation = None
-        vals: Dict[NodeId, float] = {v: float(x) for v, x in values.items()}
-        if vals and not instance.agent_set >= vals.keys():
-            unknown = next(v for v in vals if not instance.has_agent(v))
-            raise InvalidInstanceError(f"solution refers to unknown agent {unknown!r}")
-        if len(vals) < instance.num_agents:
-            if require_complete:
-                missing = [v for v in instance.agents if v not in vals]
-                raise InvalidInstanceError(
-                    f"solution {label!r} is missing values for {len(missing)} agent(s) "
-                    f"(first few: {missing[:5]!r}) and require_complete=True"
-                )
-            for v in instance.agents:
-                vals.setdefault(v, 0.0)
-        self._values = vals
+        numbers = [float(x) for x in values.values()]
+        index = instance.compiled().agent_index
+        try:
+            positions = [index[v] for v in values]
+        except KeyError as exc:
+            unknown = exc.args[0]
+            raise InvalidInstanceError(f"solution refers to unknown agent {unknown!r}") from None
+        if require_complete and len(positions) < instance.num_agents:
+            missing = [v for v in instance.agents if v not in values]
+            raise InvalidInstanceError(
+                f"solution {label!r} is missing values for {len(missing)} agent(s) "
+                f"(first few: {missing[:5]!r}) and require_complete=True"
+            )
+        x = np.zeros(instance.num_agents, dtype=np.float64)
+        x[positions] = numbers
+        self._adopt(instance, x, label)
 
     @classmethod
     def from_agent_array(
         cls, instance: MaxMinInstance, values: Iterable[float], label: str = "solution"
     ) -> "Solution":
-        """Trusted fast path for the compiled (CSR) paths.
+        """Build a solution from one value per agent in canonical agent order.
 
-        ``values`` must hold one value per agent in the instance's canonical
-        agent order (e.g. an output vector of the CSR kernels).  Skips the
-        per-item membership validation of the regular constructor —
-        alignment is guaranteed by construction on the compiled paths — but
-        still verifies the length.  The vector is kept as the solution's
-        dense evaluation cache, so evaluation starts without a gather.
+        ``values`` is e.g. an output vector of the CSR kernels.  It is
+        copied, and its length must match the instance's agent count.
         """
         if not isinstance(values, np.ndarray):
             values = list(values)
-        dense = np.array(values, dtype=np.float64)
-        if dense.ndim != 1 or len(dense) != instance.num_agents:
+        x = np.array(values, dtype=np.float64)
+        if x.ndim != 1 or len(x) != instance.num_agents:
             raise InvalidInstanceError(
-                f"solution {label!r} got {len(dense)} values for "
+                f"solution {label!r} got {len(x)} values for "
                 f"{instance.num_agents} agents"
             )
         solution = cls.__new__(cls)
-        solution.instance = instance
-        solution.label = label
-        solution._values = dict(zip(instance.agents, dense.tolist()))
-        solution._dense = dense
-        solution._loads = None
-        solution._objvals = None
-        solution.degradation = None
+        solution._adopt(instance, x, label)
         return solution
+
+    def _adopt(self, instance: MaxMinInstance, x: np.ndarray, label: str) -> None:
+        x.flags.writeable = False
+        self.instance = instance
+        self._x = x
+        self.label = label
+        self._loads = None
+        self._objvals = None
+        self.degradation = None
 
     # ------------------------------------------------------------------
     # Value access
     # ------------------------------------------------------------------
     def __getitem__(self, v: NodeId) -> float:
-        return self._values[v]
+        return float(self._x[self.instance.compiled().agent_index[v]])
 
     def get(self, v: NodeId, default: float = 0.0) -> float:
-        return self._values.get(v, default)
+        p = self.instance.compiled().agent_index.get(v)
+        return default if p is None else float(self._x[p])
 
     def as_dict(self) -> ValueMap:
-        """A copy of the value mapping."""
-        return dict(self._values)
+        """The values as a fresh ``{agent: value}`` dict."""
+        return dict(zip(self.instance.agents, self._x.tolist()))
 
     def __iter__(self):
         return iter(self.instance.agents)
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self._x)
+
+    def value_array(self) -> np.ndarray:
+        """The read-only value vector, in the instance's canonical agent order."""
+        return self._x
+
+    def aligned_to(self, instance: MaxMinInstance) -> np.ndarray:
+        """The value vector in ``instance``'s canonical agent order.
+
+        ``instance`` must equal this solution's instance.  Equal instances
+        may declare their agents in different orders; only then is the
+        vector gathered into a copy.
+        """
+        mine = self.instance
+        if instance is mine or instance.agents == mine.agents:
+            return self._x
+        index = mine.compiled().agent_index
+        return self._x[[index[v] for v in instance.agents]]
 
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def value_array(self) -> np.ndarray:
-        """Dense value vector in the instance's canonical agent order.
-
-        Built once (one gather over the value dict — or inherited for free
-        from :meth:`from_agent_array`) and cached; treat it as read-only.
-        """
-        if self._dense is None:
-            vals = self._values
-            self._dense = np.asarray(
-                [vals[v] for v in self.instance.agents], dtype=np.float64
-            )
-        return self._dense
-
     def constraint_loads(self) -> np.ndarray:
         """All constraint loads in canonical constraint order (cached CSR pass)."""
         if self._loads is None:
             obs.count("solution.load_passes")
-            self._loads = self.instance.compiled().constraint_loads(self.value_array())
+            self._loads = self.instance.compiled().constraint_loads(self._x)
         return self._loads
 
     def objective_value_array(self) -> np.ndarray:
         """All objective values in canonical objective order (cached CSR pass)."""
         if self._objvals is None:
             obs.count("solution.objective_passes")
-            self._objvals = self.instance.compiled().objective_values(self.value_array())
+            self._objvals = self.instance.compiled().objective_values(self._x)
         return self._objvals
 
     def constraint_load(self, i: NodeId) -> float:
         """``Σ_{v ∈ V_i} a_iv x_v`` for constraint ``i``."""
         inst = self.instance
-        return sum(inst.a(i, v) * self._values[v] for v in inst.agents_of_constraint(i))
+        return sum(inst.a(i, v) * self[v] for v in inst.agents_of_constraint(i))
 
     def constraint_slack(self, i: NodeId) -> float:
         """``1 − load(i)`` (negative when violated)."""
@@ -232,7 +240,7 @@ class Solution:
     def objective_value(self, k: NodeId) -> float:
         """``ω_k(x) = Σ_{v ∈ V_k} c_kv x_v`` for objective ``k``."""
         inst = self.instance
-        return sum(inst.c(k, v) * self._values[v] for v in inst.agents_of_objective(k))
+        return sum(inst.c(k, v) * self[v] for v in inst.agents_of_objective(k))
 
     def objective_values(self) -> Dict[NodeId, float]:
         """All objective values keyed by objective id."""
@@ -263,16 +271,19 @@ class Solution:
 
         Reuses the cached load vector, so repeated checks (or a check
         following :meth:`constraint_loads`) cost one CSR pass in total.
-        Violated constraints are reported in canonical constraint order,
-        negative agents in canonical agent order.
+        A load that is not ``≤ 1 + tol`` or a value that is not ``≥ −tol``
+        is a violation, so NaN fails both tests.  Violated constraints are
+        reported in canonical constraint order, negative agents in
+        canonical agent order.
         """
         loads = self.constraint_loads()
-        dense = self.value_array()
-        viol_idx = np.flatnonzero(loads > 1.0 + tol)
+        dense = self._x
+        viol_idx = np.flatnonzero(~(loads <= 1.0 + tol))
         constraints = self.instance.constraints
         violated = tuple((constraints[int(j)], float(loads[j])) for j in viol_idx)
-        max_violation = float((loads[viol_idx] - 1.0).max()) if len(viol_idx) else 0.0
-        neg_idx = np.flatnonzero(dense < -tol)
+        excess = np.where(np.isnan(loads[viol_idx]), math.inf, loads[viol_idx] - 1.0)
+        max_violation = float(excess.max()) if len(viol_idx) else 0.0
+        neg_idx = np.flatnonzero(~(dense >= -tol))
         agents = self.instance.agents
         negative = tuple((agents[int(j)], float(dense[j])) for j in neg_idx)
         return FeasibilityReport(
@@ -303,17 +314,17 @@ class Solution:
     # ------------------------------------------------------------------
     def scaled(self, factor: float, label: Optional[str] = None) -> "Solution":
         """Return ``factor · x`` as a new solution."""
-        return Solution(
-            self.instance,
-            {v: factor * x for v, x in self._values.items()},
-            label=label or f"{self.label}*{factor:g}",
+        return Solution.from_agent_array(
+            self.instance, factor * self._x, label=label or f"{self.label}*{factor:g}"
         )
 
     @staticmethod
     def average(solutions: Iterable["Solution"], label: str = "average") -> "Solution":
         """Pointwise average of several solutions over the same instance.
 
-        Feasibility is preserved because the feasible region is convex.
+        Adds the vectors left to right from zero, then divides by their
+        count.  Feasibility is preserved because the feasible region is
+        convex.
         """
         sols = list(solutions)
         if not sols:
@@ -322,18 +333,15 @@ class Solution:
         for s in sols[1:]:
             if s.instance is not inst and s.instance != inst:
                 raise InvalidInstanceError("cannot average solutions of different instances")
-        n = len(sols)
-        values = {
-            v: sum(s[v] for s in sols) / n for v in inst.agents
-        }
-        return Solution(inst, values, label=label)
+        total = np.zeros(inst.num_agents, dtype=np.float64)
+        for s in sols:
+            total = total + s.aligned_to(inst)
+        return Solution.from_agent_array(inst, total / len(sols), label=label)
 
     def clipped_nonnegative(self, label: Optional[str] = None) -> "Solution":
         """Return a copy with tiny negative values (from round-off) set to 0."""
-        return Solution(
-            self.instance,
-            {v: (x if x > 0.0 else 0.0) for v, x in self._values.items()},
-            label=label or self.label,
+        return Solution.from_agent_array(
+            self.instance, np.where(self._x > 0.0, self._x, 0.0), label=label or self.label
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -341,4 +349,4 @@ class Solution:
             util = self.utility()
         except Exception:  # noqa: BLE001 - repr must not raise
             util = float("nan")
-        return f"Solution(label={self.label!r}, utility={util:.6g}, n={len(self._values)})"
+        return f"Solution(label={self.label!r}, utility={util:.6g}, n={len(self._x)})"

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 from typing import Any, Dict, Mapping, Union
 
@@ -165,20 +166,27 @@ def load_instance(path: Union[str, Path]) -> MaxMinInstance:
 
 
 def solution_to_json(solution: Solution, include_diagnostics: bool = True) -> str:
-    """Serialise a solution (values plus optional diagnostics) to JSON."""
+    """Serialise a solution (values plus optional diagnostics) to strict JSON.
+
+    A non-finite utility is written as ``null``; a non-finite value raises
+    :class:`ValueError`.
+    """
+    values = solution.value_array().tolist()
     payload: Dict[str, Any] = {
         "format": "repro.maxmin-solution",
         "version": 1,
         "label": solution.label,
         "instance": solution.instance.name,
         "values": [
-            {"agent": _encode_id(v), "value": solution[v]} for v in solution.instance.agents
+            {"agent": _encode_id(v), "value": x}
+            for v, x in zip(solution.instance.agents, values)
         ],
     }
     if include_diagnostics:
-        payload["utility"] = solution.utility()
+        utility = solution.utility()
+        payload["utility"] = utility if math.isfinite(utility) else None
         payload["feasible"] = solution.is_feasible()
-    return json.dumps(payload, indent=2)
+    return json.dumps(payload, indent=2, allow_nan=False)
 
 
 def save_solution(solution: Solution, path: Union[str, Path]) -> Path:

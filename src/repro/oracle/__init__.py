@@ -146,7 +146,7 @@ def lower(
 # §5: the local algorithm on a special-form instance
 # ----------------------------------------------------------------------
 def g_recursion(
-    instance: MaxMinInstance, smoothed_bounds: Dict[NodeId, float], r: int
+    instance: MaxMinInstance, smoothed_bounds: Mapping[NodeId, float], r: int
 ) -> GRecursionValues:
     """Evaluate Eqs. 12–14 for all agents and all depths ``d = 0 … r``."""
     agents = instance.agents
@@ -176,7 +176,11 @@ def g_recursion(
             sibling_total = sum(g_plus[d][w] for w in instance.objective_siblings(v))
             g_minus[d][v] = max(0.0, smoothed_bounds[v] - sibling_total)
 
-    return GRecursionValues(g_plus, g_minus)
+    return GRecursionValues(
+        instance,
+        np.array([[row[v] for v in agents] for row in g_plus]),
+        np.array([[row[v] for v in agents] for row in g_minus]),
+    )
 
 
 def special_form_solve(
@@ -200,7 +204,9 @@ def special_form_solve(
         for v in instance.agents
     }
     solution = Solution(instance, values, label=f"local-R{R}")
-    return SpecialFormSolveResult(solution, upper_bounds, smoothed, g, R, ratio)
+    t = np.array([upper_bounds[v] for v in instance.agents])
+    s = np.array([smoothed[v] for v in instance.agents])
+    return SpecialFormSolveResult(t, s, g.g_plus, g.g_minus, solution, R, ratio)
 
 
 # ----------------------------------------------------------------------
@@ -375,15 +381,18 @@ def bottleneck_objectives(solution: Solution, tol: float = 1e-9) -> Tuple[NodeId
 def check_feasibility(
     solution: Solution, tol: float = DEFAULT_FEASIBILITY_TOL
 ) -> FeasibilityReport:
-    """Non-negativity and every packing constraint, one dict sum per constraint."""
+    """Non-negativity and every packing constraint, one dict sum per constraint.
+
+    NaN fails ``load ≤ 1 + tol`` and ``x ≥ −tol``; a NaN load exceeds 1 by ``inf``.
+    """
     violated = []
     max_violation = 0.0
     for i in solution.instance.constraints:
         load = solution.constraint_load(i)
-        if load > 1.0 + tol:
+        if not load <= 1.0 + tol:
             violated.append((i, load))
-            max_violation = max(max_violation, load - 1.0)
-    negative = tuple((v, x) for v, x in solution.as_dict().items() if x < -tol)
+            max_violation = max(max_violation, math.inf if math.isnan(load) else load - 1.0)
+    negative = tuple((v, x) for v, x in solution.as_dict().items() if not x >= -tol)
     return FeasibilityReport(
         feasible=not violated and not negative,
         max_violation=max_violation,

@@ -47,8 +47,15 @@ def _instance_document(instance) -> object:
     return instance
 
 
+def _reject_constant(name: str) -> None:
+    raise ValueError(f"response is not strict JSON: it holds {name}")
+
+
 class ServeClient:
-    """Minimal synchronous client; every call opens one short-lived connection."""
+    """Minimal synchronous client; every call opens one short-lived connection.
+
+    It parses responses strictly: a ``NaN`` or ``Infinity`` raises ``ValueError``.
+    """
 
     def __init__(self, host: str, port: int, timeout_s: float = 30.0) -> None:
         self.host = host
@@ -64,7 +71,7 @@ class ServeClient:
             )
             response = conn.getresponse()
             raw = response.read()
-            return response.status, json.loads(raw.decode("utf-8"))
+            return response.status, json.loads(raw.decode("utf-8"), parse_constant=_reject_constant)
         finally:
             conn.close()
 

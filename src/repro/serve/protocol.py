@@ -29,11 +29,15 @@ Error codes are a *closed* vocabulary (clients switch on them):
 A *degraded* success is still ``ok: true`` — the allocation is feasible,
 merely further from the optimum than the full solve — with
 ``degraded: true`` and a machine-readable ``degraded_reason``.
+
+Responses are strict JSON: a non-finite ``utility``, ``optimum`` or
+``measured_ratio`` is sent as ``null``, and nothing else may be non-finite.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Dict, Optional, Tuple
 
 from ..exceptions import ReproError
@@ -59,6 +63,9 @@ ERROR_STATUS: Dict[str, int] = {
 #: Ops accepted under ``POST /v1/<op>``.
 OPS = ("solve", "utility", "ratio", "info")
 
+#: Result fields that go out as ``null`` when they are not finite.
+NULLABLE_NUMBERS = ("utility", "optimum", "measured_ratio")
+
 
 class ServeError(ReproError):
     """A structured, client-visible serving failure.
@@ -78,7 +85,15 @@ class ServeError(ReproError):
 
 
 def ok_response(op: str, result: Dict[str, object], **envelope: object) -> Dict[str, object]:
-    """The success envelope: ``ok``/``op``/``result`` plus extra fields."""
+    """The success envelope: ``ok``/``op``/``result`` plus extra fields.
+
+    A non-finite :data:`NULLABLE_NUMBERS` field of ``result`` becomes ``None``.
+    """
+    result = dict(result)
+    for key in NULLABLE_NUMBERS:
+        value = result.get(key)
+        if isinstance(value, float) and not math.isfinite(value):
+            result[key] = None
     payload: Dict[str, object] = {"ok": True, "op": op, "result": result}
     payload.update(envelope)
     payload.setdefault("degraded", False)

@@ -276,7 +276,7 @@ class AllocationServer:
                 return None
             method, path, raw = request
             status, payload = await self._route(method, path, raw)
-            return status, json.dumps(payload).encode("utf-8")
+            return status, json.dumps(payload, allow_nan=False).encode("utf-8")
         except (ConnectionError, asyncio.TimeoutError, asyncio.IncompleteReadError):
             raise  # the transport failed: nothing to answer
         except ServeError as exc:
@@ -285,7 +285,7 @@ class AllocationServer:
             logger.exception("unhandled error serving %s %s", method, path)
             self._count("serve.internal_errors")
             status, payload = error_response("internal", f"{type(exc).__name__}: {exc}")
-        return status, json.dumps(payload).encode("utf-8")
+        return status, json.dumps(payload, allow_nan=False).encode("utf-8")
 
     async def _read_request(
         self, reader: asyncio.StreamReader
@@ -709,6 +709,8 @@ class AllocationServer:
                 raise
             except (TypeError, ValueError, KeyError, ReproError) as exc:
                 raise ServeError("bad_request", f"invalid 'values': {exc}") from exc
+            if not np.isfinite(solution.value_array()).all():
+                raise ServeError("bad_request", "'values' must be finite numbers")
             return {
                 "utility": solution.utility(),
                 "feasible": bool(solution.is_feasible()),

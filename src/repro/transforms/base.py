@@ -85,7 +85,8 @@ class TransformResult:
             )
         mapped = self._back_map(solution)
         if label is not None:
-            mapped = Solution(self.original, mapped.as_dict(), label=label)
+            values = mapped.aligned_to(self.original)
+            mapped = Solution.from_agent_array(self.original, values, label=label)
         return mapped
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

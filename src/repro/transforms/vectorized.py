@@ -97,9 +97,8 @@ class CompiledTransformResult(TransformResult):
         """Back-map a canonical-order value vector of the transformed instance.
 
         The array twin of :meth:`map_back` for callers that already hold a
-        canonical-order vector: no :class:`Solution` objects, no dict
-        round-trips.  (:meth:`map_back` itself applies the same arrays after
-        extracting the vector from the solution.)
+        canonical-order vector; :meth:`map_back` runs it on the solution's
+        vector.
         """
         if len(self.bm_idx) == 0:
             return np.zeros(0, dtype=np.float64)
@@ -766,22 +765,12 @@ def vectorized_to_special_form(
         require_special_form(transformed)
 
     suffix_chain = "".join(f"<-{s}" for s in reversed(st.label_suffixes))
-    bm_indptr, bm_idx, bm_scale = st.bm_indptr, st.bm_idx, st.bm_scale
-    original = instance
-    final = transformed
 
     def back_map(solution: Solution) -> Solution:
-        x = np.fromiter(
-            (solution[v] for v in final.agents),
-            dtype=np.float64,
-            count=final.num_agents,
-        )
-        if len(bm_idx):
-            mapped = np.maximum.reduceat(bm_scale * x[bm_idx], bm_indptr[:-1])
-        else:
-            mapped = np.zeros(0, dtype=np.float64)
         return Solution.from_agent_array(
-            original, mapped, label=f"{solution.label}{suffix_chain}"
+            instance,
+            result.map_back_array(solution.aligned_to(transformed)),
+            label=f"{solution.label}{suffix_chain}",
         )
 
     metadata: Dict[str, object] = {
@@ -789,14 +778,15 @@ def vectorized_to_special_form(
         "stage_ratio_factors": list(st.stage_factors),
         "stage_metadata": list(st.stage_metadata),
     }
-    return CompiledTransformResult(
+    result = CompiledTransformResult(
         original=instance,
         transformed=transformed,
         back_map=back_map,
-        bm_indptr=bm_indptr,
-        bm_idx=bm_idx,
-        bm_scale=bm_scale,
+        bm_indptr=st.bm_indptr,
+        bm_idx=st.bm_idx,
+        bm_scale=st.bm_scale,
         ratio_factor=st.ratio_factor,
         name=name or "to-special-form (§4)",
         metadata=metadata,
     )
+    return result

@@ -191,6 +191,26 @@ def spy_view_builds(monkeypatch) -> list:
     return built
 
 
+def spy_solution_reads(monkeypatch) -> list:
+    """Record every per-agent read of a :class:`Solution`.
+
+    Returns a list that gains one ``(method, label)`` entry per call of
+    ``Solution.__getitem__``, ``Solution.get`` or ``Solution.as_dict``
+    while ``monkeypatch`` is active — the spy behind "this path reads a
+    solution only as its vector".
+    """
+    reads = []
+    for name in ("__getitem__", "get", "as_dict"):
+        real = getattr(Solution, name)
+
+        def spy(self, *args, _real=real, _name=name, **kwargs):
+            reads.append((_name, self.label))
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Solution, name, spy)
+    return reads
+
+
 def assert_feasible(solution: Solution, tol: float = 1e-8) -> None:
     report = solution.check_feasibility(tol)
     assert report.feasible, (

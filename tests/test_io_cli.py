@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core.solution import Solution
 from repro.cli import build_parser, main
 from repro.exceptions import SerializationError
@@ -27,6 +28,10 @@ from repro.io import (
 from repro.transforms import to_special_form
 
 from conftest import invalid_instance_documents
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
 
 
 class TestJsonSerialization:
@@ -251,6 +256,55 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: invalid instance file")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "{inst}", "-R", "1"],
+            ["compare", "{inst}", "--r-values", "1", "3"],
+            ["sweep", "cycle", "--sizes", "6", "--r-values", "1"],
+            ["dynamics", "cycle", "--size", "8", "--ticks", "1", "-R", "1"],
+        ],
+        ids=["solve", "compare", "sweep", "dynamics"],
+    )
+    def test_r_below_two_is_a_usage_error(self, argv, tmp_path, capsys):
+        """Every R goes through one argparse type: exit 2 with a usage line."""
+        inst = save_instance(cycle_instance(6), tmp_path / "inst.json")
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(inst=inst) for arg in argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "R must be >= 2, got 1" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("target", ["generate", "solve --output", "solve --trace-out"])
+    def test_unwritable_output_is_a_one_line_error(self, target, tmp_path, capsys):
+        inst = str(save_instance(cycle_instance(6), tmp_path / "inst.json"))
+        missing = tmp_path / "no-such-dir" / "out.json"
+        argv = {
+            "generate": ["generate", "cycle", str(missing), "--size", "6"],
+            "solve --output": ["solve", inst, "--output", str(missing)],
+            "solve --trace-out": ["solve", inst, "--trace-out", str(missing)],
+        }[target]
+        try:
+            assert main(argv) == 2
+        finally:
+            obs.reset()  # --trace-out leaves its spans in the buffer
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {missing}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_solution_file_is_strict_json(self, tmp_path):
+        """An instance without objectives has utility inf: written as null."""
+        from repro.core.instance import MaxMinInstance
+
+        inst = MaxMinInstance(
+            ["u", "v"], ["i"], [], {("i", "u"): 1.0, ("i", "v"): 1.0}, {}, name="no-objectives"
+        )
+        path = save_instance(inst, tmp_path / "inst.json")
+        assert main(["solve", str(path), "--output", str(tmp_path / "s.json")]) == 0
+        payload = json.loads((tmp_path / "s.json").read_text(), parse_constant=_reject_constant)
+        assert payload["utility"] is None and payload["feasible"] is True
+        assert [row["value"] for row in payload["values"]] == [0.0, 0.0]
 
     @pytest.mark.parametrize(
         "family", ["random", "special-form", "torus", "sensor", "ring"]

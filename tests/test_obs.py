@@ -312,29 +312,9 @@ def test_bisection_iteration_counts_match_across_backends(r):
         obs.configure(enabled=False)
 
 
-def test_lazy_result_skips_dict_materialization_in_sweeps():
-    """The record path reads only solution + certificate: no dict builds."""
-    instances = [cycle_instance(8, seed=s) for s in range(2)]
-    batch = ratio_sweep_batch(instances, R_values=(2, 3), include_safe=False)
-    obs.configure(enabled=True)
-    result = run_batch(batch)
-    counters = obs.snapshot()["counters"]
-    assert result.executed_jobs == 4
-    assert counters.get("solver.lazy_results", 0) >= 4
-    assert "solver.lazy_materializations" not in counters
-
-
-def test_lazy_result_materializes_on_dict_access():
+def test_result_views_read_the_kernel_arrays():
     instance = cycle_instance(8, coefficient_range=(0.5, 2.0), seed=5)
-    solver = SpecialFormLocalSolver(R=3)
-    obs.configure(enabled=True)
-    result = solver.solve(instance)
-    before = obs.snapshot()["counters"]
-    assert before.get("solver.lazy_results") == 1
-    assert "solver.lazy_materializations" not in before
-    _ = result.upper_bounds  # forces the dict views
-    after = obs.snapshot()["counters"]
-    assert after.get("solver.lazy_materializations") == 1
+    result = SpecialFormLocalSolver(R=3).solve(instance)
     assert set(result.upper_bounds) == set(instance.agents)
     assert result.minimum_smoothed_bound() == min(result.smoothed_bounds.values())
 
@@ -445,7 +425,7 @@ def test_cli_profile_and_trace_out(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "solve.general" in out
     assert "kernels.upper_bounds" in out
-    assert "solver.lazy_results" in out
+    assert "solution.objective_passes" in out
     payload = obs.validate_trace_file(trace_path)
     assert payload["meta"]["command"] == "solve"
     assert any(record["name"] == "solve.special_form" for record in payload["spans"])

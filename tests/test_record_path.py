@@ -15,10 +15,13 @@ Pins the contracts of the vectorized evaluation-and-preparation layer:
 * §4 transform results are cached on the instance per ``verify`` flag —
   an R-sweep over one instance runs the pipeline exactly once, and
   cached transforms never leak across content digests in the engine;
+* a :class:`~repro.core.solution.Solution` is its value vector: both
+  constructors, per-agent reads and the arithmetic helpers agree bit for
+  bit with the per-agent dict formulas;
 * mid-search active-set compaction is bitwise-neutral;
-* a lazy solve result shared by threads materialises its views once, and
-  so does an instance's dict view; the solve, evaluate, save, delta and
-  resilient paths never build an instance's dict views.
+* an instance's dict view is built once under threads; the solve,
+  evaluate, save, sweep, serve, delta and resilient paths never build an
+  instance's dict views or read a solution agent by agent.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from conftest import (
     build_tiny_instance,
     general_family,
     special_form_family,
+    spy_solution_reads,
     spy_view_builds,
 )
 
@@ -195,8 +199,54 @@ class TestArrayBackedSolution:
     @given(instance=possibly_degenerate_instances(), seed=st.integers(0, 2**16))
     def test_bitwise_hypothesis(self, instance, seed):
         rng = np.random.default_rng(seed)
-        values = {v: float(rng.uniform(-0.2, 1.5)) for v in instance.agents}
-        self._assert_bitwise(instance, Solution(instance, values), Solution(instance, values))
+        x = rng.uniform(-0.2, 1.5, size=instance.num_agents)
+        values = dict(zip(instance.agents, x.tolist()))
+        arr_sol = Solution.from_agent_array(instance, x)
+        dict_sol = Solution(instance, values)
+        self._assert_bitwise(instance, arr_sol, dict_sol)
+        self._assert_one_store(instance, rng)
+
+    @staticmethod
+    def _assert_one_store(instance, rng):
+        """Both constructors, per-agent reads and the arithmetic helpers
+        match the per-agent dict formulas bit for bit, specials included."""
+
+        def bits(numbers):
+            return np.asarray(list(numbers), dtype=np.float64).view(np.uint64).tolist()
+
+        agents = instance.agents
+        specials = np.array([-0.0, 0.0, math.nan, math.inf, -math.inf, -1e-300, 5e-324])
+        draws = [
+            np.where(rng.random(len(agents)) < 0.3, rng.choice(specials, len(agents)),
+                     rng.uniform(-0.2, 1.5, len(agents)))
+            for _ in range(3)
+        ]
+        dicts = [dict(zip(agents, x.tolist())) for x in draws]
+        sols = [Solution.from_agent_array(instance, x) for x in draws]
+
+        # One store: per-agent reads and as_dict return the input values.
+        sol, values = sols[0], dicts[0]
+        assert bits(sol.value_array()) == bits(draws[0])
+        assert bits(sol[v] for v in agents) == bits(values.values())
+        assert bits(sol.get(v) for v in agents) == bits(values.values())
+        assert all(type(sol[v]) is float for v in agents)
+        assert list(sol.as_dict()) == list(agents)
+        assert bits(sol.as_dict().values()) == bits(values.values())
+        assert bits(Solution(instance, values).value_array()) == bits(draws[0])
+        # A partial mapping fills zeros.
+        partial = {v: x for j, (v, x) in enumerate(values.items()) if j % 2}
+        filled = Solution(instance, partial)
+        assert bits(filled[v] for v in agents) == bits(partial.get(v, 0.0) for v in agents)
+
+        factor = float(rng.choice([2.5, -1.0, 0.0, 1e-3]))
+        with np.errstate(invalid="ignore"):  # 0 · inf and inf − inf, like the floats
+            scaled = sol.scaled(factor).value_array()
+            averaged = Solution.average(sols).value_array()
+        assert bits(scaled) == bits(factor * x for x in values.values())
+        assert bits(averaged) == bits(sum(d[v] for d in dicts) / len(dicts) for v in agents)
+        assert bits(sol.clipped_nonnegative().value_array()) == bits(
+            (x if x > 0.0 else 0.0) for x in values.values()
+        )
 
     @staticmethod
     def _assert_bitwise(instance, arr_sol, dict_sol):
@@ -218,6 +268,75 @@ class TestArrayBackedSolution:
             assert set(ra.negative_agents) == set(rd.negative_agents)
         # Bottlenecks: identical (both in canonical objective order).
         assert arr_sol.bottleneck_objectives() == oracle.bottleneck_objectives(dict_sol)
+
+    @pytest.mark.parametrize("case", ["all-nan", "one-nan", "nan-and-inf"])
+    def test_nan_is_a_violation(self, case):
+        """A NaN value fails ``x ≥ −tol`` and its loads fail ``load ≤ 1 + tol``;
+        the CSR check and the oracle agree on every report field."""
+        instance = cycle_instance(8, seed=0)
+        x = np.full(instance.num_agents, 0.1)
+        if case == "all-nan":
+            x[:] = math.nan
+        else:
+            x[3] = math.nan
+        if case == "nan-and-inf":
+            x[9] = math.inf
+        solution = Solution.from_agent_array(instance, x)
+
+        def bits(value):
+            return np.float64(value).view(np.uint64)
+
+        def fields(report):
+            return (
+                report.feasible,
+                report.max_violation,
+                [(i, bits(load)) for i, load in report.violated_constraints],
+                [(v, bits(value)) for v, value in report.negative_agents],
+                report.tol,
+            )
+
+        for tol in (1e-9, 0.0, 0.5):
+            report = solution.check_feasibility(tol)
+            assert fields(report) == fields(oracle.check_feasibility(solution, tol))
+            assert not report.feasible and report.max_violation == math.inf
+            assert [v for v, _ in report.negative_agents] == [
+                v for v, value in zip(instance.agents, x) if math.isnan(value)
+            ]
+
+    def test_equal_instance_in_another_agent_order(self):
+        """Instances compare equal whatever their agent order, so a solution
+        of a reordered twin is accepted by ``average``, ``map_back`` and
+        ``lift``; each must align its values by agent, not by position."""
+
+        def reordered(instance):
+            twin = MaxMinInstance(
+                list(reversed(instance.agents)), instance.constraints, instance.objectives,
+                instance.a_coefficients, instance.c_coefficients, name=instance.name,
+            )
+            assert twin == instance and twin.agents != instance.agents
+            return twin
+
+        def on(instance, values, label="x"):
+            return Solution(instance, {v: values[v] for v in instance.agents}, label=label)
+
+        rng = np.random.default_rng(5)
+        general = build_general_instance()
+        values = {v: float(rng.uniform(0.0, 1.0)) for v in general.agents}
+        averaged = Solution.average([on(general, values), on(reordered(general), values)])
+        assert averaged.as_dict() == values
+
+        transform = to_special_form(general)
+        special = transform.transformed
+        x = {v: float(rng.uniform(0.0, 1.0)) for v in special.agents}
+        expected = transform.map_back(on(special, x)).as_dict()
+        assert transform.map_back(on(reordered(special), x)).as_dict() == expected
+        assert transform.map_back(on(reordered(special), x), label="y").as_dict() == expected
+
+        pre = preprocess(build_degenerate_instance())
+        clean = pre.instance
+        y = {v: float(rng.uniform(0.0, 1.0)) for v in clean.agents}
+        lifted = pre.lift(on(clean, y)).as_dict()
+        assert pre.lift(on(reordered(clean), y)).as_dict() == lifted
 
     def test_empty_instance(self):
         inst = MaxMinInstance([], [], [], {}, {}, name="empty")
@@ -453,7 +572,8 @@ class TestCachesUnderThreads:
 
 
 class TestSolvePathsReadArraysOnly:
-    """The production paths read the CSR arrays and never build dict views."""
+    """The production paths read the CSR arrays and solution vectors: they
+    never build an instance's dict views or read a solution agent by agent."""
 
     def test_general_solve_evaluate_and_save(self, monkeypatch, tmp_path):
         from repro.algo.general_solver import LocalMaxMinSolver
@@ -464,11 +584,39 @@ class TestSolvePathsReadArraysOnly:
             random_instance(10_000, delta_I=3, delta_K=3, seed=3), tmp_path / "random.json"
         )
         views = spy_view_builds(monkeypatch)
+        reads = spy_solution_reads(monkeypatch)
         result = LocalMaxMinSolver(R=3).solve(load_instance(path))
         assert result.status == "local" and result.transform is not None
         assert result.solution.is_feasible() and result.solution.utility() > 0.0
         save_solution(result.solution, tmp_path / "solution.json")
         assert views == []
+        assert reads == []
+
+    def test_sweep_records_with_safe_row(self, monkeypatch):
+        from repro.engine.batch import ratio_sweep_batch, run_batch
+        from repro.generators import random_instance
+
+        instances = [cycle_instance(8, seed=0), random_instance(60, delta_I=3, delta_K=3, seed=1)]
+        batch = ratio_sweep_batch(instances, R_values=(2, 3), include_safe=True)
+        reads = spy_solution_reads(monkeypatch)
+        result = run_batch(batch)
+        assert result.executed_jobs == 6
+        assert [rec["algorithm"] for rec in result.records].count("safe-degree") == 2
+        assert reads == []
+
+    def test_serve_solve_with_values(self, monkeypatch):
+        from repro.generators import random_instance
+        from repro.serve import ServeConfig, ServerHandle
+
+        instance = random_instance(300, delta_I=3, delta_K=3, seed=5)
+        with ServerHandle(ServeConfig(workers=1)) as handle:
+            reads = spy_solution_reads(monkeypatch)
+            status, payload = handle.client(timeout_s=30).solve(
+                instance=instance, include_values=True
+            )
+        assert status == 200 and payload["algorithm"] == "local-R3"
+        assert len(payload["result"]["values"]) == instance.num_agents
+        assert reads == []
 
     @pytest.mark.parametrize("structural", [False, True], ids=["coefficient", "structural"])
     def test_delta_ticks(self, monkeypatch, structural):
@@ -492,146 +640,11 @@ class TestSolvePathsReadArraysOnly:
 
         instance = random_special_form_instance(300, delta_K=3, seed=4)
         views = spy_view_builds(monkeypatch)
+        reads = spy_solution_reads(monkeypatch)
         solution, _ = ResilientLocalSolver(R=3).solve(instance)
         assert solution.is_feasible()
         assert views == []
-
-
-class TestLazyResultUnderThreads:
-    """A lazy :class:`SpecialFormSolveResult` shared by threads builds its
-    dict views exactly once, and every reader gets those views."""
-
-    @staticmethod
-    def _kernel_arrays(instance, R=3):
-        from repro.algo.local_solver import SpecialFormLocalSolver
-
-        solver = SpecialFormLocalSolver(R=R)
-        t, s, g_plus, g_minus, _ = solver._run_kernels(instance.compiled())
-        solved = solver.solve(instance)
-        return (t, s, g_plus, g_minus, solved.solution, R, solved.guaranteed_ratio), solved
-
-    def test_reader_during_materialization_gets_the_same_views(self):
-        """Deterministic interleaving: the first reader is parked inside the
-        materialisation (on the instance's ``agents``) while a second reader
-        asks for every view.  The second reader must wait for the first
-        materialisation instead of running its own."""
-        import threading
-
-        from repro import obs
-        from repro.algo.local_solver import SpecialFormSolveResult
-
-        instance = cycle_instance(16, coefficient_range=(0.5, 2.0), seed=4)
-        arrays, solved = self._kernel_arrays(instance)
-        inside = threading.Event()
-        release = threading.Event()
-
-        class GatedInstance:
-            """Parks the first caller of ``agents`` until released."""
-
-            first = True
-
-            @property
-            def agents(self):
-                if GatedInstance.first:
-                    GatedInstance.first = False
-                    inside.set()
-                    release.wait(timeout=30)
-                return instance.agents
-
-        result = SpecialFormSolveResult.from_kernel_arrays(GatedInstance(), *arrays)
-        seen = {}
-        errors = []
-
-        def read(key, views) -> None:
-            try:
-                seen[key] = views()
-            except Exception as exc:  # noqa: BLE001 - reported below
-                errors.append(exc)
-
-        obs.configure(enabled=True)
-        try:
-            mark = obs.counters_mark()
-            first = threading.Thread(target=read, args=("first", lambda: result.upper_bounds))
-            first.start()
-            assert inside.wait(timeout=30)
-            second = threading.Thread(
-                target=read,
-                args=("second", lambda: (result.g, result.smoothed_bounds, result.upper_bounds)),
-            )
-            second.start()
-            # Unsynchronised, the second reader would materialise on its own
-            # and finish within this wait.
-            second.join(timeout=0.2)
-            release.set()
-            first.join(timeout=30)
-            second.join(timeout=30)
-            materializations = obs.counters_since(mark).get("solver.lazy_materializations", 0)
-        finally:
-            release.set()
-            obs.configure(enabled=False)
-            obs.reset()
-        assert errors == []
-        assert materializations == 1
-        assert seen["second"][2] is seen["first"] is result.upper_bounds
-        assert seen["first"] == solved.upper_bounds
-        assert seen["second"][1] == solved.smoothed_bounds
-
-    def test_concurrent_first_reads_materialize_once(self):
-        """Stress: 300 fresh results, each read by 8 threads released by a
-        barrier with a 1 µs switch interval, split across ``upper_bounds``,
-        ``smoothed_bounds`` and ``g``.  No reader may fail, each result
-        materialises once, and every reader holds the views it kept."""
-        import sys
-        import threading
-
-        from repro import obs
-        from repro.algo.local_solver import SpecialFormSolveResult
-
-        instance = cycle_instance(64, coefficient_range=(0.5, 2.0), seed=4)
-        arrays, _ = self._kernel_arrays(instance)
-        trials, threads_n = 300, 8
-        views = ("upper_bounds", "smoothed_bounds", "g")
-        errors = []
-        per_result = []
-        mismatched = 0
-
-        def work(result, barrier, slot, out) -> None:
-            try:
-                barrier.wait(timeout=30)
-                out[slot] = getattr(result, views[slot % 3])
-            except Exception as exc:  # noqa: BLE001 - reported below
-                errors.append(exc)
-
-        previous = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        obs.configure(enabled=True)
-        try:
-            for _ in range(trials):
-                result = SpecialFormSolveResult.from_kernel_arrays(instance, *arrays)
-                barrier = threading.Barrier(threads_n)
-                out = [None] * threads_n
-                mark = obs.counters_mark()
-                threads = [
-                    threading.Thread(target=work, args=(result, barrier, k, out))
-                    for k in range(threads_n)
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=30)
-                per_result.append(
-                    obs.counters_since(mark).get("solver.lazy_materializations", 0)
-                )
-                mismatched += sum(
-                    out[k] is not getattr(result, views[k % 3]) for k in range(threads_n)
-                )
-        finally:
-            sys.setswitchinterval(previous)
-            obs.configure(enabled=False)
-            obs.reset()
-        assert errors == []
-        assert per_result == [1] * trials
-        assert mismatched == 0
+        assert reads == []
 
 
 class TestBisectionCompaction:

@@ -14,6 +14,7 @@ import asyncio
 import collections
 import json
 import logging
+import math
 import socket
 import sys
 import threading
@@ -444,6 +445,35 @@ class TestServerBasics:
             status, second = client.solve(instance=inst)
             assert status == 200 and second["cached"]
             assert second["result"] == first["result"]
+
+    def test_objectiveless_instance_answers_strict_json(self):
+        """Utility inf, optimum inf and ratio NaN go out as null; the client
+        parses strictly, so any NaN or Infinity on the wire fails it."""
+        inst = MaxMinInstance(
+            ["u", "v"], ["i"], [], {("i", "u"): 1.0, ("i", "v"): 1.0}, {}, name="no-objectives"
+        )
+        with ServerHandle(ServeConfig(workers=1)) as handle:
+            client = handle.client(timeout_s=20)
+            status, solved = client.solve(instance=inst, include_values=True)
+            assert status == 200 and solved["result"]["utility"] is None
+            assert solved["result"]["values"] == {"u": 0.0, "v": 0.0}
+            status, ratio = client.ratio(digest=solved["digest"])
+            assert status == 200 and ratio["result"]["utility"] is None
+            assert ratio["result"]["optimum"] is None
+            assert ratio["result"]["measured_ratio"] is None
+            status, util = client.utility([0.25, 0.5], digest=solved["digest"])
+            assert status == 200 and util["result"]["utility"] is None
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_utility_rejects_non_finite_values(self, bad):
+        (inst,) = make_instances(1)
+        listed = [0.01] * (inst.num_agents - 1) + [bad]
+        with ServerHandle(ServeConfig(workers=1)) as handle:
+            client = handle.client(timeout_s=20)
+            for values in (listed, dict(zip(inst.agents, listed))):
+                status, payload = client.utility(values, instance=inst)
+                assert status == 400 and payload["error"]["code"] == "bad_request"
+                assert "finite" in payload["error"]["message"]
 
     def test_drain_stops_serving(self):
         handle = ServerHandle(ServeConfig(workers=1))
