@@ -56,8 +56,6 @@ def solve_ablation(
     instance: MaxMinInstance,
     R: int,
     variant: str,
-    *,
-    tu_method: str = "recursion",
 ) -> Solution:
     """Run one ablation variant on a special-form instance.
 
@@ -77,7 +75,7 @@ def solve_ablation(
     require_special_form(instance)
     r = R - 2
 
-    t = batched_upper_bounds(instance.compiled(), r, method=tu_method)
+    t = batched_upper_bounds(instance.compiled(), r)
     upper_bounds = dict(zip(instance.agents, t.tolist()))
     if variant == "no_smoothing":
         bounds: Dict[NodeId, float] = dict(upper_bounds)

@@ -133,7 +133,7 @@ class LocalMaxMinSolver:
         Shifting parameter (≥ 2).  The guarantee is
         ``ΔI (1 − 1/ΔK)(1 + 1/(R − 1))`` and the local horizon grows as
         ``Θ(R)``.
-    tu_method, tu_tol:
+    tu_tol:
         Passed through to :class:`SpecialFormLocalSolver`.
     """
 
@@ -141,11 +141,10 @@ class LocalMaxMinSolver:
         self,
         R: int = 3,
         *,
-        tu_method: str = "recursion",
         tu_tol: float = 1e-10,
     ) -> None:
         self.R = R
-        self.inner = SpecialFormLocalSolver(R, tu_method=tu_method, tu_tol=tu_tol)
+        self.inner = SpecialFormLocalSolver(R, tu_tol=tu_tol)
 
     @property
     def name(self) -> str:
@@ -173,7 +172,7 @@ class LocalMaxMinSolver:
             guaranteed_ratio=ratio,
             delta_I=instance.delta_I,
             delta_K=instance.delta_K,
-            parameters={"R": self.R, "tu_method": self.inner.tu_method, "status": status},
+            parameters={"R": self.R, "status": status},
         )
 
     def _prepare(self, instance: MaxMinInstance) -> _PreparedSolve:
@@ -286,4 +285,4 @@ class LocalMaxMinSolver:
             return [prep.result for prep in preps]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"LocalMaxMinSolver(R={self.R}, tu_method={self.inner.tu_method!r})"
+        return f"LocalMaxMinSolver(R={self.R})"

@@ -31,6 +31,11 @@ adjacency order as the oracle's Python loops.  Both ``t_u`` searches return a
 feasible ``ω`` within ``tol`` (1e-10) of the same maximum, so the two agree
 to within that tolerance (the equivalence property tests in
 ``tests/test_kernels.py`` pin this at 1e-9).
+
+The trees grow geometrically in ``r``, so :func:`build_batched_trees` refuses
+(with :class:`~repro.exceptions.SolverError`) a build that would hold more
+than :data:`MAX_TREE_NODES` nodes, before it allocates the level that would
+pass the limit.
 """
 
 from __future__ import annotations
@@ -42,14 +47,10 @@ import numpy as np
 from .. import obs
 from ..core.compiled import CompiledInstance, _segment_gather
 from ..exceptions import SolverError
-from .alternating_tree import build_alternating_tree
-from .upper_bound import (
-    DEFAULT_BISECTION_TOL,
-    MAX_BISECTION_ITERATIONS,
-    tree_optimum_lp,
-)
+from .upper_bound import DEFAULT_BISECTION_TOL, MAX_BISECTION_ITERATIONS
 
 __all__ = [
+    "MAX_TREE_NODES",
     "BatchedTrees",
     "agent_hop_balls",
     "build_batched_trees",
@@ -61,6 +62,11 @@ __all__ = [
     "output_kernel",
     "safe_fallback_confined",
 ]
+
+#: Most tree nodes one :func:`build_batched_trees` call may hold, summed over
+#: every level of every tree in the build (a stacked batch is one build).  A
+#: full solve peaks at about 70 bytes per node, so 2**25 nodes is about 2.3 GB.
+MAX_TREE_NODES = 2**25
 
 #: Level kinds of the batched tree layout (see :class:`TreeLevel`).
 _MINUS = "minus"
@@ -198,6 +204,9 @@ def build_batched_trees(
     nodes are materialised (constraint and objective nodes carry no recursion
     state; their coefficients are folded into the edge arrays), and the level
     ``−2`` leaf constraints are represented by the root capacity alone.
+
+    Raises :class:`~repro.exceptions.SolverError` before gathering a level
+    that would take the build past :data:`MAX_TREE_NODES` nodes.
     """
     if r < 0:
         raise SolverError(f"alternating tree parameter r must be >= 0, got {r}")
@@ -213,6 +222,7 @@ def build_batched_trees(
     levels: List[TreeLevel] = []
     root_level = TreeLevel(roots, _MINUS, np.ones(T, dtype=np.int64))
     levels.append(root_level)
+    total = T
 
     cur = root_level
     for j in range(1, 2 * r + 2):
@@ -221,20 +231,22 @@ def build_batched_trees(
             # its unique objective, in canonical row order (self excluded).
             rows = comp.obj_of_agent[cur.nodes]
             deg = oagent_deg[rows]
+            counts = deg - 1
+            total = _count_tree_nodes(total, counts, r, j)
             flat = _segment_gather(comp.oagents_indptr[rows], deg)
             members = comp.oagents_indices[flat]
             owner = np.repeat(cur.nodes, deg)
             keep = members != owner
             children = members[keep]
-            counts = deg - 1
             nxt = TreeLevel(children, _PLUS, _reduce_counts(counts, cur.root_indptr))
         else:
             # Constraint expansion: one child (the partner agent) per
             # constraint edge of each node, in canonical adjacency order.
             deg = con_deg[cur.nodes]
+            counts = deg
+            total = _count_tree_nodes(total, counts, r, j)
             flat = _segment_gather(comp.con_indptr[cur.nodes], deg)
             children = comp.con_partner[flat]
-            counts = deg
             nxt = TreeLevel(children, _MINUS, _reduce_counts(counts, cur.root_indptr))
             nxt.a_self = comp.con_coeff[flat]
             nxt.a_partner = comp.con_partner_coeff[flat]
@@ -244,6 +256,18 @@ def build_batched_trees(
         cur = nxt
 
     return BatchedTrees(comp, r, roots, levels)
+
+
+def _count_tree_nodes(total: int, counts: np.ndarray, r: int, j: int) -> int:
+    """``total`` plus the size of level ``j``, or :class:`SolverError` past the limit."""
+    size = int(counts.sum())
+    if total + size > MAX_TREE_NODES:
+        raise SolverError(
+            f"alternating trees for R={r + 2} exceed the limit of {MAX_TREE_NODES} "
+            f"tree nodes: {total} nodes built, and tree level {2 * j - 1} would add "
+            f"{size} more; use a smaller R"
+        )
+    return total + size
 
 
 def _reduce_counts(counts: np.ndarray, root_indptr: np.ndarray) -> np.ndarray:
@@ -440,7 +464,6 @@ def batched_upper_bounds(
     comp: CompiledInstance,
     r: int,
     *,
-    method: str = "recursion",
     tol: float = DEFAULT_BISECTION_TOL,
     max_iterations: int = MAX_BISECTION_ITERATIONS,
     targets: Optional[np.ndarray] = None,
@@ -450,16 +473,12 @@ def batched_upper_bounds(
     """``t_u`` per agent (positions ``targets``, default all) — batched.
 
     Builds all alternating trees at once, groups them by canonical signature
-    (:func:`_dedup_groups`) and computes one ``t_u`` per *distinct* tree: via
-    the simultaneous bracketed search for ``method="recursion"``, or via one
-    exact tree-LP solve per representative for ``method="lp"`` (the LP itself
-    is not vectorizable, but symmetric families still collapse to a handful
-    of solves).  ``tol`` is the width of the final ``t_u`` bracket and
-    ``max_iterations`` caps the sweeps; ``compact`` enables mid-search
-    active-set compaction (bitwise-neutral; see :func:`_bracketed_search`).
+    (:func:`_dedup_groups`) and computes one ``t_u`` per *distinct* tree with
+    the simultaneous bracketed search.  ``tol`` is the width of the final
+    ``t_u`` bracket and ``max_iterations`` caps the sweeps; ``compact``
+    enables mid-search active-set compaction (bitwise-neutral; see
+    :func:`_bracketed_search`).
     """
-    if method not in ("recursion", "lp"):
-        raise ValueError(f"unknown t_u method {method!r} (expected 'recursion' or 'lp')")
     bt = build_batched_trees(comp, r, targets)
     if bt.num_trees == 0:
         return np.zeros(0, dtype=np.float64)
@@ -473,21 +492,8 @@ def batched_upper_bounds(
     obs.count("kernels.trees_distinct", len(rep_idx))
     obs.count("kernels.dedup_hits", bt.num_trees - len(rep_idx))
 
-    if method == "lp":
-        instance = comp.instance
-        rep_t = np.asarray(
-            [
-                tree_optimum_lp(
-                    build_alternating_tree(instance, comp.agents[int(bt.roots[t])], r, validate=False)
-                )
-                for t in rep_idx
-            ],
-            dtype=np.float64,
-        )
-    else:
-        rep_bt = bt.select(rep_idx) if len(rep_idx) < bt.num_trees else bt
-        rep_t = _bracketed_search(rep_bt, tol, max_iterations, compact=compact)
-
+    rep_bt = bt.select(rep_idx) if len(rep_idx) < bt.num_trees else bt
+    rep_t = _bracketed_search(rep_bt, tol, max_iterations, compact=compact)
     return rep_t[group_of]
 
 

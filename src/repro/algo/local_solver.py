@@ -182,14 +182,12 @@ class SpecialFormLocalSolver:
         Shifting parameter (≥ 2).  Larger R improves the approximation ratio
         — ``2 (1 − 1/ΔK)(1 + 1/(R−1))`` — at the cost of a local horizon that
         grows linearly in R.
-    tu_method:
-        ``"recursion"`` (default: a bracketed search over the ``f±``
-        recursion, see :func:`repro.algo.kernels.batched_upper_bounds`) or
-        ``"lp"`` (exact tree LP).
     tu_tol:
-        Final bracket width of the ``t_u`` search when
-        ``tu_method="recursion"``: each ``t_u`` is feasible for the
-        recursion and within ``tu_tol`` of the largest feasible ``ω``.
+        Final bracket width of the ``t_u`` search (a bracketed search over
+        the ``f±`` recursion, see
+        :func:`repro.algo.kernels.batched_upper_bounds`): each ``t_u`` is
+        feasible for the recursion and within ``tu_tol`` of the largest
+        feasible ``ω``.
 
     The per-node oracle :func:`repro.oracle.special_form_solve`, which
     bisects to the same tolerance, computes the same result to within it
@@ -200,16 +198,12 @@ class SpecialFormLocalSolver:
         self,
         R: int = 3,
         *,
-        tu_method: str = "recursion",
         tu_tol: float = DEFAULT_BISECTION_TOL,
     ) -> None:
         if R < 2:
             raise ValueError(f"shifting parameter R must be at least 2, got {R}")
-        if tu_method not in ("recursion", "lp"):
-            raise ValueError(f"unknown tu_method {tu_method!r}")
         self.R = R
         self.r = R - 2
-        self.tu_method = tu_method
         self.tu_tol = tu_tol
 
     # ------------------------------------------------------------------
@@ -232,7 +226,7 @@ class SpecialFormLocalSolver:
         r = self.r
         with obs.span("solve.special_form", agents=comp.num_agents, batch=batch):
             with obs.span("kernels.upper_bounds"):
-                t = batched_upper_bounds(comp, r, method=self.tu_method, tol=self.tu_tol)
+                t = batched_upper_bounds(comp, r, tol=self.tu_tol)
             with obs.span("kernels.smooth"):
                 s = smooth_bounds_kernel(comp, t, r)
             with obs.span("kernels.g_recursion"):
@@ -277,16 +271,13 @@ class SpecialFormLocalSolver:
         deduplication spans the batch, so structurally identical trees of
         *different* instances share one search.  Every kernel reduces over
         per-agent segments that never cross block boundaries, so each
-        instance's outputs are bitwise identical to a solo solve.
-
-        A batch of one runs on the instance's own compiled view.  The
-        ``tu_method="lp"`` path needs a live instance per tree, so it solves
-        several instances one by one.
+        instance's outputs are bitwise identical to a solo solve.  A batch of
+        one runs on the instance's own compiled view.
         """
         instances = list(instances)
         for instance in instances:
             require_special_form(instance)
-        if len(instances) > 1 and self.tu_method == "recursion":
+        if len(instances) > 1:
             from ..core.compiled import stack_compiled
 
             stacked = stack_compiled([instance.compiled() for instance in instances])
@@ -301,7 +292,7 @@ class SpecialFormLocalSolver:
         ]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SpecialFormLocalSolver(R={self.R}, tu_method={self.tu_method!r})"
+        return f"SpecialFormLocalSolver(R={self.R})"
 
 
 class IncrementalSolveState:
@@ -412,7 +403,7 @@ class IncrementalSolveState:
             )
             with obs.span("kernels.upper_bounds", trees=len(t_ball)):
                 self.t[t_ball] = batched_upper_bounds(
-                    new_comp, r, method=solver.tu_method, tol=solver.tu_tol, targets=t_ball
+                    new_comp, r, tol=solver.tu_tol, targets=t_ball
                 )
             with obs.span("kernels.smooth"):
                 scratch = smooth_bounds_confined(new_comp, self.t, r, out_ball)

@@ -84,7 +84,6 @@ def evaluate_local_algorithm(
     instance: MaxMinInstance,
     *,
     R: int,
-    tu_method: str = "recursion",
     optimum: Optional[float] = None,
 ) -> Dict[str, object]:
     """Run the local algorithm once and return its ``local-R{R}`` record.
@@ -92,7 +91,7 @@ def evaluate_local_algorithm(
     Shared by :func:`compare_algorithms` and the batch engine
     (:mod:`repro.engine.registry`) so their records cannot drift apart.
     """
-    result = LocalMaxMinSolver(R=R, tu_method=tu_method).solve(instance)
+    result = LocalMaxMinSolver(R=R).solve(instance)
     return local_solve_record(instance, result, R=R, optimum=optimum)
 
 
@@ -154,16 +153,13 @@ def compare_algorithms(
     R_values: Sequence[int] = (2, 3, 4),
     include_safe: bool = True,
     include_optimum_row: bool = False,
-    tu_method: str = "recursion",
 ) -> List[Dict[str, object]]:
     """Run the local algorithm (for each R) and the safe baseline on one instance."""
     lp = solve_maxmin_lp(instance)
     records: List[Dict[str, object]] = []
 
     for R in R_values:
-        records.append(
-            evaluate_local_algorithm(instance, R=R, tu_method=tu_method, optimum=lp.optimum)
-        )
+        records.append(evaluate_local_algorithm(instance, R=R, optimum=lp.optimum))
 
     if include_safe:
         records.append(evaluate_safe_algorithm(instance, optimum=lp.optimum))

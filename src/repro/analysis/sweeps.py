@@ -34,7 +34,6 @@ def run_ratio_sweep(
     *,
     R_values: Sequence[int] = (2, 3, 4),
     include_safe: bool = True,
-    tu_method: str = "recursion",
     extra_fields: Optional[Mapping[str, Callable[[MaxMinInstance], object]]] = None,
     jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
@@ -56,8 +55,6 @@ def run_ratio_sweep(
         Shifting parameters to evaluate the local algorithm with.
     include_safe:
         Also run the safe baseline.
-    tu_method:
-        ``"recursion"`` or ``"lp"`` for the per-agent bound computation.
     extra_fields:
         Optional ``column -> f(instance)`` callables whose values are added
         to every record of that instance (e.g. a family label or a size
@@ -93,7 +90,6 @@ def run_ratio_sweep(
         instances,
         R_values=R_values,
         include_safe=include_safe,
-        tu_method=tu_method,
         extra_fields=extra_fields,
         jobs=jobs,
         cache_dir=cache_dir,
@@ -113,7 +109,6 @@ def run_ratio_sweep_batch(
     *,
     R_values: Sequence[int] = (2, 3, 4),
     include_safe: bool = True,
-    tu_method: str = "recursion",
     extra_fields: Optional[Mapping[str, Callable[[MaxMinInstance], object]]] = None,
     jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
@@ -135,12 +130,7 @@ def run_ratio_sweep_batch(
     from ..engine.batch import ratio_sweep_batch, run_batch
 
     instance_list = list(instances)
-    batch = ratio_sweep_batch(
-        instance_list,
-        R_values=R_values,
-        include_safe=include_safe,
-        tu_method=tu_method,
-    )
+    batch = ratio_sweep_batch(instance_list, R_values=R_values, include_safe=include_safe)
     result = run_batch(
         batch,
         executor=executor,

@@ -26,9 +26,11 @@ Sub-commands
 
 Exit codes follow convention: ``0`` success, ``1`` a run that completed
 with recorded failures (e.g. a sweep with failed jobs), ``2`` usage errors
-— including an ``R`` below 2, unreadable or malformed instance files and
-output files that cannot be written, which are reported as a one-line
-message rather than a traceback.
+— including an ``R`` below 2, an ``R`` whose alternating trees would pass
+:data:`repro.algo.kernels.MAX_TREE_NODES` (any
+:class:`~repro.exceptions.SolverError`), unreadable or malformed instance
+files and output files that cannot be written, which are reported as a
+one-line message rather than a traceback.
 
 The CLI is a thin veneer over the library — every code path it exercises is
 also covered by the test suite through the Python API.
@@ -61,7 +63,7 @@ from .generators import (
     sensor_network_instance,
     torus_instance,
 )
-from .exceptions import SerializationError
+from .exceptions import SerializationError, SolverError
 from .io.serialization import load_instance, save_instance, save_solution
 
 __all__ = ["main", "build_parser"]
@@ -231,12 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", help="content-addressed result cache directory (reused across runs)"
     )
     sweep.add_argument("--no-safe", action="store_true", help="skip the safe baseline")
-    sweep.add_argument(
-        "--tu-method",
-        choices=["recursion", "lp"],
-        default="recursion",
-        help="per-agent bound computation method",
-    )
     sweep.add_argument(
         "--dispatch",
         choices=["per-job", "batched"],
@@ -421,7 +417,6 @@ def _sweep(args: argparse.Namespace) -> int:
         instances,
         R_values=tuple(args.r_values),
         include_safe=not args.no_safe,
-        tu_method=args.tu_method,
         extra_fields={
             "family": lambda inst: args.family,
             "size": lambda inst: sizes_by_id[id(inst)],
@@ -813,7 +808,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     try:
         return _run_with_obs(handlers[args.command], args)
-    except _CliError as exc:
+    except (_CliError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1198,8 +1198,7 @@ class CompiledBatch:
     consume (``con_*``/``obj_*``/``oagents_*``, ``capacity``,
     ``con_partner``, ``obj_of_agent``, ``smoothing_adjacency``,
     ``sibling_sums``); ``agent_slices()`` recovers the per-instance output
-    ranges.  The ``tu_method="lp"`` path needs a live instance per tree and
-    is therefore not available on a batch (``instance`` is ``None``).
+    ranges.
     """
 
     __slots__ = (
@@ -1216,14 +1215,12 @@ class CompiledBatch:
         "oagents_indptr",
         "oagents_indices",
         "_adj",
-        "instance",
     )
 
     def __init__(self, parts: Sequence["CompiledInstance"]) -> None:
         if not parts:
             raise ValueError("CompiledBatch requires at least one compiled instance")
         self.parts: Tuple["CompiledInstance", ...] = tuple(parts)
-        self.instance = None
         agent_counts = np.asarray([p.num_agents for p in self.parts], dtype=np.int64)
         self.agent_offsets = np.zeros(len(self.parts) + 1, dtype=np.int64)
         np.cumsum(agent_counts, out=self.agent_offsets[1:])

@@ -355,13 +355,13 @@ class MaxMinInstance:
         self.name = name
         self._views: Optional[_Views] = None
         self._graph_cache: Optional["nx.Graph"] = None
-        # §4 pipeline results cached per ``verify`` flag: the instance is
+        # The §4 pipeline result, cached in one slot: the instance is
         # immutable, so a cached TransformResult can never go stale.
         # Populated by :func:`repro.transforms.pipeline.to_special_form`; an
         # R-sweep that revisits this instance runs the pipeline once.  (The
         # result holds a back-reference to this instance — a plain reference
         # cycle, handled by the cycle collector like the compiled view's.)
-        self._transform_cache: Optional[dict] = None
+        self._transform_cache = None
         # The preprocessing outcome, cached in one slot (same rationale): a
         # sweep revisiting this instance cleans it once, and the *same*
         # cleaned instance object is reused — which is what keeps the cleaned

@@ -15,12 +15,8 @@ this module (which every CLI command does) does not load it.
 The constraint matrix is assembled straight from the instance's compiled CSR
 view (:meth:`MaxMinInstance.compiled`): the COO triplets of ``A_ub`` are the
 concatenated per-constraint and per-objective adjacency arrays with an
-``ω`` column appended — no per-edge Python loop.  With
-``split_components=True`` a disconnected instance is solved in **one**
-block-diagonal ``linprog`` call: each connected component gets its own
-``ω_j`` column and the objective maximises ``Σ_j ω_j``, which — because the
-blocks share no variables or rows — optimises every component independently
-and recovers each component's individual optimum from a single solve.
+``ω`` column appended — no per-edge Python loop.  A disconnected instance
+is one LP like any other: its optimum is the smallest of its components'.
 
 The exact optimum serves two roles in the reproduction:
 
@@ -35,7 +31,7 @@ The exact optimum serves two roles in the reproduction:
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -102,7 +98,7 @@ def _assembly_triplets(
     return rows, cols, data
 
 
-def _solve_clean(instance: MaxMinInstance, method: str) -> LPResult:
+def _solve_clean(instance: MaxMinInstance) -> LPResult:
     """Solve a non-degenerate instance (every node has positive degree)."""
     from scipy import sparse
     from scipy.optimize import linprog
@@ -131,8 +127,8 @@ def _solve_clean(instance: MaxMinInstance, method: str) -> LPResult:
 
         bounds = [(0.0, None)] * (n + 1)
 
-    with obs.span("lp.linprog", method=method):
-        result = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method=method)
+    with obs.span("lp.linprog"):
+        result = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if not result.success:
         raise SolverError(
             f"linprog failed on instance {instance.name!r}: status={result.status}, "
@@ -146,105 +142,9 @@ def _solve_clean(instance: MaxMinInstance, method: str) -> LPResult:
     return LPResult(omega, solution, "optimal")
 
 
-def _component_labels(instance: MaxMinInstance) -> Tuple[int, np.ndarray]:
-    """Connected components of the communication graph, CSR-natively.
-
-    Returns ``(count, objective_labels)`` computed by
-    :func:`scipy.sparse.csgraph.connected_components` over the compiled
-    bipartite adjacency — no networkx traversal, no per-component
-    sub-instance construction.  Only the objective labels matter to the
-    block-diagonal solve (they pick each covering row's ``ω_j`` column; the
-    agent columns need no labelling because the blocks share no rows).
-    """
-    from scipy import sparse
-    from scipy.sparse import csgraph
-
-    comp = instance.compiled()
-    n = comp.num_agents
-    n_con = comp.num_constraints
-    n_obj = comp.num_objectives
-    total = n + n_con + n_obj
-    # Node numbering: agents, then constraints, then objectives.
-    heads = np.concatenate(
-        [
-            n + np.repeat(np.arange(n_con, dtype=np.int64), comp.constraint_degrees),
-            n + n_con + np.repeat(np.arange(n_obj, dtype=np.int64), comp.objective_degrees),
-        ]
-    )
-    tails = np.concatenate([comp.cagents_indices, comp.oagents_indices])
-    graph = sparse.coo_matrix(
-        (np.ones(len(heads)), (heads, tails)), shape=(total, total)
-    ).tocsr()
-    count, labels = csgraph.connected_components(graph, directed=False)
-    return count, labels[n + n_con :]
-
-
-def _solve_components(
-    instance: MaxMinInstance, method: str, obj_label: np.ndarray, n_comp: int
-) -> LPResult:
-    """Solve every connected component in one block-diagonal ``linprog`` call.
-
-    Component ``j`` gets its own column ``ω_j`` and the objective maximises
-    ``Σ_j ω_j``; the blocks share nothing, so the single solve optimises each
-    component independently — the per-component optima are read off the
-    ``ω_j`` entries and the overall optimum is their minimum, exactly the
-    semantics of the historical per-component loop (without its per-component
-    sub-instance construction and ``linprog`` calls).  Components without
-    objectives are vacuously unbounded: they get no ``ω`` column (their
-    agents take 0) and are excluded from the minimum — they never trigger an
-    LP solve of their own.
-    """
-    from scipy import sparse
-    from scipy.optimize import linprog
-
-    n = instance.num_agents
-    n_con = instance.num_constraints
-    n_obj = instance.num_objectives
-
-    # ω columns only for components that actually have objectives.
-    has_objective = np.zeros(n_comp, dtype=bool)
-    has_objective[obj_label] = True
-    omega_col = np.full(n_comp, -1, dtype=np.int64)
-    active = np.flatnonzero(has_objective)
-    omega_col[active] = n + np.arange(len(active), dtype=np.int64)
-    n_omega = len(active)
-    if n_omega == 0:  # pragma: no cover - clean instances always have objectives
-        zero = Solution(instance, {}, label="lp-zero")
-        return LPResult(math.inf, zero, "unbounded")
-
-    with obs.span("lp.assemble", rows=n_con + n_obj, cols=n + n_omega):
-        rows, cols, data = _assembly_triplets(instance)
-        rows = np.concatenate([rows, n_con + np.arange(n_obj, dtype=np.int64)])
-        cols = np.concatenate([cols, omega_col[obj_label]])
-        data = np.concatenate([data, np.ones(n_obj)])
-
-        a_ub = sparse.csr_matrix((data, (rows, cols)), shape=(n_con + n_obj, n + n_omega))
-        b_ub = np.concatenate([np.ones(n_con), np.zeros(n_obj)])
-        cost = np.zeros(n + n_omega)
-        cost[n:] = -1.0  # maximise Σ_j ω_j — decomposes per block
-        bounds = [(0.0, None)] * (n + n_omega)
-
-    with obs.span("lp.linprog", method=method, components=n_comp):
-        result = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method=method)
-    if not result.success:
-        raise SolverError(
-            f"linprog failed on instance {instance.name!r} "
-            f"({n_comp} components): status={result.status}, message={result.message!r}"
-        )
-
-    omegas = result.x[n:]
-    optimum = float(omegas.min())
-    solution = Solution.from_agent_array(
-        instance, result.x[:n], label="lp-optimum"
-    ).clipped_nonnegative()
-    return LPResult(optimum, solution, "optimal")
-
-
 def solve_maxmin_lp(
     instance: MaxMinInstance,
     *,
-    method: str = "highs",
-    split_components: bool = False,
     unbounded_target: float = 1.0,
 ) -> LPResult:
     """Compute the exact optimum of a max-min LP.
@@ -256,36 +156,16 @@ def solve_maxmin_lp(
     Parameters
     ----------
     instance:
-        The instance to solve.
-    method:
-        ``scipy.optimize.linprog`` method (default HiGHS).
-    split_components:
-        If true, give each connected component its own ``ω_j`` variable and
-        report the per-component optima's minimum.  The components are still
-        solved in a *single* block-diagonal ``linprog`` call (the matrix is
-        block diagonal anyway); component detection runs on the compiled CSR
-        arrays, so no per-component sub-instances are built and empty or
-        objective-free components never cost an LP solve.
+        The instance to solve (with ``scipy.optimize.linprog``'s HiGHS method).
     unbounded_target:
         For unbounded instances, the returned witness solution achieves at
         least this utility.
     """
     with obs.span("lp.solve", agents=instance.num_agents):
-        return _solve_maxmin_lp(
-            instance,
-            method=method,
-            split_components=split_components,
-            unbounded_target=unbounded_target,
-        )
+        return _solve_maxmin_lp(instance, unbounded_target)
 
 
-def _solve_maxmin_lp(
-    instance: MaxMinInstance,
-    *,
-    method: str,
-    split_components: bool,
-    unbounded_target: float,
-) -> LPResult:
+def _solve_maxmin_lp(instance: MaxMinInstance, unbounded_target: float) -> LPResult:
     pre = preprocess(instance)
 
     if pre.optimum_is_zero:
@@ -298,27 +178,16 @@ def _solve_maxmin_lp(
         )
         return LPResult(math.inf, witness, "unbounded")
 
-    clean = pre.instance
-
-    if split_components and clean.num_agents:
-        n_comp, obj_label = _component_labels(clean)
-        if n_comp > 1:
-            result = _solve_components(clean, method, obj_label, n_comp)
-            if pre.changed:
-                lifted = pre.lift(result.solution, label="lp-optimum")
-                return LPResult(result.optimum, lifted, result.status)
-            return result
-
-    result = _solve_clean(clean, method)
+    result = _solve_clean(pre.instance)
     if pre.changed:
         lifted = pre.lift(result.solution, label="lp-optimum")
         return LPResult(result.optimum, lifted, "optimal")
     return result
 
 
-def optimum_value(instance: MaxMinInstance, **kwargs: object) -> float:
+def optimum_value(instance: MaxMinInstance) -> float:
     """Convenience wrapper returning only the optimal utility."""
-    return solve_maxmin_lp(instance, **kwargs).optimum  # type: ignore[arg-type]
+    return solve_maxmin_lp(instance).optimum
 
 
 def best_response_value(

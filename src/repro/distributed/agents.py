@@ -194,7 +194,7 @@ class VectorizedMaxMinProtocol(VectorizedProtocol):
         if round_number == sched.view_end + 1:
             from ..algo.kernels import batched_upper_bounds
 
-            self.t_u = batched_upper_bounds(comp, sched.r, method="recursion", tol=self.tu_tol)
+            self.t_u = batched_upper_bounds(comp, sched.r, tol=self.tu_tol)
             self._agent_min = self.t_u.copy()
             return self._broadcast_smooth(plane)
 

@@ -333,7 +333,6 @@ class DynamicNetwork:
         instance: MaxMinInstance,
         R: int = 3,
         *,
-        tu_method: str = "recursion",
         tu_tol: Optional[float] = None,
         verify: bool = False,
         horizon: Optional[int] = None,
@@ -341,9 +340,7 @@ class DynamicNetwork:
         from ..algo.local_solver import DEFAULT_BISECTION_TOL, IncrementalSolveState, SpecialFormLocalSolver
 
         self.solver = SpecialFormLocalSolver(
-            R,
-            tu_method=tu_method,
-            tu_tol=DEFAULT_BISECTION_TOL if tu_tol is None else tu_tol,
+            R, tu_tol=DEFAULT_BISECTION_TOL if tu_tol is None else tu_tol
         )
         self.state = IncrementalSolveState(self.solver, instance)
         self.verify = verify

@@ -312,7 +312,6 @@ def ratio_sweep_batch(
     R_values=(2, 3, 4),
     include_safe: bool = True,
     include_optimum: bool = False,
-    tu_method: str = "recursion",
 ) -> BatchSpec:
     """Build the batch equivalent of :func:`repro.analysis.sweeps.run_ratio_sweep`.
 
@@ -329,7 +328,6 @@ def ratio_sweep_batch(
                 R_values=R_values,
                 include_safe=include_safe,
                 include_optimum=include_optimum,
-                tu_method=tu_method,
             ),
             owner=index,
         )

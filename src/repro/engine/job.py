@@ -52,8 +52,8 @@ class JobSpec:
         ``"lp-optimum"``; see :mod:`repro.engine.registry`).
     params:
         Algorithm parameters as a canonical sorted tuple of pairs, e.g.
-        ``(("R", 3), ("tu_method", "recursion"))``.  Values must be
-        JSON-compatible so the cache key is stable across processes.
+        ``(("R", 3),)``.  Values must be JSON-compatible so the cache key is
+        stable across processes.
     retry / timeout_s:
         Optional per-job resilience policy (see
         :class:`~repro.engine.resilience.RetryPolicy`) and per-attempt
@@ -160,7 +160,6 @@ def make_jobs_for_instance(
     R_values: Sequence[int] = (2, 3, 4),
     include_safe: bool = True,
     include_optimum: bool = False,
-    tu_method: str = "recursion",
 ) -> List[JobSpec]:
     """The standard job slate for one instance, in canonical record order.
 
@@ -177,7 +176,7 @@ def make_jobs_for_instance(
                 instance_json=text,
                 instance_digest=digest,
                 algorithm="local",
-                params=_canonical_params({"R": int(R), "tu_method": tu_method}),
+                params=_canonical_params({"R": int(R)}),
             )
         )
     if include_safe:

@@ -106,8 +106,7 @@ def execute_job(spec: JobSpec) -> List[Record]:
 
     if spec.algorithm == "local":
         R = int(params.get("R", 3))
-        tu_method = str(params.get("tu_method", "recursion"))
-        return [evaluate_local_algorithm(instance, R=R, tu_method=tu_method, optimum=lp.optimum)]
+        return [evaluate_local_algorithm(instance, R=R, optimum=lp.optimum)]
 
     if spec.algorithm == "safe":
         return [evaluate_safe_algorithm(instance, optimum=lp.optimum)]
@@ -275,9 +274,8 @@ def execute_jobs_batched(specs: Sequence[JobSpec]) -> List[List[Record]]:
 
     for params, indices in groups.items():
         pairs = [shared[specs[index].instance_json] for index in indices]
-        p = dict(params)
-        R = int(p.get("R", 3))
-        solver = LocalMaxMinSolver(R=R, tu_method=str(p.get("tu_method", "recursion")))
+        R = int(dict(params).get("R", 3))
+        solver = LocalMaxMinSolver(R=R)
         results = solver.solve_many([instance for instance, _ in pairs])
         for index, result, (instance, lp) in zip(indices, results, pairs):
             outputs[index] = [

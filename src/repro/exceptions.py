@@ -59,7 +59,8 @@ class InfeasibleSolutionError(ReproError):
 
 
 class SolverError(ReproError):
-    """Raised when an exact LP solve fails (solver status not optimal)."""
+    """Raised when a solve cannot run: an exact LP solve fails (solver status
+    not optimal), or the alternating trees would pass the tree-node limit."""
 
 
 class TransformError(ReproError):

@@ -50,7 +50,7 @@ import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Awaitable, Callable, Dict, List, Optional, Tuple
 
@@ -118,8 +118,6 @@ class ServeConfig:
     drain_timeout_s: float = 10.0
     io_timeout_s: float = 30.0  # per-read socket timeout
     max_body_bytes: int = 32 * 1024 * 1024
-    default_R: int = 3
-    extra: Dict[str, object] = field(default_factory=dict)
 
 
 def _values_payload(solution: Solution) -> object:
@@ -457,19 +455,16 @@ class AllocationServer:
         algorithm = body.get("algorithm", "local")
         if algorithm not in ("local", "safe"):
             raise ServeError("bad_request", "'algorithm' must be 'local' or 'safe'")
-        R = body.get("R", self.config.default_R)
+        R = body.get("R", 3)
         if isinstance(R, bool) or not isinstance(R, int) or R < 2:
             raise ServeError("bad_request", "'R' must be an integer >= 2")
-        tu_method = body.get("tu_method", "recursion")
-        if tu_method not in ("recursion", "lp"):
-            raise ServeError("bad_request", "'tu_method' must be 'recursion' or 'lp'")
         flags = {}
         for name, default in (("degrade", True), ("include_values", False), ("coalesce", True)):
             value = body.get(name, default)
             if not isinstance(value, bool):
                 raise ServeError("bad_request", f"{name!r} must be a boolean")
             flags[name] = value
-        return {"algorithm": algorithm, "R": R, "tu_method": tu_method, **flags}
+        return {"algorithm": algorithm, "R": R, **flags}
 
     # -- solve op ------------------------------------------------------
 
@@ -504,7 +499,7 @@ class AllocationServer:
         ):
             try:
                 result, meta = await self._batcher.submit(
-                    (params["R"], params["tu_method"], params["include_values"]),
+                    (params["R"], params["include_values"]),
                     (entry, deadline),
                 )
             except Exception:  # noqa: BLE001 - batch failure → solo ladder
@@ -528,8 +523,7 @@ class AllocationServer:
         Returns ``(result, meta)``; raises :class:`ServeError` with
         ``deadline_exceeded`` or ``internal`` when every rung fails.
         """
-        R, tu_method = params["R"], params["tu_method"]
-        include_values = params["include_values"]
+        R, include_values = params["R"], params["include_values"]
         rungs = ["local", "safe"] if params["algorithm"] == "local" else ["safe"]
         if not params["degrade"]:
             rungs = rungs[:1]
@@ -553,11 +547,9 @@ class AllocationServer:
                 continue
 
             def attempt(rung: str = rung, idx: int = idx):
-                self._inject(
-                    rung, entry.digest, {"op": "solve", "R": R, "tu_method": tu_method}, idx
-                )
+                self._inject(rung, entry.digest, {"op": "solve", "R": R}, idx)
                 if rung == "local":
-                    solver = LocalMaxMinSolver(R=R, tu_method=tu_method)
+                    solver = LocalMaxMinSolver(R=R)
                     return self._package_local(solver.solve(entry.instance), include_values), solver.name
                 safe = SafeAlgorithm()
                 solution, cert = safe.solve_with_certificate(entry.instance)
@@ -598,7 +590,7 @@ class AllocationServer:
         self, key: Tuple[object, ...], items: List[Tuple[ResidentInstance, float]]
     ) -> List[Tuple[Dict[str, object], Dict[str, object]]]:
         """Solve a coalesced batch with one ``solve_many`` kernel pass."""
-        R, tu_method, include_values = key
+        R, include_values = key
         entries = [entry for entry, _ in items]
         deadline = min(d for _, d in items)
 
@@ -609,10 +601,8 @@ class AllocationServer:
 
             def attempt():
                 for e in entries:
-                    self._inject(
-                        "local", e.digest, {"op": "solve_batch", "R": R, "tu_method": tu_method}, 0
-                    )
-                solver = LocalMaxMinSolver(R=R, tu_method=tu_method)
+                    self._inject("local", e.digest, {"op": "solve_batch", "R": R}, 0)
+                solver = LocalMaxMinSolver(R=R)
                 return solver.solve_many([e.instance for e in entries])
 
             return call_with_timeout(attempt, remaining)
@@ -772,7 +762,6 @@ class AllocationServer:
             "digest": digest,
             "algorithm": params["algorithm"],
             "R": params["R"],
-            "tu_method": params["tu_method"],
             "include_values": params["include_values"],
             "solver_version": SOLVER_VERSIONS.get(params["algorithm"], "0"),
         }

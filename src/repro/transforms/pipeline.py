@@ -16,7 +16,7 @@ into a solution of the original instance; the composed ratio factor is
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from .. import obs
 from ..core.instance import MaxMinInstance
@@ -56,12 +56,7 @@ def apply_chain(
     return compose(results, name=name)
 
 
-def to_special_form(
-    instance: MaxMinInstance,
-    *,
-    verify: bool = True,
-    name: Optional[str] = None,
-) -> TransformResult:
+def to_special_form(instance: MaxMinInstance) -> TransformResult:
     """Convert a non-degenerate instance to the §5 special form.
 
     The composed transformation is computed as index arithmetic over the
@@ -70,39 +65,26 @@ def to_special_form(
     :func:`repro.oracle.to_special_form` applies the five object-graph
     transformations of :func:`canonical_transforms` one by one instead.
 
-    Parameters
-    ----------
-    instance:
-        A non-degenerate instance (run :func:`repro.core.preprocess.preprocess`
-        first if needed); raises
-        :class:`~repro.exceptions.DegenerateInstanceError` otherwise.
-    verify:
-        If true (default), assert that the output really satisfies the special
-        form; this is cheap and catches programming errors early.
-    name:
-        Optional name for the composed :class:`TransformResult`.
+    ``instance`` must be non-degenerate (run
+    :func:`repro.core.preprocess.preprocess` first if needed); a degenerate one
+    raises :class:`~repro.exceptions.DegenerateInstanceError`.  The output is
+    checked against the special form before it is returned.
 
-    Results for the default ``name`` are cached on the (immutable) instance
-    per ``verify`` flag, exactly like
-    :meth:`~repro.core.instance.MaxMinInstance.compiled`: a sweep that
-    revisits the same instance across R values runs the §4 pipeline once.
-    The cache lives on the instance object itself, so it can never leak
-    across instances (the engine's per-process memo hands out one instance
-    object per content digest — see :mod:`repro.engine.registry`).
+    The result is cached on the (immutable) instance in one slot, exactly like
+    :func:`~repro.core.preprocess.preprocess`: a sweep that revisits the same
+    instance across R values runs the §4 pipeline once.  The cache lives on
+    the instance object itself, so it can never leak across instances (the
+    engine's per-process memo hands out one instance object per content
+    digest — see :mod:`repro.engine.registry`).
     """
-    verify = bool(verify)
-    if name is None:
-        cached = instance._transform_cache
-        if cached is not None and verify in cached:
-            obs.count("transform.cache_hits")
-            return cached[verify]
+    cached = instance._transform_cache
+    if cached is not None:
+        obs.count("transform.cache_hits")
+        return cached
 
     obs.count("transform.runs")
     from .vectorized import vectorized_to_special_form
 
-    result = vectorized_to_special_form(instance, verify=verify, name=name)
-    if name is None:
-        if instance._transform_cache is None:
-            instance._transform_cache = {}
-        instance._transform_cache[verify] = result
+    result = vectorized_to_special_form(instance)
+    instance._transform_cache = result
     return result

@@ -738,19 +738,16 @@ def _special_form_instance(st: _PipelineState) -> MaxMinInstance:
 # ----------------------------------------------------------------------
 # Front door
 # ----------------------------------------------------------------------
-def vectorized_to_special_form(
-    instance: MaxMinInstance,
-    *,
-    verify: bool = True,
-    name: Optional[str] = None,
-) -> CompiledTransformResult:
+def vectorized_to_special_form(instance: MaxMinInstance) -> CompiledTransformResult:
     """Array-native twin of :func:`repro.transforms.pipeline.to_special_form`.
 
     Runs the five §4 stages as CSR index arithmetic and materialises only
     the final special-form instance — digest-identical to the reference
     pipeline's output (same ids, same order, bitwise-equal coefficients).
-    The returned result additionally carries the composed back-map as
-    arrays (see :class:`CompiledTransformResult`).
+    The output is checked against the special form
+    (:func:`~repro.core.validation.require_special_form`), and the returned
+    result additionally carries the composed back-map as arrays (see
+    :class:`CompiledTransformResult`).
     """
     require_nondegenerate(instance)
     st = _PipelineState(instance)
@@ -761,8 +758,7 @@ def vectorized_to_special_form(
     _stage_normalise_coefficients(st)
 
     transformed = _special_form_instance(st) if st.changed else instance
-    if verify:
-        require_special_form(transformed)
+    require_special_form(transformed)
 
     suffix_chain = "".join(f"<-{s}" for s in reversed(st.label_suffixes))
 
@@ -786,7 +782,7 @@ def vectorized_to_special_form(
         bm_idx=st.bm_idx,
         bm_scale=st.bm_scale,
         ratio_factor=st.ratio_factor,
-        name=name or "to-special-form (§4)",
+        name="to-special-form (§4)",
         metadata=metadata,
     )
     return result

@@ -19,11 +19,7 @@ from repro.core.instance import MaxMinInstance
 from repro.core.lp import solve_maxmin_lp
 from repro.core.solution import Solution
 from repro.exceptions import InvalidInstanceError, NotSpecialFormError
-from repro.generators import (
-    cycle_instance,
-    objective_ring_instance,
-    random_special_form_instance,
-)
+from repro.generators import cycle_instance, objective_ring_instance
 
 from conftest import (
     assert_feasible,
@@ -55,8 +51,6 @@ class TestRatioFormulas:
             theorem1_ratio(2, 2, 1)
         with pytest.raises(ValueError):
             SpecialFormLocalSolver(R=1)
-        with pytest.raises(ValueError):
-            SpecialFormLocalSolver(R=3, tu_method="nope")
 
 
 class TestSpecialFormSolver:
@@ -135,13 +129,6 @@ class TestSpecialFormSolver:
             assert result.guaranteed_ratio == pytest.approx(special_form_ratio(instance.delta_K, R))
         # Guarantees tighten with R.
         assert special_form_ratio(2, 5) < special_form_ratio(2, 3) < special_form_ratio(2, 2)
-
-    def test_tu_method_lp_equivalent(self):
-        instance = random_special_form_instance(12, delta_K=3, seed=13)
-        rec = SpecialFormLocalSolver(R=3, tu_method="recursion").solve(instance)
-        lp = SpecialFormLocalSolver(R=3, tu_method="lp").solve(instance)
-        for v in instance.agents:
-            assert rec.solution[v] == pytest.approx(lp.solution[v], abs=1e-6)
 
     def test_symmetric_cycle_is_solved_optimally(self):
         # On the unit cycle the optimum (all 1/2) is symmetric, and the

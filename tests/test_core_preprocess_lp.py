@@ -174,18 +174,14 @@ class TestExactLP:
         assert math.isinf(result.optimum)
         assert result.solution.objective_value("k") >= 5.0
 
-    def test_split_components_matches_joint_solve(self, general_instance):
-        joint = solve_maxmin_lp(general_instance)
-        split = solve_maxmin_lp(general_instance, split_components=True)
-        assert split.optimum == pytest.approx(joint.optimum, rel=1e-6)
-
     def test_split_components_disconnected(self):
+        """A disconnected instance is one joint LP."""
         builder = InstanceBuilder()
         builder.add_constraint_term("i1", "a", 1.0)
         builder.add_objective_term("k1", "a", 1.0)
         builder.add_constraint_term("i2", "b", 2.0)
         builder.add_objective_term("k2", "b", 1.0)
-        result = solve_maxmin_lp(builder.build(), split_components=True)
+        result = solve_maxmin_lp(builder.build())
         # Component optima are 1.0 and 0.5 -> overall 0.5.
         assert result.optimum == pytest.approx(0.5)
         assert_feasible(result.solution)
@@ -207,52 +203,7 @@ class TestExactLP:
 
 
 class TestCsrNativeLP:
-    """The compiled-COO assembly, block-diagonal components and the
-    vectorized ``best_response_value``."""
-
-    def test_block_diagonal_components_individual_optima(self):
-        # Three disconnected blocks with optima 1.0, 0.5 and 0.25: one
-        # linprog call must recover every block's own optimum, not just the
-        # binding minimum.
-        builder = InstanceBuilder()
-        builder.add_constraint_term("i1", "a", 1.0)
-        builder.add_objective_term("k1", "a", 1.0)
-        builder.add_constraint_term("i2", "b", 2.0)
-        builder.add_objective_term("k2", "b", 1.0)
-        builder.add_constraint_term("i3", "c", 4.0)
-        builder.add_objective_term("k3", "c", 1.0)
-        result = solve_maxmin_lp(builder.build(), split_components=True)
-        assert result.optimum == pytest.approx(0.25)
-        assert_feasible(result.solution)
-        assert result.solution.objective_value("k1") == pytest.approx(1.0)
-        assert result.solution.objective_value("k2") == pytest.approx(0.5)
-        assert result.solution.objective_value("k3") == pytest.approx(0.25)
-
-    def test_split_components_matches_joint_on_connected(self, random_general):
-        joint = solve_maxmin_lp(random_general)
-        split = solve_maxmin_lp(random_general, split_components=True)
-        assert split.optimum == pytest.approx(joint.optimum, rel=1e-9)
-
-    def test_split_components_single_linprog_call(self, monkeypatch):
-        import scipy.optimize
-
-        calls = []
-        real_linprog = scipy.optimize.linprog
-
-        def counting_linprog(*args, **kwargs):
-            calls.append(1)
-            return real_linprog(*args, **kwargs)
-
-        # repro.core.lp imports linprog when it calls it, so patching the
-        # scipy attribute reaches that call.
-        monkeypatch.setattr(scipy.optimize, "linprog", counting_linprog)
-        builder = InstanceBuilder()
-        for j in range(4):
-            builder.add_constraint_term(f"i{j}", f"a{j}", 1.0 + j)
-            builder.add_objective_term(f"k{j}", f"a{j}", 1.0)
-        result = solve_maxmin_lp(builder.build(), split_components=True)
-        assert len(calls) == 1
-        assert result.optimum == pytest.approx(0.25)
+    """The compiled-COO assembly and the vectorized ``best_response_value``."""
 
     def test_best_response_exact_agreement_with_reference_loop(self):
         """Bit-for-bit agreement with the historical per-constraint loop."""

@@ -103,7 +103,7 @@ class TestJobModel:
             instance_json=job.instance_json,
             instance_digest=job.instance_digest,
             algorithm=job.algorithm,
-            params=(("R", 4), ("tu_method", "recursion")),
+            params=(("R", 4),),
         )
         assert other_params.cache_key("1") != job.cache_key("1")
         [other_inst] = make_jobs_for_instance(unit_cycle, R_values=(3,), include_safe=False)
@@ -250,11 +250,6 @@ class TestResultCache:
             ratio_sweep_batch(family, R_values=(3,), include_safe=False), cache_dir=tmp_path
         )
         assert other_R.executed_jobs == 1
-        other_tu = run_batch(
-            ratio_sweep_batch(family, R_values=(2,), include_safe=False, tu_method="lp"),
-            cache_dir=tmp_path,
-        )
-        assert other_tu.executed_jobs == 1
 
     def test_corrupt_entry_is_a_miss_and_self_heals(self, tmp_path):
         batch = ratio_sweep_batch(small_family()[:1], R_values=(2,), include_safe=False)

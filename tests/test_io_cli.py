@@ -276,6 +276,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert "R must be >= 2, got 1" in err and "Traceback" not in err
 
+    def test_tree_node_limit_is_a_one_line_error(self, tmp_path, monkeypatch, capsys):
+        """An R whose alternating trees pass the node limit: one line, exit 2."""
+        import repro.algo.kernels as kernels_mod
+
+        monkeypatch.setattr(kernels_mod, "MAX_TREE_NODES", 10_000)
+        inst = save_instance(
+            random_instance(50, delta_I=3, delta_K=3, seed=1), tmp_path / "inst.json"
+        )
+        assert main(["solve", str(inst), "-R", "40"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: alternating trees for R=40 exceed the limit of 10000")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("target", ["generate", "solve --output", "solve --trace-out"])
     def test_unwritable_output_is_a_one_line_error(self, target, tmp_path, capsys):
         inst = str(save_instance(cycle_instance(6), tmp_path / "inst.json"))

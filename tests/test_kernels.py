@@ -5,13 +5,15 @@ The solver (``repro.algo.kernels`` over a
 per-node oracle :func:`repro.oracle.special_form_solve` on every quantity
 the §5 pipeline produces: the per-agent bounds ``t_u``, the smoothed bounds
 ``s_v``, the output vector ``x`` and its utility — within 1e-9, across every
-generator family and both ``tu_method`` values.  These tests are the
-contract that lets the kernels be the one production path.
+generator family — and with the oracle's exact tree LP (Lemma 3) within
+1e-7.  These tests are the contract that lets the kernels be the one
+production path.
 """
 
 from __future__ import annotations
 
 import contextlib
+import re
 from unittest import mock
 
 import numpy as np
@@ -34,10 +36,12 @@ from repro.algo.local_solver import SpecialFormLocalSolver
 from repro.algo.upper_bound import DEFAULT_BISECTION_TOL, compute_upper_bounds, smooth_upper_bounds
 from repro.core.builder import InstanceBuilder
 from repro.core.compiled import stack_compiled
-from repro.exceptions import NotSpecialFormError
+from repro.core.preprocess import preprocess
+from repro.exceptions import NotSpecialFormError, SolverError
 from repro.generators import (
     cycle_instance,
     objective_ring_instance,
+    random_instance,
     random_special_form_instance,
     regular_special_form_instance,
     torus_instance,
@@ -187,14 +191,31 @@ class TestBackendEquivalence:
             assert vec.smoothed_bounds[v] == pytest.approx(ref.smoothed_bounds[v], abs=TOL)
             assert vec.solution[v] == pytest.approx(ref.solution[v], abs=TOL)
 
-    @pytest.mark.parametrize("case_id,instance", CASES[:4], ids=CASE_IDS[:4])
-    @pytest.mark.parametrize("R", [2, 3])
-    def test_lp_backend_equivalence(self, case_id, instance, R):
-        """The tu_method="lp" path agrees with the oracle too (LP tolerance)."""
+    @pytest.mark.parametrize(
+        "R,instance",
+        [
+            pytest.param(R, instance, id=f"{R}-{case_id}")
+            for case_id, instance in CASES[:4]
+            for R in (2, 3)
+        ]
+        + [
+            pytest.param(
+                3, random_special_form_instance(12, delta_K=3, seed=13), id="3-sf-random-12"
+            )
+        ],
+    )
+    def test_lp_backend_equivalence(self, R, instance):
+        """Lemma 3: the production ``f±`` recursion finds each tree's LP optimum.
+
+        The oracle solves every alternating tree's LP exactly; the kernels'
+        search over the recursion must give the same ``t_u``, and so the
+        same ``s_v`` and ``x``, within the LP's tolerance.
+        """
         ref = oracle.special_form_solve(instance, R, tu_method="lp")
-        vec = SpecialFormLocalSolver(R=R, tu_method="lp").solve(instance)
+        vec = SpecialFormLocalSolver(R=R).solve(instance)
         for v in instance.agents:
             assert vec.upper_bounds[v] == pytest.approx(ref.upper_bounds[v], abs=1e-7)
+            assert vec.smoothed_bounds[v] == pytest.approx(ref.smoothed_bounds[v], abs=1e-7)
             assert vec.solution[v] == pytest.approx(ref.solution[v], abs=1e-7)
 
     @pytest.mark.parametrize("R", [2, 3])
@@ -449,8 +470,45 @@ class TestKernelPieces:
         partial = batched_upper_bounds(comp, 1, targets=subset)
         np.testing.assert_allclose(partial, full[subset], atol=0.0)
 
-    def test_unknown_tu_method_rejected(self):
-        with pytest.raises(ValueError):
-            SpecialFormLocalSolver(R=3, tu_method="nope")
-        with pytest.raises(ValueError):
-            batched_upper_bounds(cycle_instance(4).compiled(), 1, method="nope")
+
+class TestTreeNodeLimit:
+    """A build that would pass ``MAX_TREE_NODES`` is refused before it allocates.
+
+    The limit is lowered to 10,000 nodes so the test never allocates much;
+    the special form of ``random_instance(50, seed=1)`` has 539 tree nodes
+    at R = 3 and 13,934 at R = 6.
+    """
+
+    LIMIT = 10_000
+
+    @staticmethod
+    def special_form():
+        general = random_instance(50, delta_I=3, delta_K=3, seed=1)
+        return to_special_form(preprocess(general).instance).transformed
+
+    def test_large_R_is_refused_within_the_limit(self, monkeypatch):
+        monkeypatch.setattr(kernels_mod, "MAX_TREE_NODES", self.LIMIT)
+        held = []
+
+        class CountingLevel(kernels_mod.TreeLevel):
+            def __init__(self, nodes, kind, root_counts):
+                held.append(len(nodes))
+                super().__init__(nodes, kind, root_counts)
+
+        monkeypatch.setattr(kernels_mod, "TreeLevel", CountingLevel)
+        comp = self.special_form().compiled()
+        with pytest.raises(SolverError) as exc:
+            batched_upper_bounds(comp, 40 - 2)
+        message = str(exc.value)
+        assert "R=40" in message and f"limit of {self.LIMIT} tree nodes" in message
+        built = int(re.search(r"(\d+) nodes built", message).group(1))
+        assert built == sum(held) <= self.LIMIT
+
+    def test_small_R_still_solves(self, monkeypatch):
+        instance = self.special_form()
+        expected = SpecialFormLocalSolver(R=3).solve(instance)
+        assert build_batched_trees(instance.compiled(), 1).total_nodes() == 539
+        monkeypatch.setattr(kernels_mod, "MAX_TREE_NODES", self.LIMIT)
+        result = SpecialFormLocalSolver(R=3).solve(instance)
+        assert result.t.tobytes() == expected.t.tobytes()
+        assert result.solution.value_array().tobytes() == expected.solution.value_array().tobytes()

@@ -410,24 +410,14 @@ class TestTransformCache:
         assert first is second
         assert len(calls) == 1
 
-    def test_cache_keyed_per_backend_and_verify(self, general_instance):
-        """One cached result per ``verify`` flag; the oracle never caches."""
-        a = to_special_form(general_instance, verify=True)
-        b = to_special_form(general_instance, verify=False)
+    def test_one_cached_slot_and_the_oracle_never_caches(self, general_instance):
+        """The instance holds one transform result; the oracle never caches."""
+        a = to_special_form(general_instance)
         c = oracle.to_special_form(general_instance, verify=True)
-        assert a is not b and a is not c
-        assert a is to_special_form(general_instance, verify=True)
-        assert b is to_special_form(general_instance, verify=False)
+        assert a is not c
+        assert a is to_special_form(general_instance)
         assert c is not oracle.to_special_form(general_instance, verify=True)
-        assert set(general_instance._transform_cache) == {True, False}
-
-    def test_named_results_are_not_cached(self, general_instance):
-        a = to_special_form(general_instance, name="custom")
-        b = to_special_form(general_instance, name="custom")
-        assert a is not b
-        # ... and they do not pollute the default-key cache.
-        c = to_special_form(general_instance)
-        assert c is not a and c is not b
+        assert general_instance._transform_cache is a
 
     def test_r_sweep_runs_pipeline_once(self, monkeypatch):
         """The acceptance criterion: zero §4 re-runs across a warm R-sweep."""
@@ -509,6 +499,7 @@ class TestCachesUnderThreads:
         from repro.core.preprocess import PreprocessResult
         from repro.generators import random_instance
         from repro.io.serialization import instance_from_json, instance_to_json
+        from repro.transforms.base import TransformResult
 
         text = instance_to_json(
             random_instance(300, extra_constraints=15, extra_objectives=15, seed=7)
@@ -528,7 +519,7 @@ class TestCachesUnderThreads:
         assert _race(work) == []
         assert outputs == [expected] * 8
         assert isinstance(instance._preprocess_cache, PreprocessResult)
-        assert list(instance._transform_cache) == [True]
+        assert isinstance(instance._transform_cache, TransformResult)
 
     def test_first_touch_of_the_dict_views(self, monkeypatch):
         """Threads touching a fresh instance's dict views first through

@@ -662,6 +662,28 @@ class TestDegradationLadder:
             assert payload["result"]["feasible"]
             assert "backend" not in payload
 
+    def test_too_large_R_degrades_and_the_server_stays_up(self, monkeypatch):
+        """A refused tree build answers from the safe rung; the next solve is exact."""
+        import repro.algo.kernels as kernels_mod
+        from repro.generators import random_instance
+
+        inst = random_instance(50, delta_I=3, delta_K=3, seed=1)
+        direct = LocalMaxMinSolver(R=3).solve(inst)
+        monkeypatch.setattr(kernels_mod, "MAX_TREE_NODES", 10_000)
+        with ServerHandle(ServeConfig(workers=2)) as handle:
+            client = handle.client(timeout_s=20)
+            status, payload = client.solve(instance=inst, R=40)
+            assert status == 200 and payload["degraded"]
+            assert payload["algorithm"] == "safe-degree"
+            assert payload["degraded_reason"] == "error:local:SolverError"
+            assert payload["result"]["feasible"]
+            status, payload = client.solve(instance=inst, R=3, include_values=True)
+            assert status == 200 and not payload["degraded"]
+            assert payload["result"]["utility"] == direct.utility()
+            assert payload["result"]["values"] == {
+                k: float(v) for k, v in direct.solution.as_dict().items()
+            }
+
     def test_hang_degrades_to_safe_within_deadline(self):
         (inst,) = make_instances(1)
         plan = FaultPlan(
