@@ -16,56 +16,13 @@ rather than silently producing a different table.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence
 
-from repro import obs
 from repro.analysis.reporting import format_markdown_table, format_table
 
 #: Where the regenerated tables are written.
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
-
-
-def write_bench_payload(
-    payload: Dict[str, object],
-    output: Union[str, Path],
-    *,
-    smoke: bool,
-    default_output: Union[str, Path],
-) -> Path:
-    """Write a benchmark's aggregate JSON and return the path written.
-
-    Smoke runs redirect the *default* output into ``results/smoke/`` (which
-    CI uploads as a workflow artifact) so they never clobber the committed
-    trajectory baseline; an explicitly requested ``--output`` path is always
-    honored, smoke or not.
-    """
-    output = Path(output)
-    if smoke and output == Path(default_output):
-        output = RESULTS_DIR / "smoke" / output.name
-    output.parent.mkdir(parents=True, exist_ok=True)
-    output.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return output
-
-
-def obs_counter_rollup(fn: Callable[[], object]) -> Tuple[object, Dict[str, float]]:
-    """Run ``fn`` with tracing on and return ``(result, counter_deltas)``.
-
-    Benchmarks call this on a separate, *untimed* pass so the timed
-    measurements stay free of tracing overhead while the emitted
-    ``BENCH_*.json`` rows still carry the solver counters (bisection
-    iterations, dedup hits, peel rounds, …) for the configuration they
-    timed.  The prior tracing state is restored afterwards.
-    """
-    prior = obs.enabled()
-    obs.configure(enabled=True)
-    mark = obs.counters_mark()
-    try:
-        result = fn()
-        return result, obs.counters_since(mark)
-    finally:
-        obs.configure(enabled=prior)
 
 
 def emit_table(

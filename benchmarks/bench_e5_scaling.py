@@ -6,11 +6,10 @@ messages are constant, so total work scales linearly.  This benchmark runs
 the actual message-passing protocol on growing cycles and sensor networks
 and reports rounds, messages and messages per node.
 
-The protocol runs on the vectorized message plane (see ``bench_safe_e5.py``
-for its speedup over the per-node oracle); the measurements do not depend
-on the runtime — the per-node simulator of :mod:`repro.oracle.distributed`
-produces identical per-round message statistics, which one row here
-re-checks explicitly.
+The protocol runs on the vectorized message plane; the measurements do not
+depend on the runtime — the per-node simulator of
+:mod:`repro.oracle.distributed` produces identical per-round message
+statistics, which one row here re-checks explicitly.
 """
 
 from __future__ import annotations

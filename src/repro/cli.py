@@ -26,8 +26,9 @@ Sub-commands
 
 Exit codes follow convention: ``0`` success, ``1`` a run that completed
 with recorded failures (e.g. a sweep with failed jobs), ``2`` usage errors
-— including an ``R`` below 2, an ``R`` whose alternating trees would pass
-:data:`repro.algo.kernels.MAX_TREE_NODES` (any
+— including an ``R`` below 2, a size or count below its floor (or one a
+generator refuses), a deadline no wait can use, an ``R`` whose alternating
+trees would pass :data:`repro.algo.kernels.MAX_TREE_NODES` (any
 :class:`~repro.exceptions.SolverError`), unreadable or malformed instance
 files and output files that cannot be written, which are reported as a
 one-line message rather than a traceback.
@@ -54,7 +55,7 @@ from .core.instance import MaxMinInstance
 from .core.lp import solve_maxmin_lp
 from .core.preprocess import preprocess
 from .engine.cache import ResultCache
-from .engine.resilience import RetryPolicy
+from .engine.resilience import RetryPolicy, check_timeout
 from .generators import (
     cycle_instance,
     objective_ring_instance,
@@ -63,7 +64,7 @@ from .generators import (
     sensor_network_instance,
     torus_instance,
 )
-from .exceptions import SerializationError, SolverError
+from .exceptions import EngineError, SerializationError, SolverError
 from .io.serialization import load_instance, save_instance, save_solution
 
 __all__ = ["main", "build_parser"]
@@ -103,15 +104,31 @@ def _writing(path: str) -> Iterator[None]:
         raise _CliError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _shifting_parameter(text: str) -> int:
-    """The argparse type of every ``R``: an integer of at least 2."""
+def _int_at_least(floor: int, name: str) -> Callable[[str], int]:
+    """An argparse integer type that refuses values below ``floor``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {floor}, got {value}")
+        return value
+
+    return parse
+
+
+#: The argparse type of every ``R``: an integer of at least 2.
+_shifting_parameter = _int_at_least(2, "R")
+
+
+def _check_seconds(value: float, flag: str) -> None:
+    """Refuse a deadline no wait can use (:func:`check_timeout`)."""
     try:
-        R = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if R < 2:
-        raise argparse.ArgumentTypeError(f"R must be >= 2, got {R}")
-    return R
+        check_timeout(value, flag)
+    except EngineError as exc:
+        raise _CliError(str(exc)) from None
 
 
 def _add_obs_flags(sub_parser: argparse.ArgumentParser) -> None:
@@ -138,7 +155,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="generate an instance and write it to JSON")
     gen.add_argument("family", choices=list(FAMILIES), help="instance family")
     gen.add_argument("output", help="output JSON path")
-    gen.add_argument("--size", type=int, default=24, help="number of agents / segments / sensors")
+    gen.add_argument(
+        "--size", type=_int_at_least(1, "size"), default=24,
+        help="number of agents / segments / sensors",
+    )
     gen.add_argument("--delta-i", type=int, default=3, dest="delta_I", help="max constraint degree")
     gen.add_argument("--delta-k", type=int, default=3, dest="delta_K", help="max objective degree")
     gen.add_argument("--seed", type=int, default=0)
@@ -218,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("family", choices=list(FAMILIES), help="instance family")
     sweep.add_argument(
-        "--sizes", type=int, nargs="+", default=[8, 16, 24], help="instance size grid"
+        "--sizes", type=_int_at_least(1, "size"), nargs="+", default=[8, 16, 24],
+        help="instance size grid",
     )
     sweep.add_argument(
         "--r-values", type=_shifting_parameter, nargs="+", default=[2, 3, 4], help="R grid"
@@ -227,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--delta-k", type=int, default=3, dest="delta_K", help="max objective degree")
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (1 = serial execution)"
+        "--jobs", type=_int_at_least(1, "jobs"), default=1,
+        help="worker processes (1 = serial execution)",
     )
     sweep.add_argument(
         "--cache-dir", help="content-addressed result cache directory (reused across runs)"
@@ -279,9 +301,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream random churn over a special-form instance and re-solve incrementally",
     )
     dyn.add_argument("family", choices=list(FAMILIES), help="instance family (must be special form)")
-    dyn.add_argument("--size", type=int, default=60, help="number of agents / segments")
-    dyn.add_argument("--ticks", type=int, default=20, help="churn ticks to stream")
-    dyn.add_argument("--churn", type=int, default=1, help="edit operations per tick")
+    dyn.add_argument(
+        "--size", type=_int_at_least(1, "size"), default=60, help="number of agents / segments"
+    )
+    dyn.add_argument(
+        "--ticks", type=_int_at_least(0, "ticks"), default=20, help="churn ticks to stream"
+    )
+    dyn.add_argument(
+        "--churn", type=_int_at_least(1, "churn"), default=1, help="edit operations per tick"
+    )
     dyn.add_argument(
         "--structural-prob",
         type=float,
@@ -360,20 +388,27 @@ def build_parser() -> argparse.ArgumentParser:
 def _make_instance(
     family: str, size: int, delta_I: int, delta_K: int, seed: int
 ) -> MaxMinInstance:
-    """Build one instance of a named family at the given size."""
-    if family == "random":
-        return random_instance(size, delta_I=delta_I, delta_K=delta_K, seed=seed)
-    if family == "special-form":
-        return random_special_form_instance(size, delta_K=delta_K, seed=seed)
-    if family == "cycle":
-        return cycle_instance(max(size, 2), seed=seed)
-    if family == "torus":
-        side = max(2, int(round(size ** 0.5)))
-        return torus_instance(side, side, seed=seed)
-    if family == "sensor":
-        return sensor_network_instance(size, max(2, size // 4), seed=seed).instance
-    if family == "ring":
-        return objective_ring_instance(max(size, 2), max(delta_K, 2))
+    """Build one instance of a named family at the given size.
+
+    A generator's ``ValueError`` (a size or degree bound the family cannot
+    meet) is a usage error, reported as one line.
+    """
+    try:
+        if family == "random":
+            return random_instance(size, delta_I=delta_I, delta_K=delta_K, seed=seed)
+        if family == "special-form":
+            return random_special_form_instance(size, delta_K=delta_K, seed=seed)
+        if family == "cycle":
+            return cycle_instance(max(size, 2), seed=seed)
+        if family == "torus":
+            side = max(2, int(round(size ** 0.5)))
+            return torus_instance(side, side, seed=seed)
+        if family == "sensor":
+            return sensor_network_instance(size, max(2, size // 4), seed=seed).instance
+        if family == "ring":
+            return objective_ring_instance(max(size, 2), max(delta_K, 2))
+    except ValueError as exc:
+        raise _CliError(f"cannot generate {family} instance of size {size}: {exc}") from None
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -392,6 +427,8 @@ def _sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.timeout_s is not None:
+        _check_seconds(args.timeout_s, "--timeout-s")
     resilient = (
         args.retries is not None or args.timeout_s is not None or args.resume_from is not None
     )
@@ -673,7 +710,7 @@ def _dynamics(args: argparse.Namespace) -> int:
     net = DynamicNetwork(instance, args.R, verify=args.verify)
     rng = np.random.default_rng(args.seed)
     rows = []
-    for _ in range(max(0, args.ticks)):
+    for _ in range(args.ticks):
         tick = net.random_tick(rng, edits=args.churn, structural_prob=args.structural_prob)
         row = {
             "tick": tick.tick,
@@ -709,8 +746,7 @@ def _serve_config_from_args(args: argparse.Namespace):
         raise _CliError("--max-pending must be >= 1")
     if args.registry_capacity < 1:
         raise _CliError("--registry-capacity must be >= 1")
-    if args.deadline_s <= 0:
-        raise _CliError("--deadline-s must be > 0")
+    _check_seconds(args.deadline_s, "--deadline-s")
     if args.coalesce_window_ms < 0:
         raise _CliError("--coalesce-window-ms must be >= 0")
     return ServeConfig(

@@ -15,7 +15,7 @@ two layers:
   tick by tick via :class:`~repro.core.compiled.CompiledDelta`, re-solves
   only the dirty r-ball, and (in ``verify`` mode) checks every tick against
   the from-scratch solve and the locality oracle.  The ``maxmin-lp
-  dynamics`` CLI command and ``benchmarks/bench_dynamics.py`` drive it.
+  dynamics`` CLI command and perfbench's churn-stream workload drive it.
 """
 
 from __future__ import annotations
@@ -460,8 +460,11 @@ def random_churn_delta(
     ≥ 2 members, objective coefficients stay 1.  Operations whose
     preconditions no instance node satisfies degrade to a jitter, so the
     returned delta always carries exactly ``edits`` operations (a structural
-    operation may span several individual edge edits).
+    operation may span several individual edge edits).  ``edits`` below 1
+    raises ``ValueError``.
     """
+    if edits < 1:
+        raise ValueError(f"edits must be >= 1, got {edits}")
     delta = instance.compiled().delta()
 
     # Local bookkeeping so several operations can stack inside one delta.
@@ -583,7 +586,7 @@ def random_churn_delta(
         return False
 
     structural_ops = [add_constraint, drop_constraint, add_agent, drop_agent]
-    for _ in range(max(1, int(edits))):
+    for _ in range(int(edits)):
         done = False
         if rng.random() < structural_prob:
             done = structural_ops[int(rng.integers(len(structural_ops)))]()

@@ -22,7 +22,7 @@ from . import registry
 from .cache import ResultCache
 from .executors import Executor, default_executor
 from .job import BatchSpec, JobResult, JobSpec, Record, make_jobs_for_instance
-from .resilience import BatchJournal, RetryPolicy
+from .resilience import BatchJournal, RetryPolicy, check_timeout
 
 __all__ = ["BatchResult", "run_batch", "ratio_sweep_batch"]
 
@@ -133,6 +133,8 @@ def run_batch(
         raise EngineError(
             f"unknown on_error mode {on_error!r} (expected 'raise' or 'record')"
         )
+    if timeout_s is not None:
+        check_timeout(timeout_s)
     if dispatch == "batched" and (executor is not None or (jobs is not None and jobs > 1)):
         # Batched dispatch runs in-process; silently dropping a requested
         # process fan-out would misreport the parallelism actually used.

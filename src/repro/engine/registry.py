@@ -17,7 +17,7 @@ not, an instance's jobs report bit-identical ``optimum`` fields.
 
 The memo also scopes the *instance-attached* caches: the compiled CSR view
 and the §4 transform results (``to_special_form``) live on the
-:class:`MaxMinInstance` object itself, keyed per ``verify`` flag.
+:class:`MaxMinInstance` object itself, one slot each.
 Because the memo hands out exactly one instance object per instance-JSON
 string — and the cache key starts from the JSON's content digest — sibling
 jobs of one instance (an R-sweep, say) reuse one pipeline run, while jobs of
@@ -69,10 +69,9 @@ __all__ = [
 #: "2".  Removing the
 #: ``backend`` / ``transform_backend`` job parameters changed every job's
 #: parameters, hence every cache key, without changing any output — so no
-#: version moved.  ``lp-optimum`` is at "2": the exact LP now assembles its
-#: matrix from compiled COO triplets and solves disconnected instances
-#: block-diagonally (same optima within solver tolerance, but not
-#: bit-identical vertex solutions).
+#: version moved.  ``lp-optimum`` is at "2": the exact LP assembles its
+#: matrix from compiled COO triplets, and a disconnected instance is one LP
+#: like any other.
 SOLVER_VERSIONS: Dict[str, str] = {
     "local": "4",
     "safe": "2",

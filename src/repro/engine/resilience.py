@@ -1,12 +1,14 @@
 """Resilience policies for the engine: retries, timeouts, checkpoints.
 
-Three pieces, shared by :func:`repro.engine.batch.run_batch`, the registry's
+Four pieces, shared by :func:`repro.engine.batch.run_batch`, the registry's
 resilient job executor and the executors:
 
 * :class:`RetryPolicy` — per-job retry/backoff/timeout knobs.  Backoff is
   exponential with *deterministic* jitter: the jitter factor is derived from
   a SHA-256 over ``(job digest, attempt)``, so two runs of the same batch
   sleep the same amounts and the chaos-equivalence tests stay bit-stable.
+* :func:`check_timeout` — the one check every deadline passes: a number
+  of seconds ``t`` with ``0 < t <= threading.TIMEOUT_MAX``.
 * :func:`call_with_timeout` — deadline enforcement for a single attempt.
   The attempt runs on a daemon thread and the caller waits ``timeout_s``;
   on expiry a :class:`~repro.exceptions.JobTimeoutError` is raised and the
@@ -30,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -42,6 +45,7 @@ from ..exceptions import EngineError, JobTimeoutError
 __all__ = [
     "RetryPolicy",
     "BatchJournal",
+    "check_timeout",
     "call_with_timeout",
     "leaked_timeout_threads",
 ]
@@ -54,6 +58,27 @@ Record = Dict[str, object]
 
 _JOURNAL_FORMAT = "repro.engine-journal"
 _JOURNAL_VERSION = 1
+
+
+def check_timeout(timeout_s: object, name: str = "timeout_s") -> float:
+    """``timeout_s`` as a float, or :class:`EngineError` if no wait can use it.
+
+    A deadline is a number of seconds ``t`` with ``0 < t <=
+    threading.TIMEOUT_MAX``.  Anything else fails every attempt instead of
+    bounding it: a wait on NaN returns at once, and a wait past the maximum
+    (``inf`` included) raises ``OverflowError``.  ``name`` prefixes the
+    message.
+    """
+    if (
+        isinstance(timeout_s, bool)
+        or not isinstance(timeout_s, numbers.Real)
+        or not 0 < timeout_s <= threading.TIMEOUT_MAX
+    ):
+        raise EngineError(
+            f"{name} must be a number of seconds in (0, {threading.TIMEOUT_MAX:g}], "
+            f"got {timeout_s!r}"
+        )
+    return float(timeout_s)
 
 
 @dataclass(frozen=True)
@@ -91,8 +116,8 @@ class RetryPolicy:
             raise EngineError(f"backoff_factor must be >= 1, got {self.backoff_factor}")
         if not 0.0 <= self.jitter < 1.0:
             raise EngineError(f"jitter must be in [0, 1), got {self.jitter}")
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise EngineError(f"timeout_s must be > 0, got {self.timeout_s}")
+        if self.timeout_s is not None:
+            check_timeout(self.timeout_s)
 
     def delay_s(self, token: str, attempt: int) -> float:
         """The backoff before retrying ``attempt`` (0-based), jittered."""

@@ -40,7 +40,8 @@ import json
 import math
 from typing import Dict, Optional, Tuple
 
-from ..exceptions import ReproError
+from ..engine.resilience import check_timeout
+from ..exceptions import EngineError, ReproError
 
 __all__ = [
     "ServeError",
@@ -121,11 +122,17 @@ def parse_body(raw: bytes) -> Dict[str, object]:
     return body
 
 
-def positive_float(body: Dict[str, object], field: str) -> Optional[float]:
-    """Read an optional positive float field, with a structured error."""
+def seconds_field(body: Dict[str, object], field: str) -> Optional[float]:
+    """Read an optional deadline in seconds, with a structured error.
+
+    The value must pass :func:`repro.engine.resilience.check_timeout`; JSON
+    parsing accepts ``NaN``, ``Infinity`` and ``1e400``, and a wait on any
+    of them fails instead of bounding the request.
+    """
     value = body.get(field)
     if value is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
-        raise ServeError("bad_request", f"{field!r} must be a positive number")
-    return float(value)
+    try:
+        return check_timeout(value, repr(field))
+    except EngineError as exc:
+        raise ServeError("bad_request", str(exc)) from None

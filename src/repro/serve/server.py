@@ -74,7 +74,7 @@ from .protocol import (
     error_response,
     ok_response,
     parse_body,
-    positive_float,
+    seconds_field,
 )
 from .registry import InstanceRegistry, ResidentInstance
 
@@ -109,7 +109,6 @@ class ServeConfig:
     # Micro-batching window, opened only when another request is in flight
     # (a lone solve never waits); 0 disables micro-batching.
     coalesce_window_s: float = 0.002
-    coalesce_max_batch: int = 64
     registry_capacity: int = 64
     cache_dir: Optional[str] = None  # persistent ResultCache tier (None = off)
     faults: Optional[object] = None  # a repro.faults.FaultPlan, if chaos is wanted
@@ -160,11 +159,7 @@ class AllocationServer:
             max_workers=self.config.workers, thread_name_prefix="repro-serve"
         )
         self._batcher: Optional[MicroBatcher] = (
-            MicroBatcher(
-                self._flush_batch,
-                window_s=self.config.coalesce_window_s,
-                max_batch=self.config.coalesce_max_batch,
-            )
+            MicroBatcher(self._flush_batch, window_s=self.config.coalesce_window_s)
             if self.config.coalesce_window_s > 0
             else None
         )
@@ -426,7 +421,7 @@ class AllocationServer:
         self, op: str, body: Dict[str, object], started: float
     ) -> Dict[str, object]:
         entry = await self._in_executor(lambda: self._resolve_entry(body))
-        deadline_s = positive_float(body, "deadline_s") or self.config.default_deadline_s
+        deadline_s = seconds_field(body, "deadline_s") or self.config.default_deadline_s
         deadline = started + deadline_s
         if op == "solve":
             return await self._op_solve(body, entry, deadline)
@@ -459,7 +454,7 @@ class AllocationServer:
         if isinstance(R, bool) or not isinstance(R, int) or R < 2:
             raise ServeError("bad_request", "'R' must be an integer >= 2")
         flags = {}
-        for name, default in (("degrade", True), ("include_values", False), ("coalesce", True)):
+        for name, default in (("degrade", True), ("include_values", False)):
             value = body.get(name, default)
             if not isinstance(value, bool):
                 raise ServeError("bad_request", f"{name!r} must be a boolean")
@@ -494,7 +489,6 @@ class AllocationServer:
             self._batcher is not None
             and self._inflight > 1
             and params["algorithm"] == "local"
-            and params["coalesce"]
             and self.breaker.allow()
         ):
             try:

@@ -132,6 +132,15 @@ def special_form_family():
     ]
 
 
+def mid_size_special_form_family():
+    """Two 60-agent special-form instances, larger than any in
+    :func:`special_form_family`, for the oracle-equivalence suites."""
+    return [
+        cycle_instance(30, coefficient_range=(0.5, 2.0), seed=0),
+        regular_special_form_instance(20, 3, constraint_rounds=2, seed=0),
+    ]
+
+
 def general_family():
     """A small family of general instances used by several test modules."""
     return [

@@ -233,6 +233,58 @@ class TestCsrNativeLP:
                 fixed = {w: x for w, x in values.items() if w != v}
                 assert best_response_value(inst, fixed, v) == reference(inst, fixed, v)
 
+    def test_lp_matrix_exact_agreement_with_reference_loop(self, monkeypatch):
+        """The ``A_ub`` handed to ``linprog`` equals the historical per-edge
+        COO loop: same shape, same sparsity pattern, same entries."""
+        import numpy as np
+        from scipy import optimize, sparse
+
+        from repro.generators import random_instance, torus_instance
+
+        def reference(instance):
+            agent_index = {v: idx for idx, v in enumerate(instance.agents)}
+            n, n_con = instance.num_agents, instance.num_constraints
+            rows, cols, data = [], [], []
+            for r, i in enumerate(instance.constraints):
+                for v in instance.agents_of_constraint(i):
+                    rows.append(r)
+                    cols.append(agent_index[v])
+                    data.append(instance.a(i, v))
+            for r, k in enumerate(instance.objectives):
+                for v in instance.agents_of_objective(k):
+                    rows.append(n_con + r)
+                    cols.append(agent_index[v])
+                    data.append(-instance.c(k, v))
+                rows.append(n_con + r)
+                cols.append(n)
+                data.append(1.0)
+            return sparse.csr_matrix(
+                (np.asarray(data, dtype=float), (np.asarray(rows), np.asarray(cols))),
+                shape=(n_con + instance.num_objectives, n + 1),
+            )
+
+        matrices = []
+        real_linprog = optimize.linprog
+
+        def spy(*args, **kwargs):
+            matrices.append(kwargs["A_ub"])
+            return real_linprog(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "linprog", spy)
+        for instance in (
+            random_instance(80, delta_I=3, delta_K=3, extra_constraints=4, extra_objectives=4, seed=0),
+            random_instance(40, delta_I=5, delta_K=3, extra_constraints=8, extra_objectives=4, seed=13),
+            torus_instance(4, 4, coefficient_range=(0.5, 2.0), seed=17),
+        ):
+            assert not preprocess(instance).changed  # the LP is over `instance` itself
+            matrices.clear()
+            solve_maxmin_lp(instance)
+            (got,) = matrices
+            want = reference(instance)
+            assert got.shape == want.shape
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+
     def test_best_response_unknown_agent_raises(self, tiny_instance):
         with pytest.raises(InvalidInstanceError):
             best_response_value(tiny_instance, {}, "nope")

@@ -354,7 +354,7 @@ class TestBatchedDispatch:
     """dispatch="batched" must be observationally identical to per-job."""
 
     def test_records_identical_to_per_job(self):
-        instances = small_family()
+        instances = small_family() + [cycle_instance(40, coefficient_range=(0.5, 2.0), seed=0)]
         per_job = run_batch(
             ratio_sweep_batch(instances, R_values=(2, 3), include_optimum=True)
         )

@@ -592,6 +592,15 @@ class TestValidation:
         with pytest.raises(EngineError, match="on_error"):
             run_batch(small_batch(), on_error="explode")
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e300], ids=["nan", "inf", "1e300"])
+    def test_unusable_timeout_is_refused(self, bad):
+        """A wait on NaN returns at once and one past ``threading.TIMEOUT_MAX``
+        overflows: either would fail every attempt, so neither is accepted."""
+        with pytest.raises(EngineError, match="timeout_s"):
+            RetryPolicy(timeout_s=bad)
+        with pytest.raises(EngineError, match="timeout_s"):
+            run_batch(small_batch(), timeout_s=bad)
+
     def test_batched_dispatch_rejects_resilience_knobs(self):
         with pytest.raises(EngineError, match="batched"):
             run_batch(small_batch(), dispatch="batched", retry=RetryPolicy())
@@ -628,6 +637,19 @@ class TestCLI:
         assert main(args) == 0
         second = capsys.readouterr().out
         assert "0 executed" in second and "4 journaled" in second
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "1e300", "0", "-1"])
+    def test_sweep_unusable_timeout_is_a_usage_error(self, bad, capsys, monkeypatch):
+        import repro.cli as cli
+
+        def no_jobs(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_ratio_sweep_batch", no_jobs)
+        argv = ["sweep", "cycle", "--sizes", "6", "--r-values", "2", "--timeout-s", bad]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --timeout-s must be") and err.count("\n") == 1
 
     def test_sweep_exits_nonzero_when_jobs_fail(self, capsys, monkeypatch):
         """A sweep that records failed jobs must not exit 0 — partial results

@@ -376,13 +376,19 @@ FAMILIES = [
     lambda: random_special_form_instance(40, seed=6),
     lambda: cycle_instance(24, seed=0),
     lambda: objective_ring_instance(8, 3),
+    # Larger instances, at R = 3 only.
+    lambda: cycle_instance(100, seed=0),
+    lambda: random_special_form_instance(80, seed=0),
 ]
 
 KERNEL_ARRAYS = ("t", "s", "x", "g_plus", "g_minus")
 
 
-@pytest.mark.parametrize("family_index", range(len(FAMILIES)))
-@pytest.mark.parametrize("R", [2, 3, 5])
+@pytest.mark.parametrize(
+    "R,family_index",
+    [pytest.param(R, index, id=f"{R}-{index}") for R in (2, 3, 5) for index in range(3)]
+    + [pytest.param(3, index, id=f"3-{index}") for index in range(3, len(FAMILIES))],
+)
 def test_incremental_matches_scratch_solve(family_index, R):
     inst = FAMILIES[family_index]()
     solver = SpecialFormLocalSolver(R)
@@ -513,15 +519,16 @@ class TestChangedSites:
 
 class TestDynamicNetwork:
     def test_verified_tick_loop(self):
-        net = DynamicNetwork(random_special_form_instance(30, seed=12), R=3, verify=True)
-        rng = np.random.default_rng(0)
-        for expected_tick in range(1, 6):
-            tick = net.random_tick(rng, edits=2, structural_prob=0.4)
-            assert tick.tick == expected_tick
-            assert tick.max_error == 0.0  # bitwise, not just 1e-9
-            assert tick.is_local
-            assert tick.reused_agents == tick.num_agents - len(tick.recomputed_agents)
-        assert net.ticks == 5
+        for instance in (random_special_form_instance(30, seed=12), cycle_instance(100, seed=0)):
+            net = DynamicNetwork(instance, R=3, verify=True)
+            rng = np.random.default_rng(0)
+            for expected_tick in range(1, 6):
+                tick = net.random_tick(rng, edits=2, structural_prob=0.4)
+                assert tick.tick == expected_tick
+                assert tick.max_error == 0.0  # bitwise, not just 1e-9
+                assert tick.is_local
+                assert tick.reused_agents == tick.num_agents - len(tick.recomputed_agents)
+            assert net.ticks == 5
 
     def test_structural_churn_keeps_special_form(self):
         net = DynamicNetwork(regular_special_form_instance(8, 3, seed=1), R=2)

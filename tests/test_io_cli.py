@@ -276,6 +276,45 @@ class TestCli:
         err = capsys.readouterr().err
         assert "R must be >= 2, got 1" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "random", "{out}", "--size", "1"],
+            ["generate", "special-form", "{out}", "--size", "1"],
+            ["generate", "sensor", "{out}", "--size", "0"],
+            ["generate", "random", "{out}", "--delta-i", "0"],
+            ["generate", "torus", "{out}", "--size", "-5"],
+            ["sweep", "random", "--sizes", "1"],
+            ["sweep", "cycle", "--sizes", "6", "--jobs", "0"],
+            ["sweep", "cycle", "--sizes", "6", "--jobs", "-2"],
+            ["dynamics", "cycle", "--size", "8", "--churn", "0"],
+            ["dynamics", "cycle", "--size", "8", "--churn", "-1"],
+            ["dynamics", "cycle", "--size", "8", "--ticks", "-1"],
+        ],
+        ids=lambda argv: " ".join(argv).replace(" {out}", ""),
+    )
+    def test_out_of_range_size_or_count_is_a_usage_error(self, argv, tmp_path, capsys):
+        """Exit 2 with an error line: no traceback, no clamp, no file."""
+        out = tmp_path / "out.json"
+        try:
+            code = main([arg.format(out=out) for arg in argv])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_churn_delta_refuses_fewer_than_one_edit(self):
+        import numpy as np
+
+        from repro.distributed.dynamics import random_churn_delta
+
+        for edits in (0, -1):
+            with pytest.raises(ValueError, match="edits"):
+                random_churn_delta(cycle_instance(6), np.random.default_rng(0), edits=edits)
+
     def test_tree_node_limit_is_a_one_line_error(self, tmp_path, monkeypatch, capsys):
         """An R whose alternating trees pass the node limit: one line, exit 2."""
         import repro.algo.kernels as kernels_mod

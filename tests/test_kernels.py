@@ -48,7 +48,7 @@ from repro.generators import (
 )
 from repro.transforms import to_special_form
 
-from conftest import build_general_instance
+from conftest import build_general_instance, mid_size_special_form_family
 
 TOL = 1e-9
 
@@ -179,9 +179,19 @@ def stacked_cases():
 
 
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("case_id,instance", CASES, ids=CASE_IDS)
-    @pytest.mark.parametrize("R", [2, 3, 5])
-    def test_recursion_backend_equivalence(self, case_id, instance, R):
+    @pytest.mark.parametrize(
+        "R,instance",
+        [
+            pytest.param(R, instance, id=f"{R}-{case_id}")
+            for R in (2, 3, 5)
+            for case_id, instance in CASES
+        ]
+        + [
+            pytest.param(3, instance, id=f"3-{instance.name}")
+            for instance in mid_size_special_form_family()
+        ],
+    )
+    def test_recursion_backend_equivalence(self, R, instance):
         """The kernels and the oracle agree on t_u, s_v, x and utility (1e-9)."""
         ref = oracle.special_form_solve(instance, R)
         vec = SpecialFormLocalSolver(R=R).solve(instance)

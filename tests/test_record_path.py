@@ -12,9 +12,9 @@ Pins the contracts of the vectorized evaluation-and-preparation layer:
   values) with identical feasibility verdicts, and the cached passes are
   shared (utility + bottleneck = one objective pass, repeated feasibility
   checks = one load pass);
-* §4 transform results are cached on the instance per ``verify`` flag —
-  an R-sweep over one instance runs the pipeline exactly once, and
-  cached transforms never leak across content digests in the engine;
+* §4 transform results are cached on the instance in one slot — an
+  R-sweep over one instance runs the pipeline exactly once, and cached
+  transforms never leak across content digests in the engine;
 * a :class:`~repro.core.solution.Solution` is its value vector: both
   constructors, per-agent reads and the arithmetic helpers agree bit for
   bit with the per-agent dict formulas;
@@ -42,7 +42,7 @@ from repro.core.compiled import stack_compiled
 from repro.core.instance import MaxMinInstance
 from repro.core.preprocess import preprocess
 from repro.core.solution import Solution
-from repro.generators import cycle_instance, random_special_form_instance
+from repro.generators import cycle_instance, random_instance, random_special_form_instance
 from repro.transforms.pipeline import to_special_form
 
 from conftest import (
@@ -85,6 +85,32 @@ def possibly_degenerate_instances(draw, max_agents: int = 8):
     return MaxMinInstance(agents, constraints, objectives, a, c, name="hyp-degenerate")
 
 
+def degeneracy_rich_instance(n: int, seed: int) -> MaxMinInstance:
+    """A random general instance salted with every §4 degeneracy kind.
+
+    Per injection: an isolated constraint, an unconstrained agent whose
+    objective cascades a victim agent into forced-zero (and the victim's
+    constraint into removal), and a non-contributing agent — so the fixed
+    point runs all four phases plus the cascade rounds.
+    """
+    base = random_instance(
+        n, delta_I=3, delta_K=3, extra_constraints=n // 20, extra_objectives=n // 20, seed=seed
+    )
+    a, c = base.a_coefficients, base.c_coefficients
+    agents, constraints = list(base.agents), list(base.constraints)
+    objectives = list(base.objectives)
+    for j in range(max(1, n // 10)):
+        unc, victim, nc = f"unc{j}", f"victim{j}", f"nc{j}"
+        agents += [unc, victim, nc]
+        constraints += [f"iso_i{j}", f"i_vict{j}", f"i_nc{j}"]
+        objectives.append(f"k_unc{j}")
+        c[(f"k_unc{j}", unc)] = 1.0
+        c[(f"k_unc{j}", victim)] = 1.0
+        a[(f"i_vict{j}", victim)] = 1.0
+        a[(f"i_nc{j}", nc)] = 1.0
+    return MaxMinInstance(agents, constraints, objectives, a, c, name=f"degenerate-rich-{n}")
+
+
 def fixed_instances():
     return (
         general_family()
@@ -96,6 +122,8 @@ def fixed_instances():
             MaxMinInstance([], [], [], {}, {}, name="empty"),
             MaxMinInstance(["a"], [], ["k"], {}, {("k", "a"): 1.0}, name="unbounded"),
             MaxMinInstance(["a"], ["i"], [], {("i", "a"): 1.0}, {}, name="no-objectives"),
+            degeneracy_rich_instance(120, seed=0),
+            cycle_instance(120, coefficient_range=(0.5, 2.0), seed=0),
         ]
     )
 
@@ -206,21 +234,31 @@ class TestArrayBackedSolution:
         self._assert_bitwise(instance, arr_sol, dict_sol)
         self._assert_one_store(instance, rng)
 
+    def test_average_of_inf_minus_inf_and_nan(self):
+        """One agent draws (inf, -inf, nan) across the three vectors."""
+        instance = cycle_instance(4)
+        draws = [np.full(instance.num_agents, 0.25) for _ in range(3)]
+        for x, special in zip(draws, (math.inf, -math.inf, math.nan)):
+            x[1] = special
+        self._assert_one_store(instance, np.random.default_rng(0), draws)
+
     @staticmethod
-    def _assert_one_store(instance, rng):
+    def _assert_one_store(instance, rng, draws=None):
         """Both constructors, per-agent reads and the arithmetic helpers
-        match the per-agent dict formulas bit for bit, specials included."""
+        match the per-agent dict formulas bit for bit, specials included.
+        ``draws`` (three value vectors) defaults to a random draw."""
 
         def bits(numbers):
             return np.asarray(list(numbers), dtype=np.float64).view(np.uint64).tolist()
 
         agents = instance.agents
         specials = np.array([-0.0, 0.0, math.nan, math.inf, -math.inf, -1e-300, 5e-324])
-        draws = [
-            np.where(rng.random(len(agents)) < 0.3, rng.choice(specials, len(agents)),
-                     rng.uniform(-0.2, 1.5, len(agents)))
-            for _ in range(3)
-        ]
+        if draws is None:
+            draws = [
+                np.where(rng.random(len(agents)) < 0.3, rng.choice(specials, len(agents)),
+                         rng.uniform(-0.2, 1.5, len(agents)))
+                for _ in range(3)
+            ]
         dicts = [dict(zip(agents, x.tolist())) for x in draws]
         sols = [Solution.from_agent_array(instance, x) for x in draws]
 
@@ -243,7 +281,13 @@ class TestArrayBackedSolution:
             scaled = sol.scaled(factor).value_array()
             averaged = Solution.average(sols).value_array()
         assert bits(scaled) == bits(factor * x for x in values.values())
-        assert bits(averaged) == bits(sum(d[v] for d in dicts) / len(dicts) for v in agents)
+        # A sum of inf, -inf and nan adds two NaNs, and IEEE 754 leaves open
+        # which one comes out: numpy keeps the first (0xfff8…), CPython the
+        # second (0x7ff8…).  So NaNs compare by position, the rest by bits.
+        expected = np.array([sum(d[v] for d in dicts) / len(dicts) for v in agents])
+        nan = np.isnan(expected)
+        assert np.array_equal(np.isnan(averaged), nan)
+        assert bits(averaged[~nan]) == bits(expected[~nan])
         assert bits(sol.clipped_nonnegative().value_array()) == bits(
             (x if x > 0.0 else 0.0) for x in values.values()
         )
@@ -421,14 +465,22 @@ class TestTransformCache:
 
     def test_r_sweep_runs_pipeline_once(self, monkeypatch):
         """The acceptance criterion: zero §4 re-runs across a warm R-sweep."""
-        instance = build_general_instance()
-        assert not preprocess(instance).changed  # cache must live on `instance`
+        sweeps = [
+            (build_general_instance(), (2, 3, 4)),
+            (
+                random_instance(
+                    120, delta_I=3, delta_K=3, extra_constraints=6, extra_objectives=6, seed=0
+                ),
+                (2, 3, 4, 5),
+            ),
+        ]
         calls = _count_pipeline_runs(monkeypatch)
-        rows = compare_algorithms(
-            instance, R_values=(2, 3, 4), include_safe=False
-        )
-        assert len(rows) == 3
-        assert len(calls) == 1
+        for instance, R_values in sweeps:
+            assert not preprocess(instance).changed  # cache must live on `instance`
+            calls.clear()
+            rows = compare_algorithms(instance, R_values=R_values, include_safe=False)
+            assert len(rows) == len(R_values)
+            assert len(calls) == 1
 
     def test_no_leak_across_digests_in_engine(self, monkeypatch):
         """One pipeline run per content digest: sibling R-jobs of one digest
@@ -645,9 +697,23 @@ class TestBisectionCompaction:
         ] + [random_special_form_instance(24, delta_K=3, constraint_rounds=2, seed=8)]
         return stack_compiled([inst.compiled() for inst in parts])
 
-    @pytest.mark.parametrize("r", [0, 1, 2])
-    def test_compaction_is_bitwise_neutral(self, r):
-        stacked = self._stacked()
+    @staticmethod
+    def _scale_heterogeneous():
+        """Cycles whose coefficient scales span orders of magnitude: small
+        instances converge early, so compaction drops their trees mid-search."""
+        parts = [
+            cycle_instance(60, coefficient_range=(0.5 * 3.0**j, 2.0 * 3.0**j), seed=j)
+            for j in range(4)
+        ]
+        return stack_compiled([inst.compiled() for inst in parts])
+
+    @pytest.mark.parametrize(
+        "r,build",
+        [pytest.param(r, "_stacked", id=str(r)) for r in (0, 1, 2)]
+        + [pytest.param(1, "_scale_heterogeneous", id="1-scale-heterogeneous")],
+    )
+    def test_compaction_is_bitwise_neutral(self, r, build):
+        stacked = getattr(self, build)()
         plain = batched_upper_bounds(stacked, r, compact=False)
         compacted = batched_upper_bounds(stacked, r, compact=True)
         assert np.array_equal(plain, compacted)

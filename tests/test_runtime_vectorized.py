@@ -29,7 +29,7 @@ from repro.exceptions import InvalidInstanceError, SimulationError
 from repro.oracle import distributed as oracle_dist
 from repro.generators import cycle_instance, random_special_form_instance
 
-from conftest import general_family, special_form_family
+from conftest import general_family, mid_size_special_form_family, special_form_family
 
 
 def _nondegenerate_general_family():
@@ -39,7 +39,9 @@ def _nondegenerate_general_family():
 class TestSafeBackendEquivalence:
     @pytest.mark.parametrize("variant", ["degree", "delta"])
     def test_centralized_backends_agree_exactly(self, variant):
-        for instance in special_form_family() + _nondegenerate_general_family():
+        for instance in (
+            special_form_family() + mid_size_special_form_family() + _nondegenerate_general_family()
+        ):
             ref = oracle.safe_solution(instance, variant=variant)
             vec = safe_solution(instance, variant=variant)
             for v in instance.agents:
@@ -111,7 +113,10 @@ class TestRuntimeEquivalence:
 
     @pytest.mark.parametrize("R", [2, 3, 4])
     def test_outputs_and_statistics_match_oracle(self, R):
-        for instance in special_form_family()[:4]:
+        instances = special_form_family()[:4]
+        if R == 2:
+            instances += mid_size_special_form_family()
+        for instance in instances:
             ref_solution, ref_run = oracle_dist.local_solve(instance, R)
             vec_solution, vec_run = DistributedLocalSolver(R=R).solve(instance)
             assert vec_run.rounds == ref_run.rounds == 12 * (R - 2) + 7
@@ -131,11 +136,13 @@ class TestRuntimeEquivalence:
                     assert distributed[v] == pytest.approx(central.solution[v], abs=1e-9)
 
     def test_vectorized_safe_statistics_match_oracle(self):
-        instance = cycle_instance(5)
-        _s, ref_run = oracle_dist.safe_solve(instance)
-        _s, vec_run = DistributedSafeSolver().solve(instance)
-        assert vec_run.total_messages == ref_run.total_messages == 2 * instance.num_constraints
-        assert [s.messages for s in vec_run.per_round] == [s.messages for s in ref_run.per_round]
+        for instance in [cycle_instance(5)] + mid_size_special_form_family():
+            _s, ref_run = oracle_dist.safe_solve(instance)
+            _s, vec_run = DistributedSafeSolver().solve(instance)
+            assert vec_run.total_messages == ref_run.total_messages == 2 * instance.num_constraints
+            assert [s.messages for s in vec_run.per_round] == [
+                s.messages for s in ref_run.per_round
+            ]
 
 
 class TestMissingOutputRegression:

@@ -475,6 +475,23 @@ class TestServerBasics:
                 assert status == 400 and payload["error"]["code"] == "bad_request"
                 assert "finite" in payload["error"]["message"]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e300], ids=["nan", "inf", "1e300"])
+    def test_unusable_deadline_is_a_bad_request(self, bad):
+        """A deadline no wait can use is refused before any rung runs, so
+        the shared breaker counts no failure and stays closed for others."""
+        (inst,) = make_instances(1)
+        config = ServeConfig(workers=2)
+        with ServerHandle(config) as handle:
+            client = handle.client(timeout_s=20)
+            for _ in range(config.breaker_failure_threshold):
+                status, payload = client.solve(instance=inst, deadline_s=bad)
+                assert status == 400 and payload["error"]["code"] == "bad_request"
+                assert "'deadline_s'" in payload["error"]["message"]
+            status, metrics = client.metrics()
+            assert metrics["breakers"]["local"]["consecutive_failures"] == 0
+            status, payload = client.solve(instance=inst)
+            assert status == 200 and not payload["degraded"]
+
     def test_drain_stops_serving(self):
         handle = ServerHandle(ServeConfig(workers=1))
         handle.start()
@@ -588,14 +605,12 @@ class TestUploads:
 class TestCoalescing:
     def test_coalesced_responses_bitwise_equal_solo(self):
         instances = make_instances(12, size=10)
-        config = ServeConfig(workers=4, coalesce_window_s=0.05, coalesce_max_batch=16)
+        config = ServeConfig(workers=4, coalesce_window_s=0.05)
         with ServerHandle(config) as handle:
             client = handle.client(timeout_s=30)
             solo = {}
             for inst in instances:
-                status, payload = client.solve(
-                    instance=inst, include_values=True, coalesce=False
-                )
+                status, payload = client.solve(instance=inst, include_values=True)
                 assert status == 200 and not payload["coalesced"]
                 solo[payload["digest"]] = payload["result"]
 
@@ -623,6 +638,13 @@ class TestCoalescing:
             status, metrics = client.metrics()
             assert metrics["counters"].get("serve.coalesced_batches", 0) >= 1
             assert metrics["counters"].get("serve.coalesced_requests", 0) >= 2
+
+    def test_coalesce_field_is_ignored(self):
+        """Serve reads no ``coalesce`` field, so any value of it is fine."""
+        (inst,) = make_instances(1)
+        with ServerHandle(ServeConfig(workers=1)) as handle:
+            status, payload = handle.client(timeout_s=20).solve(instance=inst, coalesce="x")
+            assert status == 200 and not payload["degraded"]
 
     def test_lone_solve_skips_the_window(self):
         (inst,) = make_instances(1)
@@ -909,6 +931,22 @@ class TestServeCLI:
         assert config.default_deadline_s == 5.5
         assert config.coalesce_window_s == pytest.approx(0.004)
         assert config.registry_capacity == 9
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "1e300", "0", "-1"])
+    def test_serve_rejects_unusable_deadline(self, bad):
+        """No config comes out: argparse or the CLI check refuses it."""
+        from repro.cli import _CliError, _serve_config_from_args, build_parser
+
+        try:
+            config = _serve_config_from_args(
+                build_parser().parse_args(["serve", "--deadline-s", bad])
+            )
+        except SystemExit as exc:
+            assert exc.code == 2
+        except _CliError as exc:
+            assert "--deadline-s" in str(exc)
+        else:
+            pytest.fail(f"--deadline-s {bad} built {config}")
 
     def test_serve_rejects_bad_flags(self, capsys):
         from repro.cli import main

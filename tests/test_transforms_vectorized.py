@@ -102,6 +102,7 @@ def clean_cases():
         torus_instance(4, 4, coefficient_range=(0.5, 2.0), seed=17),
         cycle_instance(9, coefficient_range=(0.5, 2.0), seed=2),  # already special form
         objective_ring_instance(4, 3),
+        random_instance(80, delta_I=3, delta_K=3, extra_constraints=4, extra_objectives=4, seed=0),
     ]
     cases = []
     for instance in raw:
@@ -377,6 +378,7 @@ class TestSolverIntegration:
             cycle_instance(8),
             cycle_instance(9, coefficient_range=(0.5, 2.0), seed=3),
             objective_ring_instance(5, 3),
+            cycle_instance(40, coefficient_range=(0.5, 2.0), seed=0),
         ]
         solver = SpecialFormLocalSolver(R=3)
         batch = solver.solve_batch(instances)
