@@ -26,6 +26,7 @@ from ..core.solution import Solution
 from ..transforms.base import TransformResult
 from ..transforms.pipeline import to_special_form
 from .certificates import Certificate
+from .kernels import DEFAULT_BISECTION_TOL
 from .local_solver import SpecialFormLocalSolver, SpecialFormSolveResult, special_form_ratio
 
 __all__ = ["GeneralSolveResult", "LocalMaxMinSolver", "theorem1_ratio"]
@@ -141,7 +142,7 @@ class LocalMaxMinSolver:
         self,
         R: int = 3,
         *,
-        tu_tol: float = 1e-10,
+        tu_tol: float = DEFAULT_BISECTION_TOL,
     ) -> None:
         self.R = R
         self.inner = SpecialFormLocalSolver(R, tu_tol=tu_tol)

@@ -10,14 +10,12 @@ int-indexed CSR arrays of a :class:`~repro.core.compiled.CompiledInstance`:
 * :func:`build_batched_trees` constructs *all* alternating trees ``A_u``
   simultaneously as flat per-level arrays (the frontier expansion is a
   vectorized gather, not an object BFS);
-* :func:`batched_upper_bounds` deduplicates structurally identical trees by
-  canonical signature (symmetric families — cycles, grids, regular graphs —
-  collapse to a handful of distinct trees), with hashes and whole-batch
-  element-wise comparisons instead of per-tree loops, and finds ``t_u`` for
-  all distinct trees at once: a safeguarded bracketed search (secant and
-  chord steps on the concave, piecewise-linear recursion margin, midpoint
-  fallback) with per-tree numpy brackets, one level-ordered ``f±`` sweep
-  per iteration, in about half the sweeps of a bisection;
+* :func:`batched_upper_bounds` finds ``t_u`` for every tree at once, as
+  §5.2 has each agent compute it from its own tree: a safeguarded bracketed
+  search (secant and chord steps on the concave, piecewise-linear recursion
+  margin, midpoint fallback) with per-tree numpy brackets, one
+  level-ordered ``f±`` sweep per iteration, in about half the sweeps of a
+  bisection;
 * :func:`smooth_bounds_kernel` replaces the ``n`` per-agent BFS calls with
   ``2r + 1`` rounds of synchronous neighbour-min propagation over the
   agent-level adjacency (one round per *pair* of communication-graph edges,
@@ -28,7 +26,8 @@ int-indexed CSR arrays of a :class:`~repro.core.compiled.CompiledInstance`:
 
 Floating-point parity: every segmented reduction runs in the same canonical
 adjacency order as the oracle's Python loops.  Both ``t_u`` searches return a
-feasible ``ω`` within ``tol`` (1e-10) of the same maximum, so the two agree
+feasible ``ω`` within ``tol`` (:data:`DEFAULT_BISECTION_TOL`, defined here
+for both) of the same maximum, so the two agree
 to within that tolerance (the equivalence property tests in
 ``tests/test_kernels.py`` pin this at 1e-9).
 
@@ -47,9 +46,10 @@ import numpy as np
 from .. import obs
 from ..core.compiled import CompiledInstance, _segment_gather
 from ..exceptions import SolverError
-from .upper_bound import DEFAULT_BISECTION_TOL, MAX_BISECTION_ITERATIONS
 
 __all__ = [
+    "DEFAULT_BISECTION_TOL",
+    "MAX_BISECTION_ITERATIONS",
     "MAX_TREE_NODES",
     "BatchedTrees",
     "agent_hop_balls",
@@ -62,6 +62,15 @@ __all__ = [
     "output_kernel",
     "safe_fallback_confined",
 ]
+
+#: Default final bracket width of every ``t_u`` search: this module's
+#: bracketed search and the oracles' bisections.
+DEFAULT_BISECTION_TOL = 1e-10
+
+#: Hard cap on ``t_u`` search iterations — ``f±`` sweeps here, per-tree
+#: bisection steps in the oracles (2^-60 relative precision is far below
+#: every other tolerance in the library).
+MAX_BISECTION_ITERATIONS = 200
 
 #: Most tree nodes one :func:`build_batched_trees` call may hold, summed over
 #: every level of every tree in the build (a stacked batch is one build).  A
@@ -135,43 +144,6 @@ class BatchedTrees:
 
     def total_nodes(self) -> int:
         return sum(len(level.nodes) for level in self.levels)
-
-    # ------------------------------------------------------------------
-    def signatures(self) -> List[bytes]:
-        """Canonical per-tree structure signature — the definition of dedup.
-
-        Two trees with equal signatures have identical child structure, edge
-        coefficients and node capacities at every level, hence identical
-        ``f±`` recursions and identical ``t_u``.  Node *identities* are
-        deliberately excluded: a cycle's ``n`` rotationally equivalent trees
-        all collapse to one signature.  One Python loop per tree: the solver
-        partitions trees with the vectorized :func:`_dedup_groups`, and the
-        tests check that partition against this one.
-        """
-        capacity = self.comp.capacity
-        per_level_parts: List[List[np.ndarray]] = []
-        for level in self.levels:
-            parts = [capacity[level.nodes]]
-            if level.child_indptr is not None:
-                parts.append(np.diff(level.child_indptr))
-            if level.a_self is not None:
-                parts.append(level.a_self)
-                parts.append(level.a_partner)
-            per_level_parts.append(parts)
-        sigs: List[bytes] = []
-        for t in range(self.num_trees):
-            chunks = []
-            for level, parts in zip(self.levels, per_level_parts):
-                lo, hi = level.root_indptr[t], level.root_indptr[t + 1]
-                for arr in parts:
-                    payload = arr[lo:hi].tobytes()
-                    # Length-prefix each chunk: raw float bytes may contain
-                    # any separator byte, so framing is what keeps the
-                    # encoding injective across different level shapes.
-                    chunks.append(len(payload).to_bytes(8, "little"))
-                    chunks.append(payload)
-            sigs.append(b"".join(chunks))
-        return sigs
 
     def select(self, tree_indices: np.ndarray) -> "BatchedTrees":
         """A new :class:`BatchedTrees` restricted to the given trees."""
@@ -320,13 +292,7 @@ _COMPACT_FRACTION = 0.5
 _COMPACT_MIN_DROP = 16
 
 
-def _bracketed_search(
-    bt: BatchedTrees,
-    tol: float,
-    max_iterations: int,
-    *,
-    compact: bool = True,
-) -> np.ndarray:
+def _bracketed_search(bt: BatchedTrees, tol: float) -> np.ndarray:
     """``t_u`` for every tree in the batch via a safeguarded bracketed search.
 
     ``t_u`` is the largest ``ω`` with a nonnegative :func:`_recursion_margins`
@@ -353,9 +319,8 @@ def _bracketed_search(
 
     One ``f±`` sweep per iteration serves all trees.  Each tree's trajectory
     reads only its own margins, so its ``t`` is bitwise identical whatever
-    batch it runs in; with ``compact=True`` (default) the working set
-    shrinks mid-run (see :data:`_COMPACT_FRACTION`) without changing any
-    ``t``.
+    batch it runs in, and the working set shrinks mid-run (see
+    :data:`_COMPACT_FRACTION`) without changing any ``t``.
     """
     comp = bt.comp
     T = bt.num_trees
@@ -403,15 +368,14 @@ def _bracketed_search(
     iterations = 0
     tree_iterations = 0
     compactions = 0
-    while iterations < max_iterations:
+    while iterations < MAX_BISECTION_ITERATIONS:
         width = hi - lo
         active &= width > tol
         n_active = int(active.sum())
         if n_active == 0:
             break
         if (
-            compact
-            and len(active) - n_active >= _COMPACT_MIN_DROP
+            len(active) - n_active >= _COMPACT_MIN_DROP
             and n_active <= _COMPACT_FRACTION * len(active)
         ):
             lo_full[origin] = lo
@@ -465,165 +429,23 @@ def batched_upper_bounds(
     r: int,
     *,
     tol: float = DEFAULT_BISECTION_TOL,
-    max_iterations: int = MAX_BISECTION_ITERATIONS,
     targets: Optional[np.ndarray] = None,
-    deduplicate: bool = True,
-    compact: bool = True,
 ) -> np.ndarray:
     """``t_u`` per agent (positions ``targets``, default all) — batched.
 
-    Builds all alternating trees at once, groups them by canonical signature
-    (:func:`_dedup_groups`) and computes one ``t_u`` per *distinct* tree with
-    the simultaneous bracketed search.  ``tol`` is the width of the final
-    ``t_u`` bracket and ``max_iterations`` caps the sweeps; ``compact``
-    enables mid-search active-set compaction (bitwise-neutral; see
-    :func:`_bracketed_search`).
+    Builds the alternating trees of all targets at once and runs the
+    simultaneous bracketed search over every one of them; ``tol`` is the
+    width of the final ``t_u`` bracket.  Each tree's search reads only its
+    own margins, so equal trees get bitwise-equal ``t_u`` wherever they
+    occur, by determinism rather than by sharing one search.
     """
-    bt = build_batched_trees(comp, r, targets)
+    with obs.span("kernels.build_trees"):
+        bt = build_batched_trees(comp, r, targets)
     if bt.num_trees == 0:
         return np.zeros(0, dtype=np.float64)
-
-    if deduplicate:
-        rep_idx, group_of = _dedup_groups(bt)
-    else:
-        rep_idx = np.arange(bt.num_trees, dtype=np.int64)
-        group_of = rep_idx
     obs.count("kernels.trees_total", bt.num_trees)
-    obs.count("kernels.trees_distinct", len(rep_idx))
-    obs.count("kernels.dedup_hits", bt.num_trees - len(rep_idx))
-
-    rep_bt = bt.select(rep_idx) if len(rep_idx) < bt.num_trees else bt
-    rep_t = _bracketed_search(rep_bt, tol, max_iterations, compact=compact)
-    return rep_t[group_of]
-
-
-def _dedup_groups(bt: BatchedTrees) -> Tuple[np.ndarray, np.ndarray]:
-    """``(representatives, group_of)`` for the canonical-signature dedup.
-
-    Exactly the partition of grouping by :meth:`BatchedTrees.signatures`,
-    with the first tree of each class as its representative and groups
-    numbered in order of first appearance — computed without a per-tree
-    Python loop.  Every tree gets a 64-bit hash of its whole content
-    (:func:`_content_hashes`; equal signature ⇒ equal hash); when every
-    hash is unique — the common case for coefficient-perturbed families —
-    that alone is the partition.  Otherwise every member of a hash class is
-    compared element-wise against the class's first tree (:func:`_same_trees`)
-    and the members that differ are re-seeded: split into new classes by
-    the content hash under a fresh seed, then compared again, until every
-    class agrees with its first tree.  A hash collision between different
-    trees therefore only costs a comparison round; it can never merge them.
-    """
-    T = bt.num_trees
-    _, classes, counts = np.unique(_content_hashes(bt, 0), return_inverse=True, return_counts=True)
-    if int(counts.max()) == 1:
-        rep_idx = np.arange(T, dtype=np.int64)
-        return rep_idx, rep_idx
-
-    # ``pending``: trees not yet verified against their class's first tree.
-    # A tree that matched keeps its class and that class keeps its first
-    # tree, so each round re-checks only the trees the last one re-seeded.
-    # Each round settles at least the first tree's class of every class it
-    # splits, so the loop ends even if a re-seed hash collides again.
-    classes = classes.reshape(-1)
-    pending = np.arange(T, dtype=np.int64)
-    seed = 0
-    while True:
-        labels, first, classes = np.unique(classes, return_index=True, return_inverse=True)
-        classes = classes.reshape(-1)
-        ref = first[classes]
-        members = pending[ref[pending] != pending]
-        pending = members[~_same_trees(bt, members, ref[members])]
-        if len(pending) == 0:
-            break
-        seed += 1
-        rehash = _mix64(_content_hashes(bt.select(pending), seed) ^ classes[pending].astype(np.uint64))
-        _, split = np.unique(rehash, return_inverse=True)
-        classes[pending] = len(labels) + split.reshape(-1)
-    rep_idx = np.flatnonzero(ref == np.arange(T))
-    return rep_idx, np.searchsorted(rep_idx, ref)
-
-
-_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_2 = np.uint64(0x94D049BB133111EB)
-
-
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """splitmix64's finalizer on a ``uint64`` array (bijective, wraparound intended)."""
-    z = z ^ (z >> np.uint64(30))
-    z *= _MIX_1
-    z ^= z >> np.uint64(27)
-    z *= _MIX_2
-    z ^= z >> np.uint64(31)
-    return z
-
-
-def _content_hashes(bt: BatchedTrees, seed: int) -> np.ndarray:
-    """A seeded 64-bit hash per tree of everything
-    :meth:`BatchedTrees.signatures` encodes.
-
-    Per level, each node's capacity, position in its tree's block, child
-    count and edge coefficients are folded into one word with odd
-    multipliers drawn from ``seed``, mixed, and summed per tree; each
-    level's sums and node counts are then mixed into the tree's hash.  The
-    position term makes trees that hold the same values in a different
-    arrangement hash apart; a new seed changes every multiplier.
-    """
-    mult = _mix64(np.arange(5 * seed + 1, 5 * seed + 6, dtype=np.uint64)) | np.uint64(1)
-    capacity_bits = bt.comp.capacity.view(np.uint64)
-    T = bt.num_trees
-    hashes = np.zeros(T, dtype=np.uint64)
-    for level in bt.levels:
-        starts = level.root_indptr[:-1]
-        counts = level.root_counts
-        position = np.arange(len(level.nodes), dtype=np.int64) - starts[level.tree_of_node]
-        node = capacity_bits[level.nodes] * mult[0]
-        node += position.view(np.uint64)
-        if level.child_indptr is not None:
-            node *= mult[1]
-            node += np.diff(level.child_indptr).view(np.uint64)
-        if level.a_self is not None:
-            node *= mult[2]
-            node += level.a_self.view(np.uint64)
-            node *= mult[3]
-            node += level.a_partner.view(np.uint64)
-        sums = np.zeros(T, dtype=np.uint64)
-        nonempty = counts > 0
-        if len(node):
-            sums[nonempty] = np.add.reduceat(_mix64(node), starts[nonempty])
-        hashes = _mix64(hashes ^ sums ^ (counts.astype(np.uint64) * mult[4]))
-    return hashes
-
-
-def _same_trees(bt: BatchedTrees, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per pair ``(a[j], b[j])`` with ``b[j] < a[j]``: equal signatures?
-
-    Compares, level by level, what :meth:`BatchedTrees.signatures` encodes —
-    capacities, child counts and both edge-coefficient arrays — bit for bit,
-    as whole-batch gathers over ``a``'s node counts.  The node counts need
-    no check of their own: every tree has one root, and equal child counts
-    on one level give equal node counts on the next, so a pair whose counts
-    differ somewhere already differs in the child counts above.  Reading
-    ``b``'s nodes with ``a``'s counts stays in bounds because ``b`` precedes
-    ``a``.
-    """
-    same = np.ones(len(a), dtype=bool)
-    capacity_bits = bt.comp.capacity.view(np.int64)
-    owner_ids = np.arange(len(a), dtype=np.int64)
-    for level in bt.levels:
-        counts = level.root_counts[a]
-        starts = level.root_indptr[:-1]
-        ia = _segment_gather(starts[a], counts)
-        ib = _segment_gather(starts[b], counts)
-        differs = capacity_bits[level.nodes[ia]] != capacity_bits[level.nodes[ib]]
-        if level.child_indptr is not None:
-            child_counts = np.diff(level.child_indptr)
-            differs |= child_counts[ia] != child_counts[ib]
-        if level.a_self is not None:
-            for coeff in (level.a_self.view(np.int64), level.a_partner.view(np.int64)):
-                differs |= coeff[ia] != coeff[ib]
-        owner = np.repeat(owner_ids, counts)
-        same[np.bincount(owner[differs], minlength=len(a)) > 0] = False
-    return same
+    with obs.span("kernels.tu_search"):
+        return _bracketed_search(bt, tol)
 
 
 def smooth_bounds_kernel(comp: CompiledInstance, t: np.ndarray, r: int) -> np.ndarray:

@@ -42,7 +42,7 @@ from ..core.instance import MaxMinInstance
 from ..core.solution import Solution
 from ..core.validation import require_special_form
 from ..exceptions import InvalidInstanceError
-from .upper_bound import DEFAULT_BISECTION_TOL
+from .kernels import DEFAULT_BISECTION_TOL
 
 __all__ = [
     "GRecursionValues",
@@ -267,11 +267,10 @@ class SpecialFormLocalSolver:
         :class:`~repro.core.compiled.CompiledBatch` (offset-shifted indices)
         and the whole §5 pipeline — tree construction, the ``t_u`` search,
         smoothing, the ``g±`` recursion and Eq. 18 — runs once over the
-        stack, amortising kernel launches over the batch.  Tree
-        deduplication spans the batch, so structurally identical trees of
-        *different* instances share one search.  Every kernel reduces over
-        per-agent segments that never cross block boundaries, so each
-        instance's outputs are bitwise identical to a solo solve.  A batch of
+        stack, amortising kernel launches over the batch.  Every kernel
+        reduces over per-agent (and, in the ``t_u`` search, per-tree)
+        segments that never cross block boundaries, so each instance's
+        outputs are bitwise identical to a solo solve.  A batch of
         one runs on the instance's own compiled view.
         """
         instances = list(instances)

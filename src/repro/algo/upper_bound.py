@@ -15,7 +15,8 @@ These per-tree functions are the oracle (:func:`repro.oracle.special_form_solve`
 and it still bisects.  The solver's batched kernel
 (:func:`repro.algo.kernels.batched_upper_bounds`) finds the same ``t_u``
 with a bracketed secant search in about half the ``f±`` evaluations; both
-stop at a feasible ``ω`` within ``tol`` of the maximum.
+stop at a feasible ``ω`` within ``tol`` of the maximum, and both read their
+default ``tol`` and iteration cap from :mod:`repro.algo.kernels`.
 
 ``s_v`` (Eq. before 12) is the minimum of ``t_u`` over all agents ``u``
 within graph distance ``4r + 2`` of ``v`` — the *smoothing* step that makes
@@ -33,6 +34,7 @@ from ..core.instance import MaxMinInstance
 from ..core.lp import solve_maxmin_lp
 from ..exceptions import SolverError
 from .alternating_tree import AlternatingTree, build_alternating_tree
+from .kernels import DEFAULT_BISECTION_TOL, MAX_BISECTION_ITERATIONS
 from .tree_recursion import recursion_feasible
 
 __all__ = [
@@ -42,14 +44,6 @@ __all__ = [
     "compute_upper_bounds",
     "smooth_upper_bounds",
 ]
-
-#: Default absolute tolerance of the binary search for ``t_u``.
-DEFAULT_BISECTION_TOL = 1e-10
-
-#: Hard cap on search iterations — per-tree bisection steps here, ``f±``
-#: sweeps in the batched kernel (2^-60 relative precision is far below every
-#: other tolerance in the library).
-MAX_BISECTION_ITERATIONS = 200
 
 
 def _search_upper_limit(tree: AlternatingTree) -> float:

@@ -30,6 +30,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ..algo.kernels import DEFAULT_BISECTION_TOL
 from ..core.instance import MaxMinInstance
 from ..core.solution import Solution
 from ..core.validation import require_special_form
@@ -81,7 +82,7 @@ class VectorizedMaxMinProtocol(VectorizedProtocol):
     within the same tolerance.
     """
 
-    def __init__(self, schedule: PhaseSchedule, tu_tol: float = 1e-10) -> None:
+    def __init__(self, schedule: PhaseSchedule, tu_tol: float = DEFAULT_BISECTION_TOL) -> None:
         self.schedule = schedule
         self.tu_tol = tu_tol
 
@@ -284,7 +285,7 @@ class DistributedLocalSolver:
     plane.
     """
 
-    def __init__(self, R: int = 3, *, tu_tol: float = 1e-10) -> None:
+    def __init__(self, R: int = 3, *, tu_tol: float = DEFAULT_BISECTION_TOL) -> None:
         self.schedule = PhaseSchedule(R)
         self.tu_tol = tu_tol
 

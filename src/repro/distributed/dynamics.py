@@ -26,6 +26,7 @@ import numpy as np
 
 from .. import obs
 from .._types import GraphNode, NodeId, agent_node
+from ..algo.kernels import DEFAULT_BISECTION_TOL
 from ..core.compiled import CompiledDelta, DeltaResult
 from ..core.instance import MaxMinInstance
 from ..core.solution import Solution
@@ -333,15 +334,13 @@ class DynamicNetwork:
         instance: MaxMinInstance,
         R: int = 3,
         *,
-        tu_tol: Optional[float] = None,
+        tu_tol: float = DEFAULT_BISECTION_TOL,
         verify: bool = False,
         horizon: Optional[int] = None,
     ) -> None:
-        from ..algo.local_solver import DEFAULT_BISECTION_TOL, IncrementalSolveState, SpecialFormLocalSolver
+        from ..algo.local_solver import IncrementalSolveState, SpecialFormLocalSolver
 
-        self.solver = SpecialFormLocalSolver(
-            R, tu_tol=DEFAULT_BISECTION_TOL if tu_tol is None else tu_tol
-        )
+        self.solver = SpecialFormLocalSolver(R, tu_tol=tu_tol)
         self.state = IncrementalSolveState(self.solver, instance)
         self.verify = verify
         self.horizon = local_horizon_radius(R) if horizon is None else int(horizon)

@@ -52,6 +52,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple, Union
 import numpy as np
 
 from .. import obs
+from ..algo.kernels import DEFAULT_BISECTION_TOL
 from ..core.instance import MaxMinInstance
 from ..core.solution import Solution
 from ..core.validation import require_nondegenerate, require_special_form
@@ -389,7 +390,7 @@ class ResilientLocalSolver:
         self,
         R: int = 3,
         *,
-        tu_tol: float = 1e-10,
+        tu_tol: float = DEFAULT_BISECTION_TOL,
         retransmit_budget: int = 2,
         faults: Optional[Union[FaultPlan, FaultInjector]] = None,
     ) -> None:

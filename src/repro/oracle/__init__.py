@@ -46,9 +46,10 @@ import numpy as np
 
 from .. import obs
 from .._types import DEFAULT_FEASIBILITY_TOL, NodeId
+from ..algo.kernels import DEFAULT_BISECTION_TOL
 from ..algo.local_solver import GRecursionValues, SpecialFormSolveResult, special_form_ratio
 from ..algo.safe_algorithm import _check_variant
-from ..algo.upper_bound import DEFAULT_BISECTION_TOL, compute_upper_bounds, smooth_upper_bounds
+from ..algo.upper_bound import compute_upper_bounds, smooth_upper_bounds
 from ..core.instance import MaxMinInstance
 from ..core.preprocess import PreprocessResult, _FixedPoint, _result_from_fixed_point
 from ..core.solution import FeasibilityReport, Solution

@@ -35,6 +35,7 @@ import numpy as np
 
 from .. import obs
 from .._types import GraphNode, NodeType
+from ..algo.kernels import DEFAULT_BISECTION_TOL, MAX_BISECTION_ITERATIONS
 from ..analysis.views import CommunicationNetwork, LocalInput, ViewTree, build_network
 from ..core.instance import MaxMinInstance
 from ..core.solution import Solution
@@ -285,7 +286,13 @@ class _ViewFloodingMixin:
 class MaxMinAgentNode(ProtocolNode, _ViewFloodingMixin):
     """Protocol behaviour of an agent ``v`` (produces the output ``x_v``)."""
 
-    def __init__(self, graph_node, local_input: LocalInput, schedule: PhaseSchedule, tu_tol: float = 1e-10) -> None:
+    def __init__(
+        self,
+        graph_node,
+        local_input: LocalInput,
+        schedule: PhaseSchedule,
+        tu_tol: float = DEFAULT_BISECTION_TOL,
+    ) -> None:
         super().__init__(graph_node, local_input)
         self.schedule = schedule
         self.tu_tol = tu_tol
@@ -476,7 +483,7 @@ class MaxMinObjectiveNode(ProtocolNode, _ViewFloodingMixin):
         return {}
 
 
-def maxmin_node_factory(schedule: PhaseSchedule, tu_tol: float = 1e-10):
+def maxmin_node_factory(schedule: PhaseSchedule, tu_tol: float = DEFAULT_BISECTION_TOL):
     """The node factory of the §5 protocol for :func:`run`."""
 
     def factory(network: CommunicationNetwork, graph_node) -> ProtocolNode:
@@ -650,8 +657,7 @@ def view_search_upper_limit(root_view: ViewTree) -> float:
 def view_tree_optimum(
     root_view: ViewTree,
     r: int,
-    tol: float = 1e-10,
-    max_iterations: int = 200,
+    tol: float = DEFAULT_BISECTION_TOL,
 ) -> float:
     """``t_u`` by binary search on the view (the paper's practical variant)."""
     hi = view_search_upper_limit(root_view)
@@ -661,7 +667,7 @@ def view_tree_optimum(
         return hi
     lo = 0.0
     iterations = 0
-    while hi - lo > tol and iterations < max_iterations:
+    while hi - lo > tol and iterations < MAX_BISECTION_ITERATIONS:
         mid = 0.5 * (lo + hi)
         if view_feasible_omega(root_view, mid, r):
             lo = mid
@@ -675,7 +681,7 @@ def view_tree_optimum(
 # Both protocols end to end.
 # ----------------------------------------------------------------------
 def local_solve(
-    instance: MaxMinInstance, R: int = 3, *, tu_tol: float = 1e-10
+    instance: MaxMinInstance, R: int = 3, *, tu_tol: float = DEFAULT_BISECTION_TOL
 ) -> Tuple[Solution, NodeRunResult]:
     """The §5 protocol on the per-node runtime."""
     require_special_form(instance)

@@ -12,9 +12,7 @@ production path.
 
 from __future__ import annotations
 
-import contextlib
 import re
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +21,7 @@ from hypothesis import strategies as st
 
 import repro.algo.kernels as kernels_mod
 from repro.algo.kernels import (
-    _dedup_groups,
+    DEFAULT_BISECTION_TOL,
     _recursion_margins,
     batched_upper_bounds,
     build_batched_trees,
@@ -33,14 +31,17 @@ from repro.algo.kernels import (
 )
 from repro import obs, oracle
 from repro.algo.local_solver import SpecialFormLocalSolver
-from repro.algo.upper_bound import DEFAULT_BISECTION_TOL, compute_upper_bounds, smooth_upper_bounds
+from repro.algo.upper_bound import compute_upper_bounds, smooth_upper_bounds
 from repro.core.builder import InstanceBuilder
 from repro.core.compiled import stack_compiled
 from repro.core.preprocess import preprocess
+from repro.distributed.dynamics import local_horizon_radius, measure_change_impact
 from repro.exceptions import NotSpecialFormError, SolverError
 from repro.generators import (
     cycle_instance,
+    indistinguishable_cycle_pair,
     objective_ring_instance,
+    perturb_coefficient,
     random_instance,
     random_special_form_instance,
     regular_special_form_instance,
@@ -76,56 +77,50 @@ CASES = special_form_cases()
 CASE_IDS = [case_id for case_id, _ in CASES]
 
 
-def signature_partition(bt):
-    """``(representatives, group_of)`` by grouping :meth:`signatures` in a loop."""
-    first = {}
-    representatives = []
-    group_of = np.empty(bt.num_trees, dtype=np.int64)
-    for t, sig in enumerate(bt.signatures()):
-        g = first.setdefault(sig, len(representatives))
-        if g == len(representatives):
-            representatives.append(t)
-        group_of[t] = g
-    return np.asarray(representatives, dtype=np.int64), group_of
+def tree_signatures(bt):
+    """Per tree, its content as bytes: capacities, child counts and both edge
+    coefficient arrays of every level, each chunk length-prefixed.
 
-
-def assert_same_partition(bt, *, collide=False, weak_reseed=False):
-    """``collide=True`` hashes every tree alike in the first round, so only
-    the element-wise comparison and re-seeding separate the classes;
-    ``weak_reseed=True`` also makes every re-seed hash collide, so each
-    round can only split off the class of each group's first tree."""
-    content_hashes = kernels_mod._content_hashes
-
-    def colliding_hashes(bt, seed):
-        if seed == 0 or weak_reseed:
-            return np.zeros(bt.num_trees, dtype=np.uint64)
-        return content_hashes(bt, seed)
-
-    patch = mock.patch.object(kernels_mod, "_content_hashes", colliding_hashes)
-    with patch if collide else contextlib.nullcontext():
-        reps, group_of = _dedup_groups(bt)
-    expected_reps, expected_group_of = signature_partition(bt)
-    assert np.array_equal(reps, expected_reps)
-    assert np.array_equal(group_of, expected_group_of)
-
-
-def arrangement_blind_classes(bt):
-    """Number of classes of :meth:`signatures` with each level's arrays
-    sorted per tree — what a hash of per-level sums or multisets could tell
-    apart at best."""
-    keys = set()
+    Trees with equal signatures have identical ``f±`` recursions, hence
+    the same ``t_u``.  Node identities are left out, so a cycle's ``n``
+    rotated trees share one signature.
+    """
+    capacity = bt.comp.capacity
+    per_level_parts = []
+    for level in bt.levels:
+        parts = [capacity[level.nodes]]
+        if level.child_indptr is not None:
+            parts.append(np.diff(level.child_indptr))
+        if level.a_self is not None:
+            parts += [level.a_self, level.a_partner]
+        per_level_parts.append(parts)
+    signatures = []
     for t in range(bt.num_trees):
-        key = []
-        for level in bt.levels:
+        chunks = []
+        for level, parts in zip(bt.levels, per_level_parts):
             lo, hi = level.root_indptr[t], level.root_indptr[t + 1]
-            key.append(np.sort(bt.comp.capacity[level.nodes[lo:hi]]).tobytes())
-            if level.child_indptr is not None:
-                key.append(np.sort(np.diff(level.child_indptr)[lo:hi]).tobytes())
-            if level.a_self is not None:
-                key.append(np.sort(level.a_self[lo:hi]).tobytes())
-                key.append(np.sort(level.a_partner[lo:hi]).tobytes())
-        keys.add(tuple(key))
-    return len(keys)
+            for arr in parts:
+                payload = arr[lo:hi].tobytes()
+                # Raw float bytes may hold any separator byte: the length
+                # prefix keeps the encoding injective across level shapes.
+                chunks += [len(payload).to_bytes(8, "little"), payload]
+        signatures.append(b"".join(chunks))
+    return signatures
+
+
+def assert_equal_trees_get_equal_bits(comp, r, targets=None):
+    """Every class of equal trees gets one ``t_u`` bit pattern; returns the
+    number of trees that share their class with an earlier tree."""
+    bt = build_batched_trees(comp, r, targets)
+    t = batched_upper_bounds(comp, r, targets=targets)
+    first = {}
+    repeats = 0
+    for tree, signature in enumerate(tree_signatures(bt)):
+        ref = first.setdefault(signature, tree)
+        if ref != tree:
+            repeats += 1
+            assert t[tree].tobytes() == t[ref].tobytes(), (tree, ref)
+    return repeats
 
 
 def search_upper_limits(bt):
@@ -141,9 +136,8 @@ def search_upper_limits(bt):
 def special_form_instances_with_repeats(draw, max_pairs: int = 8):
     """Cycles with chords whose coefficients come from a 3-value set.
 
-    Few coefficient values make many trees equal, so hash classes hold
-    several trees; run with a constant hash, every example with more than
-    one class also goes through the compare-and-re-seed path.
+    Few coefficient values make many trees equal, and equal trees must
+    get bitwise-equal ``t_u``.
     """
     pairs = draw(st.integers(min_value=2, max_value=max_pairs))
     n = 2 * pairs
@@ -239,73 +233,6 @@ class TestBackendEquivalence:
                 assert vec.g.plus(v, d) == pytest.approx(ref.g.plus(v, d), abs=TOL)
                 assert vec.g.minus(v, d) == pytest.approx(ref.g.minus(v, d), abs=TOL)
 
-    def test_dedup_and_no_dedup_agree(self):
-        """Signature deduplication must not change any t_u."""
-        instance = cycle_instance(10, coefficient_range=(0.5, 2.0), seed=21)
-        comp = instance.compiled()
-        with_dedup = batched_upper_bounds(comp, 1, deduplicate=True)
-        without = batched_upper_bounds(comp, 1, deduplicate=False)
-        np.testing.assert_allclose(with_dedup, without, atol=0.0)
-
-
-class TestDedupPartition:
-    """``_dedup_groups`` is exactly the partition of grouping by signature:
-    same classes, same representatives (first tree of each class), same
-    ``group_of``."""
-
-    @pytest.mark.parametrize("case_id,instance", CASES, ids=CASE_IDS)
-    @pytest.mark.parametrize("R", [2, 3, 5])
-    def test_families(self, case_id, instance, R):
-        assert_same_partition(build_batched_trees(instance.compiled(), R - 2))
-
-    @settings(
-        max_examples=40,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-    )
-    @given(special_form_instances_with_repeats(), st.integers(min_value=0, max_value=2))
-    def test_hypothesis_instances(self, instance, r):
-        bt = build_batched_trees(instance.compiled(), r)
-        assert_same_partition(bt)
-        assert_same_partition(bt, collide=True)
-        assert_same_partition(bt, collide=True, weak_reseed=True)
-
-    @pytest.mark.parametrize("r", [0, 1, 2])
-    def test_stacked_batch(self, r):
-        assert_same_partition(build_batched_trees(stacked_cases(), r))
-
-    @pytest.mark.parametrize("r", [0, 1])
-    def test_targets_subset(self, r):
-        comp = stacked_cases()
-        targets = np.arange(0, comp.num_agents, 3, dtype=np.int64)[::-1].copy()
-        assert_same_partition(build_batched_trees(comp, r, targets))
-
-    @pytest.mark.parametrize("r", [1, 2])
-    def test_hash_sees_arrangement(self, r):
-        """Unit coefficients and mixed degrees give distinct trees that hold
-        the same values per level in a different arrangement; the content
-        hash tells them apart, so the first round is already the partition
-        and nothing is re-seeded."""
-        instance = random_special_form_instance(
-            60, delta_K=3, constraint_rounds=2, coefficient_range=(1.0, 1.0), seed=0
-        )
-        bt = build_batched_trees(instance.compiled(), r)
-        distinct = len(signature_partition(bt)[0])
-        assert arrangement_blind_classes(bt) < distinct
-        assert len(np.unique(kernels_mod._content_hashes(bt, 0))) == distinct
-        with mock.patch.object(
-            kernels_mod, "_content_hashes", wraps=kernels_mod._content_hashes
-        ) as hashes:
-            assert_same_partition(bt)
-        assert hashes.call_count == 1
-
-    @pytest.mark.parametrize("r", [0, 1, 2])
-    @pytest.mark.parametrize("weak_reseed", [False, True])
-    def test_forced_hash_collisions(self, r, weak_reseed):
-        bt = build_batched_trees(stacked_cases(), r)
-        assert len(signature_partition(bt)[0]) > 2
-        assert_same_partition(bt, collide=True, weak_reseed=weak_reseed)
-
 
 class TestBracketedSearch:
     """The ``t_u`` search contract: a feasible ``ω`` within ``tol`` of the
@@ -335,12 +262,87 @@ class TestBracketedSearch:
         assert np.array_equal(in_stack, full)
         monkeypatch.setattr(kernels_mod, "_COMPACT_MIN_DROP", 1)
         monkeypatch.setattr(kernels_mod, "_COMPACT_FRACTION", 0.99)
-        compacted = batched_upper_bounds(comp, r, deduplicate=False)
+        compacted = batched_upper_bounds(comp, r)
         assert np.array_equal(compacted, full)
         step = max(1, comp.num_agents // 8)
         for u in range(0, comp.num_agents, step):
             solo = batched_upper_bounds(comp, r, targets=np.asarray([u], dtype=np.int64))
             assert solo[0] == full[u]
+
+    @pytest.mark.parametrize(
+        "build,R,reversed_subset,force_compaction",
+        [
+            pytest.param(instance.compiled, R, False, False, id=f"{R}-{case_id}")
+            for case_id, instance in CASES
+            for R in (2, 3, 5)
+        ]
+        + [pytest.param(stacked_cases, R, False, False, id=f"{R}-stacked") for R in (2, 3, 4)]
+        + [pytest.param(stacked_cases, R, True, False, id=f"{R}-stacked-targets") for R in (2, 3)]
+        + [
+            pytest.param(stacked_cases, R, False, True, id=f"{R}-stacked-compacted")
+            for R in (2, 3, 4)
+        ],
+    )
+    def test_equal_trees_get_bitwise_equal_bounds(
+        self, build, R, reversed_subset, force_compaction, monkeypatch
+    ):
+        """Equal trees get one ``t_u`` bit pattern without sharing a search.
+
+        Each tree's search reads only its own margins, so the stacked unit
+        cycles 12 and 8, whose trees are all equal, agree across instances,
+        in a reversed ``targets=`` subset and under forced compaction too.
+        """
+        comp = build()
+        targets = None
+        if reversed_subset:
+            targets = np.arange(0, comp.num_agents, 3, dtype=np.int64)[::-1].copy()
+        if force_compaction:
+            monkeypatch.setattr(kernels_mod, "_COMPACT_MIN_DROP", 1)
+            monkeypatch.setattr(kernels_mod, "_COMPACT_FRACTION", 0.99)
+        repeats = assert_equal_trees_get_equal_bits(comp, R - 2, targets)
+        if build is stacked_cases:
+            assert repeats > 0
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(special_form_instances_with_repeats(), st.integers(min_value=0, max_value=2))
+    def test_equal_trees_get_bitwise_equal_bounds_with_repeats(self, instance, r):
+        assert_equal_trees_get_equal_bits(instance.compiled(), r)
+
+    @pytest.mark.parametrize("R", [2, 3, 4])
+    @pytest.mark.parametrize("batched", [False, True], ids=["solo", "solve_batch"])
+    @pytest.mark.parametrize("pair", ["unit-cycle", "random-cycle"])
+    def test_locality_is_bitwise(self, pair, R, batched):
+        """§1.3 locality bit for bit: a tightened constraint moves no output
+        beyond the local horizon, not even by an ulp, whether the cycle and
+        its edited copy are solved apart or in one stacked batch.
+
+        On the unit cycle every search ends on the same root whatever path
+        it takes; on the random cycle the last feasible probe depends on
+        the whole trajectory, so a search coupled across trees shows here.
+        """
+        if pair == "unit-cycle":
+            plain, defect = indistinguishable_cycle_pair(40, defect_coefficient=4.0)
+        else:
+            plain = cycle_instance(40, coefficient_range=(0.5, 2.0), seed=5)
+            defect = perturb_coefficient(plain, "i0", "v0", 4.0)
+        solver = SpecialFormLocalSolver(R)
+        stacked = {}
+        if batched:
+            stacked = dict(zip((id(plain), id(defect)), solver.solve_batch([plain, defect])))
+
+        def solve(instance):
+            result = stacked[id(instance)] if batched else solver.solve(instance)
+            return result.solution
+
+        impact = measure_change_impact(
+            plain, defect, solve, horizon=local_horizon_radius(R), tol=0.0
+        )
+        assert impact.changed_agents
+        assert impact.is_local, impact.distances
 
     def test_sweeps_at_most_half_of_bisection(self):
         """Guard: a bisection from the capacity-sum limit to 1e-10 takes 36
@@ -354,7 +356,7 @@ class TestBracketedSearch:
         finally:
             obs.configure(enabled=False)
             obs.reset()
-        assert counters["kernels.trees_distinct"] == 500
+        assert counters["kernels.trees_total"] == 500
         assert 0 < counters["kernels.bisection_sweeps"] <= 18
 
 
@@ -418,10 +420,10 @@ class TestBatchedTrees:
             assert actual == expected
 
     def test_symmetric_family_collapses(self):
-        """On the unit cycle every alternating tree has the same signature."""
+        """On the unit cycle every alternating tree has the same content."""
         comp = cycle_instance(12).compiled()
         bt = build_batched_trees(comp, 1)
-        assert len(set(bt.signatures())) == 1
+        assert len(set(tree_signatures(bt))) == 1
 
 
 class TestSmoothingKernels:

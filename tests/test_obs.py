@@ -18,7 +18,7 @@ import pytest
 
 from repro import obs
 from repro.algo.kernels import batched_upper_bounds
-from repro.algo.local_solver import SpecialFormLocalSolver
+from repro.algo.local_solver import IncrementalSolveState, SpecialFormLocalSolver
 from repro.algo.upper_bound import compute_upper_bounds
 from repro.engine.batch import ratio_sweep_batch, run_batch
 from repro.engine.cache import ResultCache
@@ -54,7 +54,7 @@ def test_disabled_tracer_is_inert():
 def test_disabled_overhead_is_under_two_percent_of_reference_solve():
     """The no-op fast path must be negligible against a real solve.
 
-    One solve issues on the order of a dozen obs calls (5 spans + ~8
+    One solve issues on the order of a dozen obs calls (7 spans + ~6
     counters); this bounds the cost of one hundred disabled span+count
     pairs — several times that — against 2% of the solve's wall time.  The
     instance is sized so that the solve takes a few milliseconds, which
@@ -287,8 +287,6 @@ def test_counts_are_not_lost_under_threads():
 def test_bisection_iteration_counts_match_across_backends(r):
     """Both t_u searches count per-tree margin evaluations the same way.
 
-    Comparable only without tree deduplication: the batched kernel searches
-    one representative per signature class, the oracle's loop every tree.
     The kernel's bracketed search never needs more evaluations than the
     oracle's bisection, and strictly fewer on the random instance.
     """
@@ -301,7 +299,7 @@ def test_bisection_iteration_counts_match_across_backends(r):
         compute_upper_bounds(instance, r)
         ref = obs.counters_since(mark)
         mark = obs.counters_mark()
-        batched_upper_bounds(instance.compiled(), r, deduplicate=False)
+        batched_upper_bounds(instance.compiled(), r)
         vec = obs.counters_since(mark)
         ref_evals = ref.get("kernels.bisection_iterations", 0)
         vec_evals = vec.get("kernels.bisection_iterations", 0)
@@ -310,6 +308,35 @@ def test_bisection_iteration_counts_match_across_backends(r):
             assert vec_evals < ref_evals
         assert ref.get("kernels.trees_total") == vec.get("kernels.trees_total")
         obs.configure(enabled=False)
+
+
+def test_tree_stage_spans_nest_under_upper_bounds():
+    """The tree build and the ``t_u`` search are spans of their own inside
+    ``kernels.upper_bounds``, on the solve and the incremental path alike."""
+    instance = random_special_form_instance(30, delta_K=3, seed=4)
+    solver = SpecialFormLocalSolver(R=3)
+    state = IncrementalSolveState(solver, instance)
+    delta = state.comp.delta()
+    i = instance.constraints[0]
+    delta.set_constraint_coefficient(i, instance.agents_of_constraint(i)[0], 1.7)
+    edited = delta.apply()
+
+    obs.configure(enabled=True)
+    solver.solve(instance)
+    state.apply_delta(edited)
+    spans = obs.snapshot()["spans"]
+
+    def stage_spans(path):
+        roots = {rec["id"] for rec in spans if rec["name"] == path}
+        bounds = {
+            rec["id"]
+            for rec in spans
+            if rec["name"] == "kernels.upper_bounds" and rec["parent"] in roots
+        }
+        return sorted(rec["name"] for rec in spans if rec["parent"] in bounds)
+
+    for path in ("solve.special_form", "solve.incremental"):
+        assert stage_spans(path) == ["kernels.build_trees", "kernels.tu_search"], path
 
 
 def test_result_views_read_the_kernel_arrays():

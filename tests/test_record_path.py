@@ -33,6 +33,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.algo.kernels as kernels_mod
 import repro.transforms.vectorized as vectorized_mod
 from repro import oracle
 from repro.algo.kernels import _COMPACT_MIN_DROP, batched_upper_bounds
@@ -712,22 +713,22 @@ class TestBisectionCompaction:
         [pytest.param(r, "_stacked", id=str(r)) for r in (0, 1, 2)]
         + [pytest.param(1, "_scale_heterogeneous", id="1-scale-heterogeneous")],
     )
-    def test_compaction_is_bitwise_neutral(self, r, build):
+    def test_compaction_is_bitwise_neutral(self, r, build, monkeypatch):
         stacked = getattr(self, build)()
-        plain = batched_upper_bounds(stacked, r, compact=False)
-        compacted = batched_upper_bounds(stacked, r, compact=True)
+        compacted = batched_upper_bounds(stacked, r)
+        monkeypatch.setattr(kernels_mod, "_COMPACT_FRACTION", 0.0)  # never compacts
+        plain = batched_upper_bounds(stacked, r)
         assert np.array_equal(plain, compacted)
 
     @pytest.mark.parametrize("r", [0, 1])
     def test_forced_compaction_is_bitwise_neutral(self, r, monkeypatch):
         """Drop the compaction floor so the path actually triggers."""
-        import repro.algo.kernels as kernels_mod
-
         stacked = self._stacked()
-        plain = batched_upper_bounds(stacked, r, compact=False, deduplicate=False)
+        monkeypatch.setattr(kernels_mod, "_COMPACT_FRACTION", 0.0)
+        plain = batched_upper_bounds(stacked, r)
         monkeypatch.setattr(kernels_mod, "_COMPACT_MIN_DROP", 1)
         monkeypatch.setattr(kernels_mod, "_COMPACT_FRACTION", 0.99)
-        compacted = batched_upper_bounds(stacked, r, compact=True, deduplicate=False)
+        compacted = batched_upper_bounds(stacked, r)
         assert np.array_equal(plain, compacted)
 
     def test_min_drop_floor_is_sane(self):
