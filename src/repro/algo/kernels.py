@@ -9,7 +9,9 @@ int-indexed CSR arrays of a :class:`~repro.core.compiled.CompiledInstance`:
 
 * :func:`build_batched_trees` constructs *all* alternating trees ``A_u``
   simultaneously as flat per-level arrays (the frontier expansion is a
-  vectorized gather, not an object BFS);
+  vectorized gather, not an object BFS), down to paper level ``4r − 1``:
+  the leaves below it are constant in ``ω`` (Eq. 5), so they are folded
+  into one capacity sum per parent and one minimum per tree;
 * :func:`batched_upper_bounds` finds ``t_u`` for every tree at once, as
   §5.2 has each agent compute it from its own tree: a safeguarded bracketed
   search (secant and chord steps on the concave, piecewise-linear recursion
@@ -33,8 +35,8 @@ to within that tolerance (the equivalence property tests in
 
 The trees grow geometrically in ``r``, so :func:`build_batched_trees` refuses
 (with :class:`~repro.exceptions.SolverError`) a build that would hold more
-than :data:`MAX_TREE_NODES` nodes, before it allocates the level that would
-pass the limit.
+than :data:`MAX_TREE_NODES` nodes, folded leaves included, before it
+allocates the level that would pass the limit.
 """
 
 from __future__ import annotations
@@ -73,8 +75,9 @@ DEFAULT_BISECTION_TOL = 1e-10
 MAX_BISECTION_ITERATIONS = 200
 
 #: Most tree nodes one :func:`build_batched_trees` call may hold, summed over
-#: every level of every tree in the build (a stacked batch is one build).  A
-#: full solve peaks at about 70 bytes per node, so 2**25 nodes is about 2.3 GB.
+#: every level of every tree in the build, folded leaves included (a stacked
+#: batch is one build).  A full solve peaks at about 36 bytes per node (RSS at
+#: 8.2 million nodes), so 2**25 nodes is about 1.2 GB.
 MAX_TREE_NODES = 2**25
 
 #: Level kinds of the batched tree layout (see :class:`TreeLevel`).
@@ -88,7 +91,9 @@ class TreeLevel:
     Level ``j`` holds the agent nodes of *every* tree at tree level
     ``2j − 1`` (``j = 0`` is the root level, paper level ``−1``); each
     tree's nodes form a contiguous block.  ``j`` odd ⇒ ``f⁺`` nodes
-    (paper levels ``≡ 1 (mod 4)``), ``j`` even ⇒ ``f⁻`` nodes.
+    (paper levels ``≡ 1 (mod 4)``), ``j`` even ⇒ ``f⁻`` nodes.  A build
+    holds levels ``0 … 2r``; the ``f⁺`` leaves of level ``2r + 1`` are
+    folded into :class:`BatchedTrees`' leaf arrays.
 
     Attributes
     ----------
@@ -103,7 +108,7 @@ class TreeLevel:
         Tree index of each node (for broadcasting per-tree ``ω``).
     child_indptr:
         Per-node boundaries into the *next* level's nodes (absent on the
-        deepest level).
+        deepest built level, whose children are folded).
     a_self, a_partner:
         For levels entered via constraint expansion (``kind == "minus"``,
         ``j ≥ 2``): the edge coefficients ``a_iv`` / ``a_{i,n(v,i)}`` of the
@@ -128,22 +133,37 @@ class TreeLevel:
 
 
 class BatchedTrees:
-    """All alternating trees of one instance, concatenated level by level."""
+    """All alternating trees of one instance, concatenated level by level.
 
-    __slots__ = ("comp", "r", "roots", "levels")
+    ``levels`` stops at level ``2r`` (paper level ``4r − 1``): the leaves
+    below it have their capacity as ``f⁺`` at every ``ω`` (Eq. 5), so they
+    are folded into ``leaf_sums``, each deepest node's sum of its children's
+    capacities in canonical child order, and ``leaf_min``, each tree's
+    minimum leaf capacity.
+    """
 
-    def __init__(self, comp: CompiledInstance, r: int, roots: np.ndarray, levels: List[TreeLevel]) -> None:
+    __slots__ = ("comp", "r", "roots", "levels", "leaf_sums", "leaf_min")
+
+    def __init__(
+        self, comp: CompiledInstance, r: int, roots: np.ndarray, levels: List[TreeLevel],
+        leaf_sums: np.ndarray, leaf_min: np.ndarray,
+    ) -> None:
         self.comp = comp
         self.r = r
         self.roots = roots
         self.levels = levels
+        self.leaf_sums = leaf_sums
+        self.leaf_min = leaf_min
 
     @property
     def num_trees(self) -> int:
         return len(self.roots)
 
     def total_nodes(self) -> int:
-        return sum(len(level.nodes) for level in self.levels)
+        """Agent nodes of every tree, folded leaves included."""
+        comp = self.comp
+        leaves = np.diff(comp.oagents_indptr)[comp.obj_of_agent[self.levels[-1].nodes]] - 1
+        return sum(len(level.nodes) for level in self.levels) + int(leaves.sum())
 
     def select(self, tree_indices: np.ndarray) -> "BatchedTrees":
         """A new :class:`BatchedTrees` restricted to the given trees."""
@@ -160,7 +180,11 @@ class BatchedTrees:
                 new.a_self = level.a_self[idx]
                 new.a_partner = level.a_partner[idx]
             levels.append(new)
-        return BatchedTrees(self.comp, self.r, self.roots[tree_indices], levels)
+        # ``idx`` now indexes the deepest level, which ``leaf_sums`` follows.
+        return BatchedTrees(
+            self.comp, self.r, self.roots[tree_indices], levels,
+            self.leaf_sums[idx], self.leaf_min[tree_indices],
+        )
 
 
 def build_batched_trees(
@@ -176,9 +200,11 @@ def build_batched_trees(
     nodes are materialised (constraint and objective nodes carry no recursion
     state; their coefficients are folded into the edge arrays), and the level
     ``−2`` leaf constraints are represented by the root capacity alone.
+    Objective expansions read the sibling slots of ``comp.smoothing_adjacency``;
+    the agent leaves (paper level ``4r + 1``) are gathered once and folded.
 
     Raises :class:`~repro.exceptions.SolverError` before gathering a level
-    that would take the build past :data:`MAX_TREE_NODES` nodes.
+    (the folded one too) that would take the build past :data:`MAX_TREE_NODES`.
     """
     if r < 0:
         raise SolverError(f"alternating tree parameter r must be >= 0, got {r}")
@@ -189,7 +215,10 @@ def build_batched_trees(
     )
     T = len(roots)
     con_deg = np.diff(comp.con_indptr)
-    oagent_deg = np.diff(comp.oagents_indptr)
+    # Each agent's smoothing-adjacency row ends with its objective siblings.
+    adj_indptr, adj_indices = comp.smoothing_adjacency
+    sib_start = adj_indptr[:-1] + con_deg
+    sib_deg = adj_indptr[1:] - sib_start
 
     levels: List[TreeLevel] = []
     root_level = TreeLevel(roots, _MINUS, np.ones(T, dtype=np.int64))
@@ -201,16 +230,12 @@ def build_batched_trees(
         if cur.kind == _MINUS:
             # Objective expansion: children are the siblings of each node in
             # its unique objective, in canonical row order (self excluded).
-            rows = comp.obj_of_agent[cur.nodes]
-            deg = oagent_deg[rows]
-            counts = deg - 1
+            counts = sib_deg[cur.nodes]
             total = _count_tree_nodes(total, counts, r, j)
-            flat = _segment_gather(comp.oagents_indptr[rows], deg)
-            members = comp.oagents_indices[flat]
-            owner = np.repeat(cur.nodes, deg)
-            keep = members != owner
-            children = members[keep]
-            nxt = TreeLevel(children, _PLUS, _reduce_counts(counts, cur.root_indptr))
+            children = adj_indices[_segment_gather(sib_start[cur.nodes], counts)]
+            if j == 2 * r + 1:
+                break
+            nxt = TreeLevel(children, _PLUS, np.add.reduceat(counts, cur.root_indptr[:-1]))
         else:
             # Constraint expansion: one child (the partner agent) per
             # constraint edge of each node, in canonical adjacency order.
@@ -219,7 +244,7 @@ def build_batched_trees(
             total = _count_tree_nodes(total, counts, r, j)
             flat = _segment_gather(comp.con_indptr[cur.nodes], deg)
             children = comp.con_partner[flat]
-            nxt = TreeLevel(children, _MINUS, _reduce_counts(counts, cur.root_indptr))
+            nxt = TreeLevel(children, _MINUS, np.add.reduceat(counts, cur.root_indptr[:-1]))
             nxt.a_self = comp.con_coeff[flat]
             nxt.a_partner = comp.con_partner_coeff[flat]
         cur.child_indptr = np.zeros(len(cur.nodes) + 1, dtype=np.int64)
@@ -227,7 +252,14 @@ def build_batched_trees(
         levels.append(nxt)
         cur = nxt
 
-    return BatchedTrees(comp, r, roots, levels)
+    # Fold the leaves (``children`` of the deepest level): Eq. 6 needs only
+    # their capacity sum per parent, Eq. 8 only their minimum per tree.
+    caps = comp.capacity[children]
+    starts = np.zeros(len(counts), dtype=np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    leaf_sums = np.add.reduceat(caps, starts)
+    leaf_min = np.minimum.reduceat(caps, starts[cur.root_indptr[:-1]])
+    return BatchedTrees(comp, r, roots, levels, leaf_sums, leaf_min)
 
 
 def _count_tree_nodes(total: int, counts: np.ndarray, r: int, j: int) -> int:
@@ -242,26 +274,18 @@ def _count_tree_nodes(total: int, counts: np.ndarray, r: int, j: int) -> int:
     return total + size
 
 
-def _reduce_counts(counts: np.ndarray, root_indptr: np.ndarray) -> np.ndarray:
-    """Per-tree totals of a per-node count array (empty-batch safe)."""
-    if len(counts) == 0:
-        return np.zeros(len(root_indptr) - 1, dtype=np.int64)
-    return np.add.reduceat(counts, root_indptr[:-1])
-
-
 def _recursion_margins(bt: BatchedTrees, omega: np.ndarray) -> np.ndarray:
     """Per-tree feasibility margin of the ``f±`` recursion at per-tree ``ω``.
 
     Equals :func:`repro.algo.tree_recursion.recursion_margin` of every tree:
     the minimum of all ``f⁺`` values (Eq. 8) and of the root slack
     ``cap(u) − f⁻_{u,u,r}`` (Eq. 9).  One bottom-up sweep over the level
-    arrays, all trees in lockstep.
+    arrays, all trees in lockstep, from the folded leaves up: their ``f⁺``
+    are capacities (Eq. 5), so the deepest level reads only ``leaf_sums``.
     """
-    comp = bt.comp
-    capacity = comp.capacity
     deepest = bt.levels[-1]
-    vals = capacity[deepest.nodes]
-    min_fp = np.minimum.reduceat(vals, deepest.root_indptr[:-1])
+    vals = np.maximum(0.0, omega[deepest.tree_of_node] - bt.leaf_sums)
+    min_fp = bt.leaf_min
 
     for j in range(len(bt.levels) - 2, -1, -1):
         level = bt.levels[j]
@@ -274,10 +298,10 @@ def _recursion_margins(bt: BatchedTrees, omega: np.ndarray) -> np.ndarray:
             # Eq. 7: f⁺ = min over constraint edges of (1 − a_partner f⁻)/a_self.
             cand = (1.0 - child.a_partner * vals) / child.a_self
             vals = np.minimum.reduceat(cand, level.child_indptr[:-1])
-            np.minimum(min_fp, np.minimum.reduceat(vals, level.root_indptr[:-1]), out=min_fp)
+            min_fp = np.minimum(min_fp, np.minimum.reduceat(vals, level.root_indptr[:-1]))
 
     # vals now holds f⁻ at the root (one node per tree).
-    root_slack = capacity[bt.levels[0].nodes] - vals
+    root_slack = bt.comp.capacity[bt.levels[0].nodes] - vals
     return np.minimum(min_fp, root_slack)
 
 
@@ -330,8 +354,11 @@ def _bracketed_search(bt: BatchedTrees, tol: float) -> np.ndarray:
     # Upper search limit: the root objective's value can never exceed the sum
     # of its agents' individual capacities (cf. _search_upper_limit).
     root_caps = comp.capacity[bt.levels[0].nodes]
-    lvl1 = bt.levels[1]
-    hi0 = root_caps + _reduce_counts_float(comp.capacity[lvl1.nodes], lvl1.root_indptr)
+    if bt.r == 0:  # the root's siblings are the folded leaves
+        hi0 = root_caps + bt.leaf_sums
+    else:
+        lvl1 = bt.levels[1]
+        hi0 = root_caps + np.add.reduceat(comp.capacity[lvl1.nodes], lvl1.root_indptr[:-1])
     if np.isinf(hi0).any():
         bad = bt.roots[int(np.argmax(np.isinf(hi0)))]
         raise SolverError(
@@ -418,12 +445,6 @@ def _bracketed_search(bt: BatchedTrees, tol: float) -> np.ndarray:
     return t
 
 
-def _reduce_counts_float(values: np.ndarray, root_indptr: np.ndarray) -> np.ndarray:
-    if len(values) == 0:
-        return np.zeros(len(root_indptr) - 1, dtype=np.float64)
-    return np.add.reduceat(values, root_indptr[:-1])
-
-
 def batched_upper_bounds(
     comp: CompiledInstance,
     r: int,
@@ -444,6 +465,7 @@ def batched_upper_bounds(
     if bt.num_trees == 0:
         return np.zeros(0, dtype=np.float64)
     obs.count("kernels.trees_total", bt.num_trees)
+    obs.count("kernels.tree_nodes", sum(len(level.nodes) for level in bt.levels))
     with obs.span("kernels.tu_search"):
         return _bracketed_search(bt, tol)
 

@@ -504,6 +504,10 @@ class CompiledInstance:
 
         Neighbours of agent ``v`` are its constraint partners and objective
         siblings — the agents at communication-graph distance exactly 2.
+        Row ``v`` lists its partners in ``con_partner`` order, then its
+        objective's members minus ``v`` in canonical order (the sibling slots
+        :func:`~repro.algo.kernels.build_batched_trees` expands); a
+        :class:`CompiledBatch` and a delta-edited view keep that layout.
         ``2r + 1`` synchronous neighbour-min rounds over this adjacency
         therefore equal the paper's radius-``4r + 2`` smoothing ball (``4r + 2``
         rounds over the bipartite graph collapse pairwise, since agents only

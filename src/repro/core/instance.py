@@ -114,6 +114,29 @@ def _mask(index: Dict[NodeId, int], ids: Iterable[NodeId]) -> np.ndarray:
     return mask
 
 
+def _is_connected(comp: CompiledInstance) -> bool:
+    """Whether agents, constraints and objectives form one component: each
+    round every root takes the smallest root across its edges
+    (``np.minimum.at``), then pointer jumping flattens the forest."""
+    n, n_con = comp.num_agents, comp.num_constraints
+    agents = np.arange(n, dtype=np.int64)
+    # Node ids: agents, then constraints, then objectives; one (u, w) per edge.
+    degrees = np.concatenate([np.diff(comp.con_indptr), np.diff(comp.obj_indptr)])
+    u = np.repeat(np.concatenate([agents, agents]), degrees)
+    w = np.concatenate([n + comp.con_indices, n + n_con + comp.obj_indices])
+    label = np.arange(n + n_con + comp.num_objectives, dtype=np.int64)
+    while True:
+        lu, lw = label[u], label[w]
+        if np.array_equal(lu, lw):
+            # Labels are constant on components and name one of their nodes.
+            return bool((label == label[0]).all())
+        low = np.minimum(lu, lw)
+        np.minimum.at(label, lu, low)
+        np.minimum.at(label, lw, low)
+        while not np.array_equal(label, label[label]):
+            label = label[label]
+
+
 def _compact(indptr, indices, coeff, keep_rows, keep_member):
     """The rows ``keep_rows`` (positions) minus every edge into a dropped member.
 
@@ -274,6 +297,7 @@ class MaxMinInstance:
         "_compiled",
         "_views",
         "_graph_cache",
+        "_connected",
         "_transform_cache",
         "_preprocess_cache",
         "name",
@@ -355,6 +379,7 @@ class MaxMinInstance:
         self.name = name
         self._views: Optional[_Views] = None
         self._graph_cache: Optional["nx.Graph"] = None
+        self._connected: Optional[bool] = None
         # The §4 pipeline result, cached in one slot: the instance is
         # immutable, so a cached TransformResult can never go stale.
         # Populated by :func:`repro.transforms.pipeline.to_special_form`; an
@@ -702,8 +727,8 @@ class MaxMinInstance:
         edges carry the coefficient in attribute ``coeff``.
 
         The instance is immutable, so the graph is built once and the *same*
-        object is returned on every call (``is_connected``, dynamics diffing
-        and GraphML export previously each paid a full reconstruction).
+        object is returned on every call (dynamics diffing, components and
+        GraphML export previously each paid a full reconstruction).
         Treat it as read-only — call ``.copy()`` before mutating.
         """
         if self._graph_cache is not None:
@@ -747,12 +772,13 @@ class MaxMinInstance:
         raise InvalidInstanceError(f"unknown node kind {kind!r}")
 
     def is_connected(self) -> bool:
-        """True if the communication graph is connected (or empty)."""
-        if self.num_nodes == 0:
-            return True
-        import networkx as nx
+        """True if the communication graph is connected (or empty).
 
-        return nx.is_connected(self.communication_graph())
+        Computed from the compiled arrays once (no graph, no networkx).
+        """
+        if self._connected is None:
+            self._connected = self.num_nodes == 0 or _is_connected(self._compiled)
+        return self._connected
 
     def connected_components(self) -> List["MaxMinInstance"]:
         """Split the instance into one sub-instance per connected component.

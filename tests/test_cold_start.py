@@ -2,7 +2,9 @@
 
 Both packages cost more than the whole ``import repro.cli`` without them, so
 they are imported inside the functions that use them (the exact LP,
-connectivity, GraphML, the bandwidth generator, the oracle's smoothing).
+components, GraphML, the bandwidth generator, the oracle's smoothing).
+Connectivity reads the compiled arrays, so ``info`` on a file or a serve
+upload loads neither.
 The per-node oracles of :mod:`repro.oracle` are test and benchmark code, so
 the same probes check that no command imports them.  :mod:`repro.distributed`
 loads only for the commands that run it (``solve --dist`` and
@@ -98,6 +100,41 @@ def test_other_commands_load_neither(argv, tmp_path, special_file):
     argv = [arg.format(tmp=tmp_path, special=special_file) for arg in argv]
     _, heavy = _run(f"import repro.cli\nassert repro.cli.main({argv!r}) == 0")
     assert [m for m in heavy if not m.startswith("repro.distributed")] == []
+
+
+def connected_per_networkx(path) -> bool:
+    import networkx as nx
+
+    from repro.io.serialization import load_instance
+
+    return nx.is_connected(load_instance(path).communication_graph())
+
+
+def test_info_loads_neither(instance_file):
+    """``maxmin-lp info`` reports connectivity without a graph."""
+    argv = ["info", str(instance_file)]
+    lines, heavy = _run(f"import repro.cli\nassert repro.cli.main({argv!r}) == 0")
+    row = next(line for line in lines if line.split()[:1] == ["connected"])
+    assert row.split()[-1] == ("yes" if connected_per_networkx(instance_file) else "no")
+    assert heavy == []
+
+
+def test_serve_info_upload_loads_neither(instance_file):
+    """A serve ``info`` upload answers ``connected`` without a graph."""
+    body = "\n".join(
+        [
+            "from repro.serve.harness import ServerHandle",
+            "from repro.serve.server import ServeConfig",
+            f"text = open({str(instance_file)!r}, encoding='utf-8').read()",
+            "with ServerHandle(ServeConfig(workers=1)) as handle:",
+            "    status, payload = handle.client().info(instance=text)",
+            "assert status == 200, payload",
+            "print(payload['result']['connected'])",
+        ]
+    )
+    lines, heavy = _run(body)
+    assert lines[-1] == str(connected_per_networkx(instance_file))
+    assert heavy == []
 
 
 def test_with_optimum_still_solves_the_lp(instance_file):

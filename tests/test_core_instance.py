@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from repro import oracle
 from repro._types import NodeType, agent_node, constraint_node, objective_node
+from repro.core.builder import InstanceBuilder
 from repro.core.instance import MaxMinInstance
 from repro.exceptions import InvalidInstanceError
-from repro.generators import random_instance
+from repro.generators import cycle_instance, objective_ring_instance, random_instance
 from repro.io.serialization import instance_digest
 
 from conftest import (
+    build_degenerate_instance,
     build_general_instance,
     build_tiny_instance,
     general_family,
@@ -210,6 +212,83 @@ class TestGraphViews:
         assert sub.num_constraints == 1
         assert sub.a("i0", "v0") == 1.0
         assert sub.a("i0", "v2") == 0.0  # dropped agent
+
+
+def connected_per_networkx(instance: MaxMinInstance) -> bool:
+    """The oracle: networkx's verdict on the instance's communication graph."""
+    import networkx as nx
+
+    return nx.is_connected(instance.communication_graph())
+
+
+@st.composite
+def disjoint_blocks(draw):
+    """One to four blocks of random edges on disjoint nodes, plus optional
+    agent-less constraints and objectives: mostly disconnected instances."""
+    builder = InstanceBuilder(name="blocks")
+    for b in range(draw(st.integers(min_value=1, max_value=4))):
+        agents = [f"b{b}v{j}" for j in range(draw(st.integers(min_value=1, max_value=5)))]
+        for v in agents:
+            builder.add_agent(v)
+        edges = draw(
+            st.sets(
+                st.tuples(
+                    st.sampled_from("ik"), st.integers(0, 2), st.sampled_from(agents)
+                ),
+                max_size=8,
+            )
+        )
+        for kind, row, v in sorted(edges):
+            if kind == "i":
+                builder.add_constraint_term(f"b{b}i{row}", v, 1.0)
+            else:
+                builder.add_objective_term(f"b{b}k{row}", v, 1.0)
+    for j in range(draw(st.integers(min_value=0, max_value=2))):
+        builder.add_constraint(f"lone-i{j}")
+    for j in range(draw(st.integers(min_value=0, max_value=2))):
+        builder.add_objective(f"lone-k{j}")
+    return builder.build()
+
+
+class TestConnectivity:
+    """``is_connected`` reads the CSR arrays and agrees with networkx."""
+
+    @pytest.mark.parametrize(
+        "instance",
+        general_family()
+        + special_form_family()
+        + [
+            build_degenerate_instance(),
+            random_instance(60, delta_I=2, delta_K=2, seed=4),
+            cycle_instance(50),
+            objective_ring_instance(6, 3),
+        ],
+        ids=lambda instance: instance.name,
+    )
+    def test_matches_networkx_on_generator_families(self, instance):
+        assert instance.is_connected() == connected_per_networkx(instance)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(disjoint_blocks())
+    def test_matches_networkx_on_drawn_components(self, instance):
+        assert instance.is_connected() == connected_per_networkx(instance)
+
+    def test_agentless_nodes(self):
+        lone = InstanceBuilder(name="lone")
+        lone.add_constraint("i")
+        assert lone.build().is_connected() == connected_per_networkx(lone.build()) is True
+        lone.add_objective("k")
+        assert lone.build().is_connected() == connected_per_networkx(lone.build()) is False
+        degenerate = build_degenerate_instance()
+        assert degenerate.is_connected() is connected_per_networkx(degenerate) is False
+
+    def test_empty_instance_is_connected(self):
+        assert MaxMinInstance([], [], [], {}, {}).is_connected() is True
+
+    def test_builds_no_graph(self):
+        instance = random_instance(40, delta_I=3, delta_K=3, seed=3)
+        assert instance.is_connected() is instance.is_connected()
+        assert instance._graph_cache is None
 
 
 class TestEqualityAndSerialization:

@@ -33,9 +33,13 @@ from repro import obs, oracle
 from repro.algo.local_solver import SpecialFormLocalSolver
 from repro.algo.upper_bound import compute_upper_bounds, smooth_upper_bounds
 from repro.core.builder import InstanceBuilder
-from repro.core.compiled import stack_compiled
+from repro.core.compiled import _segment_gather, stack_compiled
 from repro.core.preprocess import preprocess
-from repro.distributed.dynamics import local_horizon_radius, measure_change_impact
+from repro.distributed.dynamics import (
+    local_horizon_radius,
+    measure_change_impact,
+    random_churn_delta,
+)
 from repro.exceptions import NotSpecialFormError, SolverError
 from repro.generators import (
     cycle_instance,
@@ -79,7 +83,8 @@ CASE_IDS = [case_id for case_id, _ in CASES]
 
 def tree_signatures(bt):
     """Per tree, its content as bytes: capacities, child counts and both edge
-    coefficient arrays of every level, each chunk length-prefixed.
+    coefficient arrays of every level, the folded leaves' capacity sums and
+    their minimum, each chunk length-prefixed.
 
     Trees with equal signatures have identical ``f±`` recursions, hence
     the same ``t_u``.  Node identities are left out, so a cycle's ``n``
@@ -94,9 +99,11 @@ def tree_signatures(bt):
         if level.a_self is not None:
             parts += [level.a_self, level.a_partner]
         per_level_parts.append(parts)
+    per_level_parts[-1].append(bt.leaf_sums)
     signatures = []
     for t in range(bt.num_trees):
-        chunks = []
+        leaf_min = bt.leaf_min[t : t + 1].tobytes()
+        chunks = [len(leaf_min).to_bytes(8, "little"), leaf_min]
         for level, parts in zip(bt.levels, per_level_parts):
             lo, hi = level.root_indptr[t], level.root_indptr[t + 1]
             for arr in parts:
@@ -124,12 +131,120 @@ def assert_equal_trees_get_equal_bits(comp, r, targets=None):
 
 
 def search_upper_limits(bt):
-    """The search's ``hi0``: the root objective's capacity sum per tree."""
+    """The search's ``hi0``: the root objective's capacity sum per tree.
+
+    At ``r = 0`` the root's siblings are the folded leaves.
+    """
     capacity = bt.comp.capacity
+    if bt.r == 0:
+        return capacity[bt.levels[0].nodes] + bt.leaf_sums
     level = bt.levels[1]
     return capacity[bt.levels[0].nodes] + np.add.reduceat(
         capacity[level.nodes], level.root_indptr[:-1]
     )
+
+
+def unfolded_leaf_level(bt):
+    """The leaf level that ``bt`` folds, expanded as the unfolded build did:
+    each deepest node's objective members, minus itself by an owner mask.
+
+    Returns the leaves and their per-node and per-tree boundaries.
+    """
+    comp = bt.comp
+    deepest = bt.levels[-1]
+    rows = comp.obj_of_agent[deepest.nodes]
+    deg = np.diff(comp.oagents_indptr)[rows]
+    members = comp.oagents_indices[_segment_gather(comp.oagents_indptr[rows], deg)]
+    leaves = members[members != np.repeat(deepest.nodes, deg)]
+    leaf_indptr = np.zeros(len(deg) + 1, dtype=np.int64)
+    np.cumsum(deg - 1, out=leaf_indptr[1:])
+    return leaves, leaf_indptr, leaf_indptr[deepest.root_indptr]
+
+
+def unfolded_margins(bt, omega):
+    """:func:`_recursion_margins` on the unfolded trees: every call sweeps
+    the leaves as ``f⁺`` nodes, as the kernel did before the fold."""
+    capacity = bt.comp.capacity
+    leaves, leaf_indptr, leaf_root_indptr = unfolded_leaf_level(bt)
+    vals = capacity[leaves]
+    min_fp = np.minimum.reduceat(vals, leaf_root_indptr[:-1])
+    for j in range(len(bt.levels) - 1, -1, -1):
+        level = bt.levels[j]
+        child_indptr = leaf_indptr if j == len(bt.levels) - 1 else level.child_indptr
+        if level.kind == "minus":
+            sums = np.add.reduceat(vals, child_indptr[:-1])
+            vals = np.maximum(0.0, omega[level.tree_of_node] - sums)
+        else:
+            child = bt.levels[j + 1]
+            cand = (1.0 - child.a_partner * vals) / child.a_self
+            vals = np.minimum.reduceat(cand, child_indptr[:-1])
+            np.minimum(min_fp, np.minimum.reduceat(vals, level.root_indptr[:-1]), out=min_fp)
+    root_slack = capacity[bt.levels[0].nodes] - vals
+    return np.minimum(min_fp, root_slack)
+
+
+def search_run(comp, r, targets=None):
+    """``t`` and the search counters of one ``batched_upper_bounds`` call."""
+    obs.configure(enabled=True)
+    try:
+        mark = obs.counters_mark()
+        t = batched_upper_bounds(comp, r, targets=targets)
+        counters = obs.counters_since(mark)
+    finally:
+        obs.configure(enabled=False)
+        obs.reset()
+    searched = {
+        key: value
+        for key, value in counters.items()
+        if key.startswith("kernels.bisection_") or key == "kernels.trees_total"
+    }
+    return t, searched
+
+
+def assert_fold_is_bitwise(comp, r, targets=None):
+    """The folded sweep equals the unfolded one bit for bit: at ``ω = 0``,
+    at ``hi0``, at random ``ω`` and at every probe of the search, which then
+    returns the same ``t`` after the same sweeps."""
+    bt = build_batched_trees(comp, r, targets)
+    hi0 = search_upper_limits(bt)
+    if r == 0:
+        leaves, _, leaf_root_indptr = unfolded_leaf_level(bt)
+        unfolded_hi0 = comp.capacity[bt.roots] + np.add.reduceat(
+            comp.capacity[leaves], leaf_root_indptr[:-1]
+        )
+        assert hi0.tobytes() == unfolded_hi0.tobytes()
+    rng = np.random.default_rng(bt.num_trees + r)
+    draws = [rng.uniform(0.0, 1.0, bt.num_trees) * hi0 for _ in range(3)]
+    for omega in [np.zeros(bt.num_trees), hi0] + draws:
+        assert _recursion_margins(bt, omega).tobytes() == unfolded_margins(bt, omega).tobytes()
+
+    folded = search_run(comp, r, targets)
+    probes = []
+
+    def unfolded_checked(probe_bt, omega):
+        margins = unfolded_margins(probe_bt, omega)
+        assert _recursion_margins(probe_bt, omega).tobytes() == margins.tobytes()
+        probes.append(len(omega))
+        return margins
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels_mod, "_recursion_margins", unfolded_checked)
+        unfolded = search_run(comp, r, targets)
+    assert probes
+    assert folded[0].tobytes() == unfolded[0].tobytes()
+    assert folded[1] == unfolded[1]
+
+
+def assert_sibling_slots(comp):
+    """Each smoothing-adjacency row lists the agent's constraint partners,
+    then its objective's members minus itself, in canonical order."""
+    indptr, indices = comp.smoothing_adjacency
+    for v in range(comp.num_agents):
+        k = comp.obj_of_agent[v]
+        members = comp.oagents_indices[comp.oagents_indptr[k] : comp.oagents_indptr[k + 1]]
+        partners = comp.con_partner[comp.con_indptr[v] : comp.con_indptr[v + 1]]
+        expected = partners.tolist() + [w for w in members.tolist() if w != v]
+        assert indices[indptr[v] : indptr[v + 1]].tolist() == expected
 
 
 @st.composite
@@ -360,6 +475,81 @@ class TestBracketedSearch:
         assert 0 < counters["kernels.bisection_sweeps"] <= 18
 
 
+#: Objectives of up to five agents: with three or more siblings, a leaf sum
+#: added in another order than the canonical one changes its bits.
+WIDE_OBJECTIVES = random_special_form_instance(24, delta_K=5, constraint_rounds=2, seed=5)
+
+
+class TestLeafFold:
+    """The folded leaf level against the unfolded sweep, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "build,R,reversed_subset,force_compaction",
+        [
+            pytest.param(instance.compiled, R, False, False, id=f"{R}-{case_id}")
+            for case_id, instance in CASES + [("sf-wide", WIDE_OBJECTIVES)]
+            for R in (2, 3, 5)
+        ]
+        + [pytest.param(stacked_cases, R, False, False, id=f"{R}-stacked") for R in (2, 3, 4)]
+        + [pytest.param(stacked_cases, R, True, False, id=f"{R}-stacked-targets") for R in (2, 3)]
+        + [
+            pytest.param(stacked_cases, R, False, True, id=f"{R}-stacked-compacted")
+            for R in (2, 3, 4)
+        ],
+    )
+    def test_fold_matches_unfolded_sweep(
+        self, build, R, reversed_subset, force_compaction, monkeypatch
+    ):
+        comp = build()
+        targets = None
+        if reversed_subset:
+            targets = np.arange(0, comp.num_agents, 3, dtype=np.int64)[::-1].copy()
+        if force_compaction:
+            monkeypatch.setattr(kernels_mod, "_COMPACT_MIN_DROP", 1)
+            monkeypatch.setattr(kernels_mod, "_COMPACT_FRACTION", 0.99)
+        assert_fold_is_bitwise(comp, R - 2, targets)
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(special_form_instances_with_repeats(), st.integers(min_value=0, max_value=2))
+    def test_fold_matches_unfolded_sweep_with_repeats(self, instance, r):
+        assert_fold_is_bitwise(instance.compiled(), r)
+
+    def test_folded_leaves_are_not_built(self):
+        """Levels stop at ``2r``; ``total_nodes`` still counts the leaves."""
+        comp = CASES[2][1].compiled()
+        for r in (0, 1, 2):
+            bt = build_batched_trees(comp, r)
+            leaves, leaf_indptr, _ = unfolded_leaf_level(bt)
+            assert len(bt.levels) == 2 * r + 1 and bt.levels[-1].child_indptr is None
+            assert len(bt.leaf_sums) == len(bt.levels[-1].nodes)
+            assert bt.total_nodes() == sum(len(level.nodes) for level in bt.levels) + len(leaves)
+
+
+class TestSiblingSlots:
+    """``smoothing_adjacency`` lists partners, then siblings: the tree build
+    expands objectives from those slots."""
+
+    @pytest.mark.parametrize("case_id,instance", CASES, ids=CASE_IDS)
+    def test_compiled_instance(self, case_id, instance):
+        assert_sibling_slots(instance.compiled())
+
+    def test_compiled_batch(self):
+        assert_sibling_slots(stacked_cases())
+
+    @pytest.mark.parametrize("structural_prob", [0.0, 1.0])
+    def test_delta_edited_view(self, structural_prob):
+        instance = random_special_form_instance(30, delta_K=4, constraint_rounds=2, seed=2)
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            delta = random_churn_delta(instance, rng, edits=3, structural_prob=structural_prob)
+            instance = delta.apply().instance
+            assert_sibling_slots(instance.compiled())
+
+
 class TestCompiledInstance:
     def test_cached_on_instance(self):
         instance = cycle_instance(4)
@@ -411,12 +601,16 @@ class TestBatchedTrees:
         instance = random_special_form_instance(12, delta_K=3, constraint_rounds=2, seed=4)
         comp = instance.compiled()
         bt = build_batched_trees(comp, r)
+        deepest = bt.levels[-1]
+        # Each deepest node's folded leaves are its objective siblings.
+        leaf_counts = np.diff(comp.oagents_indptr)[comp.obj_of_agent[deepest.nodes]] - 1
         for t, v in enumerate(comp.agents):
             tree = build_alternating_tree(instance, v, r, validate=False)
             expected = sum(1 for node in tree.nodes if node.kind is NodeType.AGENT)
             actual = sum(
                 int(level.root_indptr[t + 1] - level.root_indptr[t]) for level in bt.levels
             )
+            actual += int(leaf_counts[deepest.root_indptr[t] : deepest.root_indptr[t + 1]].sum())
             assert actual == expected
 
     def test_symmetric_family_collapses(self):
@@ -515,6 +709,21 @@ class TestTreeNodeLimit:
         assert "R=40" in message and f"limit of {self.LIMIT} tree nodes" in message
         built = int(re.search(r"(\d+) nodes built", message).group(1))
         assert built == sum(held) <= self.LIMIT
+
+    def test_tree_nodes_counts_the_built_levels(self):
+        """``kernels.tree_nodes`` counts the built levels, not the folded leaves."""
+        comp = self.special_form().compiled()
+        bt = build_batched_trees(comp, 1)
+        obs.configure(enabled=True)
+        try:
+            mark = obs.counters_mark()
+            batched_upper_bounds(comp, 1)
+            counters = obs.counters_since(mark)
+        finally:
+            obs.configure(enabled=False)
+            obs.reset()
+        built = sum(len(level.nodes) for level in bt.levels)
+        assert counters["kernels.tree_nodes"] == built < bt.total_nodes() == 539
 
     def test_small_R_still_solves(self, monkeypatch):
         instance = self.special_form()
