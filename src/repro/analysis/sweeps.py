@@ -11,20 +11,19 @@ batch of (instance × algorithm × parameters) jobs and handed to
 :func:`repro.engine.batch.run_batch`, which can run them serially (the
 default, identical to the historical behaviour), fan them out over a process
 pool (``jobs=N``) and/or skip work already present in an on-disk result
-cache (``cache_dir=...``).
+cache (``cache_dir=...``, which also resumes a killed sweep).  The sweep
+functions declare only their own keywords and pass every engine keyword
+through to ``run_batch``, whose docstring documents them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..core.instance import MaxMinInstance
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard; engine imports ratios
     from ..engine.batch import BatchResult
-    from ..engine.executors import Executor
-    from ..engine.resilience import RetryPolicy
-    from ..faults import FaultPlan
 
 __all__ = ["run_ratio_sweep", "run_ratio_sweep_batch", "worst_case_by", "group_rows"]
 
@@ -35,15 +34,7 @@ def run_ratio_sweep(
     R_values: Sequence[int] = (2, 3, 4),
     include_safe: bool = True,
     extra_fields: Optional[Mapping[str, Callable[[MaxMinInstance], object]]] = None,
-    jobs: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-    executor: Optional["Executor"] = None,
-    dispatch: str = "per-job",
-    retry: Optional["RetryPolicy"] = None,
-    timeout_s: Optional[float] = None,
-    faults: Optional["FaultPlan"] = None,
-    resume_from: Optional[str] = None,
-    on_error: str = "raise",
+    **engine: Any,
 ) -> List[Dict[str, object]]:
     """Evaluate the algorithms on every instance and return flat records.
 
@@ -60,46 +51,20 @@ def run_ratio_sweep(
         to every record of that instance (e.g. a family label or a size
         parameter).  Applied on the caller's side, so the callables never
         cross a process boundary and need not be picklable.
-    jobs:
-        Fan the sweep out over ``N`` worker processes (``None``/``1`` keeps
-        the historical serial behaviour).  Records are identical to a serial
-        run, in identical order, regardless of this setting.
-    cache_dir:
-        Directory of a content-addressed result cache; previously computed
-        (instance, algorithm, parameters) jobs are read back instead of
-        recomputed.
-    executor:
-        Explicit :class:`repro.engine.executors.Executor`; overrides ``jobs``.
-    dispatch:
-        ``"per-job"`` (default) or ``"batched"`` — the latter solves all of
-        the sweep's ``local`` jobs per parameter set in one multi-instance
-        kernel dispatch (see :func:`repro.engine.registry.execute_jobs_batched`).
-        The stacked ``t_u`` search compacts its active set as trees
-        converge, so batching pays off at medium instance sizes too, not only
-        on many-small-instance sweeps (see
-        :func:`repro.algo.kernels.batched_upper_bounds`).
-    retry / timeout_s / faults / resume_from / on_error:
-        Resilience and chaos knobs, forwarded verbatim to
-        :func:`repro.engine.batch.run_batch` — per-job retry policy, per-
-        attempt deadline, an injected fault plan, a checkpoint journal to
-        resume from, and whether a job that exhausts its retries aborts the
-        sweep (``"raise"``, default) or becomes a structured failure that
-        the surviving records simply omit (``"record"``).
+    **engine:
+        Engine keywords (``jobs``, ``cache_dir``, ``executor``,
+        ``dispatch``, ``retry``, ``timeout_s``, ``faults``, ``on_error``, …),
+        passed unchanged to :func:`repro.engine.batch.run_batch`.  Records
+        are identical to a serial run, in identical order, whatever they
+        are; a job that fails under ``on_error="record"`` simply has no
+        records.
     """
     rows, _ = run_ratio_sweep_batch(
         instances,
         R_values=R_values,
         include_safe=include_safe,
         extra_fields=extra_fields,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        executor=executor,
-        dispatch=dispatch,
-        retry=retry,
-        timeout_s=timeout_s,
-        faults=faults,
-        resume_from=resume_from,
-        on_error=on_error,
+        **engine,
     )
     return rows
 
@@ -110,15 +75,7 @@ def run_ratio_sweep_batch(
     R_values: Sequence[int] = (2, 3, 4),
     include_safe: bool = True,
     extra_fields: Optional[Mapping[str, Callable[[MaxMinInstance], object]]] = None,
-    jobs: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-    executor: Optional["Executor"] = None,
-    dispatch: str = "per-job",
-    retry: Optional["RetryPolicy"] = None,
-    timeout_s: Optional[float] = None,
-    faults: Optional["FaultPlan"] = None,
-    resume_from: Optional[str] = None,
-    on_error: str = "raise",
+    **engine: Any,
 ) -> Tuple[List[Dict[str, object]], "BatchResult"]:
     """Like :func:`run_ratio_sweep`, but also return the engine's
     :class:`~repro.engine.batch.BatchResult` (executed/cached job counts,
@@ -131,18 +88,7 @@ def run_ratio_sweep_batch(
 
     instance_list = list(instances)
     batch = ratio_sweep_batch(instance_list, R_values=R_values, include_safe=include_safe)
-    result = run_batch(
-        batch,
-        executor=executor,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        dispatch=dispatch,
-        retry=retry,
-        timeout_s=timeout_s,
-        faults=faults,
-        resume_from=resume_from,
-        on_error=on_error,
-    )
+    result = run_batch(batch, **engine)
 
     rows: List[Dict[str, object]] = []
     for job_result, owner in zip(result.results, batch.owners):

@@ -252,7 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (1 = serial execution)",
     )
     sweep.add_argument(
-        "--cache-dir", help="content-addressed result cache directory (reused across runs)"
+        "--cache-dir",
+        help="content-addressed result cache directory (reused across runs; a killed "
+        "sweep re-run with the same directory executes only its unfinished jobs)",
     )
     sweep.add_argument("--no-safe", action="store_true", help="skip the safe baseline")
     sweep.add_argument(
@@ -279,13 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="timeout_s",
         metavar="S",
         help="per-attempt deadline in seconds for each job",
-    )
-    sweep.add_argument(
-        "--resume-from",
-        dest="resume_from",
-        metavar="JOURNAL",
-        help="checkpoint journal path: completed jobs are recorded there as the "
-        "sweep runs and skipped when the sweep is re-run after an interruption",
     )
     _add_obs_flags(sweep)
 
@@ -429,13 +424,11 @@ def _sweep(args: argparse.Namespace) -> int:
         return 2
     if args.timeout_s is not None:
         _check_seconds(args.timeout_s, "--timeout-s")
-    resilient = (
-        args.retries is not None or args.timeout_s is not None or args.resume_from is not None
-    )
+    resilient = args.retries is not None or args.timeout_s is not None
     if args.dispatch == "batched" and resilient:
         print(
             "error: --dispatch batched has no per-job attempt boundary; "
-            "--retries/--timeout-s/--resume-from need per-job dispatch",
+            "--retries/--timeout-s need per-job dispatch",
             file=sys.stderr,
         )
         return 2
@@ -444,7 +437,7 @@ def _sweep(args: argparse.Namespace) -> int:
         if args.retries < 0:
             print("error: --retries must be >= 0", file=sys.stderr)
             return 2
-        retry = RetryPolicy(max_retries=args.retries, timeout_s=args.timeout_s)
+        retry = RetryPolicy(max_retries=args.retries)
     instances = [
         _make_instance(args.family, size, args.delta_I, args.delta_K, args.seed)
         for size in args.sizes
@@ -463,7 +456,6 @@ def _sweep(args: argparse.Namespace) -> int:
         dispatch=args.dispatch,
         retry=retry,
         timeout_s=args.timeout_s,
-        resume_from=args.resume_from,
         # A sweep run with resilience knobs should report failures and keep
         # the surviving records; without them, behaviour stays pre-existing.
         on_error="record" if resilient else "raise",
@@ -484,15 +476,10 @@ def _sweep(args: argparse.Namespace) -> int:
         print()
     summary = worst_case_by(rows, keys=("algorithm",))
     print(format_table(summary, title=f"worst-case summary: {args.family}"))
-    journal_note = (
-        f", {batch_result.journal_jobs} journaled" if batch_result.journal_jobs else ""
-    )
     print(
-        f"jobs: {batch_result.executed_jobs} executed, {batch_result.cached_jobs} cached"
-        f"{journal_note} "
+        f"jobs: {batch_result.executed_jobs} executed, {batch_result.cached_jobs} cached "
         f"({batch_result.elapsed_s:.2f}s, jobs={args.jobs}, dispatch={args.dispatch}"
         + (f", cache={args.cache_dir}" if args.cache_dir else "")
-        + (f", journal={args.resume_from}" if args.resume_from else "")
         + ")"
     )
     recovery = {

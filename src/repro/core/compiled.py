@@ -554,16 +554,9 @@ class DeltaResult:
         constraint / objective (their capacities, partner coefficients or
         sibling sets changed) plus added agents.  These are the seeds the
         incremental solver expands to r-balls.
-    old_to_new_agent, old_to_new_constraint, old_to_new_objective:
-        Position maps over the *old* canonical orders (−1 for removed
-        nodes).  Survivors keep their relative order; added nodes follow.
-    changed_con_rows, changed_obj_rows:
-        Old agent positions (survivors only) whose constraint / objective
-        membership lists changed — the rows a :class:`MessagePlane` cannot
-        translate and must re-pair.
-    changed_constraints, changed_objectives:
-        Old constraint / objective positions (survivors only) whose member
-        lists changed.
+    old_to_new_agent:
+        Position map over the *old* canonical agent order (−1 for removed
+        agents).  Survivors keep their relative order; added agents follow.
     structural:
         False when every edit was a coefficient change on an existing edge
         (topology identical — planes and slot layouts can be reused as-is).
@@ -576,12 +569,6 @@ class DeltaResult:
         "compiled",
         "dirty_agents",
         "old_to_new_agent",
-        "old_to_new_constraint",
-        "old_to_new_objective",
-        "changed_con_rows",
-        "changed_obj_rows",
-        "changed_constraints",
-        "changed_objectives",
         "structural",
         "num_edits",
     )
@@ -592,12 +579,6 @@ class DeltaResult:
         compiled: "CompiledInstance",
         dirty_agents: np.ndarray,
         old_to_new_agent: np.ndarray,
-        old_to_new_constraint: np.ndarray,
-        old_to_new_objective: np.ndarray,
-        changed_con_rows: np.ndarray,
-        changed_obj_rows: np.ndarray,
-        changed_constraints: np.ndarray,
-        changed_objectives: np.ndarray,
         structural: bool,
         num_edits: int,
     ) -> None:
@@ -605,12 +586,6 @@ class DeltaResult:
         self.compiled = compiled
         self.dirty_agents = dirty_agents
         self.old_to_new_agent = old_to_new_agent
-        self.old_to_new_constraint = old_to_new_constraint
-        self.old_to_new_objective = old_to_new_objective
-        self.changed_con_rows = changed_con_rows
-        self.changed_obj_rows = changed_obj_rows
-        self.changed_constraints = changed_constraints
-        self.changed_objectives = changed_objectives
         self.structural = structural
         self.num_edits = num_edits
 
@@ -841,20 +816,14 @@ class CompiledDelta:
         inst = self.instance
         nA, nC, nK = base.num_agents, base.num_constraints, base.num_objectives
         if self._num_edits == 0:
-            identity_a = np.arange(nA, dtype=np.int64)
-            empty = np.zeros(0, dtype=np.int64)
             return DeltaResult(
-                inst, base, empty, identity_a,
-                np.arange(nC, dtype=np.int64), np.arange(nK, dtype=np.int64),
-                empty, empty, empty, empty, False, 0,
+                inst, base, np.zeros(0, dtype=np.int64), np.arange(nA, dtype=np.int64), False, 0
             )
         obs.count("compiled.delta_applies")
         obs.count("compiled.delta_edits", self._num_edits)
 
-        # --- position maps (provisional → new) -------------------------
-        o2n_a, p2n_a = _position_maps(nA, self._removed_agents, len(self._added_agents))
-        o2n_c, p2n_c = _position_maps(nC, self._removed_constraints, len(self._added_constraints))
-        o2n_k, p2n_k = _position_maps(nK, self._removed_objectives, len(self._added_objectives))
+        # --- agent position map (old → new) ------------------------------
+        o2n_a, _ = _position_maps(nA, self._removed_agents, len(self._added_agents))
 
         # --- classify edits against the base ---------------------------
         con = _classify_edits(
@@ -880,11 +849,7 @@ class CompiledDelta:
             seeds.update(_row_members(base.oagents_indptr, base.oagents_indices, touched_k).tolist())
             dirty = np.asarray(sorted(seeds), dtype=np.int64)
             obs.count("compiled.delta_dirty_agents", len(dirty))
-            empty = np.zeros(0, dtype=np.int64)
-            return DeltaResult(
-                new_inst, new_comp, dirty, o2n_a, o2n_c, o2n_k,
-                empty, empty, empty, empty, False, self._num_edits,
-            )
+            return DeltaResult(new_inst, new_comp, dirty, o2n_a, False, self._num_edits)
 
         removed_a = np.asarray(sorted(self._removed_agents), dtype=np.int64)
         # Constraints / objectives losing a member through agent removal.
@@ -908,6 +873,8 @@ class CompiledDelta:
         )
 
         # --- patch the forward CSR families -----------------------------
+        o2n_c, p2n_c = _position_maps(nC, self._removed_constraints, len(self._added_constraints))
+        o2n_k, p2n_k = _position_maps(nK, self._removed_objectives, len(self._added_objectives))
         new_agents = _new_nodes(base.agents, o2n_a, self._added_agents)
         new_cons = _new_nodes(base.constraints, o2n_c, self._added_constraints)
         new_objs = _new_nodes(base.objectives, o2n_k, self._added_objectives)
@@ -954,25 +921,7 @@ class CompiledDelta:
             np.unique(np.concatenate(dirty_parts)) if dirty_parts else np.zeros(0, dtype=np.int64)
         )
         obs.count("compiled.delta_dirty_agents", len(dirty))
-
-        def _surviving(rows: Set[int], o2n: np.ndarray, limit: int) -> np.ndarray:
-            keep = sorted(r for r in rows if r < limit and o2n[r] >= 0)
-            return np.asarray(keep, dtype=np.int64)
-
-        return DeltaResult(
-            new_inst,
-            new_comp,
-            dirty,
-            o2n_a,
-            o2n_c,
-            o2n_k,
-            _surviving(con.structural_rows, o2n_a, nA),
-            _surviving(obj.structural_rows, o2n_a, nA),
-            _surviving(con.structural_owners, o2n_c, nC),
-            _surviving(obj.structural_owners, o2n_k, nK),
-            structural,
-            self._num_edits,
-        )
+        return DeltaResult(new_inst, new_comp, dirty, o2n_a, structural, self._num_edits)
 
     def _apply_coefficient_only(
         self, con: "_EditPlan", obj: "_EditPlan", name: Optional[str]

@@ -7,21 +7,26 @@ tabulated afterwards.  This package turns that shape into infrastructure:
 * :mod:`repro.engine.job` — the :class:`JobSpec`/:class:`BatchSpec`/
   :class:`JobResult` job model; jobs carry instances as canonical JSON so
   they pickle cheaply and hash stably.
-* :mod:`repro.engine.registry` — worker-side execution of one job plus the
-  per-algorithm version tags that key the cache.
+* :mod:`repro.engine.registry` — worker-side execution of one job: the one
+  attempt loop (retries, deadlines, structured failures) every executor
+  runs each job through, plus the per-algorithm version tags that key the
+  cache.
 * :mod:`repro.engine.executors` — :class:`SerialExecutor` and the
-  process-pool :class:`ParallelExecutor`; both produce identical records in
-  identical order for the same batch.
+  process-pool :class:`ParallelExecutor`, each implementing the one method
+  :meth:`Executor.map_jobs`; both produce identical records in identical
+  order for the same batch.
 * :mod:`repro.engine.cache` — content-addressed on-disk :class:`ResultCache`
-  keyed by instance digest × algorithm version × parameters.
+  keyed by instance digest × algorithm version × parameters.  It is the
+  engine's only store of finished jobs: ``run_batch`` checkpoints each job
+  there as it finishes, so a killed sweep re-run with the same cache
+  directory executes only its unfinished tail.
 * :mod:`repro.engine.batch` — the :func:`run_batch` front door and the
   :func:`ratio_sweep_batch` builder that
   :func:`repro.analysis.sweeps.run_ratio_sweep`, the ``maxmin-lp sweep`` CLI
   and the benchmarks delegate to.
-* :mod:`repro.engine.resilience` — :class:`RetryPolicy` (retries, backoff,
-  deadlines) and :class:`BatchJournal` (the append-only
-  checkpoint behind ``run_batch(resume_from=...)``).  Fault *injection* —
-  the chaos-testing counterpart — lives in :mod:`repro.faults`.
+* :mod:`repro.engine.resilience` — :class:`RetryPolicy` (retries and
+  backoff) and the per-attempt deadline helpers.  Fault *injection* — the
+  chaos-testing counterpart — lives in :mod:`repro.faults`.
 """
 
 from .batch import BatchResult, ratio_sweep_batch, run_batch
@@ -35,7 +40,7 @@ from .registry import (
     execute_jobs_batched,
     solver_version,
 )
-from .resilience import BatchJournal, RetryPolicy, call_with_timeout, leaked_timeout_threads
+from .resilience import RetryPolicy, call_with_timeout, leaked_timeout_threads
 
 __all__ = [
     "JobSpec",
@@ -49,7 +54,6 @@ __all__ = [
     "default_executor",
     "ResultCache",
     "RetryPolicy",
-    "BatchJournal",
     "call_with_timeout",
     "leaked_timeout_threads",
     "run_batch",

@@ -4,15 +4,19 @@
 optional result cache, hands only the cache misses to the executor and
 returns every job's records in submission order.  It is the single execution
 path behind :func:`repro.analysis.sweeps.run_ratio_sweep`, the
-``maxmin-lp sweep`` CLI subcommand and the engine-backed benchmarks.
+``maxmin-lp sweep`` CLI subcommand and the engine-backed benchmarks, and its
+docstring is the one place the engine keywords are documented.
+
+The result cache is also the batch's only checkpoint: every job is stored
+the moment its result lands, so a killed batch re-run with the same cache
+resumes with only its unfinished tail.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .. import obs
 from ..core.instance import MaxMinInstance
@@ -22,7 +26,7 @@ from . import registry
 from .cache import ResultCache
 from .executors import Executor, default_executor
 from .job import BatchSpec, JobResult, JobSpec, Record, make_jobs_for_instance
-from .resilience import BatchJournal, RetryPolicy, check_timeout
+from .resilience import RetryPolicy, check_timeout
 
 __all__ = ["BatchResult", "run_batch", "ratio_sweep_batch"]
 
@@ -42,7 +46,6 @@ class BatchResult:
     results: List[JobResult] = field(default_factory=list)
     executed_jobs: int = 0
     cached_jobs: int = 0
-    journal_jobs: int = 0
     elapsed_s: float = 0.0
     metrics: Dict[str, object] = field(default_factory=dict)
 
@@ -77,11 +80,9 @@ def run_batch(
     retry: Optional[RetryPolicy] = None,
     timeout_s: Optional[float] = None,
     faults: Optional[FaultPlan] = None,
-    journal: Optional[Union[str, Path, BatchJournal]] = None,
-    resume_from: Optional[Union[str, Path, BatchJournal]] = None,
     on_error: str = "raise",
 ) -> BatchResult:
-    """Execute a batch: journal/cache lookup → fan-out of misses → reassembly.
+    """Execute a batch: cache lookup → fan-out of misses → reassembly.
 
     Parameters
     ----------
@@ -93,8 +94,11 @@ def run_batch(
         Convenience knob: ``None``/``1`` → :class:`SerialExecutor`, ``N > 1``
         → :class:`ParallelExecutor` with ``N`` workers.
     cache / cache_dir:
-        An open :class:`ResultCache`, or a directory to open one in.  With a
-        warm cache a re-run executes **zero** jobs (``executed_jobs == 0``).
+        An open :class:`ResultCache`, or a directory to open one in.  Every
+        finished job is stored as its result lands, so the cache is also the
+        batch's checkpoint: a re-run — of a warm batch, or of one killed
+        mid-way — executes only the jobs it does not hold
+        (``executed_jobs == 0`` when it holds them all).
     dispatch:
         ``"per-job"`` (default) hands every cache miss to the executor
         individually; ``"batched"`` routes the misses through
@@ -104,26 +108,21 @@ def run_batch(
         process fan-out, so combining it with an explicit ``executor`` or
         ``jobs > 1`` is rejected).  Records are identical either way.
     retry / timeout_s:
-        Batch-level resilience defaults, filled in on every job that does
-        not carry its own ``JobSpec.retry`` / ``JobSpec.timeout_s``.
+        Per-job retry policy and per-attempt deadline in seconds, filled in
+        on every job that does not carry its own ``JobSpec.retry`` /
+        ``JobSpec.timeout_s``.
     faults:
         A :class:`~repro.faults.plan.FaultPlan` to inject scripted failures
         (chaos testing).  Plumbed to the executor's workers and — when this
         call opens the cache itself via ``cache_dir`` — to the cache's write
         path.  A caller-constructed ``cache`` keeps its own wiring.
-    journal / resume_from:
-        Path to (or open) :class:`~repro.engine.resilience.BatchJournal`.
-        Completed jobs are checkpointed there *as they finish*; a journal
-        that already has entries (the ``resume_from`` spelling) satisfies
-        those jobs without executing or even cache-reading them, which is
-        how a killed sweep resumes with only its unfinished tail.  The two
-        parameters are one mechanism — pass either, not both.
     on_error:
-        ``"raise"`` (default): a job that exhausts its retries re-raises its
-        final error and the batch dies, pre-resilience style.  ``"record"``:
-        the failure becomes a structured :class:`JobResult` (``error`` set,
-        no records) in :attr:`BatchResult.failed_jobs` and the remaining
-        jobs still complete.
+        ``"raise"`` (default): once the executor returns, the first job that
+        exhausted its attempts re-raises its own exception and the batch
+        dies.  ``"record"``: every failure becomes a structured
+        :class:`JobResult` (``error`` set, no records) in
+        :attr:`BatchResult.failed_jobs` and the remaining jobs' records are
+        returned as usual.
     """
     if dispatch not in ("per-job", "batched"):
         raise EngineError(
@@ -142,147 +141,109 @@ def run_batch(
             "dispatch='batched' executes in-process and cannot be combined with "
             "an explicit executor or jobs > 1; drop one of the two knobs"
         )
-    if dispatch == "batched" and (
-        retry is not None or timeout_s is not None or faults is not None
-        or journal is not None or resume_from is not None
-    ):
+    if dispatch == "batched" and (retry is not None or timeout_s is not None or faults is not None):
         # The grouped §5 kernel has no per-job attempt boundary to retry,
-        # time out, or checkpoint at.
+        # time out, or inject at.
         raise EngineError(
-            "dispatch='batched' does not support retry/timeout/faults/journal; "
+            "dispatch='batched' does not support retry/timeout/faults; "
             "use per-job dispatch for resilient execution"
-        )
-    if journal is not None and resume_from is not None:
-        raise EngineError(
-            "journal= and resume_from= are the same mechanism; pass only one"
         )
     if executor is None:
         executor = default_executor(jobs)
     if cache is None and cache_dir is not None:
         cache = ResultCache(cache_dir, faults=faults)
 
-    journal_source = journal if journal is not None else resume_from
-    owns_journal = journal_source is not None and not isinstance(journal_source, BatchJournal)
-    journal_obj: Optional[BatchJournal] = (
-        journal_source if isinstance(journal_source, BatchJournal)
-        else BatchJournal(journal_source) if journal_source is not None
-        else None
-    )
-
     start = time.perf_counter()
     keys = [spec.cache_key(registry.solver_version(spec.algorithm)) for spec in batch.jobs]
 
     pending: List[Tuple[int, JobSpec]] = []
     slots: List[Optional[JobResult]] = [None] * len(batch.jobs)
-    journal_jobs = 0
-    try:
-        for index, (spec, key) in enumerate(zip(batch.jobs, keys)):
-            journaled = journal_obj.completed(key) if journal_obj is not None else None
-            if journaled is not None:
-                obs.count("engine.journal_hits")
-                journal_jobs += 1
-                slots[index] = JobResult(spec=spec, records=journaled, from_journal=True)
-                continue
-            cached = cache.get(key) if cache is not None else None
-            if cached is not None:
-                slots[index] = JobResult(spec=spec, records=cached, from_cache=True)
-            else:
-                if retry is not None or timeout_s is not None:
-                    spec = replace(
-                        spec,
-                        retry=spec.retry if spec.retry is not None else retry,
-                        timeout_s=spec.timeout_s if spec.timeout_s is not None else timeout_s,
-                    )
-                pending.append((index, spec))
-
-        batch_counters: Dict[str, object] = {}
-        per_metrics: List[Optional[Dict[str, object]]] = []
-        outputs: List[List[Record]] = []
-        checkpointed: Set[int] = set()
-
-        def checkpoint(position: int, records: List[Record], metrics) -> None:
-            """Persist one finished job the moment its result lands in the
-            parent — a later crash of the batch loses nothing before this
-            point.  Failures are skipped: the journal and cache hold only
-            clean, canonical records."""
-            if metrics is not None and metrics.get("error"):
-                return
-            index = pending[position][0]
-            if journal_obj is not None:
-                journal_obj.record(keys[index], records)
-            if cache is not None:
-                cache.put(keys[index], records)
-            checkpointed.add(position)
-
-        if pending:
-            job_start = time.perf_counter()
-            pending_specs = [spec for _, spec in pending]
-            if dispatch == "batched":
-                # One multi-instance kernel dispatch: per-job attribution is not
-                # meaningful, so the counter delta is captured for the batch as a
-                # whole and only the amortised mean is reported per job.
-                mark = obs.counters_mark() if obs.enabled() else None
-                with obs.span("engine.run_batch", dispatch=dispatch, jobs=len(pending)):
-                    outputs = registry.execute_jobs_batched(pending_specs)
-                per_metrics = [None] * len(outputs)
-                if mark is not None:
-                    batch_counters = obs.counters_since(mark)
-            else:
-                with obs.span("engine.run_batch", dispatch=dispatch, jobs=len(pending)):
-                    outputs, per_metrics = executor.map_jobs_detailed(
-                        pending_specs, faults=faults, on_result=checkpoint
-                    )
-            if len(outputs) != len(pending):
-                raise EngineError(
-                    f"executor {executor!r} returned {len(outputs)} outputs for "
-                    f"{len(pending)} jobs; result/owner alignment would be corrupted"
+    for index, (spec, key) in enumerate(zip(batch.jobs, keys)):
+        cached = cache.get(key) if cache is not None else None
+        if cached is not None:
+            slots[index] = JobResult(spec=spec, records=cached, from_cache=True)
+        else:
+            if retry is not None or timeout_s is not None:
+                spec = replace(
+                    spec,
+                    retry=spec.retry if spec.retry is not None else retry,
+                    timeout_s=spec.timeout_s if spec.timeout_s is not None else timeout_s,
                 )
-            per_job = (time.perf_counter() - job_start) / len(pending)
-            for position, ((index, spec), records, metrics) in enumerate(
-                zip(pending, outputs, per_metrics)
-            ):
-                error = metrics.get("error") if metrics is not None else None
-                if error is not None:
-                    if on_error == "raise":
-                        exception = metrics.get("exception")
-                        if isinstance(exception, BaseException):
-                            raise exception
-                        raise EngineError(
-                            f"job {spec.describe()} failed: {error.get('message', error)}"  # type: ignore[union-attr]
-                        )
-                    slots[index] = JobResult(
-                        spec=spec,
-                        records=[],
-                        elapsed_s=per_job,
-                        metrics=metrics,
-                        error=error,  # type: ignore[arg-type]
-                        attempts=int(metrics.get("attempts", 1)),  # type: ignore[union-attr, arg-type]
+            pending.append((index, spec))
+
+    batch_counters: Dict[str, object] = {}
+    per_metrics: List[Optional[Dict[str, object]]] = []
+
+    def checkpoint(position: int, records: List[Record], metrics) -> None:
+        """Store one finished job the moment its result lands in the parent
+        — a later crash of the batch loses nothing before this point.
+        Failures are skipped: the cache holds only clean, canonical
+        records."""
+        if cache is not None and not (metrics is not None and metrics.get("error")):
+            cache.put(keys[pending[position][0]], records)
+
+    if pending:
+        job_start = time.perf_counter()
+        pending_specs = [spec for _, spec in pending]
+        if dispatch == "batched":
+            # One multi-instance kernel dispatch: per-job attribution is not
+            # meaningful, so the counter delta is captured for the batch as a
+            # whole and only the amortised mean is reported per job.
+            mark = obs.counters_mark() if obs.enabled() else None
+            with obs.span("engine.run_batch", dispatch=dispatch, jobs=len(pending)):
+                outputs = registry.execute_jobs_batched(pending_specs)
+            per_metrics = [None] * len(outputs)
+            if mark is not None:
+                batch_counters = obs.counters_since(mark)
+            for position, records in enumerate(outputs):
+                checkpoint(position, records, None)
+        else:
+            with obs.span("engine.run_batch", dispatch=dispatch, jobs=len(pending)):
+                outputs, per_metrics = executor.map_jobs(
+                    pending_specs, faults=faults, on_result=checkpoint
+                )
+        if len(outputs) != len(pending):
+            raise EngineError(
+                f"executor {executor!r} returned {len(outputs)} outputs for "
+                f"{len(pending)} jobs; result/owner alignment would be corrupted"
+            )
+        per_job = (time.perf_counter() - job_start) / len(pending)
+        for (index, spec), records, metrics in zip(pending, outputs, per_metrics):
+            error = metrics.get("error") if metrics is not None else None
+            if error is not None:
+                if on_error == "raise":
+                    exception = metrics.get("exception")
+                    if isinstance(exception, BaseException):
+                        raise exception
+                    raise EngineError(
+                        f"job {spec.describe()} failed: {error.get('message', error)}"  # type: ignore[union-attr]
                     )
-                    continue
-                if position not in checkpointed:
-                    # Fallback for executors that ignore on_result.
-                    checkpoint(position, records, metrics)
                 slots[index] = JobResult(
                     spec=spec,
-                    records=records,
+                    records=[],
                     elapsed_s=per_job,
                     metrics=metrics,
-                    attempts=int(metrics.get("attempts", 1)) if metrics is not None else 1,
+                    error=error,  # type: ignore[arg-type]
+                    attempts=int(metrics.get("attempts", 1)),  # type: ignore[union-attr, arg-type]
                 )
-            for metrics in per_metrics:
-                if metrics is not None:
-                    for name, value in metrics.get("counters", {}).items():  # type: ignore[union-attr]
-                        batch_counters[name] = batch_counters.get(name, 0) + value
-    finally:
-        if journal_obj is not None and owns_journal:
-            journal_obj.close()
+                continue
+            slots[index] = JobResult(
+                spec=spec,
+                records=records,
+                elapsed_s=per_job,
+                metrics=metrics,
+                attempts=int(metrics.get("attempts", 1)) if metrics is not None else 1,
+            )
+        for metrics in per_metrics:
+            if metrics is not None:
+                for name, value in metrics.get("counters", {}).items():  # type: ignore[union-attr]
+                    batch_counters[name] = batch_counters.get(name, 0) + value
 
     results = [slot for slot in slots if slot is not None]
     rollup: Dict[str, object] = {
         "jobs": len(batch.jobs),
         "executed": len(pending),
-        "cached": len(batch.jobs) - len(pending) - journal_jobs,
-        "journaled": journal_jobs,
+        "cached": len(batch.jobs) - len(pending),
         "wall_s": time.perf_counter() - start,
     }
     recovery: Dict[str, int] = {}
@@ -301,8 +262,7 @@ def run_batch(
     return BatchResult(
         results=results,
         executed_jobs=len(pending),
-        cached_jobs=len(batch.jobs) - len(pending) - journal_jobs,
-        journal_jobs=journal_jobs,
+        cached_jobs=len(batch.jobs) - len(pending),
         elapsed_s=rollup["wall_s"],  # type: ignore[arg-type]
         metrics=rollup,
     )

@@ -8,9 +8,17 @@ no invalidation protocol to get wrong; stale entries are simply never
 addressed again (and can be garbage-collected by deleting the directory).
 
 The layout is git-object-like (``<root>/<key[:2]>/<key>.json``) to keep
-directory fan-out bounded on large sweeps.  Writes go through a temp file +
-``os.replace`` so concurrent writers of the *same* key (e.g. two sweep
-processes sharing a cache dir) race benignly: both write identical bytes.
+directory fan-out bounded on large sweeps.  Each write goes to a temporary
+file of its own in the entry's directory, is flushed and ``os.fsync``-ed,
+and is then moved into place with ``os.replace``.  So a reader sees either
+no entry or a complete one, an entry's bytes are on disk before it becomes
+visible (a crash loses at most entries, never their content), and
+concurrent writers of the same key —
+threads of one process, or processes sharing the directory — never touch
+each other's temporary files: the last ``os.replace`` wins, with identical
+bytes.  That durability is what makes the cache the engine's checkpoint: a
+killed sweep re-run with the same cache directory executes only the jobs
+whose entries are missing.
 
 Every entry carries a SHA-256 checksum over its canonicalised records,
 recomputed on read.  A missing file is an ordinary miss; a file that exists
@@ -154,8 +162,13 @@ class ResultCache:
         data = json.dumps(payload).encode("utf-8")
         if self.faults is not None:
             data = self.faults.corrupt_put(key, data)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_bytes(data)
+        # A name no other writer uses (O_EXCL guarantees it), so same-key
+        # writers in one process cannot replace or tear each other's file.
+        tmp = path.with_name(f"{key}.{os.urandom(8).hex()}.tmp")
+        with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
         self.stores += 1
         obs.count("cache.stores")

@@ -1,23 +1,24 @@
 """Executors: strategies for mapping job specs to records.
 
-:class:`SerialExecutor` runs jobs in-process (reference semantics, easy to
-debug, monkeypatch-friendly for tests).  :class:`ParallelExecutor` fans the
-same jobs out over a :class:`concurrent.futures.ProcessPoolExecutor` in
-contiguous chunks and reassembles the outputs **in submission order**, so the
-two executors are observationally identical: same records, same order, for
-any batch.  That equivalence is the engine's core contract and is asserted by
-a property test in ``tests/test_engine.py``.
+An executor implements one method, :meth:`Executor.map_jobs`, which returns
+every job's records together with its metrics (true elapsed wall time,
+attempt counts, and — with tracing enabled via :func:`repro.obs.configure`
+— the counter deltas the job produced).  :class:`SerialExecutor` runs jobs
+in-process (reference semantics, easy to debug, monkeypatch-friendly for
+tests).  :class:`ParallelExecutor` fans the same jobs out over a
+:class:`concurrent.futures.ProcessPoolExecutor` in contiguous chunks and
+reassembles the outputs **in submission order**, so the two executors are
+observationally identical: same records, same order, for any batch.  That
+equivalence is the engine's core contract and is asserted by a property
+test in ``tests/test_engine.py``.  Both run every job through the
+registry's one attempt loop,
+:func:`repro.engine.registry.execute_job_resilient`.
 
-Both executors also implement the *detailed* protocol,
-:meth:`Executor.map_jobs_detailed`, which returns per-job metrics (true
-elapsed wall time, and — with tracing enabled via
-:func:`repro.obs.configure` — the counter deltas each job produced)
-alongside the records.  Worker processes of the parallel executor collect
-their own trace buffers and ship them back with the chunk results; the
-parent merges them in **chunk-submission order**, so the merged spans and
-counters are deterministic for a fixed chunking regardless of which worker
-finished first.  Custom executors that only override :meth:`map_jobs` keep
-working: the base-class adapter runs them without metrics.
+Worker processes of the parallel executor collect their own trace buffers
+and ship them back with the chunk results; the parent merges them in
+**chunk-submission order**, so the merged spans and counters are
+deterministic for a fixed chunking regardless of which worker finished
+first.
 """
 
 from __future__ import annotations
@@ -36,52 +37,37 @@ from .job import JobSpec, Record
 
 __all__ = ["Executor", "SerialExecutor", "ParallelExecutor", "default_executor"]
 
-#: Per-job metrics payload (see :func:`repro.engine.registry.execute_job_detailed`).
+#: Per-job metrics payload (see :func:`repro.engine.registry.execute_job_resilient`).
 JobMetrics = Dict[str, object]
 
 #: Streaming completion hook: ``on_result(position, records, metrics)`` is
 #: called once per job as its result lands in the parent process, in
 #: whatever order jobs complete (``position`` indexes into the submitted
-#: spec sequence).  ``run_batch`` uses it to checkpoint the journal and the
-#: result cache *during* the batch, so a killed run keeps its finished work.
-OnResult = Callable[[int, List[Record], Optional[JobMetrics]], None]
+#: spec sequence).  ``run_batch`` uses it to checkpoint the result cache
+#: *during* the batch, so a killed run keeps its finished work.
+OnResult = Callable[[int, List[Record], JobMetrics], None]
 
 
 class Executor(abc.ABC):
-    """Maps an ordered sequence of job specs to their record lists."""
+    """Maps an ordered sequence of job specs to their records and metrics."""
 
     name: str = "executor"
 
     @abc.abstractmethod
-    def map_jobs(self, specs: Sequence[JobSpec]) -> List[List[Record]]:
-        """Execute every spec; ``result[j]`` holds the records of ``specs[j]``."""
-
-    def map_jobs_detailed(
+    def map_jobs(
         self,
         specs: Sequence[JobSpec],
         *,
         faults: Optional[FaultPlan] = None,
         on_result: Optional[OnResult] = None,
-    ) -> Tuple[List[List[Record]], List[Optional[JobMetrics]]]:
-        """Execute every spec, returning ``(records, metrics)`` per job.
+    ) -> Tuple[List[List[Record]], List[JobMetrics]]:
+        """Execute every spec; ``records[j]`` / ``metrics[j]`` belong to ``specs[j]``.
 
-        Base-class adapter for executors that only implement
-        :meth:`map_jobs`: runs them unchanged and reports ``None`` metrics
-        for every job (the engine then falls back to the amortised mean).
-        Fault injection needs executor cooperation, so a fault plan handed
-        to a classic executor is rejected rather than silently ignored;
-        ``on_result`` is honoured after the fact, in submission order.
+        ``faults`` is the fault plan to inject (chaos testing); ``on_result``
+        is called once per job as its result lands (see :data:`OnResult`).
+        A job that fails comes back with no records and ``metrics["error"]``
+        set; it never raises out of this call.
         """
-        if faults is not None:
-            raise EngineError(
-                f"executor {self!r} predates fault injection; use "
-                "SerialExecutor or ParallelExecutor with a FaultPlan"
-            )
-        outputs = self.map_jobs(specs)
-        if on_result is not None:
-            for position, records in enumerate(outputs):
-                on_result(position, records, None)
-        return outputs, [None] * len(outputs)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
@@ -92,28 +78,21 @@ class SerialExecutor(Executor):
 
     name = "serial"
 
-    def map_jobs(self, specs: Sequence[JobSpec]) -> List[List[Record]]:
-        # Resolved through the module so tests can monkeypatch
-        # ``registry.execute_job`` to count or stub solver calls.
-        return [registry.execute_job(spec) for spec in specs]
-
-    def map_jobs_detailed(
+    def map_jobs(
         self,
         specs: Sequence[JobSpec],
         *,
         faults: Optional[FaultPlan] = None,
         on_result: Optional[OnResult] = None,
-    ) -> Tuple[List[List[Record]], List[Optional[JobMetrics]]]:
-        if type(self).map_jobs is not SerialExecutor.map_jobs:
-            # A subclass customised the classic hook; honour its behaviour
-            # (and its bugs — run_batch's alignment check must still fire).
-            return Executor.map_jobs_detailed(self, specs, faults=faults, on_result=on_result)
+    ) -> Tuple[List[List[Record]], List[JobMetrics]]:
         # There is no expendable process here, so crash faults surface as
         # FaultInjectionError and become structured job failures.
         injector = faults.injector(in_worker=False) if faults is not None else None
         records_out: List[List[Record]] = []
-        metrics_out: List[Optional[JobMetrics]] = []
+        metrics_out: List[JobMetrics] = []
         for position, spec in enumerate(specs):
+            # Each attempt calls ``registry.execute_job`` through the module,
+            # so tests can monkeypatch it to count or stub solver calls.
             records, metrics = registry.execute_job_resilient(spec, injector=injector)
             records_out.append(records)
             metrics_out.append(metrics)
@@ -203,21 +182,18 @@ class ParallelExecutor(Executor):
     #: the fault to the job definitively.
     POISON_THRESHOLD = 2
 
-    def map_jobs(self, specs: Sequence[JobSpec]) -> List[List[Record]]:
-        return self.map_jobs_detailed(specs)[0]
-
-    def map_jobs_detailed(
+    def map_jobs(
         self,
         specs: Sequence[JobSpec],
         *,
         faults: Optional[FaultPlan] = None,
         on_result: Optional[OnResult] = None,
-    ) -> Tuple[List[List[Record]], List[Optional[JobMetrics]]]:
+    ) -> Tuple[List[List[Record]], List[JobMetrics]]:
         if not specs:
             return [], []
         if self.max_workers == 1 or len(specs) == 1:
             # A one-worker pool would only add process overhead.
-            return SerialExecutor().map_jobs_detailed(specs, faults=faults, on_result=on_result)
+            return SerialExecutor().map_jobs(specs, faults=faults, on_result=on_result)
         chunks = self._chunks(specs)
         size = self.chunk_size or max(1, -(-len(specs) // (self.max_workers * 4)))
         with_obs = obs.enabled()

@@ -14,13 +14,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.instance import MaxMinInstance
 from ..io.serialization import instance_digest, instance_to_json
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (resilience imports nothing back)
-    from .resilience import RetryPolicy
+from .resilience import RetryPolicy, check_timeout
 
 __all__ = ["JobSpec", "JobResult", "BatchSpec", "make_jobs_for_instance"]
 
@@ -55,20 +53,24 @@ class JobSpec:
         ``(("R", 3),)``.  Values must be JSON-compatible so the cache key is
         stable across processes.
     retry / timeout_s:
-        Optional per-job resilience policy (see
+        Optional per-job retry policy (see
         :class:`~repro.engine.resilience.RetryPolicy`) and per-attempt
-        deadline.  Both are *execution* knobs, not content: they never enter
-        the cache key, so a retried-and-recovered job lands on the same
-        cache entry as an untroubled one.  ``run_batch``-level policies fill
-        these in on jobs that don't carry their own.
+        deadline in seconds.  Both are *execution* knobs, not content: they
+        never enter the cache key, so a retried-and-recovered job lands on
+        the same cache entry as an untroubled one.  ``run_batch(retry=,
+        timeout_s=)`` fills them in on jobs that don't carry their own.
     """
 
     instance_json: str
     instance_digest: str
     algorithm: str
     params: ParamItems = ()
-    retry: Optional["RetryPolicy"] = None
+    retry: Optional[RetryPolicy] = None
     timeout_s: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.timeout_s is not None:
+            check_timeout(self.timeout_s)
 
     def param_dict(self) -> Dict[str, object]:
         """The parameters as a plain dictionary."""
@@ -103,14 +105,13 @@ class JobResult:
     ``metrics["elapsed_s"]``; when tracing is enabled
     (:func:`repro.obs.configure`) ``metrics["counters"]`` additionally holds
     the counter deltas attributable to this job.  ``metrics`` is ``None``
-    for cache hits and for executors that predate the detailed protocol.
+    only for cache hits (nothing was executed) and for jobs run by batched
+    dispatch (one kernel pass for many jobs has no per-job metrics).
 
-    A job that exhausted its retries (or was quarantined as a poison job)
+    A job that exhausted its attempts (or was quarantined as a poison job)
     has ``error`` set to a structured, JSON-safe payload (``type`` /
     ``message``, plus ``poison: True`` for quarantines) and ``records`` is
-    empty; ``attempts`` counts every try including the first.  Jobs read
-    back from a resume journal carry ``from_journal=True`` (and, like cache
-    hits, no metrics — nothing was executed).
+    empty; ``attempts`` counts every try including the first.
     """
 
     spec: JobSpec
@@ -120,7 +121,6 @@ class JobResult:
     metrics: Optional[Dict[str, object]] = None
     error: Optional[Dict[str, object]] = None
     attempts: int = 1
-    from_journal: bool = False
 
     @property
     def failed(self) -> bool:

@@ -1,11 +1,13 @@
 """Algorithm registry: how a :class:`~repro.engine.job.JobSpec` is executed.
 
-:func:`execute_job` is the single worker-side entry point — the serial and
-the process-pool executors both funnel through it.  It deserializes the
-instance, dispatches on ``spec.algorithm`` and produces records through the
-same evaluators :func:`repro.analysis.ratios.compare_algorithms` uses, so
-batch output is interchangeable with the legacy serial sweep by
-construction, not by parallel maintenance of two code paths.
+:func:`execute_job_resilient` is the single worker-side entry point — the
+serial and the process-pool executors both run every job through its one
+attempt loop, which calls :func:`execute_job` once per attempt.  That call
+deserializes the instance, dispatches on ``spec.algorithm`` and produces
+records through the same evaluators
+:func:`repro.analysis.ratios.compare_algorithms` uses, so batch output is
+interchangeable with the legacy serial sweep by construction, not by
+parallel maintenance of two code paths.
 
 Jobs are self-contained (they share no state with sibling jobs), which is
 what lets the pool schedule them independently and the cache address them
@@ -55,7 +57,6 @@ __all__ = [
     "SOLVER_VERSIONS",
     "solver_version",
     "execute_job",
-    "execute_job_detailed",
     "execute_job_resilient",
     "execute_jobs_batched",
 ]
@@ -116,31 +117,6 @@ def execute_job(spec: JobSpec) -> List[Record]:
     raise EngineError(f"algorithm {spec.algorithm!r} has a version but no executor branch")
 
 
-def execute_job_detailed(spec: JobSpec) -> Tuple[List[Record], Dict[str, object]]:
-    """Run one job and return ``(records, metrics)``.
-
-    ``metrics["elapsed_s"]`` is the job's true wall time (always measured —
-    one ``perf_counter`` pair per job is negligible against a solve).  With
-    tracing enabled, the job runs under a ``job.<algorithm>`` span and
-    ``metrics["counters"]`` carries the counter deltas it produced, which is
-    what the engine merges into the per-batch rollup.  Dispatch goes through
-    the module-global :func:`execute_job`, so tests monkeypatching it still
-    intercept every solve.
-    """
-    traced = obs.enabled()
-    mark = obs.counters_mark() if traced else None
-    start = time.perf_counter()
-    if traced:
-        with obs.span(f"job.{spec.algorithm}", digest=spec.instance_digest[:10]):
-            records = execute_job(spec)
-    else:
-        records = execute_job(spec)
-    metrics: Dict[str, object] = {"elapsed_s": time.perf_counter() - start}
-    if traced:
-        metrics["counters"] = obs.counters_since(mark)
-    return records, metrics
-
-
 def _structured_error(exc: BaseException, spec: JobSpec) -> Dict[str, object]:
     """A JSON-safe description of a job failure (plus the live exception)."""
     return {
@@ -161,29 +137,28 @@ def execute_job_resilient(
     injector: Optional[FaultInjector] = None,
     dispatch_attempt: int = 0,
 ) -> Tuple[List[Record], Dict[str, object]]:
-    """Run one job under its retry/timeout policy; never raises for job errors.
+    """Run one job to ``(records, metrics)``; never raises for job errors.
 
-    The return shape matches :func:`execute_job_detailed` —
-    ``(records, metrics)`` — but a job that exhausts its attempts comes back
-    as ``([], metrics)`` with ``metrics["error"]`` holding the structured
-    failure (and ``metrics["exception"]`` the live exception object, so
-    ``run_batch(on_error="raise")`` can re-raise the original).  The caller
-    decides whether a failure aborts the batch; this function's contract is
-    that one bad job can never take down its siblings.
+    This is the one attempt loop every executor runs each job through.  A
+    job gets ``1 + spec.retry.max_retries`` attempts (one without a
+    policy), each under ``spec.timeout_s`` via :func:`call_with_timeout`
+    (a direct call without a deadline), with the policy's backoff between
+    them.  Each attempt dispatches through the module-global
+    :func:`execute_job`, so monkeypatched spies intercept every try.
 
-    Retry accounting: ``metrics["attempts"]`` counts every try,
-    ``metrics["retries"]``/``metrics["timeouts"]`` the recoveries.  Every
-    solve still dispatches through the module-global :func:`execute_job`,
-    so monkeypatched spies intercept retried attempts too.
+    ``metrics["elapsed_s"]`` is the successful attempt's wall time and
+    ``metrics["attempts"]`` counts every try; ``retries`` / ``timeouts``
+    appear when nonzero.  With tracing enabled each attempt runs under a
+    ``job.<algorithm>`` span and ``metrics["counters"]`` carries the
+    counter deltas of the successful attempt.  A job that exhausts its
+    attempts comes back as ``([], metrics)`` with ``metrics["error"]``
+    holding the structured failure and ``metrics["exception"]`` the live
+    exception, so ``run_batch(on_error="raise")`` can re-raise the
+    original: one bad job never takes down its siblings.
     """
     policy = spec.retry
-    timeout_s = spec.timeout_s if spec.timeout_s is not None else (
-        policy.timeout_s if policy is not None else None
-    )
-    if policy is None and injector is None and timeout_s is None:
-        return execute_job_detailed(spec)  # the hot path stays untouched
-
     attempts_allowed = 1 + (policy.max_retries if policy is not None else 0)
+    traced = obs.enabled()
     retries = 0
     timeouts = 0
     start = time.perf_counter()
@@ -199,10 +174,20 @@ def execute_job_resilient(
                     attempt,
                     dispatch_attempt,
                 )
-            return execute_job_detailed(spec)
+            mark = obs.counters_mark() if traced else None
+            attempt_start = time.perf_counter()
+            if traced:
+                with obs.span(f"job.{spec.algorithm}", digest=spec.instance_digest[:10]):
+                    records = execute_job(spec)
+            else:
+                records = execute_job(spec)
+            metrics: Dict[str, object] = {"elapsed_s": time.perf_counter() - attempt_start}
+            if traced:
+                metrics["counters"] = obs.counters_since(mark)
+            return records, metrics
 
         try:
-            records, metrics = call_with_timeout(one_attempt, timeout_s)
+            records, metrics = call_with_timeout(one_attempt, spec.timeout_s)
         except JobTimeoutError as exc:
             timeouts += 1
             error = exc

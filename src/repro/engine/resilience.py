@@ -1,12 +1,14 @@
-"""Resilience policies for the engine: retries, timeouts, checkpoints.
+"""Resilience policies for the engine: retries and deadlines.
 
-Four pieces, shared by :func:`repro.engine.batch.run_batch`, the registry's
-resilient job executor and the executors:
+Three pieces, shared by :func:`repro.engine.batch.run_batch`, the registry's
+attempt loop and the allocation server:
 
-* :class:`RetryPolicy` — per-job retry/backoff/timeout knobs.  Backoff is
+* :class:`RetryPolicy` — per-job retry and backoff knobs.  Backoff is
   exponential with *deterministic* jitter: the jitter factor is derived from
   a SHA-256 over ``(job digest, attempt)``, so two runs of the same batch
   sleep the same amounts and the chaos-equivalence tests stay bit-stable.
+  The per-attempt deadline is not part of the policy: it is
+  ``run_batch(timeout_s=)`` (or ``JobSpec.timeout_s``).
 * :func:`check_timeout` — the one check every deadline passes: a number
   of seconds ``t`` with ``0 < t <= threading.TIMEOUT_MAX``.
 * :func:`call_with_timeout` — deadline enforcement for a single attempt.
@@ -18,46 +20,32 @@ resilient job executor and the executors:
   many are still running (also published as the
   ``engine.leaked_timeout_threads`` gauge), so a serving process wedging
   solver threads is visible on its admin endpoint instead of silent.
-* :class:`BatchJournal` — an append-only JSONL checkpoint of completed job
-  keys and their records.  ``run_batch(resume_from=...)`` reads it back and
-  skips finished work, which is what makes a 500-job sweep survive a
-  mid-run ``kill -9`` with only the unfinished tail to re-execute.  Appends
-  are flushed and fsynced per entry; corrupt lines (a torn tail from a
-  killed writer, or a damaged record mid-file) are dropped on load and the
-  journal is compacted so later appends stay durable.
+
+Finished jobs are checkpointed in the result cache
+(:class:`~repro.engine.cache.ResultCache`) as they land, so a killed sweep
+resumes when it is re-run with the same cache directory.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import numbers
-import os
 import threading
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from .. import obs
 from ..exceptions import EngineError, JobTimeoutError
 
 __all__ = [
     "RetryPolicy",
-    "BatchJournal",
     "check_timeout",
     "call_with_timeout",
     "leaked_timeout_threads",
 ]
 
 logger = logging.getLogger(__name__)
-
-#: One flat sweep record (kept structural — importing ``.job`` here would be
-#: circular, since :class:`~repro.engine.job.JobSpec` carries a policy).
-Record = Dict[str, object]
-
-_JOURNAL_FORMAT = "repro.engine-journal"
-_JOURNAL_VERSION = 1
 
 
 def check_timeout(timeout_s: object, name: str = "timeout_s") -> float:
@@ -96,16 +84,12 @@ class RetryPolicy:
         Fractional jitter width: the delay is scaled by a deterministic
         factor in ``[1 - jitter, 1 + jitter]`` derived from the job digest
         and attempt number (no RNG state, reproducible across processes).
-    timeout_s:
-        Per-attempt deadline (``None`` = no deadline).  A job-level
-        ``JobSpec.timeout_s`` takes precedence over the policy's.
     """
 
     max_retries: int = 2
     backoff_base_s: float = 0.05
     backoff_factor: float = 2.0
     jitter: float = 0.1
-    timeout_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -116,8 +100,6 @@ class RetryPolicy:
             raise EngineError(f"backoff_factor must be >= 1, got {self.backoff_factor}")
         if not 0.0 <= self.jitter < 1.0:
             raise EngineError(f"jitter must be in [0, 1), got {self.jitter}")
-        if self.timeout_s is not None:
-            check_timeout(self.timeout_s)
 
     def delay_s(self, token: str, attempt: int) -> float:
         """The backoff before retrying ``attempt`` (0-based), jittered."""
@@ -204,123 +186,3 @@ def call_with_timeout(fn, timeout_s: Optional[float]):
     if "error" in outcome:
         raise outcome["error"]  # type: ignore[misc]
     return outcome["value"]
-
-
-class BatchJournal:
-    """Append-only JSONL checkpoint: one line per completed job.
-
-    Line 1 is a header (``format``/``version``); every further line is
-    ``{"key": <cache key>, "records": [...]}``.  Loading tolerates corrupt
-    lines deterministically:
-
-    * A **torn tail** — the last line is unparseable, exactly what a
-      ``kill -9`` mid-append leaves behind — is dropped
-      (``engine.journal_torn_lines``); everything before it resumes.
-    * A **mid-file corrupt line** (disk damage, a truncated copy) is
-      dropped *along with everything after it*
-      (``engine.journal_corrupt_lines``): once one record is damaged the
-      byte offsets of its successors are untrustworthy, so resume falls
-      back to the last clean prefix and re-executes the rest.
-
-    Either way the journal is then **compacted** — atomically rewritten
-    with the header and the surviving entries (``os.replace``, so a crash
-    mid-compaction leaves the old file intact) — before appends resume.
-    Without compaction a corrupt line would poison the file forever: every
-    entry appended after it would land beyond the corruption and be
-    invisible to every future load.
-    """
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        self._completed: Dict[str, List[Record]] = {}
-        self._load()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        if self._needs_compaction:
-            self._compact()
-        self._handle = open(self.path, "a", encoding="utf-8")
-        if self._needs_header:
-            self._append_line({"format": _JOURNAL_FORMAT, "version": _JOURNAL_VERSION})
-
-    def _load(self) -> None:
-        self._needs_header = True
-        self._needs_compaction = False
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except (OSError, ValueError):
-            return
-        lines = [line for line in text.splitlines() if line.strip()]
-        for position, line in enumerate(lines):
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                if position == len(lines) - 1:
-                    # A torn tail from a killed writer.
-                    obs.count("engine.journal_torn_lines")
-                else:
-                    # Damage mid-file: everything after it is untrustworthy.
-                    obs.count("engine.journal_corrupt_lines")
-                    logger.warning(
-                        "journal %s: corrupt line %d of %d; keeping the %d "
-                        "clean entries before it and compacting",
-                        self.path,
-                        position + 1,
-                        len(lines),
-                        len(self._completed),
-                    )
-                self._needs_compaction = True
-                break
-            if position == 0 and entry.get("format") == _JOURNAL_FORMAT:
-                if entry.get("version") != _JOURNAL_VERSION:
-                    raise EngineError(
-                        f"journal {str(self.path)!r} has version "
-                        f"{entry.get('version')!r}; this engine writes "
-                        f"version {_JOURNAL_VERSION}"
-                    )
-                self._needs_header = False
-                continue
-            key = entry.get("key")
-            records = entry.get("records")
-            if isinstance(key, str) and isinstance(records, list):
-                self._completed[key] = records
-
-    def _compact(self) -> None:
-        """Atomically rewrite the journal as header + surviving entries."""
-        tmp = self.path.with_name(self.path.name + ".compact-tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(
-                json.dumps({"format": _JOURNAL_FORMAT, "version": _JOURNAL_VERSION}) + "\n"
-            )
-            for key, records in self._completed.items():
-                handle.write(json.dumps({"key": key, "records": records}) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
-        self._needs_header = False
-        self._needs_compaction = False
-        obs.count("engine.journal_compactions")
-
-    def _append_line(self, payload: Dict[str, object]) -> None:
-        self._handle.write(json.dumps(payload) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
-    def completed(self, key: str) -> Optional[List[Record]]:
-        """The journaled records for ``key``, or ``None`` if not completed."""
-        return self._completed.get(key)
-
-    def record(self, key: str, records: List[Record]) -> None:
-        """Checkpoint one completed job (flushed + fsynced immediately)."""
-        if key in self._completed:
-            return
-        self._append_line({"key": key, "records": records})
-        self._completed[key] = records
-        obs.count("engine.journal_writes")
-
-    def close(self) -> None:
-        self._handle.close()
-
-    def __len__(self) -> int:
-        return len(self._completed)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"BatchJournal({str(self.path)!r}, completed={len(self._completed)})"

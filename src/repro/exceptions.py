@@ -88,11 +88,11 @@ class EngineError(ReproError):
 
 
 class JobTimeoutError(EngineError):
-    """Raised when a job exceeds its ``timeout_s`` deadline.
+    """Raised when a job attempt exceeds its ``timeout_s`` deadline.
 
-    Counts as a failed attempt under the job's
-    :class:`~repro.engine.resilience.RetryPolicy`; with retries exhausted it
-    becomes the job's structured error.
+    Counts as a failed attempt, retried under the job's
+    :class:`~repro.engine.resilience.RetryPolicy` if it has one; once the
+    attempts run out it becomes the job's structured error.
     """
 
 

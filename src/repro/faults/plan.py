@@ -54,7 +54,7 @@ class JobFault:
         serial executor, where there is no expendable process, it raises
         :class:`~repro.exceptions.FaultInjectionError` instead).
         ``"hang"`` — sleep ``hang_s`` seconds before the solve, so a job
-        with a ``timeout_s`` policy blows its deadline.
+        run with a ``timeout_s`` deadline blows it.
         ``"transient"`` — raise :class:`FaultInjectionError` before the
         solve (the classic first-k-attempts-fail error).
     algorithm / digest_prefix / params:

@@ -190,8 +190,9 @@ class TestExecutorEquivalence:
 
     def test_misbehaving_executor_is_rejected(self):
         class DropsOneOutput(SerialExecutor):
-            def map_jobs(self, specs):
-                return super().map_jobs(specs)[:-1]
+            def map_jobs(self, specs, **kwargs):
+                records, metrics = super().map_jobs(specs, **kwargs)
+                return records[:-1], metrics[:-1]
 
         batch = ratio_sweep_batch(small_family()[:1], R_values=(2,))
         with pytest.raises(EngineError, match="alignment"):

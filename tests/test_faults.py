@@ -9,11 +9,12 @@ The contracts, in decreasing order of importance:
   proving the faults actually fired.
 * **Containment** — a poison job (crashes every worker it touches) becomes
   a structured failure; its sibling jobs still complete.
-* **Resumability** — ``run_batch(resume_from=...)`` after a partial run
-  re-executes only the unfinished jobs (spy-counted: zero solver calls for
-  journaled work).
+* **Resumability** — a sweep re-run with the same cache directory
+  executes only the jobs it has no entry for (``maxmin-lp sweep
+  --cache-dir`` here; ``benchmarks/chaos_smoke.py`` SIGKILLs a real run).
 * **Cache integrity** — truncated or bit-flipped entries are quarantined
-  and recomputed, never served.
+  and recomputed, never served; an entry is fsynced before it becomes
+  visible, and same-key writers never tear each other's files.
 * **Runtime guards** — non-finite values on the vectorized wire raise with
   round/agent attribution; injected message drops are deterministic.
 """
@@ -21,6 +22,9 @@ The contracts, in decreasing order of importance:
 from __future__ import annotations
 
 import json
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -34,8 +38,8 @@ from repro.distributed import (
 )
 from repro.distributed import safe_agents as safe_agents_mod
 from repro.engine import (
-    BatchJournal,
     BatchSpec,
+    JobSpec,
     ParallelExecutor,
     ResultCache,
     RetryPolicy,
@@ -44,8 +48,7 @@ from repro.engine import (
     registry,
     run_batch,
 )
-from repro.engine.executors import Executor
-from repro.exceptions import EngineError, FaultInjectionError, SimulationError
+from repro.exceptions import EngineError, FaultInjectionError, SerializationError, SimulationError
 from repro.faults import CacheFault, FaultPlan, JobFault, MessageFault, crash, hang, transient
 from repro.generators import cycle_instance, random_special_form_instance
 
@@ -193,7 +196,8 @@ class TestResilientExecution:
         result = run_batch(
             batch,
             faults=plan,
-            retry=RetryPolicy(max_retries=1, backoff_base_s=0.0, timeout_s=0.2),
+            retry=RetryPolicy(max_retries=1, backoff_base_s=0.0),
+            timeout_s=0.2,
         )
         assert result.records == baseline.records
         (safe_result,) = [r for r in result.results if r.spec.algorithm == "safe"]
@@ -232,6 +236,27 @@ class TestResilientExecution:
         assert survivors == expected
         assert result.metrics["failed"] == 3
 
+    @pytest.mark.parametrize(
+        "executor",
+        [SerialExecutor(), ParallelExecutor(max_workers=2, chunk_size=1)],
+        ids=["serial", "parallel"],
+    )
+    def test_on_error_record_needs_no_policy(self, executor):
+        """Without a retry policy, deadline or fault plan a failing job is
+        still recorded, and its healthy siblings' records come back; with
+        the default ``on_error="raise"`` the job's own exception surfaces."""
+        healthy = small_batch(small_instances()[:1])
+        broken = JobSpec(instance_json="{}", instance_digest="0" * 64, algorithm="safe")
+        batch = BatchSpec(jobs=healthy.jobs + [broken], owners=healthy.owners + [1])
+        result = run_batch(batch, executor=executor, on_error="record")
+        (failed,) = result.failed_jobs
+        assert failed.spec == broken and failed.records == [] and failed.attempts == 1
+        assert failed.error["type"] == "SerializationError"
+        assert result.records == run_batch(healthy).records
+        assert result.metrics["failed"] == 1
+        with pytest.raises(SerializationError):
+            run_batch(batch, executor=executor)
+
     def test_retry_policy_validation_and_deterministic_jitter(self):
         with pytest.raises(EngineError):
             RetryPolicy(max_retries=-1)
@@ -239,8 +264,6 @@ class TestResilientExecution:
             RetryPolicy(jitter=1.0)
         with pytest.raises(EngineError):
             RetryPolicy(backoff_factor=0.5)
-        with pytest.raises(EngineError):
-            RetryPolicy(timeout_s=0.0)
         policy = RetryPolicy(backoff_base_s=0.1, backoff_factor=2.0, jitter=0.2)
         delays = [policy.delay_s("digest", attempt) for attempt in range(3)]
         assert delays == [policy.delay_s("digest", attempt) for attempt in range(3)]
@@ -306,119 +329,6 @@ class TestCrashRecovery:
         result = run_batch(batch, faults=plan, on_error="record")
         (failed,) = result.failed_jobs
         assert failed.error["type"] == "FaultInjectionError"
-
-
-# ----------------------------------------------------------------------
-# Checkpoint / resume
-# ----------------------------------------------------------------------
-
-
-class TestJournalResume:
-    def test_resume_skips_journaled_jobs(self, tmp_path, monkeypatch):
-        journal_path = tmp_path / "sweep.jsonl"
-        batch = small_batch()
-        baseline = run_batch(batch)
-
-        # Simulate a killed sweep: only the first four jobs completed.
-        partial = BatchSpec(jobs=batch.jobs[:4], owners=batch.owners[:4])
-        run_batch(partial, journal=journal_path)
-
-        calls = []
-        real_execute = registry.execute_job
-        monkeypatch.setattr(
-            registry, "execute_job", lambda spec: calls.append(spec) or real_execute(spec)
-        )
-        resumed = run_batch(batch, resume_from=journal_path)
-        assert resumed.records == baseline.records
-        assert resumed.journal_jobs == 4 and resumed.executed_jobs == 2
-        assert len(calls) == 2  # zero solver calls for the journaled jobs
-        journaled = [r for r in resumed.results if r.from_journal]
-        assert len(journaled) == 4 and all(not r.from_cache for r in journaled)
-
-    def test_journal_tolerates_torn_tail(self, tmp_path):
-        journal_path = tmp_path / "sweep.jsonl"
-        batch = small_batch()
-        run_batch(batch, journal=journal_path)
-        # A kill -9 mid-append leaves a torn final line.
-        with open(journal_path, "a", encoding="utf-8") as handle:
-            handle.write('{"key": "deadbeef", "records": [{"tr')
-        journal = BatchJournal(journal_path)
-        assert len(journal) == len(batch.jobs)  # the tear is ignored, not fatal
-        journal.close()
-        resumed = run_batch(batch, resume_from=journal_path)
-        assert resumed.executed_jobs == 0 and resumed.journal_jobs == len(batch.jobs)
-
-    def test_journal_mid_file_corruption_keeps_clean_prefix_and_compacts(self, tmp_path):
-        journal_path = tmp_path / "sweep.jsonl"
-        batch = small_batch()
-        run_batch(batch, journal=journal_path)
-        lines = journal_path.read_text(encoding="utf-8").splitlines()
-        assert len(lines) == 1 + len(batch.jobs)  # header + one line per job
-        # Corrupt an entry in the *middle* of the file (disk damage), not
-        # the tail: line 1 is the header, line 2 the first entry.
-        lines[2] = lines[2][: len(lines[2]) // 2] + "\x00garbage"
-        journal_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-        journal = BatchJournal(journal_path)
-        # Only the clean prefix (the entry before the corruption) survives;
-        # everything after the damaged line is untrustworthy.
-        assert len(journal) == 1
-        journal.close()
-
-        # The file was compacted: reloadable, header first, no corrupt bytes.
-        compacted = journal_path.read_text(encoding="utf-8").splitlines()
-        assert len(compacted) == 2
-        assert all(json.loads(line) for line in compacted)
-
-        # The regression this guards: entries appended *after* a corruption
-        # must be durable on the next load (pre-compaction they were
-        # silently dropped forever).
-        journal = BatchJournal(journal_path)
-        journal.record("appended-after-corruption", [{"utility": 1.0}])
-        journal.close()
-        reloaded = BatchJournal(journal_path)
-        assert len(reloaded) == 2
-        assert reloaded.completed("appended-after-corruption") == [{"utility": 1.0}]
-        reloaded.close()
-
-        # Resume still works end to end from the compacted journal.
-        resumed = run_batch(batch, resume_from=journal_path)
-        assert resumed.journal_jobs == 1
-        assert resumed.executed_jobs == len(batch.jobs) - 1
-
-    def test_journal_torn_tail_is_compacted_for_durable_appends(self, tmp_path):
-        journal_path = tmp_path / "sweep.jsonl"
-        batch = small_batch()
-        run_batch(batch, journal=journal_path)
-        # A kill -9 mid-append leaves a torn final line with no newline;
-        # without compaction the next append would glue onto it and both
-        # lines would be lost on the load after that.
-        with open(journal_path, "a", encoding="utf-8") as handle:
-            handle.write('{"key": "deadbeef", "records": [{"tr')
-        journal = BatchJournal(journal_path)
-        assert len(journal) == len(batch.jobs)
-        journal.record("post-tear", [{"utility": 2.0}])
-        journal.close()
-        reloaded = BatchJournal(journal_path)
-        assert reloaded.completed("post-tear") == [{"utility": 2.0}]
-        assert len(reloaded) == len(batch.jobs) + 1
-        reloaded.close()
-
-    def test_journal_version_mismatch_raises(self, tmp_path):
-        journal_path = tmp_path / "sweep.jsonl"
-        journal_path.write_text(
-            json.dumps({"format": "repro.engine-journal", "version": 99}) + "\n"
-        )
-        with pytest.raises(EngineError, match="version"):
-            BatchJournal(journal_path)
-
-    def test_journal_and_resume_from_are_mutually_exclusive(self, tmp_path):
-        with pytest.raises(EngineError, match="same mechanism"):
-            run_batch(
-                small_batch(),
-                journal=tmp_path / "a.jsonl",
-                resume_from=tmp_path / "b.jsonl",
-            )
 
 
 # ----------------------------------------------------------------------
@@ -488,6 +398,73 @@ class TestCacheIntegrity:
         )
         assert cache.get(self.KEY) is None
         assert cache.corrupt == 0  # stale format, not corruption
+
+    def test_put_fsyncs_its_temporary_file_before_replacing(self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path / "cache")
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def spy_fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def spy_replace(src, dst):
+            events.append(("replace", os.stat(src).st_ino, os.fspath(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", spy_fsync)
+        monkeypatch.setattr(os, "replace", spy_replace)
+        path = cache.put(self.KEY, [{"x": 1}])
+        (fsync, inode), (replace, src_inode, dst) = events
+        assert (fsync, replace) == ("fsync", "replace")
+        assert inode == src_inode  # the synced file is the one moved into place
+        assert dst == os.fspath(path)
+        assert cache.get(self.KEY) == [{"x": 1}]
+
+    def test_same_key_writers_and_a_reader_race_cleanly(self, tmp_path):
+        """Threads storing one key while another reads it: no put raises and
+        the reader never sees a torn entry (so nothing is quarantined)."""
+        cache = ResultCache(tmp_path / "cache")
+        records = [{"utility": 0.5, "algorithm": "safe-degree", "pad": "x" * 4096}]
+        writers, puts = 4, 150
+        start = threading.Barrier(writers + 1)
+        done = threading.Event()
+        errors = []
+        reads = []
+
+        def write():
+            start.wait()
+            try:
+                for _ in range(puts):
+                    cache.put(self.KEY, records)
+            except Exception as exc:  # noqa: BLE001 - collected for the assert
+                errors.append(exc)
+
+        def read():
+            start.wait()
+            while not done.is_set():
+                reads.append(cache.get(self.KEY))
+
+        threads = [threading.Thread(target=write) for _ in range(writers)]
+        reader = threading.Thread(target=read)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads + [reader]:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            done.set()
+            reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads + [reader])
+        assert errors == []
+        assert cache.corrupt == 0
+        assert all(got is None or got == records for got in reads)
+        assert cache.get(self.KEY) == records
+        entry_dir = tmp_path / "cache" / self.KEY[:2]
+        assert list(entry_dir.iterdir()) == [entry_dir / f"{self.KEY}.json"]  # no temp files left
 
 
 # ----------------------------------------------------------------------
@@ -580,14 +557,6 @@ class TestValidation:
         with pytest.raises(EngineError, match="chunk_size"):
             ParallelExecutor(chunk_size=-3)
 
-    def test_classic_executor_rejects_fault_plans(self):
-        class Classic(Executor):
-            def map_jobs(self, specs):
-                return [registry.execute_job(spec) for spec in specs]
-
-        with pytest.raises(EngineError, match="fault"):
-            run_batch(small_batch(), executor=Classic(), faults=FaultPlan())
-
     def test_run_batch_rejects_unknown_on_error(self):
         with pytest.raises(EngineError, match="on_error"):
             run_batch(small_batch(), on_error="explode")
@@ -597,15 +566,17 @@ class TestValidation:
         """A wait on NaN returns at once and one past ``threading.TIMEOUT_MAX``
         overflows: either would fail every attempt, so neither is accepted."""
         with pytest.raises(EngineError, match="timeout_s"):
-            RetryPolicy(timeout_s=bad)
-        with pytest.raises(EngineError, match="timeout_s"):
             run_batch(small_batch(), timeout_s=bad)
+        with pytest.raises(EngineError, match="timeout_s"):
+            JobSpec(instance_json="{}", instance_digest="0" * 64, algorithm="safe", timeout_s=bad)
 
     def test_batched_dispatch_rejects_resilience_knobs(self):
         with pytest.raises(EngineError, match="batched"):
             run_batch(small_batch(), dispatch="batched", retry=RetryPolicy())
         with pytest.raises(EngineError, match="batched"):
             run_batch(small_batch(), dispatch="batched", faults=FaultPlan())
+        with pytest.raises(EngineError, match="batched"):
+            run_batch(small_batch(), dispatch="batched", timeout_s=1.0)
 
 
 # ----------------------------------------------------------------------
@@ -614,10 +585,9 @@ class TestValidation:
 
 
 class TestCLI:
-    def test_sweep_resume_from_journal(self, tmp_path, capsys):
+    def test_sweep_resumes_from_cache_dir(self, tmp_path, capsys):
         from repro.cli import main
 
-        journal = tmp_path / "sweep.jsonl"
         args = [
             "sweep",
             "cycle",
@@ -628,15 +598,15 @@ class TestCLI:
             "2",
             "--retries",
             "1",
-            "--resume-from",
-            str(journal),
+            "--cache-dir",
+            str(tmp_path / "cache"),
         ]
         assert main(args) == 0
         first = capsys.readouterr().out
-        assert "4 executed" in first
+        assert "4 executed, 0 cached" in first
         assert main(args) == 0
         second = capsys.readouterr().out
-        assert "0 executed" in second and "4 journaled" in second
+        assert "0 executed, 4 cached" in second
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "1e300", "0", "-1"])
     def test_sweep_unusable_timeout_is_a_usage_error(self, bad, capsys, monkeypatch):

@@ -328,6 +328,20 @@ class TestCli:
         assert err.startswith("error: alternating trees for R=40 exceed the limit of 10000")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_sweep_tree_node_limit_is_a_one_line_error(self, monkeypatch, capsys):
+        """The same refusal inside a sweep job: the engine records the job's
+        failure and re-raises its own SolverError, so one line, exit 2."""
+        import repro.algo.kernels as kernels_mod
+
+        monkeypatch.setattr(kernels_mod, "MAX_TREE_NODES", 10_000)
+        assert main(["sweep", "random", "--sizes", "50", "--r-values", "40"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: alternating trees for R=40 exceed the limit of 10000"
+        )
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("target", ["generate", "solve --output", "solve --trace-out"])
     def test_unwritable_output_is_a_one_line_error(self, target, tmp_path, capsys):
         inst = str(save_instance(cycle_instance(6), tmp_path / "inst.json"))

@@ -584,11 +584,20 @@ class TestCompiledInstance:
             comp.obj_of_agent
 
     def test_communication_graph_cached_and_copied_by_mutators(self):
+        from repro.core.solution import Solution
+
         instance = cycle_instance(4)
         g = instance.communication_graph()
         assert instance.communication_graph() is g
-        # Read-only callers keep working against the cached object.
-        assert instance.is_connected()
+        nodes, edges = g.number_of_nodes(), g.number_of_edges()
+        # measure_change_impact adds the vanished nodes of the old topology
+        # (v8, v9 and their rows) to a copy of the new instance's graph,
+        # never to the cached object itself.
+        before = cycle_instance(5)
+        measure_change_impact(before, instance, lambda inst: Solution(inst, {}), horizon=1)
+        assert instance.communication_graph() is g
+        assert (g.number_of_nodes(), g.number_of_edges()) == (nodes, edges)
+        assert nodes < before.communication_graph().number_of_nodes()
 
 
 class TestBatchedTrees:

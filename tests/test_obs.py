@@ -23,6 +23,7 @@ from repro.algo.upper_bound import compute_upper_bounds
 from repro.engine.batch import ratio_sweep_batch, run_batch
 from repro.engine.cache import ResultCache
 from repro.engine.executors import ParallelExecutor, SerialExecutor
+from repro.exceptions import EngineError
 from repro.generators import cycle_instance, random_special_form_instance
 
 
@@ -416,11 +417,11 @@ def test_parallel_metric_merge_is_deterministic_and_complete():
 
 def test_custom_executor_subclass_still_runs_without_metrics():
     class Doubler(SerialExecutor):
-        def map_jobs(self, specs):
+        def map_jobs(self, specs, **kwargs):
             return super().map_jobs(list(specs) + list(specs))
 
     batch = ratio_sweep_batch([cycle_instance(6, seed=0)], R_values=(2,), include_safe=False)
-    with pytest.raises(Exception):
+    with pytest.raises(EngineError, match="alignment"):
         run_batch(batch, executor=Doubler())  # alignment check must still fire
 
 
