@@ -20,25 +20,37 @@ Public API highlights
   grids, sensor networks, bandwidth allocation, lower-bound gadgets).
 * :mod:`repro.oracle` — per-node reference implementations that the
   equivalence tests pin the production paths to (not imported here).
+
+This package and ``core``, ``algo``, ``transforms``, ``io``, ``engine``,
+``analysis`` and ``generators`` re-export their names lazily
+(:mod:`repro._lazy`): a name's submodule is imported the first time the
+name is read, so a command loads only the modules it uses.
 """
 
-from .core import (
-    InstanceBuilder,
-    LPResult,
-    MaxMinInstance,
-    Solution,
-    optimum_value,
-    preprocess,
-    solve_maxmin_lp,
+from ._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".core": (
+            "InstanceBuilder",
+            "LPResult",
+            "MaxMinInstance",
+            "Solution",
+            "optimum_value",
+            "preprocess",
+            "solve_maxmin_lp",
+        ),
+        ".algo": (
+            "Certificate",
+            "LocalMaxMinSolver",
+            "SafeAlgorithm",
+            "SpecialFormLocalSolver",
+            "theorem1_ratio",
+        ),
+        ".transforms": ("to_special_form",),
+    },
 )
-from .algo import (
-    Certificate,
-    LocalMaxMinSolver,
-    SafeAlgorithm,
-    SpecialFormLocalSolver,
-    theorem1_ratio,
-)
-from .transforms import to_special_form
 
 __version__ = "1.1.0"
 

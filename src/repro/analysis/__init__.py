@@ -1,15 +1,22 @@
 """Measurement, sweeping and reporting utilities for the experiments."""
 
-from .indistinguishability import (
-    IndistinguishabilityResult,
-    agent_view_classes,
-    best_local_ratio_bound,
-    build_view,
-    view_signature,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".indistinguishability": (
+            "IndistinguishabilityResult",
+            "agent_view_classes",
+            "best_local_ratio_bound",
+            "build_view",
+            "view_signature",
+        ),
+        ".ratios": ("compare_algorithms", "evaluate_solution", "measured_ratio"),
+        ".reporting": ("format_markdown_table", "format_table", "format_value", "summarise_column"),
+        ".sweeps": ("group_rows", "run_ratio_sweep", "worst_case_by"),
+    },
 )
-from .ratios import compare_algorithms, evaluate_solution, measured_ratio
-from .reporting import format_markdown_table, format_table, format_value, summarise_column
-from .sweeps import group_rows, run_ratio_sweep, worst_case_by
 
 __all__ = [
     "measured_ratio",

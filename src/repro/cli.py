@@ -34,7 +34,11 @@ files and output files that cannot be written, which are reported as a
 one-line message rather than a traceback.
 
 The CLI is a thin veneer over the library — every code path it exercises is
-also covered by the test suite through the Python API.
+also covered by the test suite through the Python API.  Each handler imports
+the subsystem it runs, so ``--help`` loads no numpy and ``solve`` loads
+neither the batch engine nor the generators.  ``load_instance`` and
+``save_solution`` stay module attributes that the handlers call, so a
+wrapper set on this module reaches every call.
 """
 
 from __future__ import annotations
@@ -43,29 +47,14 @@ import argparse
 import contextlib
 import json
 import sys
-from typing import Callable, Iterator, List, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional
 
 from . import obs
-from .algo.general_solver import LocalMaxMinSolver
-from .algo.safe_algorithm import SafeAlgorithm
-from .analysis.ratios import compare_algorithms
-from .analysis.reporting import format_table
-from .analysis.sweeps import run_ratio_sweep_batch, worst_case_by
-from .core.instance import MaxMinInstance
-from .core.lp import solve_maxmin_lp
-from .core.preprocess import preprocess
-from .engine.cache import ResultCache
-from .engine.resilience import RetryPolicy, check_timeout
-from .generators import (
-    cycle_instance,
-    objective_ring_instance,
-    random_instance,
-    random_special_form_instance,
-    sensor_network_instance,
-    torus_instance,
-)
 from .exceptions import EngineError, SerializationError, SolverError
 from .io.serialization import load_instance, save_instance, save_solution
+
+if TYPE_CHECKING:
+    from .core.instance import MaxMinInstance
 
 __all__ = ["main", "build_parser"]
 
@@ -125,6 +114,8 @@ _shifting_parameter = _int_at_least(2, "R")
 
 def _check_seconds(value: float, flag: str) -> None:
     """Refuse a deadline no wait can use (:func:`check_timeout`)."""
+    from .engine.resilience import check_timeout
+
     try:
         check_timeout(value, flag)
     except EngineError as exc:
@@ -388,6 +379,15 @@ def _make_instance(
     A generator's ``ValueError`` (a size or degree bound the family cannot
     meet) is a usage error, reported as one line.
     """
+    from .generators import (
+        cycle_instance,
+        objective_ring_instance,
+        random_instance,
+        random_special_form_instance,
+        sensor_network_instance,
+        torus_instance,
+    )
+
     try:
         if family == "random":
             return random_instance(size, delta_I=delta_I, delta_K=delta_K, seed=seed)
@@ -416,6 +416,10 @@ def _generate(args: argparse.Namespace) -> int:
 
 
 def _sweep(args: argparse.Namespace) -> int:
+    from .analysis.reporting import format_table
+    from .analysis.sweeps import run_ratio_sweep_batch, worst_case_by
+    from .engine.resilience import RetryPolicy
+
     if args.dispatch == "batched" and args.jobs > 1:
         print(
             "error: --dispatch batched runs in-process; drop --jobs (or use --dispatch per-job)",
@@ -504,6 +508,7 @@ def _sweep(args: argparse.Namespace) -> int:
 
 
 def _solve_dist(args: argparse.Namespace, instance: MaxMinInstance) -> int:
+    from .analysis.reporting import format_table
     from .distributed import ResilientLocalSolver
     from .faults import AgentFault, FaultPlan, MessageFault
 
@@ -578,6 +583,9 @@ def _solve(args: argparse.Namespace) -> int:
     instance = _load_instance_friendly(args.input)
     if args.dist:
         return _solve_dist(args, instance)
+    from .algo.general_solver import LocalMaxMinSolver
+    from .analysis.reporting import format_table
+
     solver = LocalMaxMinSolver(R=args.R)
     result = solver.solve(instance)
     rows = [
@@ -589,6 +597,8 @@ def _solve(args: argparse.Namespace) -> int:
         }
     ]
     if args.with_safe:
+        from .algo.safe_algorithm import SafeAlgorithm
+
         safe = SafeAlgorithm()
         solution, certificate = safe.solve_with_certificate(instance)
         rows.append(
@@ -600,6 +610,8 @@ def _solve(args: argparse.Namespace) -> int:
             }
         )
     if args.with_optimum:
+        from .core.lp import solve_maxmin_lp
+
         lp = solve_maxmin_lp(instance)
         rows.append(
             {
@@ -621,6 +633,9 @@ def _solve(args: argparse.Namespace) -> int:
 
 
 def _compare(args: argparse.Namespace) -> int:
+    from .analysis.ratios import compare_algorithms
+    from .analysis.reporting import format_table
+
     instance = _load_instance_friendly(args.input)
     rows = compare_algorithms(instance, R_values=tuple(args.r_values), include_optimum_row=True)
     columns = [
@@ -637,6 +652,9 @@ def _compare(args: argparse.Namespace) -> int:
 
 
 def _info(args: argparse.Namespace) -> int:
+    from .analysis.reporting import format_table
+    from .core.preprocess import preprocess
+
     instance = _load_instance_friendly(args.input)
     stats = instance.degree_statistics().as_dict()
     rows = [
@@ -667,6 +685,8 @@ def _info(args: argparse.Namespace) -> int:
         rows.append({"property": "preprocess: optimum", "value": "unbounded"})
     print(format_table(rows, ["property", "value"], title=instance.name))
     if args.cache_dir:
+        from .engine.cache import ResultCache
+
         cache = ResultCache(args.cache_dir)
         stats = cache.stats()
         print()
@@ -683,6 +703,7 @@ def _info(args: argparse.Namespace) -> int:
 def _dynamics(args: argparse.Namespace) -> int:
     import numpy as np
 
+    from .analysis.reporting import format_table
     from .distributed.dynamics import DynamicNetwork
 
     instance = _make_instance(args.family, args.size, args.delta_I, args.delta_K, args.seed)

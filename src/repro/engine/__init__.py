@@ -29,18 +29,25 @@ tabulated afterwards.  This package turns that shape into infrastructure:
   chaos-testing counterpart — lives in :mod:`repro.faults`.
 """
 
-from .batch import BatchResult, ratio_sweep_batch, run_batch
-from .cache import ResultCache
-from .executors import Executor, ParallelExecutor, SerialExecutor, default_executor
-from .job import BatchSpec, JobResult, JobSpec, make_jobs_for_instance
-from .registry import (
-    SOLVER_VERSIONS,
-    execute_job,
-    execute_job_resilient,
-    execute_jobs_batched,
-    solver_version,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".batch": ("BatchResult", "ratio_sweep_batch", "run_batch"),
+        ".cache": ("ResultCache",),
+        ".executors": ("Executor", "ParallelExecutor", "SerialExecutor", "default_executor"),
+        ".job": ("BatchSpec", "JobResult", "JobSpec", "make_jobs_for_instance"),
+        ".registry": (
+            "SOLVER_VERSIONS",
+            "execute_job",
+            "execute_job_resilient",
+            "execute_jobs_batched",
+            "solver_version",
+        ),
+        ".resilience": ("RetryPolicy", "call_with_timeout", "leaked_timeout_threads"),
+    },
 )
-from .resilience import RetryPolicy, call_with_timeout, leaked_timeout_threads
 
 __all__ = [
     "JobSpec",

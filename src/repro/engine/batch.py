@@ -117,10 +117,12 @@ def run_batch(
         call opens the cache itself via ``cache_dir`` — to the cache's write
         path.  A caller-constructed ``cache`` keeps its own wiring.
     on_error:
-        ``"raise"`` (default): once the executor returns, the first job that
-        exhausted its attempts re-raises its own exception and the batch
-        dies.  ``"record"``: every failure becomes a structured
-        :class:`JobResult` (``error`` set, no records) in
+        ``"raise"`` (default): the first job that exhausted its attempts
+        re-raises its own exception as soon as its result lands, and the
+        batch dies there: a serial executor runs no further job, and a
+        parallel one cancels the chunks that have not started (jobs stored
+        before the failure stay in the cache).  ``"record"``: every failure
+        becomes a structured :class:`JobResult` (``error`` set, no records) in
         :attr:`BatchResult.failed_jobs` and the remaining jobs' records are
         returned as usual.
     """
@@ -177,9 +179,13 @@ def run_batch(
     def checkpoint(position: int, records: List[Record], metrics) -> None:
         """Store one finished job the moment its result lands in the parent
         — a later crash of the batch loses nothing before this point.
-        Failures are skipped: the cache holds only clean, canonical
-        records."""
-        if cache is not None and not (metrics is not None and metrics.get("error")):
+        Failures are never stored (the cache holds only clean, canonical
+        records); under ``on_error="raise"`` the first one raises here, so
+        the executor stops instead of running the rest of the batch."""
+        if metrics is not None and metrics.get("error"):
+            if on_error == "raise":
+                _raise_failure(pending[position][1], metrics)
+        elif cache is not None:
             cache.put(keys[pending[position][0]], records)
 
     if pending:
@@ -211,13 +217,8 @@ def run_batch(
         for (index, spec), records, metrics in zip(pending, outputs, per_metrics):
             error = metrics.get("error") if metrics is not None else None
             if error is not None:
-                if on_error == "raise":
-                    exception = metrics.get("exception")
-                    if isinstance(exception, BaseException):
-                        raise exception
-                    raise EngineError(
-                        f"job {spec.describe()} failed: {error.get('message', error)}"  # type: ignore[union-attr]
-                    )
+                if on_error == "raise":  # an executor that never called on_result
+                    _raise_failure(spec, metrics)
                 slots[index] = JobResult(
                     spec=spec,
                     records=[],
@@ -266,6 +267,16 @@ def run_batch(
         elapsed_s=rollup["wall_s"],  # type: ignore[arg-type]
         metrics=rollup,
     )
+
+
+def _raise_failure(spec: JobSpec, metrics: Dict[str, object]) -> None:
+    """Re-raise a failed job's own exception (an :class:`EngineError` naming
+    the job when its metrics carry none)."""
+    exception = metrics.get("exception")
+    if isinstance(exception, BaseException):
+        raise exception
+    error = metrics["error"]
+    raise EngineError(f"job {spec.describe()} failed: {error.get('message', error)}")  # type: ignore[union-attr]
 
 
 def ratio_sweep_batch(

@@ -66,7 +66,10 @@ class Executor(abc.ABC):
         ``faults`` is the fault plan to inject (chaos testing); ``on_result``
         is called once per job as its result lands (see :data:`OnResult`).
         A job that fails comes back with no records and ``metrics["error"]``
-        set; it never raises out of this call.
+        set; it never raises out of this call.  An exception raised by
+        ``on_result`` propagates, and no job that has not started yet runs:
+        that is how ``run_batch(on_error="raise")`` stops at the first
+        failure.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -221,19 +224,25 @@ class ParallelExecutor(Executor):
                 pool.submit(_run_chunk, index, chunk, with_obs, faults)
                 for index, chunk in chunks
             ]
-            for (index, chunk), future in zip(chunks, futures):
-                positions = [index * size + offset for offset in range(len(chunk))]
-                try:
-                    _, pairs, snapshot = future.result()
-                except BrokenExecutor:
-                    for position in positions:
-                        crash_counts[position] += 1
-                        dispatch_attempts[position] += 1
-                        suspects.append(position)
-                    continue
-                snapshots[index] = snapshot
-                for position, (job_records, job_metrics) in zip(positions, pairs):
-                    deliver(position, job_records, job_metrics)
+            try:
+                for (index, chunk), future in zip(chunks, futures):
+                    positions = [index * size + offset for offset in range(len(chunk))]
+                    try:
+                        _, pairs, snapshot = future.result()
+                    except BrokenExecutor:
+                        for position in positions:
+                            crash_counts[position] += 1
+                            dispatch_attempts[position] += 1
+                            suspects.append(position)
+                        continue
+                    snapshots[index] = snapshot
+                    for position, (job_records, job_metrics) in zip(positions, pairs):
+                        deliver(position, job_records, job_metrics)
+            except BaseException:
+                # ``on_result`` raised (or an interrupt): the batch ends here,
+                # and chunks that have not started never run.
+                pool.shutdown(cancel_futures=True)
+                raise
         # Fold worker trace buffers into the parent collector in
         # chunk-submission order — deterministic regardless of completion
         # order; each chunk gets its own virtual process lane.

@@ -1,17 +1,28 @@
 """Workload generators for every experiment family of ``benchmarks/bench_e*.py``."""
 
-from .bandwidth import BandwidthWorkload, bandwidth_allocation_instance
-from .cycle import cycle_instance, defect_cycle_instance
-from .grid import torus_instance
-from .lower_bound import half_half_cycle_pair, hard_ring_pair, indistinguishable_cycle_pair
-from .perturb import jitter_coefficients, perturb_coefficient
-from .random_instances import random_instance, random_special_form_instance
-from .regular import (
-    objective_ring_instance,
-    regular_general_instance,
-    regular_special_form_instance,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".bandwidth": ("BandwidthWorkload", "bandwidth_allocation_instance"),
+        ".cycle": ("cycle_instance", "defect_cycle_instance"),
+        ".grid": ("torus_instance",),
+        ".lower_bound": (
+            "half_half_cycle_pair",
+            "hard_ring_pair",
+            "indistinguishable_cycle_pair",
+        ),
+        ".perturb": ("jitter_coefficients", "perturb_coefficient"),
+        ".random_instances": ("random_instance", "random_special_form_instance"),
+        ".regular": (
+            "objective_ring_instance",
+            "regular_general_instance",
+            "regular_special_form_instance",
+        ),
+        ".sensor_network": ("SensorNetwork", "sensor_network_instance"),
+    },
 )
-from .sensor_network import SensorNetwork, sensor_network_instance
 
 __all__ = [
     "random_instance",

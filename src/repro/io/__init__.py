@@ -1,14 +1,21 @@
 """Serialization and graph-format interoperability."""
 
-from .graphml import from_networkx, load_graphml, save_graphml, to_networkx
-from .serialization import (
-    instance_digest,
-    instance_from_json,
-    instance_to_json,
-    load_instance,
-    save_instance,
-    save_solution,
-    solution_to_json,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".graphml": ("from_networkx", "load_graphml", "save_graphml", "to_networkx"),
+        ".serialization": (
+            "instance_digest",
+            "instance_from_json",
+            "instance_to_json",
+            "load_instance",
+            "save_instance",
+            "save_solution",
+            "solution_to_json",
+        ),
+    },
 )
 
 __all__ = [

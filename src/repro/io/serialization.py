@@ -16,16 +16,18 @@ strings).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Dict, Mapping, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Union
 
 from .._types import NodeId
-from ..core.instance import MaxMinInstance
-from ..core.solution import Solution
 from ..exceptions import InvalidInstanceError, SerializationError
+
+if TYPE_CHECKING:
+    from ..core.instance import MaxMinInstance
+    from ..core.solution import Solution
 
 __all__ = [
     "instance_to_json",
@@ -102,8 +104,11 @@ def instance_from_json(text: str) -> MaxMinInstance:
     """Inverse of :func:`instance_to_json`.
 
     Every failure — invalid JSON, a malformed document, or a document that
-    describes no valid instance — raises :class:`SerializationError`.
+    describes no valid instance, such as one that lists an edge twice —
+    raises :class:`SerializationError`.
     """
+    from ..core.instance import MaxMinInstance
+
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -119,6 +124,10 @@ def instance_from_json(text: str) -> MaxMinInstance:
             (_decode_id(row["objective"]), _decode_id(row["agent"])): float(row["coefficient"])
             for row in payload["c"]
         }
+        if len(a) != len(payload["a"]):
+            _raise_duplicate_edge("constraint", payload["a"])
+        if len(c) != len(payload["c"]):
+            _raise_duplicate_edge("objective", payload["c"])
         return MaxMinInstance(
             agents=[_decode_id(x) for x in payload["agents"]],
             constraints=[_decode_id(x) for x in payload["constraints"]],
@@ -135,6 +144,17 @@ def instance_from_json(text: str) -> MaxMinInstance:
         raise SerializationError(str(exc)) from exc
 
 
+def _raise_duplicate_edge(kind: str, rows: List[Mapping[str, Any]]) -> None:
+    """Name the first row that repeats an earlier row's edge, worded like the
+    array constructor's refusal."""
+    seen = set()
+    for row in rows:
+        edge = (_decode_id(row[kind]), _decode_id(row["agent"]))
+        if edge in seen:
+            raise SerializationError(f"duplicate {kind} coefficient for ({edge[0]!r}, {edge[1]!r})")
+        seen.add(edge)
+
+
 def instance_digest(instance: Union[MaxMinInstance, str]) -> str:
     """Stable SHA-256 content digest of an instance.
 
@@ -149,6 +169,8 @@ def instance_digest(instance: Union[MaxMinInstance, str]) -> str:
     :func:`instance_to_json` (so callers that serialised the instance anyway
     can avoid serialising twice).
     """
+    import hashlib  # not at module level: loading OpenSSL costs a cold solve ~6 ms
+
     text = instance if isinstance(instance, str) else instance_to_json(instance)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -169,24 +191,50 @@ def solution_to_json(solution: Solution, include_diagnostics: bool = True) -> st
     """Serialise a solution (values plus optional diagnostics) to strict JSON.
 
     A non-finite utility is written as ``null``; a non-finite value raises
-    :class:`ValueError`.
+    :class:`ValueError`.  The text is ``json.dumps(payload, indent=2,
+    allow_nan=False)`` of the document, byte for byte, but the rows are
+    written from a template: ``indent`` forces json's pure-Python encoder,
+    which took most of a 10⁴-agent save.  Strings are escaped by json's own
+    ``encode_basestring_ascii`` and values written with ``repr``, as json
+    writes a float.
     """
+    instance = solution.instance
     values = solution.value_array().tolist()
+    # Rows sit at depth 2 of the document; a tagged id is a nested object,
+    # so its lines are indented by the six spaces of a row's fields.
+    rows = [
+        f'    {{\n      "agent": {_id_text(v)},\n      "value": {x!r}\n    }}'
+        for v, x in zip(instance.agents, values)
+    ]
     payload: Dict[str, Any] = {
         "format": "repro.maxmin-solution",
         "version": 1,
         "label": solution.label,
-        "instance": solution.instance.name,
-        "values": [
-            {"agent": _encode_id(v), "value": x}
-            for v, x in zip(solution.instance.agents, values)
-        ],
+        "instance": instance.name,
+        "values": [],
     }
     if include_diagnostics:
         utility = solution.utility()
         payload["utility"] = utility if math.isfinite(utility) else None
         payload["feasible"] = solution.is_feasible()
-    return json.dumps(payload, indent=2, allow_nan=False)
+    if not all(map(math.isfinite, values)):
+        # json's own refusal of the first non-finite value; ``indent`` picks
+        # the encoder (and so the message) that writes the whole document.
+        json.dumps(next(x for x in values if not math.isfinite(x)), indent=2, allow_nan=False)
+    # Every key of the document sits at two spaces and nested lines deeper,
+    # so this marks the one "values" key; the rows go in its place.
+    head, _, tail = json.dumps(payload, indent=2, allow_nan=False).partition(
+        '\n  "values": []'
+    )
+    block = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    return head + '\n  "values": ' + block + tail
+
+
+def _id_text(node_id: NodeId) -> str:
+    """A node id as :func:`solution_to_json` writes it in a row."""
+    if isinstance(node_id, str):
+        return encode_basestring_ascii(node_id)
+    return json.dumps(_encode_id(node_id), indent=2).replace("\n", "\n      ")
 
 
 def save_solution(solution: Solution, path: Union[str, Path]) -> Path:

@@ -1,13 +1,20 @@
 """Local transformations of paper §4 and their composition."""
 
-from .augment_singleton_constraints import AugmentSingletonConstraints
-from .augment_singleton_objectives import AugmentSingletonObjectives
-from .base import Transform, TransformResult, compose
-from .normalise_coefficients import NormaliseCoefficients
-from .pipeline import apply_chain, canonical_transforms, to_special_form
-from .reduce_constraint_degree import ReduceConstraintDegree
-from .split_agents_by_objective import SplitAgentsByObjective
-from .vectorized import CompiledTransformResult, vectorized_to_special_form
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".augment_singleton_constraints": ("AugmentSingletonConstraints",),
+        ".augment_singleton_objectives": ("AugmentSingletonObjectives",),
+        ".base": ("Transform", "TransformResult", "compose"),
+        ".normalise_coefficients": ("NormaliseCoefficients",),
+        ".pipeline": ("apply_chain", "canonical_transforms", "to_special_form"),
+        ".reduce_constraint_degree": ("ReduceConstraintDegree",),
+        ".split_agents_by_objective": ("SplitAgentsByObjective",),
+        ".vectorized": ("CompiledTransformResult", "vectorized_to_special_form"),
+    },
+)
 
 __all__ = [
     "Transform",

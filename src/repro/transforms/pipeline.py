@@ -20,18 +20,24 @@ from typing import List, Sequence
 
 from .. import obs
 from ..core.instance import MaxMinInstance
-from .augment_singleton_constraints import AugmentSingletonConstraints
-from .augment_singleton_objectives import AugmentSingletonObjectives
 from .base import Transform, TransformResult, compose
-from .normalise_coefficients import NormaliseCoefficients
-from .reduce_constraint_degree import ReduceConstraintDegree
-from .split_agents_by_objective import SplitAgentsByObjective
 
 __all__ = ["canonical_transforms", "to_special_form", "apply_chain"]
 
 
 def canonical_transforms() -> List[Transform]:
-    """The five §4 transformations in their canonical application order."""
+    """The five §4 transformations in their canonical application order.
+
+    They are the per-stage transcription that the oracle
+    :func:`repro.oracle.to_special_form` runs; :func:`to_special_form` runs
+    none of them, so their modules are imported here, on first use.
+    """
+    from .augment_singleton_constraints import AugmentSingletonConstraints
+    from .augment_singleton_objectives import AugmentSingletonObjectives
+    from .normalise_coefficients import NormaliseCoefficients
+    from .reduce_constraint_degree import ReduceConstraintDegree
+    from .split_agents_by_objective import SplitAgentsByObjective
+
     return [
         AugmentSingletonConstraints(),
         ReduceConstraintDegree(),

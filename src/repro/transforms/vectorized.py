@@ -352,7 +352,9 @@ def _stage_reduce_constraint_degree(st: _PipelineState) -> None:
 
     # Process constraints grouped by degree: every group lowers to one
     # rectangular gather + a triu-template pair expansion.
-    for d in np.unique(deg).tolist():
+    # The sorted distinct degrees; ``np.unique`` would give the same, but its
+    # first call in a process imports ``numpy.ma`` (12–17 ms of a cold solve).
+    for d in np.flatnonzero(np.bincount(deg)).tolist():
         rows = np.flatnonzero(deg == d)
         window = st.con_indptr[rows][:, None] + np.arange(d)
         block_a = st.con_agents[window]

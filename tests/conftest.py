@@ -177,6 +177,24 @@ def invalid_instance_documents():
     return docs
 
 
+def repeated_edge_documents():
+    """``(family, text, message)`` triples: the tiny instance's document with
+    its first ``a`` (or ``c``) row listed again under another coefficient,
+    and the refusal the loader must give."""
+    import json
+
+    from repro.io.serialization import instance_to_json
+
+    docs = []
+    for family, kind in (("a", "constraint"), ("c", "objective")):
+        doc = json.loads(instance_to_json(build_tiny_instance()))
+        first = doc[family][0]
+        doc[family].insert(1, dict(first, coefficient=5.0))
+        message = f"duplicate {kind} coefficient for ({first[kind]!r}, {first['agent']!r})"
+        docs.append((family, json.dumps(doc), message))
+    return docs
+
+
 def spy_view_builds(monkeypatch) -> list:
     """Record every instance whose lazy dict views get built.
 

@@ -1,4 +1,6 @@
-"""Cold-start guard: the everyday commands never load scipy or networkx.
+"""Cold-start guard: each command loads only what it runs.
+
+The everyday commands never load scipy or networkx.
 
 Both packages cost more than the whole ``import repro.cli`` without them, so
 they are imported inside the functions that use them (the exact LP,
@@ -8,8 +10,12 @@ upload loads neither.
 The per-node oracles of :mod:`repro.oracle` are test and benchmark code, so
 the same probes check that no command imports them.  :mod:`repro.distributed`
 loads only for the commands that run it (``solve --dist`` and
-``dynamics``).  Each case runs in a fresh interpreter, because this test
-process has long since imported all of them.
+``dynamics``).  The packages that re-export names resolve them on first
+access and each CLI handler imports its own subsystem, so ``import repro.cli`` and ``--help``
+load no numpy, and ``solve`` loads neither the batch engine, the
+generators, the §4 stage classes nor a process pool.  Each case runs in a
+fresh interpreter, because this test process has long since imported all of
+them.
 """
 
 from __future__ import annotations
@@ -40,11 +46,44 @@ print(json.dumps(sorted(
 """
 
 
-def _run(body: str):
-    """``(stdout lines, heavy modules)`` of BODY in a fresh interpreter."""
+#: Runs BODY, then prints every loaded module as JSON.
+EVERY_MODULE = """
+import json, sys
+{body}
+print(json.dumps(sorted(sys.modules)))
+"""
+
+#: The packages whose ``__init__`` resolves its re-exports on first access.
+LAZY_PACKAGES = (
+    "repro",
+    "repro.core",
+    "repro.algo",
+    "repro.transforms",
+    "repro.io",
+    "repro.engine",
+    "repro.analysis",
+    "repro.generators",
+)
+
+#: The per-stage §4 transcription, which only the oracle runs.
+STAGE_MODULES = tuple(
+    f"repro.transforms.{name}"
+    for name in (
+        "augment_singleton_constraints",
+        "reduce_constraint_degree",
+        "split_agents_by_objective",
+        "augment_singleton_objectives",
+        "normalise_coefficients",
+    )
+)
+
+
+def _run(body: str, probe: str = PROBE):
+    """``(stdout lines, modules)`` of BODY in a fresh interpreter: the heavy
+    modules with the default probe, every module with ``EVERY_MODULE``."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE.format(body=body)],
+        [sys.executable, "-c", probe.format(body=body)],
         env=env,
         capture_output=True,
         text=True,
@@ -85,6 +124,88 @@ def test_solve_loads_neither(instance_file, tmp_path):
     _, heavy = _run(f"import repro.cli\nassert repro.cli.main({argv!r}) == 0")
     assert heavy == []
     assert json.loads(sol.read_text(encoding="utf-8"))["feasible"] is True
+
+
+def test_solve_loads_only_what_it_runs(instance_file, tmp_path):
+    """A cold ``solve --output`` loads the solve path and its table writer:
+    no engine, generator, oracle or service module, no §4 stage class, no
+    process pool."""
+    sol = tmp_path / "sol.json"
+    argv = ["solve", str(instance_file), "-R", "3", "--output", str(sol)]
+    _, loaded = _run(f"import repro.cli\nassert repro.cli.main({argv!r}) == 0", EVERY_MODULE)
+    unused = [["repro", p] for p in ("engine", "distributed", "faults", "serve", "generators", "oracle")]
+    assert [m for m in loaded if m.split(".")[:2] in unused] == []
+    assert [m for m in loaded if m.startswith("repro.analysis")] == [
+        "repro.analysis",
+        "repro.analysis.reporting",
+    ]
+    assert [m for m in loaded if m in STAGE_MODULES] == []
+    pools = ("multiprocessing", "concurrent.futures")
+    assert [m for m in loaded if m in pools or m.startswith(tuple(p + "." for p in pools))] == []
+    assert json.loads(sol.read_text(encoding="utf-8"))["feasible"] is True
+
+
+HELP = """
+import contextlib, io
+import repro.cli
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        repro.cli.main(["--help"])
+except SystemExit as exc:
+    assert exc.code == 0
+"""
+
+
+@pytest.mark.parametrize("body", ["import repro.cli", HELP], ids=["import", "help"])
+def test_cli_import_and_help_load_no_numpy(body):
+    _, loaded = _run(body, EVERY_MODULE)
+    assert "numpy" not in loaded
+    assert [m for m in loaded if m.startswith("repro.core")] == []
+
+
+def test_every_lazy_export_is_its_definition():
+    """Each name in each package's ``__all__`` is listed by ``dir`` and
+    resolves, on first access, to the object its defining module binds under
+    that name (a class or function by its ``__module__``, data by a module
+    of the package)."""
+    body = f"""
+import importlib, types
+for name in {LAZY_PACKAGES!r}:
+    package = importlib.import_module(name)
+    assert set(package.__all__) <= set(dir(package)), name
+    for attr in package.__all__:
+        obj = getattr(package, attr)
+        assert not isinstance(obj, types.ModuleType), (name, attr)
+        if isinstance(obj, (type, types.FunctionType)):
+            home = importlib.import_module(obj.__module__)
+            assert obj.__module__.startswith(name) and getattr(home, attr) is obj, (name, attr)
+        else:
+            homes = [m for n, m in sys.modules.items() if n == name or n.startswith(name + ".")]
+            assert any(vars(m).get(attr) is obj for m in homes), (name, attr)
+"""
+    _run(body)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "from repro import LocalMaxMinSolver, preprocess\nfunction = preprocess",
+        "import repro.core.preprocess\n"
+        "from repro import preprocess\n"
+        "from repro.core import preprocess as core_preprocess\n"
+        "assert core_preprocess is preprocess\n"
+        "function = preprocess",
+    ],
+    ids=["first-access", "after-submodule-import"],
+)
+def test_preprocess_is_the_function(body):
+    """``preprocess`` names a submodule and its function; the packages bind
+    the function whichever is imported first."""
+    _run(
+        body
+        + "\nassert function is sys.modules['repro.core.preprocess'].preprocess"
+        + "\nassert callable(function) and function.__name__ == 'preprocess'"
+    )
 
 
 @pytest.mark.parametrize(

@@ -257,6 +257,31 @@ class TestResilientExecution:
         with pytest.raises(SerializationError):
             run_batch(batch, executor=executor)
 
+    def test_raise_stops_a_parallel_batch_at_the_failure(self, tmp_path):
+        """Under the default ``on_error="raise"`` a failure raises as soon as
+        its result lands: no later result is stored, and the pool cancels
+        the chunks that have not started.  Every job sleeps first, so most
+        of the batch is still queued when the failure lands."""
+        healthy = ratio_sweep_batch(
+            [random_special_form_instance(8 + i, delta_K=3, seed=i) for i in range(6)],
+            R_values=(2,),
+            include_safe=True,
+        )
+        broken = JobSpec(instance_json="{}", instance_digest="0" * 64, algorithm="safe")
+        batch = BatchSpec(
+            jobs=healthy.jobs[:1] + [broken] + healthy.jobs[1:],
+            owners=healthy.owners[:1] + [6] + healthy.owners[1:],
+        )
+        with pytest.raises(SerializationError):
+            run_batch(
+                batch,
+                executor=ParallelExecutor(max_workers=2, chunk_size=1),
+                cache_dir=tmp_path,
+                faults=FaultPlan(job_faults=(hang(0.1),)),
+            )
+        # Only the job ahead of the failure was stored, of 12 healthy ones.
+        assert ResultCache(tmp_path).stats()["entries"] == 1
+
     def test_retry_policy_validation_and_deterministic_jitter(self):
         with pytest.raises(EngineError):
             RetryPolicy(max_retries=-1)
@@ -610,12 +635,14 @@ class TestCLI:
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "1e300", "0", "-1"])
     def test_sweep_unusable_timeout_is_a_usage_error(self, bad, capsys, monkeypatch):
+        import repro.analysis.sweeps as sweeps
         import repro.cli as cli
 
         def no_jobs(*args, **kwargs):
             raise AssertionError("the sweep ran")
 
-        monkeypatch.setattr(cli, "run_ratio_sweep_batch", no_jobs)
+        # ``_sweep`` imports the sweep runner when it runs, from its module.
+        monkeypatch.setattr(sweeps, "run_ratio_sweep_batch", no_jobs)
         argv = ["sweep", "cycle", "--sizes", "6", "--r-values", "2", "--timeout-s", bad]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err

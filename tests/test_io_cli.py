@@ -27,7 +27,7 @@ from repro.io import (
 )
 from repro.transforms import to_special_form
 
-from conftest import invalid_instance_documents
+from conftest import invalid_instance_documents, repeated_edge_documents
 
 
 def _reject_constant(name):
@@ -258,6 +258,21 @@ class TestCli:
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
+        "text, message",
+        [(text, message) for _, text, message in repeated_edge_documents()],
+        ids=[family for family, _, _ in repeated_edge_documents()],
+    )
+    def test_repeated_edge_is_a_one_line_error(self, text, message, tmp_path, capsys):
+        """A document that lists an edge twice is refused in the array
+        constructor's words, not loaded with the later row's coefficient."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        assert main(["solve", str(bad), "-R", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: invalid instance file {bad}: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["solve", "{inst}", "-R", "1"],
@@ -329,12 +344,24 @@ class TestCli:
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_sweep_tree_node_limit_is_a_one_line_error(self, monkeypatch, capsys):
-        """The same refusal inside a sweep job: the engine records the job's
-        failure and re-raises its own SolverError, so one line, exit 2."""
+        """The same refusal inside a sweep job: the engine re-raises the job's
+        own SolverError as soon as it lands, so one line, exit 2, and none of
+        the other seven jobs runs."""
         import repro.algo.kernels as kernels_mod
+        from repro.engine import registry
+
+        calls = []
+        execute_job = registry.execute_job
+
+        def spy(spec):
+            calls.append(spec)
+            return execute_job(spec)
 
         monkeypatch.setattr(kernels_mod, "MAX_TREE_NODES", 10_000)
-        assert main(["sweep", "random", "--sizes", "50", "--r-values", "40"]) == 2
+        monkeypatch.setattr(registry, "execute_job", spy)
+        argv = ["sweep", "random", "--sizes", "50", "60", "70", "80", "--r-values", "40"]
+        assert main(argv) == 2
+        assert len(calls) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(
             "error: alternating trees for R=40 exceed the limit of 10000"

@@ -11,11 +11,13 @@ properties the paper proves:
 * the ``g±`` tables are monotone and sign-bounded (Lemmata 5–7);
 * the §4 transformations preserve feasibility through the back-mapping and
   reach the special form;
-* serialization round-trips.
+* serialization round-trips, and the solution writer's template gives
+  exactly the text of ``json.dumps(payload, indent=2, allow_nan=False)``.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -30,8 +32,9 @@ from repro.algo.upper_bound import tree_optimum_binary_search, tree_optimum_lp
 from repro.core.builder import InstanceBuilder
 from repro.core.lp import solve_maxmin_lp
 from repro.core.preprocess import preprocess
+from repro.core.instance import MaxMinInstance
 from repro.core.solution import Solution
-from repro.io.serialization import instance_from_json, instance_to_json
+from repro.io.serialization import _encode_id, instance_from_json, instance_to_json, solution_to_json
 from repro.transforms import to_special_form
 
 from conftest import assert_feasible, assert_within_guarantee
@@ -244,3 +247,86 @@ def test_solution_average_preserves_feasibility(instance):
     mix = Solution.average([lp.solution, safe])
     assert_feasible(mix)
     assert mix.utility() >= min(lp.optimum, safe.utility()) - 1e-9
+
+
+# ----------------------------------------------------------------------
+# Solution writer
+# ----------------------------------------------------------------------
+
+#: Every node id kind the format writes: str (quotes, backslashes,
+#: newlines and non-ASCII characters among them), int, bool, float
+#: (``-0.0`` and ``inf`` among them) and nested tuples of those.
+node_ids = st.recursive(
+    st.one_of(
+        st.text(),
+        st.sampled_from(['"', "\\", 'a"b\\c', "naïve €", "\u2028\n\t"]),
+        st.integers(),
+        st.booleans(),
+        st.floats(allow_nan=False),
+        st.sampled_from([-0.0, math.inf, -math.inf]),
+    ),
+    lambda children: st.lists(children, max_size=3).map(tuple),
+    max_leaves=6,
+)
+
+texts = st.one_of(st.text(), st.sampled_from(["line\nbreak", "naïve €", ""]))
+
+
+@st.composite
+def solutions(draw):
+    """A solution of an instance whose one constraint (and, if drawn, one
+    objective) covers every agent; its values are any finite floats."""
+    agents = draw(st.lists(node_ids, min_size=1, max_size=6, unique_by=lambda v: v))
+    objectives = ["k"] if draw(st.booleans()) else []
+    instance = MaxMinInstance(
+        agents,
+        ["i"],
+        objectives,
+        {("i", v): 1.0 for v in agents},
+        {(k, v): 1.0 for k in objectives for v in agents},
+        name=draw(texts),
+    )
+    values = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([0.0, 5e-324, 1e300])
+    )
+    x = draw(st.lists(values, min_size=len(agents), max_size=len(agents)))
+    return Solution.from_agent_array(instance, x, label=draw(texts))
+
+
+def reference_solution_json(solution: Solution, include_diagnostics: bool) -> str:
+    """The writer's specification: its document through ``json.dumps``."""
+    values = solution.value_array().tolist()
+    payload = {
+        "format": "repro.maxmin-solution",
+        "version": 1,
+        "label": solution.label,
+        "instance": solution.instance.name,
+        "values": [
+            {"agent": _encode_id(v), "value": x}
+            for v, x in zip(solution.instance.agents, values)
+        ],
+    }
+    if include_diagnostics:
+        utility = solution.utility()
+        payload["utility"] = utility if math.isfinite(utility) else None
+        payload["feasible"] = solution.is_feasible()
+    return json.dumps(payload, indent=2, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(solutions(), st.booleans())
+def test_solution_writer_matches_json_dumps(solution, include_diagnostics):
+    assert solution_to_json(solution, include_diagnostics) == reference_solution_json(
+        solution, include_diagnostics
+    )
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_solution_writer_refuses_a_non_finite_value(bad):
+    instance = MaxMinInstance(["u", "v"], ["i"], [], {("i", "u"): 1.0, ("i", "v"): 1.0}, {})
+    solution = Solution.from_agent_array(instance, [0.5, bad])
+    with pytest.raises(ValueError) as expected:
+        reference_solution_json(solution, True)
+    with pytest.raises(ValueError) as refused:
+        solution_to_json(solution)
+    assert str(refused.value) == str(expected.value)

@@ -45,7 +45,7 @@ from repro.serve import (
 from repro.serve.batcher import MicroBatcher
 from repro.serve.protocol import ERROR_STATUS, parse_body
 
-from conftest import invalid_instance_documents, spy_view_builds
+from conftest import invalid_instance_documents, repeated_edge_documents, spy_view_builds
 
 
 def make_instances(count, *, size=10, seed0=100):
@@ -432,6 +432,16 @@ class TestServerBasics:
             status, metrics = client.metrics()
             assert status == 200
             assert metrics["counters"].get("serve.internal_errors", 0) == 0
+
+    def test_repeated_edge_upload_is_a_bad_request(self):
+        """An upload that lists an edge twice is refused, not admitted with
+        the later row's coefficient."""
+        with ServerHandle(ServeConfig(workers=1)) as handle:
+            client = handle.client(timeout_s=10)
+            for family, text, message in repeated_edge_documents():
+                status, payload = client.info(instance=text)
+                assert status == 400 and payload["error"]["code"] == "bad_request", family
+                assert payload["error"]["message"] == f"invalid instance document: {message}"
 
     def test_cache_tier_survives_restart(self, tmp_path):
         (inst,) = make_instances(1)
