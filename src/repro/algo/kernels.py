@@ -360,11 +360,7 @@ def _bracketed_search(bt: BatchedTrees, tol: float) -> np.ndarray:
         lvl1 = bt.levels[1]
         hi0 = root_caps + np.add.reduceat(comp.capacity[lvl1.nodes], lvl1.root_indptr[:-1])
     if np.isinf(hi0).any():
-        bad = bt.roots[int(np.argmax(np.isinf(hi0)))]
-        raise SolverError(
-            f"agent {comp.agents[bad]!r} has no constraint; "
-            "run preprocessing before the local algorithm"
-        )
+        raise SolverError(_unbounded_tree(comp, int(bt.roots[int(np.argmax(np.isinf(hi0)))])))
 
     t = np.zeros(T, dtype=np.float64)
     positive = hi0 > 0.0
@@ -443,6 +439,29 @@ def _bracketed_search(bt: BatchedTrees, tol: float) -> np.ndarray:
     lo_full[origin] = lo
     t[searched] = lo_full[searched]
     return t
+
+
+def _unbounded_tree(comp: CompiledInstance, root: int) -> str:
+    """Why the search of ``root``'s tree has no upper limit.
+
+    The limit sums the capacities of the root and of its objective siblings,
+    so one of them has an infinite capacity ``min_i 1 / a_iv``: either it has
+    no constraint, or the inverse of each of its coefficients overflows.
+    """
+    indptr, indices = comp.smoothing_adjacency
+    partners = comp.con_indptr[root + 1] - comp.con_indptr[root]
+    siblings = indices[indptr[root] + partners : indptr[root + 1]]
+    agent = next(v for v in [root] + siblings.tolist() if np.isinf(comp.capacity[v]))
+    lo, hi = int(comp.con_indptr[agent]), int(comp.con_indptr[agent + 1])
+    name = comp.agents[agent]
+    if lo == hi:
+        return f"agent {name!r} has no constraint; run preprocessing before the local algorithm"
+    coeff = float(comp.con_coeff[lo])
+    return (
+        f"agent {name!r} has infinite capacity: 1 / a[{comp.constraints[comp.con_indices[lo]]!r}, "
+        f"{name!r}] overflows for the coefficient {coeff!r}; "
+        "scale the coefficients into floating-point range"
+    )
 
 
 def batched_upper_bounds(
@@ -556,16 +575,18 @@ def agent_hop_balls(
     if not radii:
         return out
     indptr, indices = comp.smoothing_adjacency
-    deg = np.diff(indptr)
     frontier = seeds
+    layers = [seeds]
     hop = 0
     for radius in radii:
         while hop < radius and len(frontier):
-            neigh = indices[_segment_gather(indptr[frontier], deg[frontier])]
+            lo = indptr[frontier]
+            neigh = indices[_segment_gather(lo, indptr[frontier + 1] - lo)]
             frontier = np.unique(neigh[~visited[neigh]])
             visited[frontier] = True
+            layers.append(frontier)
             hop += 1
-        out.append(np.flatnonzero(visited))
+        out.append(np.sort(np.concatenate(layers)))
     return out
 
 
@@ -618,11 +639,12 @@ def smooth_bounds_confined(
     if comp.num_agents == 0 or len(work) == 0:
         return s
     indptr, indices = comp.smoothing_adjacency
-    deg = np.diff(indptr)
-    active = work[deg[work] > 0]
+    work_deg = indptr[work + 1] - indptr[work]
+    nonempty = work_deg > 0
+    active = work[nonempty]
     if len(active) == 0:
         return s
-    adeg = deg[active]
+    adeg = work_deg[nonempty]
     nb = indices[_segment_gather(indptr[active], adeg)]
     seg = np.zeros(len(active), dtype=np.int64)
     np.cumsum(adeg[:-1], out=seg[1:])
@@ -662,8 +684,9 @@ def g_recursion_confined(
     """
     if len(out) == 0:
         return
-    con_deg = np.diff(comp.con_indptr)[out]
-    flat = _segment_gather(comp.con_indptr[out], con_deg)
+    con_lo = comp.con_indptr[out]
+    con_deg = comp.con_indptr[out + 1] - con_lo
+    flat = _segment_gather(con_lo, con_deg)
     partner = comp.con_partner[flat]
     p_coeff = comp.con_partner_coeff[flat]
     s_coeff = comp.con_coeff[flat]
@@ -671,8 +694,9 @@ def g_recursion_confined(
     np.cumsum(con_deg[:-1], out=seg[1:])
 
     objs = np.unique(comp.obj_of_agent[out])
-    odeg = np.diff(comp.oagents_indptr)[objs]
-    omem = comp.oagents_indices[_segment_gather(comp.oagents_indptr[objs], odeg)]
+    obj_lo = comp.oagents_indptr[objs]
+    odeg = comp.oagents_indptr[objs + 1] - obj_lo
+    omem = comp.oagents_indices[_segment_gather(obj_lo, odeg)]
     oowner = np.repeat(np.arange(len(objs), dtype=np.int64), odeg)
     obj_pos = np.searchsorted(objs, comp.obj_of_agent[out])
 

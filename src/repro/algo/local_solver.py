@@ -294,12 +294,25 @@ class SpecialFormLocalSolver:
         return f"SpecialFormLocalSolver(R={self.R})"
 
 
+def _renumbered(values: np.ndarray, removed: List[int], n_new: int) -> np.ndarray:
+    """``values`` (agents on the last axis) without the ``removed`` columns,
+    survivors in order, padded to ``n_new`` columns (the pad is left
+    unset) — one slice copy per run of survivors."""
+    out = np.empty(values.shape[:-1] + (n_new,), dtype=values.dtype)
+    src = dst = 0
+    for cut in removed + [values.shape[-1]]:
+        width = cut - src
+        out[..., dst : dst + width] = values[..., src:cut]
+        src, dst = cut + 1, dst + width
+    return out
+
+
 class IncrementalSolveState:
     """Retained kernel arrays of one instance, re-solvable per delta.
 
     Holds the full §5 pipeline outputs (``t``, ``s``, ``g±``, ``x``) and,
     given a
-    :class:`~repro.core.compiled.DeltaResult`, re-runs each stage only on
+    :class:`~repro.core.delta.DeltaResult`, re-runs each stage only on
     the dirty r-ball and splices the results back in:
 
     * ``t`` on ``ball(seeds, 2r+1)`` hops — an edit can only reach trees
@@ -351,7 +364,7 @@ class IncrementalSolveState:
     def apply_delta(self, delta) -> np.ndarray:
         """Confined re-solve after a delta; returns the recomputed positions.
 
-        ``delta`` is the :class:`~repro.core.compiled.DeltaResult` of an
+        ``delta`` is the :class:`~repro.core.delta.DeltaResult` of an
         edit batch against ``self.instance``.  The retained arrays are
         remapped to the new canonical order (dropped / added positions) and
         every pipeline stage re-runs only on its dirty ball.
@@ -379,20 +392,14 @@ class IncrementalSolveState:
         o2n = delta.old_to_new_agent
 
         with obs.span("solve.incremental", agents=n_new, dirty=len(delta.dirty_agents)):
-            if len(o2n) != n_new or not bool((o2n >= 0).all()):
-                # Node positions changed: scatter survivors into the new
-                # order; added positions are always inside the dirty balls
-                # and get rewritten by every stage below.
-                keep = np.flatnonzero(o2n >= 0)
-                dst = o2n[keep]
-                for attr in ("t", "s", "x"):
-                    remapped = np.empty(n_new, dtype=np.float64)
-                    remapped[dst] = getattr(self, attr)[keep]
-                    setattr(self, attr, remapped)
-                for attr in ("g_plus", "g_minus"):
-                    remapped = np.empty((r + 1, n_new), dtype=np.float64)
-                    remapped[:, dst] = getattr(self, attr)[:, keep]
-                    setattr(self, attr, remapped)
+            if delta.structural:
+                # Survivors keep their order: cut the removed columns out
+                # and leave room for the added ones, which are inside the
+                # dirty balls and get rewritten by every stage below.
+                removed = np.flatnonzero(o2n < 0).tolist()
+                if removed or n_new != len(o2n):
+                    for attr in ("t", "s", "x", "g_plus", "g_minus"):
+                        setattr(self, attr, _renumbered(getattr(self, attr), removed, n_new))
             self.instance = new_inst
             self.comp = new_comp
 

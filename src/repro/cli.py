@@ -50,7 +50,7 @@ import sys
 from typing import TYPE_CHECKING, Callable, Iterator, List, Optional
 
 from . import obs
-from .exceptions import EngineError, SerializationError, SolverError
+from .exceptions import EngineError, SerializationError, SimulationError, SolverError
 from .io.serialization import load_instance, save_instance, save_solution
 
 if TYPE_CHECKING:
@@ -719,7 +719,10 @@ def _dynamics(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     rows = []
     for _ in range(args.ticks):
-        tick = net.random_tick(rng, edits=args.churn, structural_prob=args.structural_prob)
+        try:
+            tick = net.random_tick(rng, edits=args.churn, structural_prob=args.structural_prob)
+        except SimulationError as exc:  # a --verify check failed
+            raise _CliError(str(exc)) from None
         row = {
             "tick": tick.tick,
             "agents": tick.num_agents,

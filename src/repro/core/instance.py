@@ -56,7 +56,7 @@ from .._types import (
     objective_node,
 )
 from ..exceptions import InvalidInstanceError
-from .compiled import CompiledInstance, _index, _segment_gather
+from .compiled import CompiledInstance, _degree_violation, _index, _segment_gather
 
 if TYPE_CHECKING:  # pragma: no cover - networkx loads only where a graph is built
     import networkx as nx
@@ -352,22 +352,18 @@ class MaxMinInstance:
         )
         return self
 
-    def _with_coefficients(self, con_coeff, obj_coeff, name: str) -> "MaxMinInstance":
-        """This instance with new forward coefficient arrays (same edges).
+    @classmethod
+    def _edited(cls, agents, constraints, objectives, con, obj, name, topology) -> "MaxMinInstance":
+        """An instance whose rows come with their derived topology (a delta's result).
 
-        The edited instance's compiled view shares every topology-derived
-        structure with this one (see :class:`CompiledInstance`); the new
-        coefficients are checked like every producer's.
+        ``topology`` supplies the index maps, the reverse families and the
+        special-form view's topology instead of deriving them anew (see
+        :class:`CompiledInstance`); the rows are checked like every
+        producer's.
         """
-        comp = self._compiled
-        edited = MaxMinInstance.__new__(MaxMinInstance)
-        edited._setup(
-            self._agents, self._constraints, self._objectives,
-            (comp.con_indptr, comp.con_indices, con_coeff),
-            (comp.obj_indptr, comp.obj_indices, obj_coeff),
-            name, topology=comp,
-        )
-        return edited
+        self = cls.__new__(cls)
+        self._setup(agents, constraints, objectives, con, obj, name, topology)
+        return self
 
     def _setup(self, agents, constraints, objectives, con, obj, name, topology=None) -> None:
         """The one construction path: node tuples plus the checked compiled view."""
@@ -650,23 +646,17 @@ class MaxMinInstance:
 
         Evaluated as whole-array degree checks over the compiled arrays (this
         runs before *every* §5 solve, so it must not cost a per-node Python
-        loop); :meth:`special_form_violations` remains the per-node
-        reporting oracle and defines the semantics.
+        loop); a compiled special-form view passed the same degree checks
+        when it was built, so with one only the coefficients are checked.
+        :meth:`special_form_violations` remains the per-node reporting
+        oracle and defines the semantics.
         """
         comp = self._compiled
-        if comp.num_constraints and not bool(
-            (np.diff(comp.cagents_indptr) == 2).all()
-        ):
+        if comp._special is None and _degree_violation(
+            comp.num_constraints, comp.num_objectives, np.diff(comp.con_indptr),
+            np.diff(comp.obj_indptr), np.diff(comp.cagents_indptr), np.diff(comp.oagents_indptr),
+        ) is not None:
             return False
-        if comp.num_objectives and not bool(
-            (np.diff(comp.oagents_indptr) >= 2).all()
-        ):
-            return False
-        if comp.num_agents:
-            if not bool((np.diff(comp.obj_indptr) == 1).all()):
-                return False
-            if not bool((np.diff(comp.con_indptr) >= 1).all()):
-                return False
         if len(comp.oagents_coeff) and not bool(
             (np.abs(comp.oagents_coeff - 1.0) <= tol).all()
         ):

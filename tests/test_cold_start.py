@@ -145,6 +145,16 @@ def test_solve_loads_only_what_it_runs(instance_file, tmp_path):
     assert json.loads(sol.read_text(encoding="utf-8"))["feasible"] is True
 
 
+def test_solve_loads_no_delta_code(instance_file, tmp_path):
+    """The delta editor loads on the first ``CompiledInstance.delta()`` call;
+    a cold ``solve`` never makes one."""
+    sol = tmp_path / "sol.json"
+    argv = ["solve", str(instance_file), "-R", "3", "--output", str(sol)]
+    _, loaded = _run(f"import repro.cli\nassert repro.cli.main({argv!r}) == 0", EVERY_MODULE)
+    assert "repro.core.compiled" in loaded
+    assert "repro.core.delta" not in loaded
+
+
 HELP = """
 import contextlib, io
 import repro.cli

@@ -20,26 +20,37 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.core.compiled as compiled_mod
+import repro.distributed.dynamics as dynamics_mod
 from repro import obs, oracle
+from repro.algo.general_solver import LocalMaxMinSolver
 from repro.algo.kernels import agent_hop_balls
 from repro.algo.local_solver import IncrementalSolveState, SpecialFormLocalSolver
 from repro.cli import main
 from repro.core.compiled import CompiledInstance
 from repro.core.instance import MaxMinInstance
 from repro.core.preprocess import preprocess
+from repro.core.solution import Solution
 from repro.distributed.dynamics import (
     DynamicNetwork,
     changed_agent_positions,
     changed_sites,
     local_horizon_radius,
+    measure_change_impact,
     random_churn_delta,
 )
-from repro.exceptions import SimulationError
+from repro.exceptions import (
+    InvalidInstanceError,
+    NotSpecialFormError,
+    SimulationError,
+    SolverError,
+)
 from repro.generators import (
     cycle_instance,
     objective_ring_instance,
     random_special_form_instance,
 )
+from repro.generators.perturb import perturb_coefficient
 from repro.generators.regular import regular_special_form_instance
 from repro.io.serialization import instance_digest
 
@@ -68,15 +79,42 @@ COMPILED_ARRAYS = (
 )
 
 
+#: Every array of the special-form view.
+VIEW_ARRAYS = (
+    "con_partner",
+    "con_partner_coeff",
+    "obj_of_agent",
+    "adj_indptr",
+    "adj_indices",
+    "_partner_edge",
+)
+
+
 def assert_compiles_identical(a: CompiledInstance, b: CompiledInstance) -> None:
-    """All thirteen derived arrays bitwise equal, with matching dtypes."""
-    for attr in COMPILED_ARRAYS:
+    """All thirteen derived arrays bitwise equal, with matching dtypes, and
+    so are both forward-edge maps, the index maps and — when either side has
+    built one — every special-form view array."""
+    for attr in COMPILED_ARRAYS + ("_cagents_edge", "_oagents_edge"):
         left, right = getattr(a, attr), getattr(b, attr)
         assert left.dtype == right.dtype, attr
         assert np.array_equal(left, right), attr
     assert a.agents == b.agents
     assert a.constraints == b.constraints
     assert a.objectives == b.objectives
+    for attr, nodes in (
+        ("agent_index", a.agents),
+        ("constraint_index", a.constraints),
+        ("objective_index", a.objectives),
+    ):
+        index = getattr(a, attr)
+        assert index == getattr(b, attr), attr
+        assert list(index) == list(nodes), attr
+        assert list(index.values()) == list(range(len(nodes))), attr
+    if a._special is not None or b._special is not None:
+        left, right = a._special_view(), b._special_view()
+        for attr in VIEW_ARRAYS:
+            assert getattr(left, attr).dtype == getattr(right, attr).dtype, attr
+            assert np.array_equal(getattr(left, attr), getattr(right, attr)), attr
 
 
 def assert_delta_matches_fresh(result, expected: MaxMinInstance) -> None:
@@ -345,6 +383,7 @@ def delta_scripts(draw):
 @given(delta_scripts())
 def test_random_edit_scripts_bitwise_identical(script):
     base, ops, agents, cons, objs, a, c = script
+    base.compiled().smoothing_adjacency  # a built view is spliced, not rebuilt
     delta = base.compiled().delta()
     for op in ops:
         if op[0] == "set_a":
@@ -366,6 +405,13 @@ def test_random_edit_scripts_bitwise_identical(script):
     result = delta.apply()
     expected = MaxMinInstance(agents, cons, objs, a, c, name=base.name)
     assert_delta_matches_fresh(result, expected)
+    # The base's view carries over whenever the edited degrees allow one.
+    try:
+        expected.compiled().smoothing_adjacency
+    except NotSpecialFormError:
+        assert result.compiled._special is None
+    else:
+        assert result.compiled._special is not None
 
 
 # ----------------------------------------------------------------------
@@ -636,3 +682,191 @@ class TestDynamicsCli:
     def test_rejects_non_special_form(self, capsys):
         assert main(["dynamics", "random", "--size", "12", "--ticks", "1"]) == 2
         assert "special form" in capsys.readouterr().err
+
+    def test_verify_structural_churn_reproduction(self):
+        """The oracle once measured in the after graph only and raised a false
+        alarm at tick 8 of this run."""
+        argv = ["dynamics", "special-form", "--size", "200", "--ticks", "20", "--churn", "3",
+                "--structural-prob", "0.3", "--verify"]
+        assert main(argv) == 0
+
+    def test_verify_failure_is_one_error_line(self, monkeypatch, capsys):
+        # A zero horizon: the first output that moves beyond its own site fails.
+        monkeypatch.setattr(dynamics_mod, "local_horizon_radius", lambda R: 0)
+        argv = ["dynamics", "special-form", "--size", "40", "--ticks", "5", "--verify"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: output moved ")
+
+
+# ----------------------------------------------------------------------
+# The locality oracle: both graphs, and a miss it must catch
+# ----------------------------------------------------------------------
+
+
+def _diameter(instance: MaxMinInstance) -> int:
+    import networkx as nx
+
+    return nx.diameter(instance.communication_graph())
+
+
+@pytest.mark.parametrize("R", [2, 3])
+def test_verified_structural_churn_on_a_long_ring(R):
+    """200 seeded ticks of structural churn under the verify oracle, on a ring
+    whose diameter is at least three horizons.  Measured in the after graph
+    alone, this run raised a false alarm at R = 2 (tick 21) and R = 3
+    (tick 72)."""
+    instance = objective_ring_instance(40, 3)
+    assert _diameter(instance) >= 3 * local_horizon_radius(R)
+    net = DynamicNetwork(instance, R=R, verify=True)
+    rng = np.random.default_rng(0)
+    structural = 0
+    for _ in range(200):
+        tick = net.random_tick(rng, edits=3, structural_prob=0.3)
+        assert tick.is_local and tick.max_error == 0.0
+        structural += tick.structural
+    assert structural >= 100
+
+
+def test_mutated_solver_is_flagged_non_local():
+    """A solver that adds ε · mean(outputs) to every output moves agents far
+    from the change; the oracle must flag it."""
+    before = objective_ring_instance(40, 3)
+    delta = before.compiled().delta()
+    i = before.constraints[0]
+    v = before.agents_of_constraint(i)[0]
+    delta.set_constraint_coefficient(i, v, 1.7)
+    after = delta.apply().instance
+    horizon = local_horizon_radius(3)
+    assert _diameter(before) >= 3 * horizon
+    solver = SpecialFormLocalSolver(3)
+
+    def local(inst):
+        return solver.solve(inst).solution
+
+    def mutated(inst):
+        x = solver.solve(inst).solution.value_array()
+        return Solution.from_agent_array(inst, x + 1e-3 * x.mean())
+
+    assert measure_change_impact(before, after, local, horizon).is_local
+    impact = measure_change_impact(before, after, mutated, horizon)
+    assert not impact.is_local
+    assert len(impact.changed_agents) == after.num_agents
+
+
+# ----------------------------------------------------------------------
+# Structural splice: work pins and shared state
+# ----------------------------------------------------------------------
+
+
+class TestStructuralSplice:
+    def test_structural_tick_builds_no_transpose_view_or_index(self, monkeypatch):
+        """A structural apply and the re-solve after it splice from the base:
+        no transpose, no special-form view built from scratch, no
+        whole-family index build; a family the delta left alone shares its
+        base's tuple and index map."""
+        net = DynamicNetwork(random_special_form_instance(200, seed=3), R=3)
+        rng = np.random.default_rng(4)
+        calls = {"transpose": 0, "view": 0, "index": 0}
+        real_transpose = compiled_mod._transpose_csr
+        real_index = compiled_mod._index
+        real_view = compiled_mod._SpecialFormView.__init__
+
+        def transpose(*args):
+            calls["transpose"] += 1
+            return real_transpose(*args)
+
+        def index(*args):
+            calls["index"] += 1
+            return real_index(*args)
+
+        def view(self, compiled, like=None):
+            calls["view"] += like is None
+            real_view(self, compiled, like)
+
+        monkeypatch.setattr(compiled_mod, "_transpose_csr", transpose)
+        monkeypatch.setattr(compiled_mod, "_index", index)
+        monkeypatch.setattr(compiled_mod._SpecialFormView, "__init__", view)
+        structural = 0
+        for _ in range(30):
+            delta = random_churn_delta(net.instance, rng, edits=2, structural_prob=1.0)
+            base = net.state.comp
+            result = delta.apply()
+            net.apply(result)
+            structural += result.structural
+            assert result.compiled.objectives is base.objectives
+            assert result.compiled.objective_index is base.objective_index
+        assert structural >= 25
+        assert calls == {"transpose": 0, "view": 0, "index": 0}
+
+    def test_chain_leaves_every_instance_intact(self):
+        """Every instance of a 200-tick structural chain stays equal to a
+        fresh build of itself: no delta writes into the index maps, node
+        tuples or arrays it shares with its base."""
+        inst = random_special_form_instance(80, seed=5)
+        inst.compiled().smoothing_adjacency
+        rng = np.random.default_rng(6)
+        chain = []
+        for _ in range(200):
+            edits = int(rng.integers(1, 4))
+            delta = random_churn_delta(inst, rng, edits=edits, structural_prob=0.7)
+            result = delta.apply()
+            inst = result.instance
+            assert result.compiled._special is not None  # spliced, not left for later
+            twin = _declared_from_arrays(inst)
+            assert_delta_matches_fresh(result, twin)
+            chain.append((inst, twin))
+        for inst, twin in chain:
+            comp, fresh = inst.compiled(), twin.compiled()
+            assert inst.agents == twin.agents
+            assert inst.constraints == twin.constraints
+            assert inst.objectives == twin.objectives
+            for attr in ("agent_index", "constraint_index", "objective_index"):
+                assert getattr(comp, attr) == getattr(fresh, attr), attr
+            assert_compiles_identical(comp, fresh)
+
+
+def _declared_from_arrays(inst: MaxMinInstance) -> MaxMinInstance:
+    """``inst`` built from scratch out of copies of its ids and rows."""
+    comp = inst.compiled()
+    return MaxMinInstance.from_arrays(
+        list(inst.agents), list(inst.constraints), list(inst.objectives),
+        comp.con_indptr.copy(), comp.con_indices.copy(), comp.con_coeff.copy(),
+        comp.obj_indptr.copy(), comp.obj_indices.copy(), comp.obj_coeff.copy(),
+        name=inst.name,
+    )
+
+
+# ----------------------------------------------------------------------
+# Errors that name their cause
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+class TestErrorsNameTheirCause:
+    def test_subnormal_coefficient_names_the_overflowing_coefficient(self):
+        inst = perturb_coefficient(cycle_instance(4), "i0", "v0", 1e-310)
+        with pytest.raises(SolverError) as exc:
+            LocalMaxMinSolver(3).solve(inst)
+        assert "infinite capacity" in str(exc.value)
+        assert "a['i0', 'v0']" in str(exc.value)
+
+    def test_the_agent_at_fault_not_the_tree_root(self):
+        # v7 is the objective sibling of v0, whose tree is searched first.
+        base = cycle_instance(4)
+        assert "v7" in base.agents_of_objective(base.objectives_of_agent("v0")[0])
+        delta = base.compiled().delta()
+        i = base.constraints_of_agent("v7")[0]
+        delta.set_constraint_coefficient(i, "v7", 1e-310)
+        edited = delta.apply().instance
+        with pytest.raises(SolverError, match=r"^agent 'v7' has infinite capacity"):
+            SpecialFormLocalSolver(3).solve(edited)
+        with pytest.raises(SolverError, match=r"^agent 'v7' has infinite capacity"):
+            SpecialFormLocalSolver(3).solve_batch([cycle_instance(6), edited])
+
+    def test_delta_on_a_view_whose_instance_is_gone(self):
+        comp = cycle_instance(4).compiled()
+        assert comp.instance is None
+        with pytest.raises(InvalidInstanceError, match="keep a reference to the instance"):
+            comp.delta()
+
