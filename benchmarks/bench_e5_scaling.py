@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.distributed import DistributedLocalSolver, DistributedSafeSolver
+from repro.distributed import ResilientLocalSolver, ResilientSafeSolver
 from repro.engine import ParallelExecutor, SerialExecutor, ratio_sweep_batch, run_batch
 from repro.generators import cycle_instance
 from repro.oracle import distributed as oracle_dist
@@ -47,7 +47,7 @@ def _cycle_rows(solve):
 
 
 def _sensor_rows(R: int = 2):
-    solver = DistributedLocalSolver(R=R)
+    solver = ResilientLocalSolver(R=R)
     rows = []
     for sensors in (10, 20, 40):
         network = sensor_network_instance(sensors, max(3, sensors // 4), radius=0.35, seed=sensors)
@@ -71,7 +71,7 @@ def _sensor_rows(R: int = 2):
 
 
 def test_e5_scaling(benchmark):
-    cycle_rows = _cycle_rows(DistributedLocalSolver(R=3).solve)
+    cycle_rows = _cycle_rows(ResilientLocalSolver(R=3).solve)
     sensor_rows = _sensor_rows()
     rows = cycle_rows + sensor_rows
     emit_table(
@@ -108,12 +108,12 @@ def test_e5_scaling(benchmark):
     ]
 
     # Baseline context: the safe protocol is 2 rounds.
-    _solution, safe_run = DistributedSafeSolver().solve(cycle_instance(16))
+    _solution, safe_run = ResilientSafeSolver().solve(cycle_instance(16))
     assert safe_run.rounds == 2
 
     # Timed kernel: the distributed protocol on a 32-segment cycle.
     instance = cycle_instance(32, coefficient_range=(0.5, 2.0), seed=99)
-    solver = DistributedLocalSolver(R=2)
+    solver = ResilientLocalSolver(R=2)
     benchmark.pedantic(solver.solve, args=(instance,), rounds=3, iterations=1)
 
 

@@ -12,7 +12,7 @@ Run with:  python examples/distributed_protocol.py
 
 from repro import SpecialFormLocalSolver, solve_maxmin_lp, to_special_form
 from repro.analysis import format_table
-from repro.distributed import DistributedLocalSolver, DistributedSafeSolver
+from repro.distributed import ResilientLocalSolver, ResilientSafeSolver
 from repro.generators import random_instance
 
 
@@ -29,13 +29,13 @@ def main() -> None:
     print(f"special form after §4: {special!r} (ratio factor {transform.ratio_factor:g})\n")
 
     # §5 as a message-passing protocol.
-    distributed = DistributedLocalSolver(R=R)
+    distributed = ResilientLocalSolver(R=R)
     dist_solution, run = distributed.solve(special)
     mapped = transform.map_back(dist_solution)
 
     # Reference executions.
     central = SpecialFormLocalSolver(R=R).solve(special)
-    safe_solution, safe_run = DistributedSafeSolver().solve(special)
+    safe_solution, safe_run = ResilientSafeSolver().solve(special)
     optimum = solve_maxmin_lp(instance).optimum
 
     max_diff = max(abs(dist_solution[v] - central.solution[v]) for v in special.agents)

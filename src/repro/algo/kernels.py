@@ -445,13 +445,20 @@ def _unbounded_tree(comp: CompiledInstance, root: int) -> str:
     """Why the search of ``root``'s tree has no upper limit.
 
     The limit sums the capacities of the root and of its objective siblings,
-    so one of them has an infinite capacity ``min_i 1 / a_iv``: either it has
-    no constraint, or the inverse of each of its coefficients overflows.
+    so either one of them has an infinite capacity ``min_i 1 / a_iv`` — it
+    has no constraint, or the inverse of each of its coefficients overflows —
+    or all are finite and their sum overflows.
     """
     indptr, indices = comp.smoothing_adjacency
     partners = comp.con_indptr[root + 1] - comp.con_indptr[root]
     siblings = indices[indptr[root] + partners : indptr[root + 1]]
-    agent = next(v for v in [root] + siblings.tolist() if np.isinf(comp.capacity[v]))
+    agent = next((v for v in [root] + siblings.tolist() if np.isinf(comp.capacity[v])), None)
+    if agent is None:
+        objective = comp.objectives[comp.obj_indices[comp.obj_indptr[root]]]
+        return (
+            f"the capacities of the agents of objective {objective!r} are finite but "
+            "their sum overflows; scale the coefficients into floating-point range"
+        )
     lo, hi = int(comp.con_indptr[agent]), int(comp.con_indptr[agent + 1])
     name = comp.agents[agent]
     if lo == hi:

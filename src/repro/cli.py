@@ -29,9 +29,10 @@ with recorded failures (e.g. a sweep with failed jobs), ``2`` usage errors
 — including an ``R`` below 2, a size or count below its floor (or one a
 generator refuses), a deadline no wait can use, an ``R`` whose alternating
 trees would pass :data:`repro.algo.kernels.MAX_TREE_NODES` (any
-:class:`~repro.exceptions.SolverError`), unreadable or malformed instance
-files and output files that cannot be written, which are reported as a
-one-line message rather than a traceback.
+:class:`~repro.exceptions.SolverError`), a ``solve`` fault flag that would
+crash the run or change nothing, unreadable or malformed instance files and
+output files that cannot be written, which are reported as a one-line
+message rather than a traceback.
 
 The CLI is a thin veneer over the library — every code path it exercises is
 also covered by the test suite through the Python API.  Each handler imports
@@ -111,6 +112,27 @@ def _int_at_least(floor: int, name: str) -> Callable[[str], int]:
 #: The argparse type of every ``R``: an integer of at least 2.
 _shifting_parameter = _int_at_least(2, "R")
 
+#: ``solve``'s fault flags, dest -> (flag, default).  They configure the
+#: runtime of ``--dist``; :func:`_check_fault_flags` refuses any other value
+#: where it would change nothing.
+_FAULT_FLAGS = {
+    "retransmit_budget": ("--retransmit-budget", 2),
+    "drop_fraction": ("--drop-fraction", 0.0),
+    "drop_round": ("--drop-round", 3),
+    "persistent_loss": ("--persistent-loss", False),
+    "crash_agents": ("--crash-agent", []),
+    "crash_round": ("--crash-round", 1),
+    "faults_seed": ("--faults-seed", 0),
+}
+
+#: A fault flag that does nothing unless this other one is given too.
+_FAULT_FLAG_NEEDS = {
+    "--drop-round": "--drop-fraction",
+    "--persistent-loss": "--drop-fraction",
+    "--faults-seed": "--drop-fraction",
+    "--crash-round": "--crash-agent",
+}
+
 
 def _check_seconds(value: float, flag: str) -> None:
     """Refuse a deadline no wait can use (:func:`check_timeout`)."""
@@ -169,21 +191,18 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--retransmit-budget",
         type=int,
-        default=2,
         dest="retransmit_budget",
         help="per-round retransmissions before a dropped message counts as lost",
     )
     solve.add_argument(
         "--drop-fraction",
         type=float,
-        default=0.0,
         dest="drop_fraction",
         help="inject link loss: fraction of slots dropped in --drop-round",
     )
     solve.add_argument(
         "--drop-round",
         type=int,
-        default=3,
         dest="drop_round",
         help="round the injected link loss hits (1-based)",
     )
@@ -198,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--crash-agent",
         type=int,
         action="append",
-        default=[],
         dest="crash_agents",
         metavar="POS",
         help="crash the agent at this canonical position (repeatable)",
@@ -206,17 +224,16 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--crash-round",
         type=int,
-        default=1,
         dest="crash_round",
         help="round the injected crashes hit (1-based)",
     )
     solve.add_argument(
         "--faults-seed",
         type=int,
-        default=0,
         dest="faults_seed",
         help="seed of the injected fault plan",
     )
+    solve.set_defaults(**{dest: default for dest, (_flag, default) in _FAULT_FLAGS.items()})
     _add_obs_flags(solve)
 
     compare = sub.add_parser("compare", help="compare R values and baselines on an instance")
@@ -507,6 +524,44 @@ def _sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_fault_flags(args: argparse.Namespace) -> None:
+    """Refuse a fault flag that ``solve`` would crash on or ignore.
+
+    Without ``--dist`` every fault flag is ignored.  With it, a value out
+    of range would crash the fault plan or inject nothing, and a flag whose
+    partner is missing (:data:`_FAULT_FLAG_NEEDS`) changes nothing.
+    """
+    changed = [
+        flag
+        for dest, (flag, default) in _FAULT_FLAGS.items()
+        if getattr(args, dest) != default  # a NaN differs from every default
+    ]
+    if not args.dist:
+        if changed:
+            raise _CliError(f"{changed[0]} needs --dist")
+        return
+    for flag, given in (("--with-safe", args.with_safe), ("--with-optimum", args.with_optimum)):
+        if given:
+            raise _CliError(f"{flag} does not apply to --dist")
+    if args.retransmit_budget < 0:
+        raise _CliError(f"--retransmit-budget must be >= 0, got {args.retransmit_budget}")
+    if not 0.0 <= args.drop_fraction <= 1.0:
+        raise _CliError(f"--drop-fraction must lie in [0, 1], got {args.drop_fraction}")
+    for flag in changed:
+        needed = _FAULT_FLAG_NEEDS.get(flag)
+        if needed is not None and needed not in changed:
+            raise _CliError(f"{flag} needs {needed}")
+    from .distributed import PhaseSchedule
+
+    total = PhaseSchedule(args.R).total_rounds
+    for flag, value in (("--drop-round", args.drop_round), ("--crash-round", args.crash_round)):
+        if _FAULT_FLAG_NEEDS[flag] in changed and not 1 <= value <= total:
+            raise _CliError(
+                f"{flag} must lie in [1, {total}], the rounds of the protocol "
+                f"at R={args.R}; got {value}"
+            )
+
+
 def _solve_dist(args: argparse.Namespace, instance: MaxMinInstance) -> int:
     from .analysis.reporting import format_table
     from .distributed import ResilientLocalSolver
@@ -580,6 +635,7 @@ def _solve_dist(args: argparse.Namespace, instance: MaxMinInstance) -> int:
 
 
 def _solve(args: argparse.Namespace) -> int:
+    _check_fault_flags(args)
     instance = _load_instance_friendly(args.input)
     if args.dist:
         return _solve_dist(args, instance)

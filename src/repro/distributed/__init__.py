@@ -9,7 +9,7 @@ baseline — as actual protocols on it.  The per-node simulator the plane is
 tested against lives in :mod:`repro.oracle.distributed`.
 """
 
-from .agents import DistributedLocalSolver, PhaseSchedule, VectorizedMaxMinProtocol
+from .agents import PhaseSchedule, VectorizedMaxMinProtocol
 from .plane import MessagePlane, VectorizedProtocol
 from .dynamics import (
     ChangeImpact,
@@ -26,14 +26,17 @@ from .resilient import (
     AGENT_FAILED,
     AGENT_SAFE,
     DegradationCertificate,
-    FaultEvent,
     ResilientLocalSolver,
-    ResilientRunResult,
-    ResilientRuntime,
     ResilientSafeSolver,
 )
-from .runtime import RoundStatistics, RunResult, SynchronousRuntime, require_agent_outputs
-from .safe_agents import DistributedSafeSolver, SAFE_ALGORITHM_ROUNDS, VectorizedSafeProtocol
+from .runtime import (
+    FaultEvent,
+    RoundStatistics,
+    RunResult,
+    SynchronousRuntime,
+    require_agent_outputs,
+)
+from .safe_agents import SAFE_ALGORITHM_ROUNDS, VectorizedSafeProtocol
 
 __all__ = [
     "MessagePlane",
@@ -45,16 +48,12 @@ __all__ = [
     "RoundStatistics",
     "require_agent_outputs",
     "PhaseSchedule",
-    "DistributedLocalSolver",
-    "DistributedSafeSolver",
     "SAFE_ALGORITHM_ROUNDS",
     "AGENT_EXACT",
     "AGENT_SAFE",
     "AGENT_FAILED",
     "FaultEvent",
     "DegradationCertificate",
-    "ResilientRunResult",
-    "ResilientRuntime",
     "ResilientLocalSolver",
     "ResilientSafeSolver",
     "ChangeImpact",

@@ -16,7 +16,9 @@ only port numbering:
   agent finally outputs Eq. 18.
 
 :class:`VectorizedMaxMinProtocol` runs every node's part of a round as one
-array operation on the message plane.  Agents, constraints and objectives
+array operation on the message plane;
+:class:`~repro.distributed.resilient.ResilientLocalSolver` runs it on the
+synchronous runtime.  Agents, constraints and objectives
 all know the global parameter ``R`` (it is part of the algorithm, not of the
 input) but nothing else beyond their local input; the per-node transcription
 in :mod:`repro.oracle.distributed` is the reference the tests pin the
@@ -31,17 +33,12 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..algo.kernels import DEFAULT_BISECTION_TOL
-from ..core.instance import MaxMinInstance
-from ..core.solution import Solution
-from ..core.validation import require_special_form
 from ..exceptions import SimulationError
 from .plane import MessagePlane, VectorizedProtocol
-from .runtime import RunResult, SynchronousRuntime, require_agent_outputs
 
 __all__ = [
     "PhaseSchedule",
     "VectorizedMaxMinProtocol",
-    "DistributedLocalSolver",
 ]
 
 
@@ -273,43 +270,3 @@ class VectorizedMaxMinProtocol(VectorizedProtocol):
             total += self.g_plus[d] + self.g_minus[d]  # type: ignore[operator]
         return factor * total
 
-
-class DistributedLocalSolver:
-    """Run the §5 algorithm as an actual message-passing protocol.
-
-    Only special-form instances are accepted: the §4 transformations are
-    locally computable (paper §4.1) but are performed centrally in this
-    library; use :class:`repro.algo.LocalMaxMinSolver` for arbitrary
-    instances (or transform first and map the solution back yourself).
-    The protocol runs as :class:`VectorizedMaxMinProtocol` on the message
-    plane.
-    """
-
-    def __init__(self, R: int = 3, *, tu_tol: float = DEFAULT_BISECTION_TOL) -> None:
-        self.schedule = PhaseSchedule(R)
-        self.tu_tol = tu_tol
-
-    @property
-    def R(self) -> int:
-        return self.schedule.R
-
-    @property
-    def local_horizon(self) -> int:
-        """The number of synchronous rounds the protocol needs (``12r + 7``)."""
-        return self.schedule.total_rounds
-
-    def solve(self, instance: MaxMinInstance) -> Tuple[Solution, RunResult]:
-        """Execute the protocol and return the solution plus run statistics."""
-        require_special_form(instance)
-        result = SynchronousRuntime(MessagePlane(instance)).run(
-            VectorizedMaxMinProtocol(self.schedule, tu_tol=self.tu_tol),
-            rounds=self.schedule.total_rounds,
-        )
-        require_agent_outputs(instance, result.values)
-        solution = Solution.from_agent_array(
-            instance, result.values, label=f"distributed-R{self.R}"
-        )
-        return solution, result
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"DistributedLocalSolver(R={self.R}, rounds={self.local_horizon})"

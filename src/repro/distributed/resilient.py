@@ -1,35 +1,21 @@
-"""Fault-tolerant synchronous execution with locality-bounded degradation.
+"""The distributed solvers, one per protocol, with certified degradation.
 
-The plain :class:`~repro.distributed.runtime.SynchronousRuntime` dies on the
-first fault it cannot hide: a dropped slot leaves some agent waiting for a
-sibling sum and :class:`~repro.exceptions.SimulationError` kills the whole
-simulation.  This module is the missing systems half of the paper's central
-property — every §5 output is determined by a radius-``(4r+2)`` view
-(smoothing-hop radius ``2r+1``), so a fault should cost its hop-ball, not
-the network.
-
-Three layers implement that:
-
-**Retransmission** (:class:`ResilientRuntime`: the plain runtime's round
-loop with its own delivery step).  Every round the runtime compares the
-sent slots against the attempt-0 drop set of the
-:class:`~repro.faults.FaultPlan` and re-sends each dropped slot up to
-``retransmit_budget`` times (``runtime.retransmits``); a
-:class:`~repro.faults.MessageFault` with the default ``attempts=(0,)``
-glitch profile is fully healed, so loss under the budget yields outputs
-**bitwise-identical** to the fault-free run.  Slots still dropped after the
-budget — persistent faults with ``attempts=None`` — are *lost*
-(``runtime.lost_messages``) and become degradation seeds.
+Every §5 output is determined by a radius-``(4r+2)`` view (smoothing-hop
+radius ``2r+1``), so a fault should cost its hop-ball, not the network.
+The :class:`~repro.distributed.runtime.SynchronousRuntime` retransmits what
+its budget can recover and charges the rest to the fault ledger of its
+:class:`~repro.distributed.runtime.RunResult`; a transient glitch (a
+:class:`~repro.faults.MessageFault` with the default ``attempts=(0,)``) is
+fully healed, so loss under the budget yields outputs **bitwise-identical**
+to the fault-free run.  The solvers here turn the ledger into a per-agent
+verdict:
 
 **Recovery by re-execution.**  A lost slot or faulty agent does not poison
 the arithmetic of its neighbours: the §5 dependency structure means every
 agent outside the fault ball can recompute its exact value from its own
 radius-``(4r+2)`` view, which the fault never touched.  The runtime models
 this by executing the protocol on the healed message flow and charging the
-faults to a ledger instead of the number stream; babbling payloads are
-detected (non-finite on the wire) and quarantined rather than delivered.
-The ledger — who lost what, when — is returned on the
-:class:`ResilientRunResult`.
+faults to the ledger instead of the number stream.
 
 **Local degradation** (:class:`ResilientLocalSolver` /
 :class:`ResilientSafeSolver`).  Agents whose exact output cannot be trusted
@@ -41,13 +27,14 @@ partner so the mixed exact/safe assignment stays feasible by construction
 degraded agent yields the difference).  Crashed and babbling agents output
 0.0 and are reported ``failed``.  Every agent outside the ball keeps its
 exact §5 output bitwise-unchanged.  The per-agent verdict ships as a
-:class:`DegradationCertificate` on ``Solution.degradation``.
+:class:`DegradationCertificate` on ``Solution.degradation``; without
+faults it is all-exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -59,18 +46,15 @@ from ..core.validation import require_nondegenerate, require_special_form
 from ..exceptions import SimulationError
 from ..faults import FaultInjector, FaultPlan
 from .agents import PhaseSchedule, VectorizedMaxMinProtocol
-from .plane import MessagePlane, VectorizedProtocol
-from .runtime import RunResult, SynchronousRuntime, require_agent_outputs
+from .plane import MessagePlane
+from .runtime import FaultEvent, RunResult, SynchronousRuntime, require_agent_outputs
 from .safe_agents import SAFE_ALGORITHM_ROUNDS, VectorizedSafeProtocol
 
 __all__ = [
     "AGENT_EXACT",
     "AGENT_SAFE",
     "AGENT_FAILED",
-    "FaultEvent",
     "DegradationCertificate",
-    "ResilientRunResult",
-    "ResilientRuntime",
     "ResilientLocalSolver",
     "ResilientSafeSolver",
 ]
@@ -81,33 +65,6 @@ AGENT_SAFE = 1
 AGENT_FAILED = 2
 
 _STATUS_NAMES = {AGENT_EXACT: "exact", AGENT_SAFE: "safe", AGENT_FAILED: "failed"}
-
-
-@dataclass(frozen=True)
-class FaultEvent:
-    """One entry of the run's fault ledger.
-
-    ``kind`` is ``"link_loss"`` (aggregated per round; ``count`` slots lost
-    beyond the retransmit budget), or ``"agent_crash"`` / ``"agent_silent"``
-    / ``"agent_babbling"`` (one event per agent, at the first afflicted
-    round).  ``subject`` names the agent id or summarises the slots;
-    ``detail`` carries the human-readable link descriptions.
-    """
-
-    kind: str
-    round_number: int
-    subject: str
-    count: int = 1
-    detail: str = ""
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "round": self.round_number,
-            "subject": self.subject,
-            "count": self.count,
-            "detail": self.detail,
-        }
 
 
 @dataclass(frozen=True)
@@ -188,45 +145,6 @@ class DegradationCertificate:
         )
 
 
-class ResilientRunResult(RunResult):
-    """A :class:`RunResult` plus the run's fault ledger."""
-
-    __slots__ = ("retransmits", "dropped_messages", "lost_slots", "agent_fault_rounds", "events")
-
-    def __init__(self, base: RunResult, ledger: "_Ledger") -> None:
-        super().__init__(base.values, base.agents, base.rounds, base.total_messages, base.per_round)
-        self.retransmits = ledger.retransmits
-        self.dropped_messages = ledger.dropped_messages
-        self.lost_slots = ledger.lost_slots
-        self.agent_fault_rounds = ledger.agent_fault_rounds
-        self.events = tuple(ledger.events)
-
-    @property
-    def lost_messages(self) -> int:
-        return sum(len(slots) for slots in self.lost_slots.values())
-
-    def faulty_agent_positions(self) -> Dict[str, Tuple[int, ...]]:
-        return {
-            kind: tuple(sorted(rounds_by_pos))
-            for kind, rounds_by_pos in self.agent_fault_rounds.items()
-        }
-
-
-class _Ledger:
-    """The faults one resilient run charged, filled in round by round."""
-
-    def __init__(self) -> None:
-        self.retransmits = 0
-        self.dropped_messages = 0
-        self.lost_slots: Dict[int, Tuple[int, ...]] = {}
-        self.agent_fault_rounds: Dict[str, Dict[int, int]] = {
-            "crash": {},
-            "silent": {},
-            "babbling": {},
-        }
-        self.events: List[FaultEvent] = []
-
-
 def _slot_agent_endpoints(plane: MessagePlane, slots) -> Set[int]:
     """Agent positions a faulty slot could influence (both link directions).
 
@@ -255,105 +173,31 @@ def _slot_agent_endpoints(plane: MessagePlane, slots) -> Set[int]:
     return seeds
 
 
-class ResilientRuntime(SynchronousRuntime):
-    """Synchronous runtime with per-round ack/retransmit and a fault ledger.
-
-    It runs the round loop of :class:`SynchronousRuntime` and replaces only
-    the delivery step (see module docstring): attempt-0 drops are detected
-    against the sent slots and re-sent up to ``retransmit_budget`` times;
-    what the budget recovers is delivered as if the link had never
-    glitched, what it cannot recover is charged to the ledger and healed by
-    re-execution, so downstream protocol state is never silently corrupted.
-    The plain runtime's behaviour is the degenerate case
-    ``retransmit_budget=0`` *plus* treating every loss as fatal.  A NaN/inf
-    value the protocol itself composes still aborts the run, as on the plain
-    runtime: resilience covers *injected* faults, not bugs.
-    """
-
-    def __init__(
-        self,
-        plane: MessagePlane,
-        *,
-        faults: Optional[Union[FaultPlan, FaultInjector]] = None,
-        retransmit_budget: int = 2,
-    ) -> None:
-        if retransmit_budget < 0:
-            raise SimulationError("retransmit_budget must be >= 0")
-        super().__init__(plane, faults=faults)
-        self.retransmit_budget = retransmit_budget
-
-    def run(self, protocol: VectorizedProtocol, rounds: int) -> ResilientRunResult:
-        self._ledger = _Ledger()
-        return ResilientRunResult(super().run(protocol, rounds), self._ledger)
-
-    def _deliver(self, round_number: int, sent: np.ndarray) -> np.ndarray:
-        """Every sent slot arrives; the round's faults go to the ledger."""
-        if self.faults is None:
-            return sent
-        ledger = self._ledger
-        plane = self.plane
-
-        # Agent faults: record first-afflicted rounds.  A babbler's garbage
-        # is detected at the receivers (non-finite payloads) and discarded;
-        # from the ledger's perspective it is a crashed node.
-        states = self.faults.agent_faults(round_number, plane.num_agents)
-        for kind, afflicted in states.items():
-            first_round = ledger.agent_fault_rounds[kind]
-            for pos in sorted(afflicted):
-                if pos not in first_round:
-                    first_round[pos] = round_number
-                    obs.count(f"faults.agent_{kind}")
-                    ledger.events.append(
-                        FaultEvent(
-                            kind=f"agent_{kind}",
-                            round_number=round_number,
-                            subject=repr(plane.comp.agents[pos]),
-                        )
-                    )
-
-        # Link faults: detect attempt-0 drops, retransmit up to the budget,
-        # charge the rest to the ledger.
-        drop = self.faults.dropped_slots(round_number, plane.num_slots, 0)
-        if not drop:
-            return sent
-        outstanding = sent[np.isin(sent, np.fromiter(drop, dtype=np.int64))].tolist()
-        if outstanding:
-            ledger.dropped_messages += len(outstanding)
-            obs.count("faults.dropped_messages", len(outstanding))
-        attempt = 0
-        while outstanding and attempt < self.retransmit_budget:
-            attempt += 1
-            ledger.retransmits += len(outstanding)
-            obs.count("runtime.retransmits", len(outstanding))
-            redrop = self.faults.dropped_slots(round_number, plane.num_slots, attempt) or set()
-            still = [s for s in outstanding if s in redrop]
-            if len(still) < len(outstanding):
-                obs.count("runtime.recovered_messages", len(outstanding) - len(still))
-            outstanding = still
-        if outstanding:
-            ledger.lost_slots[round_number] = tuple(outstanding)
-            obs.count("runtime.lost_messages", len(outstanding))
-            ledger.events.append(
-                FaultEvent(
-                    kind="link_loss",
-                    round_number=round_number,
-                    subject=f"{len(outstanding)} slot(s)",
-                    count=len(outstanding),
-                    detail="; ".join(plane.describe_slot(s) for s in outstanding[:3]),
-                )
-            )
-        return sent
+def _failed_positions(result: RunResult) -> np.ndarray:
+    """Crashed and babbling agents: they output 0.0 and report ``failed``."""
+    faulty = result.agent_fault_rounds
+    return np.asarray(sorted(set(faulty["crash"]) | set(faulty["babbling"])), dtype=np.int64)
 
 
-def _certificate(
-    plane: MessagePlane,
-    result: ResilientRunResult,
+def _certified(
+    instance: MaxMinInstance,
+    result: RunResult,
+    values: np.ndarray,
     statuses: np.ndarray,
     ball: np.ndarray,
+    label: str,
     retransmit_budget: int,
-) -> DegradationCertificate:
-    return DegradationCertificate(
-        agents=tuple(plane.comp.agents),
+) -> Tuple[Solution, RunResult]:
+    """The tail both solvers share: zero the failed agents, count the
+    verdicts, and return the solution with its certificate attached."""
+    values[statuses == AGENT_FAILED] = 0.0
+    obs.count("runtime.exact_agents", int((statuses == AGENT_EXACT).sum()))
+    obs.count("runtime.degraded_agents", int((statuses == AGENT_SAFE).sum()))
+    obs.count("runtime.crashed_agents", len(result.agent_fault_rounds["crash"]))
+    obs.count("resilient.solves")
+    solution = Solution.from_agent_array(instance, values, label=label)
+    solution.degradation = DegradationCertificate(
+        agents=tuple(result.agents),
         statuses=statuses,
         ball=ball,
         events=result.events,
@@ -363,19 +207,26 @@ def _certificate(
         lost_messages=result.lost_messages,
         rounds=result.rounds,
     )
+    return solution, result
 
 
 class ResilientLocalSolver:
-    """The §5 protocol on the resilient runtime, with certified degradation.
+    """Run the §5 algorithm as an actual message-passing protocol.
+
+    Only special-form instances are accepted: the §4 transformations are
+    locally computable (paper §4.1) but are performed centrally in this
+    library; use :class:`repro.algo.LocalMaxMinSolver` for arbitrary
+    instances (or transform first and map the solution back yourself).
+    The protocol runs as
+    :class:`~repro.distributed.agents.VectorizedMaxMinProtocol` on the
+    :class:`~repro.distributed.runtime.SynchronousRuntime`.
 
     Without faults (or with loss fully recovered by the retransmit budget)
-    the solution is bitwise-identical to
-    :class:`~repro.distributed.agents.DistributedLocalSolver` and the
-    certificate is all-exact.  Beyond the budget, degradation is confined to
-    the ``(2r+1)`` smoothing-hop ball around the fault sites: ball agents
-    fall back to a slack-capped §1.3 safe share, crashed/babbling agents
-    output 0.0 and report ``failed``, everyone else keeps the exact §5
-    output bitwise-unchanged.
+    the certificate is all-exact.  Beyond the budget, degradation is
+    confined to the ``(2r+1)`` smoothing-hop ball around the fault sites:
+    ball agents fall back to a slack-capped §1.3 safe share,
+    crashed/babbling agents output 0.0 and report ``failed``, everyone else
+    keeps the exact §5 output bitwise-unchanged.
 
     The slack cap is what keeps the *mixed* assignment feasible: a degraded
     agent ``w`` takes ``min(safe share, min over exact partners u of
@@ -405,12 +256,14 @@ class ResilientLocalSolver:
 
     @property
     def local_horizon(self) -> int:
+        """The number of synchronous rounds the protocol needs (``12r + 7``)."""
         return self.schedule.total_rounds
 
-    def solve(self, instance: MaxMinInstance) -> Tuple[Solution, ResilientRunResult]:
+    def solve(self, instance: MaxMinInstance) -> Tuple[Solution, RunResult]:
+        """Execute the protocol and return the solution plus run statistics."""
         require_special_form(instance)
         plane = MessagePlane(instance)
-        runtime = ResilientRuntime(
+        runtime = SynchronousRuntime(
             plane, faults=self.faults, retransmit_budget=self.retransmit_budget
         )
         with obs.span("resilient.solve", agents=plane.num_agents):
@@ -420,19 +273,14 @@ class ResilientLocalSolver:
             )
             require_agent_outputs(instance, result.values)
             comp = plane.comp
-            n = comp.num_agents
             values = result.values.copy()
 
-            failed = sorted(
-                set(result.agent_fault_rounds["crash"])
-                | set(result.agent_fault_rounds["babbling"])
-            )
-            silent = sorted(result.agent_fault_rounds["silent"])
-            seeds: Set[int] = set(failed) | set(silent)
+            failed = _failed_positions(result)
+            seeds: Set[int] = set(failed.tolist()) | set(result.agent_fault_rounds["silent"])
             for slots in result.lost_slots.values():
                 seeds |= _slot_agent_endpoints(plane, slots)
 
-            statuses = np.full(n, AGENT_EXACT, dtype=np.int8)
+            statuses = np.full(comp.num_agents, AGENT_EXACT, dtype=np.int8)
             if seeds:
                 from ..algo.kernels import agent_hop_balls
 
@@ -443,25 +291,15 @@ class ResilientLocalSolver:
                 statuses[ball] = AGENT_SAFE
             else:
                 ball = np.empty(0, dtype=np.int64)
-            failed_arr = np.asarray(failed, dtype=np.int64)
-            statuses[failed_arr] = AGENT_FAILED
+            statuses[failed] = AGENT_FAILED
 
             safe_pos = np.flatnonzero(statuses == AGENT_SAFE)
             if len(safe_pos):
                 values = self._degrade(comp, values, statuses, safe_pos)
-            values[failed_arr] = 0.0
-
-            obs.count("runtime.exact_agents", int((statuses == AGENT_EXACT).sum()))
-            obs.count("runtime.degraded_agents", len(safe_pos))
-            obs.count("runtime.crashed_agents", len(result.agent_fault_rounds["crash"]))
-            obs.count("resilient.solves")
-
-            cert = _certificate(plane, result, statuses, ball, self.retransmit_budget)
-            solution = Solution.from_agent_array(
-                instance, values, label=f"resilient-R{self.R}"
+            return _certified(
+                instance, result, values, statuses, ball,
+                f"resilient-R{self.R}", self.retransmit_budget,
             )
-            solution.degradation = cert
-            return solution, result
 
     def _degrade(
         self,
@@ -511,7 +349,7 @@ class ResilientLocalSolver:
 
 
 class ResilientSafeSolver:
-    """The 2-round safe protocol on the resilient runtime.
+    """Run the safe algorithm as a 2-round protocol, with certified degradation.
 
     The safe protocol's dependency radius is a single constraint edge, so
     the degradation ball is just the fault sites themselves.  An agent that
@@ -537,23 +375,18 @@ class ResilientSafeSolver:
     def local_horizon(self) -> int:
         return SAFE_ALGORITHM_ROUNDS
 
-    def solve(self, instance: MaxMinInstance) -> Tuple[Solution, ResilientRunResult]:
+    def solve(self, instance: MaxMinInstance) -> Tuple[Solution, RunResult]:
         require_nondegenerate(instance)
         plane = MessagePlane(instance)
-        runtime = ResilientRuntime(
+        runtime = SynchronousRuntime(
             plane, faults=self.faults, retransmit_budget=self.retransmit_budget
         )
         with obs.span("resilient.safe_solve", agents=plane.num_agents):
             result = runtime.run(VectorizedSafeProtocol(), rounds=SAFE_ALGORITHM_ROUNDS)
             require_agent_outputs(instance, result.values)
             comp = plane.comp
-            n = comp.num_agents
             values = result.values.copy()
 
-            failed = sorted(
-                set(result.agent_fault_rounds["crash"])
-                | set(result.agent_fault_rounds["babbling"])
-            )
             # Which constraint announcements were lost, per receiving agent.
             missed: Dict[int, Set[int]] = {}
             for slots in result.lost_slots.values():
@@ -567,7 +400,7 @@ class ResilientSafeSolver:
                     ) - 1
                     missed.setdefault(int(comp.cagents_indices[rel]), set()).add(row)
 
-            statuses = np.full(n, AGENT_EXACT, dtype=np.int8)
+            statuses = np.full(comp.num_agents, AGENT_EXACT, dtype=np.int8)
             delta_i = (
                 int(comp.constraint_degrees.max()) if comp.num_constraints else 1
             )
@@ -581,21 +414,12 @@ class ResilientSafeSolver:
                     d = delta_i if i_row in rows else int(comp.constraint_degrees[i_row])
                     best = min(best, 1.0 / (float(d) * a_iv))
                 values[pos] = best if np.isfinite(best) else 0.0
-            failed_arr = np.asarray(failed, dtype=np.int64)
-            statuses[failed_arr] = AGENT_FAILED
-            values[failed_arr] = 0.0
+            statuses[_failed_positions(result)] = AGENT_FAILED
             ball = np.flatnonzero(statuses != AGENT_EXACT)
-
-            safe_count = int((statuses == AGENT_SAFE).sum())
-            obs.count("runtime.exact_agents", int((statuses == AGENT_EXACT).sum()))
-            obs.count("runtime.degraded_agents", safe_count)
-            obs.count("runtime.crashed_agents", len(result.agent_fault_rounds["crash"]))
-            obs.count("resilient.solves")
-
-            cert = _certificate(plane, result, statuses, ball, self.retransmit_budget)
-            solution = Solution.from_agent_array(instance, values, label="resilient-safe")
-            solution.degradation = cert
-            return solution, result
+            return _certified(
+                instance, result, values, statuses, ball,
+                "resilient-safe", self.retransmit_budget,
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ResilientSafeSolver(budget={self.retransmit_budget})"

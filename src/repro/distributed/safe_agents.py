@@ -11,8 +11,9 @@ simplest possible example of a protocol on the runtime.
 
 :class:`VectorizedSafeProtocol` runs the exchange on the message plane
 (degrees go out as one ``np.repeat``, the safe share comes back as one
-segment-min).  The per-node classes of :mod:`repro.oracle.distributed` run
-the identical exchange node by node.
+segment-min), and :class:`~repro.distributed.resilient.ResilientSafeSolver`
+runs it on the synchronous runtime.  The per-node classes of
+:mod:`repro.oracle.distributed` run the identical exchange node by node.
 """
 
 from __future__ import annotations
@@ -21,17 +22,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..core.instance import MaxMinInstance
-from ..core.solution import Solution
-from ..core.validation import require_nondegenerate
 from ..exceptions import SimulationError
 from .plane import MessagePlane, VectorizedProtocol
-from .runtime import RunResult, SynchronousRuntime, require_agent_outputs
 
 __all__ = [
     "SAFE_ALGORITHM_ROUNDS",
     "VectorizedSafeProtocol",
-    "DistributedSafeSolver",
 ]
 
 #: The safe protocol's local horizon.
@@ -79,22 +75,3 @@ class VectorizedSafeProtocol(VectorizedProtocol):
             return np.full(plane.num_agents, np.nan)
         return self._x
 
-
-class DistributedSafeSolver:
-    """Run the safe algorithm as a 2-round protocol on the message plane."""
-
-    @property
-    def local_horizon(self) -> int:
-        return SAFE_ALGORITHM_ROUNDS
-
-    def solve(self, instance: MaxMinInstance) -> Tuple[Solution, RunResult]:
-        require_nondegenerate(instance)
-        result = SynchronousRuntime(MessagePlane(instance)).run(
-            VectorizedSafeProtocol(), rounds=SAFE_ALGORITHM_ROUNDS
-        )
-        require_agent_outputs(instance, result.values)
-        solution = Solution.from_agent_array(instance, result.values, label="distributed-safe")
-        return solution, result
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "DistributedSafeSolver()"

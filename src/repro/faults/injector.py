@@ -5,9 +5,9 @@ engine's injection points.  It is plumbed explicitly — the engine registry
 calls :meth:`on_job_attempt` before each solve attempt, the
 :class:`~repro.engine.cache.ResultCache` passes written bytes through
 :meth:`corrupt_put`, and :class:`~repro.distributed.runtime.SynchronousRuntime`
-asks :meth:`dropped_slots` per delivery round.  No monkeypatching anywhere:
-a run without an injector executes the exact same code with a handful of
-``is None`` checks.
+asks :meth:`dropped_slots` and :meth:`agent_faults` per delivery round.  No
+monkeypatching anywhere: a run without an injector executes the exact same
+code with a handful of ``is None`` checks.
 
 Injectors are cheap per-process objects.  Worker processes build their own
 (``in_worker=True``) from the picklable plan, so a ``"crash"`` fault can
@@ -125,10 +125,9 @@ class FaultInjector:
         """The slot set to drop in this delivery round (``None`` = nothing).
 
         ``attempt`` is the 0-based transmission attempt: 0 is the round's
-        original delivery (the only attempt the plain runtime performs),
-        higher values are the resilient runtime's retransmissions.  The
-        attempt-0 sample key is unchanged from before retransmits existed,
-        so a plan's original-delivery drop set is stable across runtimes.
+        original delivery, higher values are the runtime's retransmissions.
+        The attempt-0 sample key is unchanged from before retransmits
+        existed, so a plan's original-delivery drop set is stable.
         A fault with a finite ``attempts`` tuple models a lossy *channel* —
         each retry re-rolls an independent ``:retry{n}`` sample — while
         ``attempts=None`` models failed *links*: the same sampled slots

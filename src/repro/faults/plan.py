@@ -133,19 +133,18 @@ class MessageFault:
 
     ``slots`` are dropped verbatim; ``fraction`` additionally drops a
     deterministic sample of all slots, seeded by ``(plan.seed, round)``.
-    Dropped messages count as sent (the sender paid for them) but never
-    arrive — the receiving protocol sees an empty slot, exactly as if the
-    link had failed.
+    Dropped messages count as sent (the sender paid for them).  The
+    runtime re-sends them; a slot still dropped after its retransmit
+    budget is *lost*, and the run's fault ledger charges it to the agents
+    whose view it touched.
 
     ``attempts`` mirrors :class:`JobFault`: which *transmission attempts* of
     the round are lossy.  Attempt 0 is the round's original delivery; higher
-    attempts are the per-round retransmissions of the resilient runtime
-    (:class:`repro.distributed.resilient.ResilientRuntime`).  The default
+    attempts are the per-round retransmissions of
+    :class:`~repro.distributed.runtime.SynchronousRuntime`.  The default
     ``(0,)`` models a transient glitch — the first retransmission gets
     through — while ``attempts=None`` fires on every attempt and models a
-    persistently failed link that no retransmit budget can beat.  The
-    plain :class:`~repro.distributed.runtime.SynchronousRuntime` only ever
-    performs attempt 0.
+    persistently failed link that no retransmit budget can beat.
     """
 
     round_number: int

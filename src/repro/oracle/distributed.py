@@ -16,24 +16,22 @@ per-node transcription the plane is tested against:
   and the two-round ``g`` exchanges — and of the two-round safe protocol;
 * :func:`local_solve` and :func:`safe_solve` — both protocols end to end.
 
-The contracts, pinned by ``tests/test_runtime_vectorized.py`` and
-``tests/test_resilient.py``: :func:`local_solve` is within 1e-9 of
-:class:`~repro.distributed.agents.DistributedLocalSolver` with equal
-per-round message counts, :func:`safe_solve` is bitwise equal to
-:class:`~repro.distributed.safe_agents.DistributedSafeSolver`, and under one
-:class:`~repro.faults.FaultPlan`, :func:`run` drops the same messages as
-:class:`~repro.distributed.runtime.SynchronousRuntime`.
+The contracts, pinned by ``tests/test_runtime_vectorized.py``:
+:func:`local_solve` is within 1e-9 of
+:class:`~repro.distributed.resilient.ResilientLocalSolver` with equal
+per-round message counts, and :func:`safe_solve` is bitwise equal to
+:class:`~repro.distributed.resilient.ResilientSafeSolver`.  Both runtimes
+deliver every message; fault injection lives on the plane runtime only.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .. import obs
 from .._types import GraphNode, NodeType
 from ..algo.kernels import DEFAULT_BISECTION_TOL, MAX_BISECTION_ITERATIONS
 from ..analysis.views import CommunicationNetwork, LocalInput, ViewTree, build_network
@@ -41,11 +39,9 @@ from ..core.instance import MaxMinInstance
 from ..core.solution import Solution
 from ..core.validation import require_nondegenerate, require_special_form
 from ..distributed.agents import PhaseSchedule
-from ..distributed.plane import MessagePlane
 from ..distributed.runtime import RoundStatistics, require_agent_outputs
 from ..distributed.safe_agents import SAFE_ALGORITHM_ROUNDS
 from ..exceptions import SimulationError
-from ..faults import FaultInjector, FaultPlan
 
 __all__ = [
     "Message",
@@ -184,22 +180,8 @@ class NodeRunResult:
         return self.total_messages / self.rounds if self.rounds else 0.0
 
 
-def run(
-    network: CommunicationNetwork,
-    node_factory: NodeFactory,
-    rounds: int,
-    *,
-    faults: Optional[Union[FaultPlan, FaultInjector]] = None,
-) -> NodeRunResult:
-    """Execute ``rounds`` synchronous rounds, node by node.
-
-    ``faults`` drops messages as on the plane runtime: each ``(node, port)``
-    send is mapped to its plane slot, so one plan drops the same messages
-    here and there.  Dropped messages count as sent but never arrive.
-    """
-    if isinstance(faults, FaultPlan):
-        faults = faults.injector()
-    plane = MessagePlane(network.instance) if faults is not None else None
+def run(network: CommunicationNetwork, node_factory: NodeFactory, rounds: int) -> NodeRunResult:
+    """Execute ``rounds`` synchronous rounds, node by node."""
     nodes: Dict[GraphNode, ProtocolNode] = {
         node: node_factory(network, node) for node in network.nodes()
     }
@@ -209,8 +191,6 @@ def run(
     for round_number in range(1, rounds + 1):
         next_inboxes: Dict[GraphNode, Dict[int, Message]] = {node: {} for node in nodes}
         sent = 0
-        dropped = 0
-        drop = faults.dropped_slots(round_number, plane.num_slots) if plane is not None else None
         for node_id, node in nodes.items():
             outbox = node.compose(round_number, inboxes[node_id])
             degree = network.local_input(node_id).degree
@@ -222,13 +202,8 @@ def run(
                 if not isinstance(message, Message):
                     message = Message(message)
                 sent += 1
-                if drop and _sender_slot(plane, node_id, port) in drop:
-                    dropped += 1
-                    continue
                 neighbour, remote_port = network.endpoint(node_id, port)
                 next_inboxes[neighbour][remote_port] = message
-        if dropped:
-            obs.count("faults.dropped_messages", dropped)
         inboxes = next_inboxes
         per_round.append(RoundStatistics(round_number, sent))
 
@@ -240,17 +215,6 @@ def run(
     }
     total_messages = sum(s.messages for s in per_round)
     return NodeRunResult(outputs, node_outputs, rounds, total_messages, per_round)
-
-
-def _sender_slot(plane: MessagePlane, node_id: GraphNode, port: int) -> int:
-    """The plane slot a ``(node, port)`` send occupies."""
-    kind, nid = node_id
-    comp = plane.comp
-    if kind is NodeType.AGENT:
-        return int(plane.agent_indptr[comp.agent_index[nid]]) + port - 1
-    if kind is NodeType.CONSTRAINT:
-        return plane.con_base + int(comp.cagents_indptr[comp.constraint_index[nid]]) + port - 1
-    return plane.obj_base + int(comp.oagents_indptr[comp.objective_index[nid]]) + port - 1
 
 
 # ----------------------------------------------------------------------
@@ -367,7 +331,7 @@ class MaxMinAgentNode(ProtocolNode, _ViewFloodingMixin):
                 raise SimulationError(
                     f"agent {self.graph_node[1]!r} expected a sibling sum on "
                     f"port {self._objective_port()} in round {round_number} "
-                    "(message dropped or objective relay failed)"
+                    "(the objective relay did not send it)"
                 )
             sibling_sum = message.payload
             assert self.s_v is not None
@@ -392,7 +356,7 @@ class MaxMinAgentNode(ProtocolNode, _ViewFloodingMixin):
                     raise SimulationError(
                         f"agent {self.graph_node[1]!r} expected a partner value "
                         f"on port {port} in round {round_number} "
-                        "(message dropped or constraint relay failed)"
+                        "(the constraint relay did not send it)"
                     )
                 a_iv = self.local_input.port_coefficients[port]
                 candidate = (1.0 - message.payload) / a_iv
@@ -532,7 +496,7 @@ class SafeAgentNode(ProtocolNode):
                     raise SimulationError(
                         f"safe agent {self.graph_node[1]!r} did not receive a "
                         f"constraint degree on port {port} in round {round_number} "
-                        "(message dropped or constraint failed)"
+                        "(the constraint did not send it)"
                     )
                 a_iv = self.local_input.port_coefficients[port]
                 best = min(best, 1.0 / (message.payload * a_iv))

@@ -13,13 +13,13 @@ import pytest
 from repro.algo.local_solver import SpecialFormLocalSolver
 from repro.algo.safe_algorithm import safe_solution
 from repro.core.lp import solve_maxmin_lp
-from repro.distributed.agents import DistributedLocalSolver, PhaseSchedule
+from repro.distributed import PhaseSchedule, ResilientLocalSolver, ResilientSafeSolver
 from repro.distributed.dynamics import (
     changed_sites,
     local_horizon_radius,
     measure_change_impact,
 )
-from repro.distributed.safe_agents import SAFE_ALGORITHM_ROUNDS, DistributedSafeSolver
+from repro.distributed.safe_agents import SAFE_ALGORITHM_ROUNDS
 from repro.exceptions import NotSpecialFormError, SimulationError
 from repro.generators import (
     cycle_instance,
@@ -54,6 +54,8 @@ class TestPhaseSchedule:
 
 
 class TestDistributedLocalSolver:
+    """The §5 protocol's solver, :class:`ResilientLocalSolver`, without faults."""
+
     @pytest.mark.parametrize("R", [2, 3])
     def test_matches_centralized_reference(self, R):
         instances = [
@@ -63,13 +65,13 @@ class TestDistributedLocalSolver:
         ]
         for instance in instances:
             central = SpecialFormLocalSolver(R=R).solve(instance)
-            distributed_solution, run = DistributedLocalSolver(R=R).solve(instance)
+            distributed_solution, run = ResilientLocalSolver(R=R).solve(instance)
             assert run.rounds == 12 * (R - 2) + 7
             for v in instance.agents:
                 assert distributed_solution[v] == pytest.approx(central.solution[v], abs=1e-8)
 
     def test_output_feasible_and_within_guarantee(self):
-        solver = DistributedLocalSolver(R=3)
+        solver = ResilientLocalSolver(R=3)
         for instance in special_form_family()[:4]:
             solution, _run = solver.solve(instance)
             assert_feasible(solution)
@@ -78,15 +80,15 @@ class TestDistributedLocalSolver:
 
     def test_rejects_general_instances(self, general_instance):
         with pytest.raises(NotSpecialFormError):
-            DistributedLocalSolver(R=2).solve(general_instance)
+            ResilientLocalSolver(R=2).solve(general_instance)
 
     def test_local_horizon_property(self):
-        assert DistributedLocalSolver(R=2).local_horizon == 7
-        assert DistributedLocalSolver(R=4).local_horizon == 31
+        assert ResilientLocalSolver(R=2).local_horizon == 7
+        assert ResilientLocalSolver(R=4).local_horizon == 31
 
     def test_messages_scale_linearly_with_network_size(self):
         """Constant work per node: total messages grow linearly in n."""
-        solver = DistributedLocalSolver(R=2)
+        solver = ResilientLocalSolver(R=2)
         runs = {}
         for segments in (6, 12, 24):
             instance = cycle_instance(segments)
@@ -100,16 +102,18 @@ class TestDistributedLocalSolver:
 
 
 class TestDistributedSafeSolver:
+    """The safe protocol's solver, :class:`ResilientSafeSolver`, without faults."""
+
     def test_matches_centralized_safe(self):
         for instance in special_form_family()[:4]:
             central = safe_solution(instance, variant="degree")
-            distributed, run = DistributedSafeSolver().solve(instance)
+            distributed, run = ResilientSafeSolver().solve(instance)
             assert run.rounds == SAFE_ALGORITHM_ROUNDS
             for v in instance.agents:
                 assert distributed[v] == pytest.approx(central[v], abs=1e-12)
 
     def test_works_on_general_nondegenerate_instances(self, general_instance):
-        solution, _run = DistributedSafeSolver().solve(general_instance)
+        solution, _run = ResilientSafeSolver().solve(general_instance)
         assert_feasible(solution)
 
     def test_message_count(self):

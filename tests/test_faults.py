@@ -16,7 +16,8 @@ The contracts, in decreasing order of importance:
   and recomputed, never served; an entry is fsynced before it becomes
   visible, and same-key writers never tear each other's files.
 * **Runtime guards** — non-finite values on the vectorized wire raise with
-  round/agent attribution; injected message drops are deterministic.
+  round/agent attribution; a plan with no fault in the run's rounds leaves
+  it untouched.
 """
 
 from __future__ import annotations
@@ -30,12 +31,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.distributed import (
-    MessagePlane,
-    ResilientRuntime,
-    SynchronousRuntime,
-    require_agent_outputs,
-)
+from repro.distributed import MessagePlane, SynchronousRuntime, require_agent_outputs
 from repro.distributed import safe_agents as safe_agents_mod
 from repro.engine import (
     BatchSpec,
@@ -517,34 +513,24 @@ class _NaNAgentProtocol:
 
 
 class TestRuntimeFaults:
+    # ``resilient`` runs the ledger path with every round-2 slot dropped: a
+    # NaN/inf the protocol composes is a bug, not an injected fault, so the
+    # ledger must not absorb it.
     @pytest.mark.parametrize(
-        "runtime_cls", [SynchronousRuntime, ResilientRuntime], ids=["plain", "resilient"]
+        "plan",
+        [None, FaultPlan(seed=1, message_faults=(MessageFault(round_number=2, fraction=1.0),))],
+        ids=["plain", "resilient"],
     )
-    def test_nonfinite_message_raises_with_round_and_agents(self, runtime_cls):
+    def test_nonfinite_message_raises_with_round_and_agents(self, plan):
         instance = cycle_instance(6, coefficient_range=(0.5, 2.0), seed=3)
         plane = MessagePlane(instance)
-        runtime = runtime_cls(plane)
+        runtime = SynchronousRuntime(plane, faults=plan)
         obs.configure(enabled=True)
         mark = obs.counters_mark()
         with pytest.raises(SimulationError, match=r"round 2.*NaN/inf") as excinfo:
             runtime.run(_NaNAgentProtocol(), rounds=3)
         assert repr(plane.comp.agents[0]) in str(excinfo.value)
         assert obs.counters_since(mark).get("runtime.nonfinite_messages", 0) == 1
-
-    def test_message_drop_is_visible_to_the_protocol(self):
-        instance = cycle_instance(6, coefficient_range=(0.5, 2.0), seed=3)
-        plan = FaultPlan(seed=1, message_faults=(MessageFault(round_number=1, fraction=1.0),))
-        runtime = SynchronousRuntime(MessagePlane(instance), faults=plan)
-        obs.configure(enabled=True)
-        mark = obs.counters_mark()
-        # The safe protocol notices the missing inbox slots and refuses to
-        # fabricate state — exactly the failure a lossy link should surface.
-        with pytest.raises(SimulationError):
-            runtime.run(
-                safe_agents_mod.VectorizedSafeProtocol(),
-                rounds=safe_agents_mod.SAFE_ALGORITHM_ROUNDS,
-            )
-        assert obs.counters_since(mark).get("faults.dropped_messages", 0) > 0
 
     def test_fault_free_plan_leaves_run_untouched(self):
         instance = cycle_instance(6, coefficient_range=(0.5, 2.0), seed=3)
@@ -559,6 +545,7 @@ class TestRuntimeFaults:
         )
         assert faulted.outputs == base.outputs
         assert faulted.total_messages == base.total_messages
+        assert faulted.dropped_messages == faulted.retransmits == 0 and faulted.events == ()
 
     def test_require_agent_outputs_partially_missing(self):
         instance = cycle_instance(5, seed=0)

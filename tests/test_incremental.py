@@ -851,6 +851,21 @@ class TestErrorsNameTheirCause:
         assert "infinite capacity" in str(exc.value)
         assert "a['i0', 'v0']" in str(exc.value)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in add:RuntimeWarning")
+    @pytest.mark.parametrize("R", [2, 3])
+    def test_finite_capacities_whose_sum_overflows_name_the_objective(self, R):
+        inst = cycle_instance(4)
+        for i, v in list(inst.a_coefficients):
+            inst = perturb_coefficient(inst, i, v, 1e-308)
+        assert np.isfinite(inst.compiled().capacity).all()
+        message = (
+            r"^the capacities of the agents of objective 'k3' are finite but their sum "
+            r"overflows; scale the coefficients"
+        )
+        for solver in (SpecialFormLocalSolver(R), LocalMaxMinSolver(R)):
+            with pytest.raises(SolverError, match=message):
+                solver.solve(inst)
+
     def test_the_agent_at_fault_not_the_tree_root(self):
         # v7 is the objective sibling of v0, whose tree is searched first.
         base = cycle_instance(4)

@@ -17,7 +17,7 @@ from repro.algo.safe_algorithm import SafeAlgorithm
 from repro.analysis import best_local_ratio_bound, compare_algorithms, run_ratio_sweep, worst_case_by
 from repro.applications import service_statistics
 from repro.core.lp import solve_maxmin_lp
-from repro.distributed import DistributedLocalSolver, DistributedSafeSolver
+from repro.distributed import ResilientLocalSolver, ResilientSafeSolver
 from repro.generators import (
     bandwidth_allocation_instance,
     cycle_instance,
@@ -79,27 +79,27 @@ class TestDistributedEndToEnd:
         # -> distributed §5 protocol -> back-mapping.
         instance = random_instance(16, delta_I=3, delta_K=2, seed=17)
         transform = to_special_form(instance)
-        distributed_solution, run = DistributedLocalSolver(R=2).solve(transform.transformed)
+        distributed_solution, run = ResilientLocalSolver(R=2).solve(transform.transformed)
         mapped = transform.map_back(distributed_solution)
         assert_feasible(mapped)
         optimum = solve_maxmin_lp(instance).optimum
         guarantee = transform.ratio_factor * 2.0 * (1 - 1 / transform.transformed.delta_K) * 2.0
         assert_within_guarantee(instance, mapped, guarantee, optimum)
-        assert run.rounds == DistributedLocalSolver(R=2).local_horizon
+        assert run.rounds == ResilientLocalSolver(R=2).local_horizon
 
     def test_distributed_matches_centralized_on_application(self):
         network = sensor_network_instance(10, 4, radius=0.4, seed=19)
         transform = to_special_form(network.instance)
         special = transform.transformed
         central = SpecialFormLocalSolver(R=2).solve(special)
-        distributed, _run = DistributedLocalSolver(R=2).solve(special)
+        distributed, _run = ResilientLocalSolver(R=2).solve(special)
         for v in special.agents:
             assert distributed[v] == pytest.approx(central.solution[v], abs=1e-8)
 
     def test_safe_protocol_message_budget_smaller_than_local(self):
         instance = cycle_instance(10)
-        _s1, run_local = DistributedLocalSolver(R=2).solve(instance)
-        _s2, run_safe = DistributedSafeSolver().solve(instance)
+        _s1, run_local = ResilientLocalSolver(R=2).solve(instance)
+        _s2, run_safe = ResilientSafeSolver().solve(instance)
         assert run_safe.total_messages < run_local.total_messages
         assert run_safe.rounds < run_local.rounds
 

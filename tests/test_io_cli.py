@@ -407,3 +407,159 @@ class TestCli:
         assert main(["generate", family, path, "--size", "9", "--seed", "1"]) == 0
         instance = load_instance(path)
         assert instance.num_agents > 0
+
+
+@pytest.fixture(scope="module")
+def special200(tmp_path_factory):
+    """``generate special-form --size 200 --seed 1``: the input of ``solve --dist``."""
+    path = tmp_path_factory.mktemp("dist") / "inst.json"
+    assert main(["generate", "special-form", str(path), "--size", "200", "--seed", "1"]) == 0
+    return path
+
+
+_DIST_HEADER = [
+    "sf-random-n200-dK3-m1-s1 (n=200, distributed)",
+    "=============================================",
+    "algorithm     utility  feasible  rounds  messages  exact  safe  failed",
+    "------------  -------  --------  ------  --------  -----  ----  ------",
+]
+_LOST_LINKS = (
+    "  round 3: link_loss 40 slot(s) [agent 'v13' port 1 -> constraint 'i70' port 1; "
+    "agent 'v23' port 1 -> constraint 'i73' port 1; agent 'v25' port 1 -> constraint 'i1' port 1]"
+)
+
+
+#: ``solve`` flag sets that would crash the run or change nothing, and the
+#: error line each one gets.
+_UNUSABLE_FAULT_FLAGS = [
+    (["--dist", "--drop-fraction", "1.5"], "--drop-fraction must lie in [0, 1], got 1.5"),
+    (["--dist", "--drop-fraction", "nan"], "--drop-fraction must lie in [0, 1], got nan"),
+    (["--dist", "--drop-fraction", "-0.5"], "--drop-fraction must lie in [0, 1], got -0.5"),
+    (["--dist", "--retransmit-budget", "-1"], "--retransmit-budget must be >= 0, got -1"),
+    (
+        ["--dist", "--drop-fraction", "0.1", "--drop-round", "0"],
+        "--drop-round must lie in [1, 19], the rounds of the protocol at R=3; got 0",
+    ),
+    (
+        ["--dist", "--drop-fraction", "0.1", "--drop-round", "50"],
+        "--drop-round must lie in [1, 19], the rounds of the protocol at R=3; got 50",
+    ),
+    (
+        ["--dist", "--crash-agent", "1", "--crash-round", "0"],
+        "--crash-round must lie in [1, 19], the rounds of the protocol at R=3; got 0",
+    ),
+    (
+        ["--dist", "--crash-agent", "3", "--crash-round", "50"],
+        "--crash-round must lie in [1, 19], the rounds of the protocol at R=3; got 50",
+    ),
+    (["--dist", "--persistent-loss"], "--persistent-loss needs --drop-fraction"),
+    (["--dist", "--drop-round", "5"], "--drop-round needs --drop-fraction"),
+    (["--dist", "--faults-seed", "4"], "--faults-seed needs --drop-fraction"),
+    (["--dist", "--crash-round", "4"], "--crash-round needs --crash-agent"),
+    (["--dist", "--with-safe"], "--with-safe does not apply to --dist"),
+    (["--dist", "--with-optimum"], "--with-optimum does not apply to --dist"),
+    (["--drop-fraction", "0.1"], "--drop-fraction needs --dist"),
+    (["--drop-round", "5"], "--drop-round needs --dist"),
+    (["--persistent-loss"], "--persistent-loss needs --dist"),
+    (["--retransmit-budget", "3"], "--retransmit-budget needs --dist"),
+    (["--crash-agent", "1"], "--crash-agent needs --dist"),
+    (["--crash-round", "2"], "--crash-round needs --dist"),
+    (["--faults-seed", "4"], "--faults-seed needs --dist"),
+]
+
+
+class TestSolveDist:
+    """``solve --dist``: its output bytes per fault mix, and its flag rules."""
+
+    @pytest.mark.parametrize(
+        "flags, lines, digest",
+        [
+            pytest.param(
+                [],
+                [
+                    "resilient-R3  0.6372   yes       19      10400     200    0     0",
+                    "certificate: 200 exact / 0 safe / 0 failed; 0 retransmit(s), "
+                    "0/0 message(s) lost (budget 2), 0 fault event(s)",
+                ],
+                "69c4dafb50afebefbad05492aa416d24afc1cfbf9d567037070aa2da4d5ed2a4",
+                id="clean",
+            ),
+            pytest.param(
+                ["--drop-fraction", "0.05"],
+                [
+                    "resilient-R3  0.6372   yes       19      10400     200    0     0",
+                    "certificate: 200 exact / 0 safe / 0 failed; 40 retransmit(s), "
+                    "0/40 message(s) lost (budget 2), 0 fault event(s)",
+                ],
+                "69c4dafb50afebefbad05492aa416d24afc1cfbf9d567037070aa2da4d5ed2a4",
+                id="transient-loss",
+            ),
+            pytest.param(
+                ["--drop-fraction", "0.05", "--persistent-loss",
+                 "--crash-agent", "3", "--crash-round", "2"],
+                [
+                    "resilient-R3  0.5482   yes       19      10400     16     183   1",
+                    "certificate: 16 exact / 183 safe / 1 failed; 80 retransmit(s), "
+                    "40/40 message(s) lost (budget 2), 2 fault event(s)",
+                    "  round 2: agent_crash 'v3'",
+                    _LOST_LINKS,
+                ],
+                "7905c5dab0889b96964baad8156edd980b1108fdf9035c84935094ce8aecb51d",
+                id="persistent-loss-and-crash",
+            ),
+            pytest.param(
+                ["--drop-fraction", "0.05", "--retransmit-budget", "0"],
+                [
+                    "resilient-R3  0.5482   yes       19      10400     16     184   0",
+                    "certificate: 16 exact / 184 safe / 0 failed; 0 retransmit(s), "
+                    "40/40 message(s) lost (budget 0), 1 fault event(s)",
+                    _LOST_LINKS,
+                ],
+                "f4d17d4c826b0e4d4a2239d7884d46e31867230ddea26980a8aed56143a8c3a1",
+                id="no-budget",
+            ),
+        ],
+    )
+    def test_output_is_pinned(self, flags, lines, digest, special200, tmp_path, capsys):
+        """Stdout and the solution file, byte for byte, per fault mix."""
+        import hashlib
+
+        out = tmp_path / "solution.json"
+        argv = ["solve", str(special200), "-R", "3", "--dist", *flags, "--output", str(out)]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            *_DIST_HEADER, *lines, f"solution written to {out}"
+        ]
+        assert captured.err == ""
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        _UNUSABLE_FAULT_FLAGS,
+        ids=[" ".join(flags) for flags, _ in _UNUSABLE_FAULT_FLAGS],
+    )
+    def test_unusable_fault_flag_is_a_one_line_error(self, flags, message, special200, capsys):
+        """A fault flag that would crash the run or change nothing: exit 2."""
+        assert main(["solve", str(special200), "-R", "3", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in add:RuntimeWarning")
+    @pytest.mark.parametrize("dist", [[], ["--dist"]], ids=["solve", "solve --dist"])
+    @pytest.mark.parametrize("R", ["2", "3"])
+    def test_overflowing_capacity_sum_is_a_one_line_error(self, R, dist, tmp_path, capsys):
+        """Finite capacities whose sum overflows: one line naming the objective."""
+        from repro.generators import perturb_coefficient
+
+        instance = cycle_instance(4)
+        for i, v in list(instance.a_coefficients):
+            instance = perturb_coefficient(instance, i, v, 1e-308)
+        path = save_instance(instance, tmp_path / "inst.json")
+        assert main(["solve", str(path), "-R", R, *dist]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: the capacities of the agents of objective 'k3' are finite but "
+            "their sum overflows; scale the coefficients into floating-point range\n"
+        )

@@ -1,11 +1,11 @@
-"""Tests for the fault-tolerant distributed runtime and certified degradation.
+"""Tests for the distributed runtime's fault ledger and certified degradation.
 
 Covers the resilience contract end to end: ``AgentFault``/``MessageFault``
 plan semantics, retransmit recovery (bitwise-identical under the budget),
 locality-bounded degradation beyond it (safe ball, failed agents, exact
-outside — spied on with the obs counters), chaos equivalence between the
-message plane and the per-node oracle, and the hypothesis soundness property
-of the certificate.
+outside — spied on with the obs counters), a runtime reused across runs,
+the protocols' own checks for a message that was never sent, and the
+hypothesis soundness property of the certificate.
 """
 
 from __future__ import annotations
@@ -16,23 +16,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.algo.safe_algorithm import safe_solution
 from repro.distributed import (
     AGENT_EXACT,
     AGENT_FAILED,
     AGENT_SAFE,
-    DistributedLocalSolver,
-    DistributedSafeSolver,
     MessagePlane,
+    PhaseSchedule,
     ResilientLocalSolver,
-    ResilientRuntime,
     ResilientSafeSolver,
+    SAFE_ALGORITHM_ROUNDS,
     SynchronousRuntime,
+    VectorizedMaxMinProtocol,
+    VectorizedSafeProtocol,
 )
-from repro.analysis.views import build_network
 from repro.exceptions import EngineError, SimulationError
 from repro.faults import AgentFault, FaultPlan, MessageFault
 from repro.generators import cycle_instance, random_special_form_instance
-from repro.oracle import distributed as oracle_dist
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +42,7 @@ def chain80():
 
 @pytest.fixture(scope="module")
 def chain80_exact(chain80):
-    solution, _ = DistributedLocalSolver(R=3).solve(chain80)
+    solution, _ = ResilientLocalSolver(R=3).solve(chain80)
     return solution.value_array()
 
 
@@ -130,7 +130,7 @@ class TestAgentFaultPlan:
 
     def test_attempt0_key_matches_legacy(self):
         # attempt 0 must reproduce the pre-retransmit sample so existing
-        # plans drop the same slots on the plain runtime.
+        # plans keep dropping the same slots.
         plan = FaultPlan(
             seed=11,
             message_faults=(MessageFault(round_number=4, fraction=0.1),),
@@ -182,7 +182,25 @@ class TestRetransmitRecovery:
 
     def test_negative_budget_rejected(self):
         with pytest.raises(SimulationError):
-            ResilientRuntime(MessagePlane(cycle_instance(4)), retransmit_budget=-1)
+            SynchronousRuntime(MessagePlane(cycle_instance(4)), retransmit_budget=-1)
+
+    def test_reused_runtime_keeps_one_ledger_per_run(self, chain80):
+        plan = FaultPlan(
+            seed=7,
+            message_faults=(MessageFault(round_number=8, fraction=0.1, attempts=(0, 1)),),
+            agent_faults=(AgentFault(kind="crash", round_number=2, agents=(10,)),),
+        )
+        runtime = SynchronousRuntime(MessagePlane(chain80), faults=plan, retransmit_budget=1)
+        schedule = PhaseSchedule(3)
+        first, second = (
+            runtime.run(VectorizedMaxMinProtocol(schedule), schedule.total_rounds)
+            for _ in range(2)
+        )
+        assert first.dropped_messages > 0 and first.lost_messages > 0
+        for field in ("dropped_messages", "retransmits", "lost_slots", "events"):
+            assert getattr(second, field) == getattr(first, field), field
+        assert second.faulty_agent_positions() == first.faulty_agent_positions()
+        assert np.array_equal(second.values, first.values)
 
 
 # ----------------------------------------------------------------------
@@ -291,14 +309,14 @@ class TestDegradationContainment:
 # ----------------------------------------------------------------------
 class TestResilientSafeSolver:
     def test_clean_run_matches_safe_protocol(self, chain80):
-        base, _ = DistributedSafeSolver().solve(chain80)
+        base = safe_solution(chain80, variant="degree")
         solution, _ = ResilientSafeSolver().solve(chain80)
         assert np.array_equal(solution.value_array(), base.value_array())
         assert solution.degradation.clean
 
     def test_lost_degree_degrades_receiver_only(self):
         inst = random_special_form_instance(num_agents=40, seed=3)
-        base, _ = DistributedSafeSolver().solve(inst)
+        base, _ = ResilientSafeSolver().solve(inst)
         plan = FaultPlan(
             seed=2,
             message_faults=(MessageFault(round_number=1, fraction=0.05, attempts=None),),
@@ -330,7 +348,7 @@ class TestResilientSafeSolver:
             seed=0,
             agent_faults=(AgentFault(kind="silent", round_number=1, agents=(4,)),),
         )
-        base, _ = DistributedSafeSolver().solve(chain80)
+        base, _ = ResilientSafeSolver().solve(chain80)
         solution, _ = ResilientSafeSolver(faults=plan).solve(chain80)
         assert solution.degradation.statuses[4] == AGENT_EXACT
         assert np.array_equal(solution.value_array(), base.value_array())
@@ -338,104 +356,58 @@ class TestResilientSafeSolver:
 
 
 # ----------------------------------------------------------------------
-# Chaos equivalence: the plane and the per-node oracle under one plan
+# A message the protocol never sent: its own checks name the receiver
 # ----------------------------------------------------------------------
-class TestChaosEquivalence:
-    def test_smoothing_drops_identical_on_both_paths(self):
-        inst = cycle_instance(24, seed=4)
-        plan = FaultPlan(
-            seed=9,
-            message_faults=(MessageFault(round_number=8, fraction=0.3),),
-        )
-        schedule = DistributedLocalSolver(R=3).schedule
-        # Drive both through runtimes with the same plan (smoothing-phase
-        # drops are non-fatal: the min-flood just converges differently).
-        network = build_network(inst)
-        from repro.distributed.agents import VectorizedMaxMinProtocol
+class _Withholding:
+    """Mixin: a protocol that never sends slot ``withhold[1]`` in round ``withhold[0]``."""
 
-        rounds = schedule.total_rounds
-        ref_result, ref_seen = _counters(
-            lambda: oracle_dist.run(
-                network, oracle_dist.maxmin_node_factory(schedule), rounds, faults=plan
-            )
-        )
-        vec_rt = SynchronousRuntime(MessagePlane(inst), faults=plan)
-        vec_result, vec_seen = _counters(
-            lambda: vec_rt.run(VectorizedMaxMinProtocol(schedule), rounds)
-        )
-        assert ref_result.outputs == vec_result.outputs
-        assert ref_seen.get("faults.dropped_messages") == vec_seen.get(
-            "faults.dropped_messages"
-        )
-        assert [s.messages for s in ref_result.per_round] == [
-            s.messages for s in vec_result.per_round
-        ]
+    withhold = (0, -1)
 
-    def test_gphase_drop_raises_with_agent_and_port_on_both_paths(self):
+    def compose(self, round_number, inbox_mask, inbox_values, plane):
+        mask, values = super().compose(round_number, inbox_mask, inbox_values, plane)
+        if round_number == self.withhold[0]:
+            mask[self.withhold[1]] = False
+        return mask, values
+
+
+class _WithholdingMaxMinProtocol(_Withholding, VectorizedMaxMinProtocol):
+    pass
+
+
+class _WithholdingSafeProtocol(_Withholding, VectorizedSafeProtocol):
+    pass
+
+
+class TestWithheldMessage:
+    def test_withheld_sibling_sum_names_agent_and_port(self):
         inst = cycle_instance(24, seed=4)
-        schedule_rounds = DistributedLocalSolver(R=3).schedule
         plane = MessagePlane(inst)
-        # Drop one objective→agent sibling sum.  The objective sends it in
-        # round g_start+1; the agent's offset-2 round then starves.
-        g_start = schedule_rounds.g_start
+        schedule = PhaseSchedule(3)
+        # The objective sends sibling sums in round g_start + 1; the agent's
+        # next round then finds one missing.
         target = int(plane.agent_obj_slots[3])
-        victim_slot = int(plane.reverse[target])  # the objective's send slot
-        kind, victim_agent, port = plane.slot_owner(target)
+        kind, victim, port = plane.slot_owner(target)
         assert kind == "agent"
-        plan = FaultPlan(
-            seed=0,
-            message_faults=(
-                MessageFault(round_number=g_start + 1, slots=(victim_slot,)),
-            ),
-        )
-        from repro.distributed.agents import VectorizedMaxMinProtocol
+        protocol = _WithholdingMaxMinProtocol(schedule)
+        protocol.withhold = (schedule.g_start + 1, int(plane.reverse[target]))
+        with pytest.raises(SimulationError, match="never arrived") as err:
+            SynchronousRuntime(plane).run(protocol, schedule.total_rounds)
+        assert f"agent {victim!r} port {port}" in str(err.value)
 
-        vec_rt = SynchronousRuntime(plane, faults=plan)
-        with pytest.raises(SimulationError) as vec_err:
-            vec_rt.run(
-                VectorizedMaxMinProtocol(schedule_rounds),
-                schedule_rounds.total_rounds,
-            )
-        with pytest.raises(SimulationError) as ref_err:
-            oracle_dist.run(
-                build_network(inst),
-                oracle_dist.maxmin_node_factory(schedule_rounds),
-                schedule_rounds.total_rounds,
-                faults=plan,
-            )
-        # Both errors are diagnosable: they name the starved agent and a port.
-        assert repr(victim_agent) in str(vec_err.value)
-        assert "port" in str(vec_err.value)
-        assert repr(victim_agent) in str(ref_err.value)
-        assert "port" in str(ref_err.value)
-
-    def test_safe_protocol_drop_names_agent_on_both_paths(self):
+    def test_withheld_degree_names_agent(self):
         inst = cycle_instance(16, seed=0)
         plane = MessagePlane(inst)
         target = int(plane.agent_con_slots[0])
-        sender_slot = int(plane.reverse[target])
-        _, victim_agent, _ = plane.slot_owner(target)
-        plan = FaultPlan(
-            seed=0,
-            message_faults=(MessageFault(round_number=1, slots=(sender_slot,)),),
-        )
-        from repro.distributed.safe_agents import (
-            SAFE_ALGORITHM_ROUNDS,
-            VectorizedSafeProtocol,
-        )
+        _, victim, _ = plane.slot_owner(target)
+        protocol = _WithholdingSafeProtocol()
+        protocol.withhold = (1, int(plane.reverse[target]))
+        with pytest.raises(SimulationError, match="did not receive a constraint degree") as err:
+            SynchronousRuntime(plane).run(protocol, SAFE_ALGORITHM_ROUNDS)
+        assert repr(victim) in str(err.value)
 
-        vec_rt = SynchronousRuntime(plane, faults=plan)
-        with pytest.raises(SimulationError) as vec_err:
-            vec_rt.run(VectorizedSafeProtocol(), SAFE_ALGORITHM_ROUNDS)
-        with pytest.raises(SimulationError) as ref_err:
-            oracle_dist.run(
-                build_network(inst),
-                oracle_dist.safe_node_factory,
-                SAFE_ALGORITHM_ROUNDS,
-                faults=plan,
-            )
-        assert repr(victim_agent) in str(vec_err.value)
-        assert repr(victim_agent) in str(ref_err.value)
+
+class TestChaosEquivalence:
+    """The slot names the missing-message errors above print."""
 
     def test_slot_owner_roundtrip(self):
         inst = cycle_instance(12, seed=0)
@@ -490,7 +462,7 @@ def fault_plans(draw):
 
 class TestDegradationSoundness:
     INSTANCE = cycle_instance(36, seed=2)
-    EXACT = DistributedLocalSolver(R=3).solve(INSTANCE)[0].value_array()
+    EXACT = ResilientLocalSolver(R=3).solve(INSTANCE)[0].value_array()
 
     @settings(max_examples=20, deadline=None)
     @given(plan=fault_plans())

@@ -23,7 +23,7 @@ from repro.algo.local_solver import SpecialFormLocalSolver
 from repro.algo.safe_algorithm import SafeAlgorithm, safe_solution
 from repro.analysis.views import build_network
 from repro.core.solution import Solution
-from repro.distributed import DistributedLocalSolver, DistributedSafeSolver, MessagePlane
+from repro.distributed import MessagePlane, ResilientLocalSolver, ResilientSafeSolver
 from repro.distributed import safe_agents as safe_agents_mod
 from repro.exceptions import InvalidInstanceError, SimulationError
 from repro.oracle import distributed as oracle_dist
@@ -72,7 +72,7 @@ class TestSafeBackendEquivalence:
                 assert vec[v] == ref[v]
 
     def test_distributed_matches_centralized_all_families(self):
-        for solve in (DistributedSafeSolver().solve, oracle_dist.safe_solve):
+        for solve in (ResilientSafeSolver().solve, oracle_dist.safe_solve):
             for instance in special_form_family() + _nondegenerate_general_family():
                 central = safe_solution(instance, variant="degree")
                 distributed, run = solve(instance)
@@ -118,7 +118,7 @@ class TestRuntimeEquivalence:
             instances += mid_size_special_form_family()
         for instance in instances:
             ref_solution, ref_run = oracle_dist.local_solve(instance, R)
-            vec_solution, vec_run = DistributedLocalSolver(R=R).solve(instance)
+            vec_solution, vec_run = ResilientLocalSolver(R=R).solve(instance)
             assert vec_run.rounds == ref_run.rounds == 12 * (R - 2) + 7
             assert vec_run.total_messages == ref_run.total_messages
             assert [s.messages for s in vec_run.per_round] == [
@@ -131,14 +131,14 @@ class TestRuntimeEquivalence:
         for R in (2, 3):
             for instance in special_form_family():
                 central = SpecialFormLocalSolver(R=R).solve(instance)
-                distributed, _run = DistributedLocalSolver(R=R).solve(instance)
+                distributed, _run = ResilientLocalSolver(R=R).solve(instance)
                 for v in instance.agents:
                     assert distributed[v] == pytest.approx(central.solution[v], abs=1e-9)
 
     def test_vectorized_safe_statistics_match_oracle(self):
         for instance in [cycle_instance(5)] + mid_size_special_form_family():
             _s, ref_run = oracle_dist.safe_solve(instance)
-            _s, vec_run = DistributedSafeSolver().solve(instance)
+            _s, vec_run = ResilientSafeSolver().solve(instance)
             assert vec_run.total_messages == ref_run.total_messages == 2 * instance.num_constraints
             assert [s.messages for s in vec_run.per_round] == [
                 s.messages for s in ref_run.per_round

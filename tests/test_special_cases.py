@@ -18,7 +18,7 @@ from repro.algo.local_solver import SpecialFormLocalSolver
 from repro.core.builder import InstanceBuilder
 from repro.core.lp import solve_maxmin_lp
 from repro.analysis.views import build_network
-from repro.distributed import DistributedLocalSolver
+from repro.distributed import ResilientLocalSolver
 from repro.distributed.agents import PhaseSchedule
 from repro.exceptions import SimulationError
 from repro.generators import cycle_instance, random_instance, regular_general_instance
@@ -139,7 +139,7 @@ class TestDistributedErrorPaths:
         # Running more rounds than the protocol needs is harmless: the extra
         # rounds are silent and outputs are unchanged.
         instance = unit_cycle
-        solver = DistributedLocalSolver(R=2)
+        solver = ResilientLocalSolver(R=2)
         expected, _ = solver.solve(instance)
         network = build_network(instance)
         result = oracle_dist.run(
